@@ -1,13 +1,12 @@
-//! Criterion view of the hot path: the scalar seed pipeline vs the
-//! wavefront-vectorized tasks over identical preloaded engines. The
-//! `hotpath` binary is the source of record (it measures the full
-//! matrix and writes `BENCH_hotpath.json`); this bench exists so
-//! `cargo bench` tracks the same two code paths with criterion's
-//! sampling, and so `cargo test` smoke-builds them.
+//! Criterion view of the hot path: the wavefront-vectorized tasks over
+//! a preloaded engine. The `hotpath` binary is the source of record (it
+//! measures the full matrix and writes `BENCH_hotpath.json`); this
+//! bench exists so `cargo bench` tracks the same code path with
+//! criterion's sampling, and so `cargo test` smoke-builds it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dido_apu_sim::HwSpec;
-use dido_bench::hotpath::{all_on_cpu_ctx, run_scalar_batch, run_vectorized_batch};
+use dido_bench::hotpath::{all_on_cpu_ctx, run_vectorized_batch};
 use dido_model::PipelineConfig;
 use dido_pipeline::{preloaded_engine, TestbedOptions};
 use dido_workload::{Dataset, KeyDistribution, WorkloadSpec};
@@ -23,23 +22,15 @@ fn bench_hotpath(c: &mut Criterion) {
             store_bytes: 8 << 20,
             ..TestbedOptions::default()
         };
-        let (scalar_engine, mut generator) = preloaded_engine(spec, &hw, topts);
-        let (vector_engine, _) = preloaded_engine(spec, &hw, topts);
+        let (engine, mut generator) = preloaded_engine(spec, &hw, topts);
         g.throughput(Throughput::Elements(batch as u64));
-        g.bench_function(&format!("scalar_95_5_{batch}"), |b| {
-            b.iter_batched(
-                || generator.batch(batch),
-                |queries| std::hint::black_box(run_scalar_batch(ctx, &scalar_engine, &queries)),
-                BatchSize::LargeInput,
-            )
-        });
         g.bench_function(&format!("vectorized_95_5_{batch}"), |b| {
             b.iter_batched(
                 || generator.batch(batch),
                 |queries| {
                     std::hint::black_box(run_vectorized_batch(
                         ctx,
-                        &vector_engine,
+                        &engine,
                         queries,
                         PipelineConfig::mega_kv(),
                     ))

@@ -1,4 +1,4 @@
-//! Connection-scale bench: the batched server's reactor plane under
+//! Connection-scale bench: the server's reactor plane under
 //! {64, 512, 4096} concurrent connections, on every available I/O
 //! backend (epoll always; io_uring when the kernel has it), with
 //! repeats interleaved across backends so comparisons share one
@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! connpath [--quick] [--seed N] [--frames N] [--window N]
-//!          [--repeats N] [--netpath PATH] [--out PATH] [--check]
+//!          [--repeats N] [--out PATH] [--check]
 //! ```
 //!
 //! `--quick` runs the CI smoke sweep ({16, 64, 256} connections, few
@@ -15,12 +15,9 @@
 //! few wedged connections that never read, reporting the healthy
 //! fleet's p99 against a no-slow baseline and the SD egress gauges.
 //! `--check` exits non-zero if the reader-thread count is not flat
-//! across the sweep, or if 64-connection throughput regresses more than
-//! 5% against the batched 64-connection cell of `BENCH_netpath.json`
-//! (`--netpath`; comparison is skipped when that file is absent or the
-//! sweep has no 64-connection cell).
+//! across the sweep.
 
-use dido_bench::connpath::{run_connpath, ConnpathOptions, NETPATH_TOLERANCE};
+use dido_bench::connpath::{run_connpath, ConnpathOptions};
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -29,7 +26,6 @@ fn die(msg: &str) -> ! {
 
 fn main() {
     let mut opts = ConnpathOptions::default();
-    let mut netpath = String::from("BENCH_netpath.json");
     let mut out = String::from("BENCH_connpath.json");
     let mut check = false;
     let mut iter = std::env::args().skip(1);
@@ -64,9 +60,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--repeats needs a number"));
             }
-            "--netpath" => {
-                netpath = iter.next().unwrap_or_else(|| die("--netpath needs a path"));
-            }
             "--out" => {
                 out = iter.next().unwrap_or_else(|| die("--out needs a path"));
             }
@@ -74,7 +67,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "connpath [--quick] [--seed N] [--frames N] [--window N] \
-                     [--repeats N] [--netpath PATH] [--out PATH] [--check]"
+                     [--repeats N] [--out PATH] [--check]"
                 );
                 return;
             }
@@ -82,24 +75,18 @@ fn main() {
         }
     }
 
-    let netpath_json = std::fs::read_to_string(&netpath).ok();
     println!(
         "# connpath: reactor connection plane at scale, loopback TCP, \
          {} in-flight frames/conn, {} queries/frame",
         opts.window, opts.frame_queries
     );
     println!(
-        "# sweep {:?}, {} frames/cell, best of {} runs, seed {}{}{}",
+        "# sweep {:?}, {} frames/cell, best of {} runs, seed {}{}",
         opts.connections(),
         opts.target_frames,
         opts.repeats,
         opts.seed,
-        if opts.quick { ", quick" } else { "" },
-        if netpath_json.is_some() {
-            ""
-        } else {
-            ", no netpath baseline"
-        }
+        if opts.quick { ", quick" } else { "" }
     );
     println!(
         "{:>6} {:>7} {:>8} {:>8} {:>16} {:>9} {:>10} {:>10} {:>12} {:>10}",
@@ -114,7 +101,7 @@ fn main() {
         "frames/disp",
         "sys/query"
     );
-    let report = run_connpath(&opts, netpath_json.as_deref(), |c| {
+    let report = run_connpath(&opts, |c| {
         println!(
             "{:>6} {:>7} {:>8} {:>8} {:>16.0} {:>8.1}% {:>10.1} {:>10.1} {:>12.1} {:>10.3}",
             c.connections,
@@ -185,22 +172,12 @@ fn main() {
         die(&format!("writing {out}: {e}"));
     }
     let flat = report.flat_readers();
-    let np_ok = report.netpath_pass();
-    match report.netpath_ratio() {
-        Some(r) => println!(
-            "# wrote {out}; flat readers {}, 64-conn vs netpath = {r:.2}x \
-             (bar {:.2}x): {}",
-            if flat { "pass" } else { "FAIL" },
-            1.0 - NETPATH_TOLERANCE,
-            if np_ok { "pass" } else { "FAIL" }
-        ),
-        None => println!(
-            "# wrote {out}; flat readers {}, netpath comparison skipped",
-            if flat { "pass" } else { "FAIL" }
-        ),
-    }
-    if check && !(flat && np_ok) {
-        eprintln!("FAIL: flat_readers {flat}, netpath guard {np_ok}");
+    println!(
+        "# wrote {out}; flat readers {}",
+        if flat { "pass" } else { "FAIL" }
+    );
+    if check && !flat {
+        eprintln!("FAIL: flat_readers {flat}");
         std::process::exit(1);
     }
 }

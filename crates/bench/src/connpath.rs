@@ -1,21 +1,14 @@
-//! Connection-scale harness: the batched server under {64, 512, 4096}
+//! Connection-scale harness: the server under {64, 512, 4096}
 //! concurrent connections ({16, 64, 256} in `--quick`).
 //!
-//! The netpath harness measures dispatch topology at modest connection
-//! counts; this one measures the *connection plane*. Every cell opens
-//! its full fleet of connections before the clock starts — so the
-//! reactor pool is carrying all of them at once — then drives a
-//! pipelined workload through the fleet from a bounded pool of client
-//! threads. What the report must show:
+//! This harness measures the *connection plane*. Every cell opens its
+//! full fleet of connections before the clock starts — so the reactor
+//! pool is carrying all of them at once — then drives a pipelined
+//! workload through the fleet from a bounded pool of client threads.
+//! What the report must show:
 //!
 //! * **Flat readers** — the server's reader-thread count is the same
 //!   fixed pool size (`min(4, cores)`) at 64 and at 4096 connections.
-//!   The retired thread-per-connection design fails this by 4032
-//!   threads.
-//! * **No toll at low scale** — 64-connection throughput is within ±5%
-//!   of the batched 64-connection cell of `BENCH_netpath.json`
-//!   (matching frame size and window), i.e. readiness-driven framing
-//!   did not tax the path the old design handled well.
 //!
 //! Results serialize via [`ConnpathReport::to_json`] for
 //! `BENCH_connpath.json`.
@@ -47,9 +40,6 @@ pub const QUICK_CONNECTIONS: [usize; 3] = [16, 64, 256];
 /// multiplex several connections onto each thread.
 pub const MAX_CLIENT_THREADS: usize = 256;
 
-/// Allowed low-scale throughput loss vs the netpath baseline (±5%).
-pub const NETPATH_TOLERANCE: f64 = 0.05;
-
 /// Harness knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ConnpathOptions {
@@ -64,8 +54,7 @@ pub struct ConnpathOptions {
     pub target_frames: usize,
     /// In-flight frames per connection (pipelining depth).
     pub window: usize,
-    /// Queries per request frame (16 matches the netpath comparison
-    /// cell).
+    /// Queries per request frame.
     pub frame_queries: usize,
     /// Measurement attempts per cell; best throughput kept.
     pub repeats: usize,
@@ -203,9 +192,6 @@ pub struct ConnpathReport {
     /// Protocol front-door cells (dido vs memcached vs RESP), per
     /// backend, repeats interleaved in one window.
     pub protopath: Vec<ProtoCell>,
-    /// Batched 64-conn throughput from `BENCH_netpath.json`, when that
-    /// report was available for comparison.
-    pub netpath_baseline_qps: Option<f64>,
 }
 
 impl ConnpathReport {
@@ -217,25 +203,6 @@ impl ConnpathReport {
         match counts.next() {
             Some(first) => first >= 1 && counts.all(|r| r == first),
             None => false,
-        }
-    }
-
-    /// 64-connection throughput ratio vs the netpath baseline (`None`
-    /// when either side is missing, e.g. a quick run without a 64-conn
-    /// cell or no `BENCH_netpath.json` on disk). Compares the epoll
-    /// cell: the netpath baseline predates the uring backend.
-    #[must_use]
-    pub fn netpath_ratio(&self) -> Option<f64> {
-        let base = self.netpath_baseline_qps?;
-        let ours = self
-            .cells
-            .iter()
-            .find(|c| c.connections == 64 && c.io_backend == IoBackend::Epoll)
-            .map(|c| c.throughput_qps)?;
-        if base > 0.0 {
-            Some(ours / base)
-        } else {
-            None
         }
     }
 
@@ -272,14 +239,6 @@ impl ConnpathReport {
             .then(|| epoll.syscalls_per_query / uring.syscalls_per_query)
     }
 
-    /// The low-scale regression guard: within tolerance of the netpath
-    /// baseline, or vacuously true when no comparison was possible.
-    #[must_use]
-    pub fn netpath_pass(&self) -> bool {
-        self.netpath_ratio()
-            .is_none_or(|r| r >= 1.0 - NETPATH_TOLERANCE)
-    }
-
     /// Serialize as JSON (hand-rolled; the build has no serde_json).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -295,27 +254,12 @@ impl ConnpathReport {
         ));
         s.push_str(&format!("  \"repeats\": {},\n", self.opts.repeats));
         let flat = self.flat_readers();
-        let np_pass = self.netpath_pass();
         s.push_str("  \"acceptance\": {\n");
         s.push_str(
             "    \"flat_readers\": \"reader-thread count identical across the \
              whole connection sweep\",\n",
         );
         s.push_str(&format!("    \"flat_readers_pass\": {flat},\n"));
-        s.push_str(&format!(
-            "    \"netpath_guard\": \"64-conn throughput >= {:.2}x of batched \
-             64-conn BENCH_netpath cell\",\n",
-            1.0 - NETPATH_TOLERANCE
-        ));
-        match self.netpath_baseline_qps {
-            Some(b) => s.push_str(&format!("    \"netpath_baseline_qps\": {b:.1},\n")),
-            None => s.push_str("    \"netpath_baseline_qps\": null,\n"),
-        }
-        match self.netpath_ratio() {
-            Some(r) => s.push_str(&format!("    \"netpath_ratio\": {r:.3},\n")),
-            None => s.push_str("    \"netpath_ratio\": null,\n"),
-        }
-        s.push_str(&format!("    \"netpath_pass\": {np_pass},\n"));
         s.push_str(
             "    \"uring_guard\": \"at the largest cell, uring throughput >= 1.0x \
              epoll and syscalls/query <= 0.5x epoll, both backends interleaved \
@@ -329,7 +273,7 @@ impl ConnpathReport {
             Some(r) => s.push_str(&format!("    \"uring_syscall_ratio\": {r:.2},\n")),
             None => s.push_str("    \"uring_syscall_ratio\": null,\n"),
         }
-        s.push_str(&format!("    \"pass\": {}\n", flat && np_pass));
+        s.push_str(&format!("    \"pass\": {flat}\n"));
         s.push_str("  },\n");
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
@@ -429,25 +373,6 @@ impl ConnpathReport {
     }
 }
 
-/// Pull the batched 64-connection throughput (at 16 queries/frame) out
-/// of a `BENCH_netpath.json` body. Hand-rolled to match the hand-rolled
-/// writer: one cell object per line.
-#[must_use]
-pub fn netpath_baseline_qps(netpath_json: &str) -> Option<f64> {
-    netpath_json
-        .lines()
-        .find(|l| {
-            l.contains("\"mode\": \"batched\"")
-                && l.contains("\"connections\": 64")
-                && l.contains("\"frame_queries\": 16")
-        })
-        .and_then(|l| {
-            let rest = l.split("\"throughput_qps\": ").nth(1)?;
-            let end = rest.find(',').unwrap_or(rest.len());
-            rest[..end].trim().parse().ok()
-        })
-}
-
 /// Build the server engine and per-connection wire-ready frame streams
 /// (all allocation and encoding before the clock starts).
 fn build_workload(opts: &ConnpathOptions, connections: usize) -> (KvEngine, Vec<Vec<Bytes>>) {
@@ -476,7 +401,7 @@ fn build_workload(opts: &ConnpathOptions, connections: usize) -> (KvEngine, Vec<
 
 /// Drive one already-connected pipelined client (sliding window,
 /// half-window send bursts), recording per-frame latency.
-fn drive_conn(
+pub(crate) fn drive_conn(
     client: &mut KvClient,
     frames: &[Bytes],
     window: usize,
@@ -503,6 +428,15 @@ fn drive_conn(
         std::hint::black_box(reply);
     }
     Ok(())
+}
+
+/// The `p`-quantile of an ascending-sorted latency list, microseconds.
+pub(crate) fn percentile_us(sorted: &[Duration], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e6
 }
 
 /// Measure one cell: open the *entire* fleet (so the reactor plane
@@ -612,8 +546,8 @@ fn measure_cell(
         reader_threads,
         registered_conns,
         throughput_qps,
-        p50_us: crate::netpath::percentile_us(&latencies, 0.50),
-        p99_us: crate::netpath::percentile_us(&latencies, 0.99),
+        p50_us: percentile_us(&latencies, 0.50),
+        p99_us: percentile_us(&latencies, 0.99),
         mean_batch_frames,
         reactor_wakeups,
         sd_writer_threads: stats.sd_writer_threads.load(relaxed),
@@ -751,7 +685,7 @@ fn measure_slow_pass(
     server.shutdown();
 
     latencies.sort_unstable();
-    (crate::netpath::percentile_us(&latencies, 0.99), stats)
+    (percentile_us(&latencies, 0.99), stats)
 }
 
 /// Measure the slow-consumer isolation cell at `connections`: a
@@ -1223,14 +1157,8 @@ pub fn run_protopath(
 /// sides of every comparison sample the same process window — on a
 /// shared box, comparing an epoll run against a uring run taken
 /// minutes apart measures the machine's mood, not the backend.
-/// `netpath_json` is the content of `BENCH_netpath.json` when
-/// available (for the low-scale comparison); `progress` receives each
-/// finished cell.
-pub fn run_connpath(
-    opts: &ConnpathOptions,
-    netpath_json: Option<&str>,
-    mut progress: impl FnMut(&ConnCell),
-) -> ConnpathReport {
+/// `progress` receives each finished cell.
+pub fn run_connpath(opts: &ConnpathOptions, mut progress: impl FnMut(&ConnCell)) -> ConnpathReport {
     let backends = sweep_backends();
     let mut cells = Vec::new();
     for connections in opts.connections() {
@@ -1277,7 +1205,6 @@ pub fn run_connpath(
         cells,
         slow,
         protopath,
-        netpath_baseline_qps: netpath_json.and_then(netpath_baseline_qps),
     }
 }
 
@@ -1416,13 +1343,8 @@ mod tests {
                 qps_max: 8.0e5,
                 qps_rel_spread: 0.1333,
             }],
-            netpath_baseline_qps: Some(1.0e6),
         };
         assert!(report.flat_readers());
-        // The netpath guard compares the *epoll* 64-conn cell, not the
-        // faster uring one.
-        assert!((report.netpath_ratio().unwrap() - 1.0).abs() < 1e-9);
-        assert!(report.netpath_pass());
         // The uring comparison reads the largest cell: 9.9e5 / 9.0e5
         // throughput, 0.04 / 0.01 syscalls per query.
         assert!((report.uring_throughput_ratio().unwrap() - 1.1).abs() < 1e-9);
@@ -1430,6 +1352,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"flat_readers_pass\": true"));
         assert!(json.contains("\"pass\": true"));
+        assert!(!json.contains("netpath"));
         assert!(json.contains("\"io_backend\": \"epoll\""));
         assert!(json.contains("\"io_backend\": \"uring\""));
         assert!(json.contains("\"uring_throughput_ratio\": 1.100"));
@@ -1447,8 +1370,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
 
-        // Thread-per-connection regression shape: reader count scales
-        // with the fleet — flat_readers must fail.
+        // Reader count scaling with the fleet: flat_readers must fail.
         let scaling = ConnpathReport {
             opts: ConnpathOptions::default(),
             cells: vec![
@@ -1457,7 +1379,6 @@ mod tests {
             ],
             slow: None,
             protopath: Vec::new(),
-            netpath_baseline_qps: None,
         };
         assert!(!scaling.flat_readers());
         // Epoll-only sweep (kernel without io_uring): the uring
@@ -1467,27 +1388,5 @@ mod tests {
         let scaling_json = scaling.to_json();
         assert!(scaling_json.contains("\"slow_consumer\": null"));
         assert!(scaling_json.contains("\"uring_throughput_ratio\": null"));
-        // Low-scale throughput loss past tolerance must fail the guard.
-        let slow = ConnpathReport {
-            opts: ConnpathOptions::default(),
-            cells: vec![mk(64, IoBackend::Epoll, 4, 9.0e5)],
-            slow: None,
-            protopath: Vec::new(),
-            netpath_baseline_qps: Some(1.0e6),
-        };
-        assert!(!slow.netpath_pass());
-    }
-
-    #[test]
-    fn netpath_baseline_extraction() {
-        let body = r#"{
-  "cells": [
-    {"mode": "per_conn", "connections": 64, "frame_queries": 16, "throughput_qps": 705485.7, "p50_us": 1.0},
-    {"mode": "batched", "connections": 64, "frame_queries": 16, "throughput_qps": 1056067.6, "p50_us": 1.0},
-    {"mode": "batched", "connections": 64, "frame_queries": 64, "throughput_qps": 999.9, "p50_us": 1.0}
-  ]
-}"#;
-        assert_eq!(netpath_baseline_qps(body), Some(1_056_067.6));
-        assert_eq!(netpath_baseline_qps("{}"), None);
     }
 }

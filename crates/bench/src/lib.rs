@@ -14,7 +14,6 @@ pub mod evictionpath;
 pub mod experiments;
 mod harness;
 pub mod hotpath;
-pub mod netpath;
 pub mod reshardpath;
 mod table;
 

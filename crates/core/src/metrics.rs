@@ -97,9 +97,6 @@ pub struct Metrics {
     /// backend; every `epoll_wait`/`read`/`writev` on the epoll
     /// backend. Divide by `net_queries` for syscalls-per-query.
     pub net_ring_enters: u64,
-    /// Connections retired from the per-connection (non-batched) path
-    /// because a blocking write stalled past the write deadline.
-    pub net_write_stall_retired: u64,
     /// Connections accepted per front-door protocol, indexed by
     /// `dido_net::ProtocolKind::index` (dido, memcached, resp).
     pub net_proto_conns: [u64; dido_net::PROTOCOL_KINDS],
@@ -196,7 +193,6 @@ impl Metrics {
             .max(stats.sd_pending_bytes_hiwater);
         self.net_io_backend = stats.io_backend;
         self.net_ring_enters += stats.ring_enters;
-        self.net_write_stall_retired += stats.write_stall_retired;
         for (acc, v) in self.net_proto_conns.iter_mut().zip(stats.proto_conns) {
             *acc += v;
         }
@@ -370,12 +366,10 @@ impl fmt::Display for Metrics {
             let enters_with_cqes: u64 = self.net_cqe_per_enter_hist.iter().sum();
             write!(
                 f,
-                "io: backend {}, {} ring enters ({:.2} syscalls/query), \
-                 {} write-stall retired",
+                "io: backend {}, {} ring enters ({:.2} syscalls/query)",
                 dido_net::IoBackend::name_of(self.net_io_backend),
                 self.net_ring_enters,
-                spq,
-                self.net_write_stall_retired
+                spq
             )?;
             if enters_with_cqes > 0 {
                 // Bucket midpoints make this approximate; it still shows
@@ -539,7 +533,6 @@ mod tests {
             sd_pending_bytes_hiwater: 8192,
             io_backend: 1,
             ring_enters: 40,
-            write_stall_retired: 1,
             cqe_per_enter_hist: {
                 let mut h = [0u64; dido_net::BATCH_HIST_BUCKETS];
                 h[2] = 6;
@@ -590,7 +583,6 @@ mod tests {
         assert_eq!(m.net_sd_pending_hiwater, 8192, "hiwater folds by max");
         assert_eq!(m.net_io_backend, 1, "backend folds as a gauge");
         assert_eq!(m.net_ring_enters, 60);
-        assert_eq!(m.net_write_stall_retired, 1);
         assert_eq!(m.net_cqe_per_enter_hist[2], 8);
         let s = m.to_string();
         assert!(s.contains("4 dispatches"), "{s}");
@@ -599,7 +591,6 @@ mod tests {
         assert!(s.contains("sd: 2 writers"), "{s}");
         assert!(s.contains("hit rate 0.800"), "{s}");
         assert!(s.contains("io: backend uring, 60 ring enters"), "{s}");
-        assert!(s.contains("1 write-stall retired"), "{s}");
         assert!(s.contains("non-empty enters"), "{s}");
     }
 

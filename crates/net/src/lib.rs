@@ -10,12 +10,10 @@
 //! charged by the pipeline's timing layer (the paper estimates them from
 //! microbenchmarked unit costs, §IV-B).
 //!
-//! [`KvServer`] is the real TCP front-end. It serves either one thread
-//! per connection (the seed data path) or — with
-//! [`DispatchMode::Batched`] — the paper's RV-ring/dispatcher/SD-writer
-//! topology, where frames from every connection aggregate through one
-//! shared [`FrameRing`] into cross-connection wavefront batches (see
-//! `DESIGN.md` §10).
+//! [`KvServer`] is the real TCP front-end: the paper's
+//! RV-ring/dispatcher/SD-writer topology, where frames from every
+//! connection aggregate through one shared [`FrameRing`] into
+//! cross-connection wavefront batches (see `DESIGN.md` §10).
 //!
 //! ```
 //! use dido_net::{FrameBuilder, parse_frame};

@@ -1,15 +1,15 @@
-//! Reactor connection plane: the batched server's ingress half.
+//! Reactor connection plane: the server's ingress half.
 //!
-//! A fixed pool of reactor threads (default `min(4, cores)`) replaces
-//! the one-framing-thread-per-connection design: each reactor owns an
+//! A fixed pool of reactor threads (default `min(4, cores)`) carries
+//! every connection: each reactor owns an
 //! epoll-style readiness loop (the vendored `mio` compat shim), a set
 //! of per-connection [`ConnState`] machines, and a command queue for
 //! registrations. On readiness a connection's socket is burst-read
 //! nonblockingly — every complete frame is carved by the connection's
-//! [`FrameReader`] (partial-frame bytes stay buffered, preserving the
-//! frame-boundary semantics of the desync fix) — and the tagged frames
+//! [`FrameReader`] (partial-frame bytes stay buffered, so a read that
+//! ends mid-frame never desyncs the stream) — and the tagged frames
 //! go into the shared RX ring with one `push_burst` and one doorbell
-//! ring, exactly as the per-connection readers did. Ring overflow is
+//! ring. Ring overflow is
 //! answered at drop time with empty response frames so the connection's
 //! sequence numbering never develops a hole (the SD writer's reorder
 //! buffer advances past every dropped frame).

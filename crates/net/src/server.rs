@@ -4,29 +4,21 @@
 //! over TCP with a 4-byte little-endian length prefix, and each request
 //! frame is answered by exactly one response frame, in order.
 //!
-//! Two data paths are offered (see [`DispatchMode`]):
-//!
-//! * **Per-connection** — the seed design: blocking I/O, one thread per
-//!   connection, each frame runs the whole pipeline alone. Simple, and
-//!   the baseline the `netpath` harness measures against.
-//! * **Batched** — the paper's RV/SD topology mapped onto TCP.
-//!   A fixed pool of reactor threads (see [`crate::reactor`]) does
-//!   framing *only* (the `RV` task): each reactor runs a readiness
-//!   loop over its share of the connections, burst-reads every ready
-//!   socket nonblockingly, and pushes `(conn, seq, frame)` into a
-//!   shared [`FrameRing`]; dispatcher threads drain the ring across
-//!   *all* connections, decode one
-//!   combined wavefront-aligned query batch, run the engine **once**,
-//!   and scatter encoded responses into per-SD-shard run batches.
-//!   A sharded egress plane (the `SD` task — see [`crate::sd`])
-//!   restores per-connection order by sequence number and coalesces
-//!   every ready response into vectored writes, with write-side
-//!   readiness, pooled response buffers, and slow-consumer
-//!   backpressure. An adaptive drain
-//!   window trades batch size against latency exactly like the paper's
-//!   Figures 9–10: dispatch immediately once at least one wavefront of
-//!   queries is pending, else wait up to
-//!   [`BatchConfig::max_batch_delay`] for more frames.
+//! The data path is the paper's RV/SD topology mapped onto TCP. A fixed
+//! pool of reactor threads (see [`crate::reactor`]) does framing *only*
+//! (the `RV` task): each reactor runs a readiness loop over its share of
+//! the connections, burst-reads every ready socket nonblockingly, and
+//! pushes `(conn, seq, frame)` into a shared [`FrameRing`]; dispatcher
+//! threads drain the ring across *all* connections, decode one combined
+//! wavefront-aligned query batch, run the engine **once**, and scatter
+//! encoded responses into per-SD-shard run batches. A sharded egress
+//! plane (the `SD` task — see [`crate::sd`]) restores per-connection
+//! order by sequence number and coalesces every ready response into
+//! vectored writes, with write-side readiness, pooled response buffers,
+//! and slow-consumer backpressure. An adaptive drain window trades batch
+//! size against latency exactly like the paper's Figures 9–10: dispatch
+//! immediately once at least one wavefront of queries is pending, else
+//! wait up to [`BatchConfig::max_batch_delay`] for more frames.
 
 use crate::codec::{
     decode_request, encode_reply_into, request_query_estimate, ProtocolKind, RequestMeta,
@@ -54,9 +46,6 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 /// `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+`.
 pub const BATCH_HIST_BUCKETS: usize = 8;
 
-/// Read-timeout used to poll the shutdown flag between frames.
-const READ_POLL: Duration = Duration::from_millis(100);
-
 /// How long an idle dispatcher sleeps between doorbell checks.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
@@ -65,15 +54,10 @@ const IDLE_WAIT: Duration = Duration::from_millis(5);
 /// in one syscall.
 pub(crate) const READ_CHUNK: usize = 16 << 10;
 
-/// Longest a blocking-style writer (the per-connection path and
-/// [`KvClient`]) parks waiting for a stalled socket to become writable
-/// again, mirroring the SD plane's default per-connection stall
-/// deadline: a wedged peer costs its own writer thread five seconds,
-/// then only that connection is retired (counted in
-/// [`ServerStats::write_stall_retired`]). The batched path's SD egress
-/// plane does **not** use this — it parks stalled connections on
-/// WRITABLE readiness with the per-connection
-/// [`BatchConfig::sd_stall_timeout`] deadline instead.
+/// Longest a [`KvClient`] send parks waiting for a stalled socket to
+/// become writable again before failing with `TimedOut`. (The server's
+/// SD egress plane has its own per-connection deadline,
+/// [`BatchConfig::sd_stall_timeout`].)
 const WRITE_STALL: Duration = Duration::from_secs(5);
 
 fn is_poll_timeout(e: &std::io::Error) -> bool {
@@ -95,11 +79,11 @@ pub struct ServerStats {
     pub queries: AtomicU64,
     /// Malformed frames rejected.
     pub bad_frames: AtomicU64,
-    /// Frames dropped because the shared RX ring was full (batched
-    /// mode; each one is answered with an empty response frame so the
-    /// client's request/response accounting stays aligned).
+    /// Frames dropped because the shared RX ring was full (each one is
+    /// answered with an empty response frame so the client's
+    /// request/response accounting stays aligned).
     pub dropped_frames: AtomicU64,
-    /// Dispatcher drains executed (batched mode).
+    /// Dispatcher drains executed.
     pub dispatches: AtomicU64,
     /// Frames aggregated across all dispatches.
     pub dispatched_frames: AtomicU64,
@@ -110,8 +94,7 @@ pub struct ServerStats {
     /// Dispatches that waited out the full drain window without
     /// accumulating a wavefront (the latency-bound regime of Fig. 9).
     pub delayed_dispatches: AtomicU64,
-    /// Reactor threads serving the batched data path (set at spawn; 0
-    /// in per-connection mode).
+    /// Reactor threads serving the data path (a gauge, set at spawn).
     pub reactor_threads: AtomicU64,
     /// Readiness wakeups across all reactors (poll returns with at
     /// least one event).
@@ -126,11 +109,9 @@ pub struct ServerStats {
     /// Response runs the SD writer freed without putting them on the
     /// wire: the socket died mid-stream, or runs were still parked in
     /// the reorder buffer when the connection was retired or the server
-    /// shut down. A leak-detector counter — these bytes used to linger
-    /// in `pending` until teardown.
+    /// shut down. A leak-detector counter.
     pub sd_pending_dropped: AtomicU64,
-    /// SD egress shard threads (set at spawn; 0 in per-connection
-    /// mode). A gauge, like `reactor_threads`.
+    /// SD egress shard threads (a gauge, set at spawn).
     pub sd_writer_threads: AtomicU64,
     /// Connections retired because they stayed unwritable past
     /// [`BatchConfig::sd_stall_timeout`].
@@ -148,7 +129,7 @@ pub struct ServerStats {
     /// Deepest per-connection pending-bytes backlog observed by the SD
     /// plane (folds by max, like `ring_depth_max`).
     pub sd_pending_bytes_hiwater: AtomicU64,
-    /// Which I/O backend the batched plane resolved at spawn (a gauge:
+    /// Which I/O backend the I/O planes resolved at spawn (a gauge:
     /// 0 = epoll, 1 = io_uring; see [`IoBackend`]).
     pub io_backend: AtomicU64,
     /// I/O-plane syscalls issued by reactors and SD shards: every
@@ -157,10 +138,6 @@ pub struct ServerStats {
     /// for the syscalls-per-query estimate the connpath harness
     /// reports.
     pub ring_enters: AtomicU64,
-    /// Per-connection-mode peers retired because a response write
-    /// stayed unwritable past the 5 s stall deadline (the batched
-    /// plane's counterpart is `sd_stall_retired`).
-    pub write_stall_retired: AtomicU64,
     /// Connections accepted per protocol, indexed by
     /// [`ProtocolKind::index`].
     pub proto_conns: [AtomicU64; PROTOCOL_KINDS],
@@ -276,7 +253,6 @@ impl ServerStats {
             sd_pending_bytes_hiwater: self.sd_pending_bytes_hiwater.load(Ordering::Relaxed),
             io_backend: self.io_backend.load(Ordering::Relaxed),
             ring_enters: self.ring_enters.load(Ordering::Relaxed),
-            write_stall_retired: self.write_stall_retired.load(Ordering::Relaxed),
             proto_conns: std::array::from_fn(|i| self.proto_conns[i].load(Ordering::Relaxed)),
             proto_queries: std::array::from_fn(|i| self.proto_queries[i].load(Ordering::Relaxed)),
             proto_parse_errors: std::array::from_fn(|i| {
@@ -313,7 +289,7 @@ pub struct NetStatsSnapshot {
     pub ring_depth_max: u64,
     /// Dispatches that waited out the full drain window.
     pub delayed_dispatches: u64,
-    /// Reactor threads serving the batched data path.
+    /// Reactor threads serving the data path (gauge).
     pub reactor_threads: u64,
     /// Readiness wakeups across all reactors.
     pub reactor_wakeups: u64,
@@ -342,8 +318,6 @@ pub struct NetStatsSnapshot {
     /// I/O-plane syscalls (ring enters on uring; `epoll_wait` + `read`
     /// + `writev` on epoll).
     pub ring_enters: u64,
-    /// Per-connection-mode peers retired at the write stall deadline.
-    pub write_stall_retired: u64,
     /// Connections accepted per protocol ([`ProtocolKind::index`]).
     pub proto_conns: [u64; PROTOCOL_KINDS],
     /// Queries decoded per protocol ([`ProtocolKind::index`]).
@@ -395,7 +369,6 @@ impl NetStatsSnapshot {
                 .max(earlier.sd_pending_bytes_hiwater),
             io_backend: self.io_backend,
             ring_enters: self.ring_enters - earlier.ring_enters,
-            write_stall_retired: self.write_stall_retired - earlier.write_stall_retired,
             proto_conns: std::array::from_fn(|i| self.proto_conns[i] - earlier.proto_conns[i]),
             proto_queries: std::array::from_fn(|i| {
                 self.proto_queries[i] - earlier.proto_queries[i]
@@ -414,7 +387,7 @@ impl NetStatsSnapshot {
     }
 }
 
-/// Which syscall backend the batched I/O plane should use.
+/// Which syscall backend the I/O planes should use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IoBackendChoice {
     /// Probe at spawn: io_uring when the kernel exposes a fully usable
@@ -555,7 +528,7 @@ pub(crate) fn resolve_backend(choice: IoBackendChoice) -> std::io::Result<IoBack
     }
 }
 
-/// Knobs of the batched data path.
+/// Knobs of the data path.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Shared RX ring slots; a full ring drops frames (counted in
@@ -590,8 +563,8 @@ pub struct BatchConfig {
     /// loop.
     pub sd_writers: usize,
     /// Longest a connection may stay unwritable (parked on WRITABLE
-    /// readiness with no progress) before the SD plane retires it —
-    /// the per-connection replacement for the old global 30 s stall.
+    /// readiness with no progress) before the SD plane retires it;
+    /// every other connection on the shard keeps being serviced.
     pub sd_stall_timeout: Duration,
     /// Per-connection pending-bytes high-water mark: crossing it pauses
     /// the connection's READ interest in its reactor (resumed at half
@@ -626,14 +599,12 @@ impl Default for BatchConfig {
     }
 }
 
-/// Which data path [`KvServer::start_with`] runs.
-#[derive(Debug, Clone, Copy, Default)]
+/// How [`KvServer::start_multi`] is handed its [`BatchConfig`].
+// One variant: kept only because the frozen `benchmark/` package spells
+// `DispatchMode::Batched(cfg)`; the next benchmark PR removes it.
+#[derive(Debug, Clone, Copy)]
 pub enum DispatchMode {
-    /// Seed behavior: one blocking thread per connection, one pipeline
-    /// invocation per frame.
-    #[default]
-    PerConnection,
-    /// Cross-connection RV-ring → dispatcher → SD-writer topology.
+    /// The reactor → RX ring → dispatcher → SD plane topology.
     Batched(BatchConfig),
 }
 
@@ -682,77 +653,56 @@ impl Doorbell {
 ///
 /// The `handler` receives a *lane* plus each decoded query batch and
 /// returns the responses in order — typically a closure over a
-/// `dido_pipeline::KvEngine` or a `dido::ServingCore`. In batched mode
-/// one handler call covers queries from *many* connections, so
-/// cross-connection traffic shares the vectorized wavefront path, and
-/// the lane is the calling dispatcher's index (`0..dispatchers`) —
-/// concurrent serving cores use it to stripe their profiling
-/// accumulators per dispatcher. In per-connection mode the lane is the
-/// connection's accept index.
+/// `dido_pipeline::KvEngine` or a `dido::ServingCore`. One handler call
+/// covers queries from *many* connections, so cross-connection traffic
+/// shares the vectorized wavefront path, and the lane is the calling
+/// dispatcher's index (`0..dispatchers`) — concurrent serving cores use
+/// it to stripe their profiling accumulators per dispatcher.
+///
+/// The thread handles are held so [`KvServer::shutdown`] can join every
+/// thread the server spawned — a shutdown that returns proves no
+/// reactor, dispatcher, or SD thread is still running.
 pub struct KvServer {
     addrs: Vec<SocketAddr>,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
-    doorbell: Option<Arc<Doorbell>>,
-    topology: Topology,
-}
-
-/// The server's thread topology, held so [`KvServer::stop`] can join
-/// every thread it spawned — a shutdown that returns proves no reader,
-/// reactor, dispatcher, or SD thread is still running.
-enum Topology {
-    /// Accept threads (one per listener) that in turn join their
-    /// per-connection workers.
-    PerConnection {
-        accept: Vec<std::thread::JoinHandle<()>>,
-    },
-    /// Reactor pool → dispatchers → SD egress shards. Teardown runs in
-    /// that order: reactors stop producing and post EOF marks,
-    /// dispatchers drain the ring dry, and each SD shard exits once the
-    /// last [`SdPlane`] handle (held by reactors and dispatchers) is
-    /// dropped — the plane's drop closes and wakes every shard.
-    Batched {
-        reactors: crate::reactor::ReactorPool,
-        dispatchers: Vec<std::thread::JoinHandle<()>>,
-        sd: Vec<std::thread::JoinHandle<()>>,
-    },
+    doorbell: Arc<Doorbell>,
+    reactors: crate::reactor::ReactorPool,
+    dispatchers: Vec<std::thread::JoinHandle<()>>,
+    sd: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl KvServer {
-    /// Bind to `addr` (use port 0 for an ephemeral port) and serve with
-    /// the per-connection data path.
+    /// Bind to `addr` (use port 0 for an ephemeral port) and serve the
+    /// dido-binary protocol with the default [`BatchConfig`].
     pub fn start<F>(addr: &str, handler: F) -> std::io::Result<KvServer>
     where
         F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
     {
-        KvServer::start_with(addr, DispatchMode::PerConnection, handler)
+        KvServer::start_batched(addr, BatchConfig::default(), handler)
     }
 
-    /// Bind to `addr` and serve with the batched data path.
+    /// [`KvServer::start`] with an explicit [`BatchConfig`].
     pub fn start_batched<F>(addr: &str, cfg: BatchConfig, handler: F) -> std::io::Result<KvServer>
     where
         F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
     {
-        KvServer::start_with(addr, DispatchMode::Batched(cfg), handler)
-    }
-
-    /// Bind to `addr` and serve with an explicit [`DispatchMode`].
-    pub fn start_with<F>(addr: &str, mode: DispatchMode, handler: F) -> std::io::Result<KvServer>
-    where
-        F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
-    {
-        KvServer::start_multi(&[(addr, ProtocolKind::Dido)], mode, handler)
+        KvServer::start_multi(
+            &[(addr, ProtocolKind::Dido)],
+            DispatchMode::Batched(cfg),
+            handler,
+        )
     }
 
     /// Bind one listener per `(addr, protocol)` pair and serve them all
     /// over one shared data path: every connection is stamped with its
     /// listener's [`ProtocolKind`] at accept time, requests from all
     /// protocols aggregate through the same RX ring and dispatcher
-    /// batches (batched mode), and one handler answers the decoded
-    /// queries regardless of which front door they came through.
+    /// batches, and one handler answers the decoded queries regardless
+    /// of which front door they came through.
     ///
-    /// At most 15 listeners (the batched reactor's listener token
-    /// space); at least one is required.
+    /// At most 15 listeners (the reactor's listener token space); at
+    /// least one is required.
     pub fn start_multi<F>(
         listeners: &[(&str, ProtocolKind)],
         mode: DispatchMode,
@@ -778,6 +728,7 @@ impl KvServer {
     where
         F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
     {
+        let DispatchMode::Batched(cfg) = mode;
         if listeners.is_empty() || listeners.len() > crate::reactor::MAX_LISTENERS {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -798,52 +749,11 @@ impl KvServer {
             // until they transmit). Re-listen with a deeper queue,
             // capped by `net.core.somaxconn`; best-effort on exotic
             // platforms.
-            {
-                use std::os::fd::AsRawFd;
-                let _ = mio::set_backlog(listener.as_raw_fd(), 4096);
-            }
+            let _ = mio::set_backlog(listener.as_raw_fd(), 4096);
             addrs.push(listener.local_addr()?);
             bound.push((listener, proto));
         }
-        let stats = Arc::new(ServerStats::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handler = Arc::new(handler);
-
-        let (doorbell, topology) = match mode {
-            DispatchMode::PerConnection => {
-                let accept = bound
-                    .into_iter()
-                    .enumerate()
-                    .map(|(idx, (listener, proto))| {
-                        spawn_per_connection(
-                            listener,
-                            proto,
-                            idx,
-                            listeners.len(),
-                            &stats,
-                            &shutdown,
-                            Arc::clone(&clock),
-                            Arc::clone(&handler),
-                        )
-                    })
-                    .collect();
-                (None, Topology::PerConnection { accept })
-            }
-            DispatchMode::Batched(cfg) => {
-                let doorbell = Arc::new(Doorbell::default());
-                let topo =
-                    spawn_batched(bound, cfg, &stats, &shutdown, &doorbell, clock, handler)?;
-                (Some(doorbell), topo)
-            }
-        };
-
-        Ok(KvServer {
-            addrs,
-            stats,
-            shutdown,
-            doorbell,
-            topology,
-        })
+        spawn_topology(addrs, bound, cfg, clock, Arc::new(handler))
     }
 
     /// The first listener's bound address (resolves ephemeral ports).
@@ -873,46 +783,33 @@ impl KvServer {
         Arc::clone(&self.stats)
     }
 
-    /// Signal shutdown and wait for the accept loop to finish.
+    /// Signal shutdown and join every thread the server spawned:
+    /// reactors first, then dispatchers, then the SD shards. Connected
+    /// clients observe EOF once their owed responses are written.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        match &mut self.topology {
-            Topology::PerConnection { accept } => {
-                for t in accept.drain(..) {
-                    let _ = t.join();
-                }
-            }
-            Topology::Batched {
-                reactors,
-                dispatchers,
-                sd,
-            } => {
-                // Reactors first: waking their poll loops makes them
-                // observe the flag, retire every connection with an EOF
-                // mark, and exit — so no new frames enter the ring.
-                reactors.wake_all();
-                reactors.join();
-                // Dispatchers next: ring the doorbell so idle ones wake
-                // and drain the ring dry (every consumed frame still
-                // gets its response).
-                if let Some(d) = &self.doorbell {
-                    d.ring();
-                }
-                for t in dispatchers.drain(..) {
-                    let _ = t.join();
-                }
-                // The reactors and dispatchers held the only `SdPlane`
-                // handles; with both joined the plane drops, closing and
-                // waking every shard, which drains its backlog,
-                // disconnects every client, and exits.
-                for t in sd.drain(..) {
-                    let _ = t.join();
-                }
-            }
+        // Reactors first: waking their poll loops makes them observe the
+        // flag, retire every connection with an EOF mark, and exit — so
+        // no new frames enter the ring.
+        self.reactors.wake_all();
+        self.reactors.join();
+        // Dispatchers next: ring the doorbell so idle ones wake and
+        // drain the ring dry (every consumed frame still gets its
+        // response).
+        self.doorbell.ring();
+        for t in self.dispatchers.drain(..) {
+            let _ = t.join();
+        }
+        // The reactors and dispatchers held the only `SdPlane` handles;
+        // with both joined the plane drops, closing and waking every
+        // shard, which drains its backlog, disconnects every client, and
+        // exits.
+        for t in self.sd.drain(..) {
+            let _ = t.join();
         }
     }
 }
@@ -923,80 +820,24 @@ impl Drop for KvServer {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_per_connection<F>(
-    listener: TcpListener,
-    proto: ProtocolKind,
-    listener_idx: usize,
-    n_listeners: usize,
-    stats: &Arc<ServerStats>,
-    shutdown: &Arc<AtomicBool>,
-    clock: SharedClock,
-    handler: Arc<F>,
-) -> std::thread::JoinHandle<()>
-where
-    F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
-{
-    let stats = Arc::clone(stats);
-    let shutdown = Arc::clone(shutdown);
-    std::thread::spawn(move || {
-        // Nonblocking accept loop so shutdown is observed promptly.
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let mut workers = Vec::new();
-        // Stride lanes by listener so concurrent accept loops never
-        // hand out the same lane to two live connections.
-        let mut next_lane = listener_idx;
-        while !shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    stats.connections.fetch_add(1, Ordering::Relaxed);
-                    stats.proto_conns[proto.index()].fetch_add(1, Ordering::Relaxed);
-                    let stats = Arc::clone(&stats);
-                    let handler = Arc::clone(&handler);
-                    let shutdown = Arc::clone(&shutdown);
-                    let clock = Arc::clone(&clock);
-                    let lane = next_lane;
-                    next_lane = next_lane.wrapping_add(n_listeners);
-                    workers.push(std::thread::spawn(move || {
-                        let _ = serve_connection(
-                            stream, proto, &stats, &shutdown, lane, &clock, &*handler,
-                        );
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
-            }
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-    })
-}
-
-/// Spawn the batched topology: reactor scaffold, SD egress shards,
-/// dispatchers, then the reactor pool (which owns the listener and the
-/// accept path). RV framing runs on the fixed reactor pool — see
-/// [`crate::reactor`] — not on per-connection threads. The reactor
-/// scaffold (polls + command queues) is built *before* the SD shards
-/// spawn because backpressure needs the reactor command handles.
-#[allow(clippy::too_many_arguments)]
-fn spawn_batched<F>(
+/// Spawn the topology: reactor scaffold, SD egress shards, dispatchers,
+/// then the reactor pool (which owns the listeners and the accept path).
+/// The reactor scaffold (polls + command queues) is built *before* the
+/// SD shards spawn because backpressure needs the reactor command
+/// handles.
+fn spawn_topology<F>(
+    addrs: Vec<SocketAddr>,
     listeners: Vec<(TcpListener, ProtocolKind)>,
     cfg: BatchConfig,
-    stats: &Arc<ServerStats>,
-    shutdown: &Arc<AtomicBool>,
-    doorbell: &Arc<Doorbell>,
     clock: SharedClock,
     handler: Arc<F>,
-) -> std::io::Result<Topology>
+) -> std::io::Result<KvServer>
 where
     F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
 {
+    let stats = Arc::new(ServerStats::default());
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let doorbell = Arc::new(Doorbell::default());
     let backend = resolve_backend(cfg.io_backend)?;
     stats.io_backend.store(backend as u64, Ordering::Relaxed);
     let ring: Arc<FrameRing<TaggedFrame>> = Arc::new(FrameRing::new(cfg.ring_slots.max(1)));
@@ -1014,7 +855,7 @@ where
     let mut sd = Vec::with_capacity(n_sd);
     for (idx, part) in parts.into_iter().enumerate() {
         let reactors = Arc::clone(&handles);
-        let stats = Arc::clone(stats);
+        let stats = Arc::clone(&stats);
         let spawned = std::thread::Builder::new()
             .name(format!("dido-sd-{idx}"))
             .spawn(move || crate::sd::run_sd_shard(part, shard_cfg, reactors, stats));
@@ -1035,9 +876,9 @@ where
     for lane in 0..cfg.dispatchers.max(1) {
         let ring = Arc::clone(&ring);
         let t_plane = Arc::clone(&plane);
-        let t_stats = Arc::clone(stats);
-        let t_shutdown = Arc::clone(shutdown);
-        let t_doorbell = Arc::clone(doorbell);
+        let t_stats = Arc::clone(&stats);
+        let t_shutdown = Arc::clone(&shutdown);
+        let t_doorbell = Arc::clone(&doorbell);
         let t_clock = Arc::clone(&clock);
         let handler = Arc::clone(&handler);
         let spawned = std::thread::Builder::new()
@@ -1058,7 +899,7 @@ where
         match spawned {
             Ok(t) => dispatchers.push(t),
             Err(e) => {
-                unwind_batched_spawn(shutdown, doorbell, dispatchers, plane, sd);
+                unwind_spawn(&shutdown, &doorbell, dispatchers, plane, sd);
                 return Err(e);
             }
         }
@@ -1067,9 +908,9 @@ where
     let shared = crate::reactor::ReactorShared {
         ring,
         sd: Arc::clone(&plane),
-        stats: Arc::clone(stats),
-        shutdown: Arc::clone(shutdown),
-        doorbell: Arc::clone(doorbell),
+        stats: Arc::clone(&stats),
+        shutdown: Arc::clone(&shutdown),
+        doorbell: Arc::clone(&doorbell),
         sndbuf_bytes: cfg.sndbuf_bytes,
         backend,
     };
@@ -1077,7 +918,11 @@ where
     // `SdPlane` handles (the local one drops below), which is what lets
     // the SD shards exit once both groups are joined.
     match crate::reactor::spawn_reactor_pool(listeners, scaffold, shared) {
-        Ok(reactors) => Ok(Topology::Batched {
+        Ok(reactors) => Ok(KvServer {
+            addrs,
+            stats,
+            shutdown,
+            doorbell,
             reactors,
             dispatchers,
             sd,
@@ -1085,16 +930,16 @@ where
         Err(e) => {
             // Unwind the threads already running so a failed start
             // leaks nothing.
-            unwind_batched_spawn(shutdown, doorbell, dispatchers, plane, sd);
+            unwind_spawn(&shutdown, &doorbell, dispatchers, plane, sd);
             Err(e)
         }
     }
 }
 
-/// Tear down a partially spawned batched topology: stop and join the
+/// Tear down a partially spawned topology: stop and join the
 /// dispatchers, then drop the last local plane handle so the SD shards
 /// observe the disconnect and join.
-fn unwind_batched_spawn(
+fn unwind_spawn(
     shutdown: &AtomicBool,
     doorbell: &Doorbell,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
@@ -1341,71 +1186,6 @@ fn dispatch_batch<F>(
     }
 }
 
-fn serve_connection<F>(
-    mut stream: TcpStream,
-    proto: ProtocolKind,
-    stats: &ServerStats,
-    shutdown: &AtomicBool,
-    lane: usize,
-    clock: &SharedClock,
-    handler: &F,
-) -> std::io::Result<()>
-where
-    F: Fn(usize, Vec<Query>) -> Vec<Response>,
-{
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let mut reader = FrameReader::with_proto(proto);
-    let mut queries: Vec<Query> = Vec::new();
-    let mut reply = BytesMut::new();
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let payload = match reader.read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Ok(()), // clean EOF
-            Err(e) if is_poll_timeout(&e) => continue,
-            Err(e) => return Err(e),
-        };
-        queries.clear();
-        let meta = decode_request(proto, &payload, clock.now_secs(), &mut queries);
-        if meta.is_parse_error() {
-            // Answer malformed requests with the protocol's error reply
-            // (an empty dido response frame, `CLIENT_ERROR …`, `-ERR …`)
-            // rather than killing the connection.
-            stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-            stats.proto_parse_errors[proto.index()].fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.frames.fetch_add(1, Ordering::Relaxed);
-        }
-        stats
-            .queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        stats.proto_queries[proto.index()].fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let responses = if queries.is_empty() {
-            Vec::new()
-        } else {
-            handler(lane, std::mem::take(&mut queries))
-        };
-        reply.truncate(0);
-        encode_reply_into(&mut reply, &meta, &responses);
-        if reply.is_empty() {
-            continue; // e.g. a memcached `noreply` store
-        }
-        let write = write_all_vectored(&mut stream, &[&reply]).and_then(|()| stream.flush());
-        if let Err(e) = write {
-            // A write that sat at the stall deadline retires only this
-            // peer (its thread exits; the rest of the server is
-            // untouched) — the per-connection mirror of the SD plane's
-            // `sd_stall_retired`.
-            if e.kind() == std::io::ErrorKind::TimedOut {
-                stats.write_stall_retired.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(e);
-        }
-    }
-}
-
 /// Streaming request reader with a reusable per-connection buffer,
 /// carving on the connection's [`ProtocolKind`] codec.
 ///
@@ -1463,12 +1243,12 @@ impl FrameReader {
     /// boundary.
     ///
     /// A `WouldBlock`/`TimedOut` escapes **only** at a frame boundary
-    /// (no byte of the next frame buffered), where callers using a read
-    /// timeout poll for shutdown and retry safely. Once any byte of a
+    /// (no byte of the next frame buffered), where a caller that set a
+    /// read timeout on the stream can retry safely. Once any byte of a
     /// frame has arrived the reader retries internally, keeping the
     /// consumed bytes — propagating the timeout there and restarting
-    /// (the seed behavior) silently dropped 1–3 prefix bytes and
-    /// desynced the stream for good.
+    /// would drop the prefix bytes already read and desync the stream
+    /// for good.
     pub(crate) fn read_frame(&mut self, stream: &mut TcpStream) -> std::io::Result<Option<Bytes>> {
         loop {
             if let Some(frame) = self.pending.pop_front() {
@@ -1669,8 +1449,7 @@ impl FrameReader {
 }
 
 /// Put `frames` on the wire, interleaving length prefixes and bodies
-/// into one vectored write (retried on partial writes) and one flush —
-/// the seed's three syscalls per frame become ~one per batch.
+/// into one vectored write (retried on partial writes) and one flush.
 fn write_frames(stream: &mut TcpStream, frames: &[Bytes]) -> std::io::Result<()> {
     let prefixes: Vec<[u8; 4]> = frames
         .iter()
@@ -1694,9 +1473,9 @@ fn write_frame(stream: &mut TcpStream, frame: &Bytes) -> std::io::Result<()> {
 /// `write_all_vectored` is unstable; this is its stable equivalent.)
 ///
 /// Handles `WouldBlock` by parking on writability, so it stays correct
-/// even on a stream someone made nonblocking. (The sharded SD egress
-/// plane has its own readiness-driven path — `sd::write_queue` — this
-/// is the per-connection topology's and the tests' blocking writer.)
+/// even on a stream someone made nonblocking. This is [`KvClient`]'s
+/// blocking writer; the SD egress plane has its own readiness-driven
+/// path (`sd::write_queue`).
 fn write_all_vectored(stream: &mut TcpStream, bufs: &[&[u8]]) -> std::io::Result<()> {
     let mut idx = 0usize; // first buffer not fully written
     let mut off = 0usize; // bytes of bufs[idx] already written
@@ -1753,7 +1532,7 @@ fn write_all_vectored(stream: &mut TcpStream, bufs: &[&[u8]]) -> std::io::Result
 /// Supports both call-and-response ([`KvClient::request`]) and
 /// pipelined use: issue several [`KvClient::send`]s back-to-back, then
 /// collect each reply with [`KvClient::recv`] — the server answers
-/// every frame in order under both dispatch modes.
+/// every frame in order.
 #[derive(Debug)]
 pub struct KvClient {
     stream: TcpStream,
@@ -1879,27 +1658,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_over_tcp() {
-        let server = echo_store_server();
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        let rs = client
-            .request(&[
-                Query::set("tcp-key", "tcp-value"),
-                Query::get("tcp-key"),
-                Query::get("absent"),
-                Query::delete("tcp-key"),
-            ])
-            .unwrap();
-        assert_eq!(rs.len(), 4);
-        assert_eq!(rs[0].status, ResponseStatus::Ok);
-        assert_eq!(&rs[1].value[..], b"tcp-value");
-        assert_eq!(rs[2].status, ResponseStatus::NotFound);
-        assert_eq!(rs[3].status, ResponseStatus::Ok);
-        assert_eq!(server.stats().queries.load(Ordering::Relaxed), 4);
-        server.shutdown();
-    }
-
-    #[test]
     fn round_trip_over_tcp_batched() {
         let server = echo_store_server_batched(BatchConfig::default());
         let mut client = KvClient::connect(server.addr()).unwrap();
@@ -1924,18 +1682,6 @@ mod tests {
     }
 
     #[test]
-    fn multiple_clients_share_one_store() {
-        let server = echo_store_server();
-        let mut a = KvClient::connect(server.addr()).unwrap();
-        let mut b = KvClient::connect(server.addr()).unwrap();
-        a.request(&[Query::set("shared", "from-a")]).unwrap();
-        let rs = b.request(&[Query::get("shared")]).unwrap();
-        assert_eq!(&rs[0].value[..], b"from-a");
-        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 2);
-        server.shutdown();
-    }
-
-    #[test]
     fn multiple_clients_share_one_store_batched() {
         let server = echo_store_server_batched(BatchConfig::default());
         let mut a = KvClient::connect(server.addr()).unwrap();
@@ -1944,27 +1690,6 @@ mod tests {
         let rs = b.request(&[Query::get("shared")]).unwrap();
         assert_eq!(&rs[0].value[..], b"from-a");
         assert_eq!(server.stats().connections.load(Ordering::Relaxed), 2);
-        server.shutdown();
-    }
-
-    #[test]
-    fn malformed_frames_get_empty_response_not_disconnect() {
-        let server = echo_store_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // A frame claiming 1 record but truncated.
-        let garbage = [1u8, 0]; // count=1, nothing else
-        stream
-            .write_all(&(garbage.len() as u32).to_le_bytes())
-            .unwrap();
-        stream.write_all(&garbage).unwrap();
-        stream.flush().unwrap();
-        let mut client = KvClient::from_stream(stream);
-        let rs = client.recv().unwrap();
-        assert!(rs.is_empty());
-        assert_eq!(server.stats().bad_frames.load(Ordering::Relaxed), 1);
-        // Connection still usable.
-        let rs = client.request(&[Query::get("x")]).unwrap();
-        assert_eq!(rs[0].status, ResponseStatus::NotFound);
         server.shutdown();
     }
 

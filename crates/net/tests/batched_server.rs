@@ -3,7 +3,7 @@
 //! pipelining, and RX-ring overflow under a wedged engine.
 
 use dido_model::{Query, Response};
-use dido_net::{backend_matrix, BatchConfig, DispatchMode, IoBackend, KvClient, KvServer};
+use dido_net::{backend_matrix, BatchConfig, IoBackend, KvClient, KvServer};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::net::TcpStream;
@@ -38,29 +38,18 @@ fn batched_name(backend: IoBackend) -> &'static str {
     }
 }
 
-fn modes() -> Vec<(&'static str, DispatchMode)> {
-    let mut modes = vec![("per_conn", DispatchMode::PerConnection)];
-    for backend in backend_matrix() {
-        modes.push((
-            batched_name(backend),
-            DispatchMode::Batched(batch_cfg(backend)),
-        ));
-    }
-    modes
-}
-
-/// Regression for the seed `read_frame` desync: a length prefix split
-/// across writes, with a pause longer than the server's 100ms read
-/// timeout in the middle. The seed code hit `WouldBlock` after
-/// consuming 2 prefix bytes, propagated it to the serve loop's
-/// `continue`, and restarted the frame read — silently dropping those
-/// bytes and desyncing the stream for good (the next "prefix" began
-/// mid-prefix, usually parsing as a gigantic length). The fixed reader
-/// retries inside `read_frame`, keeping what it already consumed.
+/// A length prefix split across writes, with a long pause in the
+/// middle: the reactor sees a readiness read end 2 bytes into the
+/// prefix and must keep those bytes buffered until the rest arrives. A
+/// reader that restarted the frame instead would desync the stream for
+/// good (the next "prefix" would begin mid-prefix, usually parsing as a
+/// gigantic length).
 #[test]
 fn split_prefix_write_with_delay_does_not_desync() {
-    for (name, mode) in modes() {
-        let server = KvServer::start_with("127.0.0.1:0", mode, key_echo_handler).unwrap();
+    for backend in backend_matrix() {
+        let name = batched_name(backend);
+        let server =
+            KvServer::start_batched("127.0.0.1:0", batch_cfg(backend), key_echo_handler).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
 
         // Encode one frame by hand: count=1, GET "ping".
@@ -72,7 +61,7 @@ fn split_prefix_write_with_delay_does_not_desync() {
         frame.extend_from_slice(b"ping");
         let prefix = (frame.len() as u32).to_le_bytes();
 
-        // First half of the prefix, then stall past the read timeout.
+        // First half of the prefix, then stall.
         stream.write_all(&prefix[..2]).unwrap();
         stream.flush().unwrap();
         std::thread::sleep(Duration::from_millis(250));
@@ -98,15 +87,17 @@ fn split_prefix_write_with_delay_does_not_desync() {
 }
 
 /// A pipelined client sends K frames back-to-back before reading
-/// anything; it must get K correct responses in order under both data
-/// paths. In batched mode this also crosses dispatch boundaries (the
-/// drain window aggregates several of the frames into shared engine
-/// invocations, and the writer restores per-connection order).
+/// anything; it must get K correct responses in order. This also
+/// crosses dispatch boundaries (the drain window aggregates several of
+/// the frames into shared engine invocations, and the writer restores
+/// per-connection order).
 #[test]
 fn pipelined_client_gets_in_order_responses() {
     const K: usize = 12;
-    for (name, mode) in modes() {
-        let server = KvServer::start_with("127.0.0.1:0", mode, key_echo_handler).unwrap();
+    for backend in backend_matrix() {
+        let name = batched_name(backend);
+        let server =
+            KvServer::start_batched("127.0.0.1:0", batch_cfg(backend), key_echo_handler).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         for i in 0..K {
             client.send(&[Query::get(format!("frame-{i:02}"))]).unwrap();

@@ -1,15 +1,12 @@
 //! Canned protocol sessions: byte-literal memcached-text and RESP
 //! transcripts replayed against a live multi-protocol server, with the
 //! reply stream compared byte-for-byte (`DESIGN.md` §16). Every session
-//! runs over the per-connection topology and each batched I/O backend
-//! the host supports.
+//! runs on each I/O backend the host supports.
 
 use dido_model::{
     deadline_expired, ttl_to_deadline, MockClock, Query, QueryOp, Response, SharedClock,
 };
-use dido_net::{
-    backend_matrix, BatchConfig, DispatchMode, IoBackend, KvClient, KvServer, ProtocolKind,
-};
+use dido_net::{backend_matrix, BatchConfig, DispatchMode, KvClient, KvServer, ProtocolKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -86,22 +83,20 @@ fn ttl_store_handler(
     }
 }
 
+/// One `(label, mode)` per I/O backend the host supports.
 fn modes() -> Vec<(&'static str, DispatchMode)> {
-    let mut modes = vec![("per_conn", DispatchMode::PerConnection)];
-    for backend in backend_matrix() {
-        let name = match backend {
-            IoBackend::Epoll => "batched/epoll",
-            IoBackend::Uring => "batched/uring",
-        };
-        modes.push((
-            name,
-            DispatchMode::Batched(BatchConfig {
-                io_backend: backend.into(),
-                ..BatchConfig::default()
-            }),
-        ));
-    }
-    modes
+    backend_matrix()
+        .into_iter()
+        .map(|backend| {
+            (
+                backend.as_str(),
+                DispatchMode::Batched(BatchConfig {
+                    io_backend: backend.into(),
+                    ..BatchConfig::default()
+                }),
+            )
+        })
+        .collect()
 }
 
 /// One front door per protocol, all serving the same store.
@@ -230,7 +225,7 @@ const RESP_SESSION: Session = &[
 ];
 
 #[test]
-fn canned_sessions_are_byte_exact_on_every_topology() {
+fn canned_sessions_are_byte_exact_on_every_backend() {
     for (name, mode) in modes() {
         let server = multi_proto_server(mode);
         let addrs = server.addrs().to_vec();
@@ -386,8 +381,8 @@ fn ttl_sessions_expire_per_protocol_semantics() {
 fn requests_split_across_writes_decode_whole() {
     // The canned sessions above write whole requests; this one drips a
     // memcached set through arbitrary write boundaries (prefix of the
-    // command line, then the rest mid-data-block) with pauses longer
-    // than the server's read timeout — the carved request must come out
+    // command line, then the rest mid-data-block) with pauses between
+    // them — the carved request must come out
     // identical. Exhaustive split coverage lives in the codec property
     // tests; this proves the live read loop honors the boundary.
     for (name, mode) in modes() {

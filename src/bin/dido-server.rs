@@ -4,9 +4,9 @@
 //! dido-server [--addr HOST:PORT] [--store-mb N] [--latency-us N]
 //!             [--shards N] [--dispatchers N] [--readers N]
 //!             [--sd-writers N] [--trace FILE] [--stats-every N]
-//!             [--batched] [--max-batch-delay-us N]
+//!             [--max-batch-delay-us N]
 //!             [--io-backend auto|uring|epoll]
-//!             [--resize-after FRAMES:SHARDS]
+//!             [--resize-after BATCHES:SHARDS]
 //!             [--proto dido|memcached|resp] [--listen HOST:PORT]...
 //! ```
 //!
@@ -18,24 +18,23 @@
 //! memcached-text port and a RESP port on one store:
 //!
 //! ```text
-//! dido-server --batched --listen 127.0.0.1:7878 \
+//! dido-server --listen 127.0.0.1:7878 \
 //!             --proto memcached --listen 127.0.0.1:11211 \
 //!             --proto resp --listen 127.0.0.1:6379
 //! ```
 //!
-//! The serving core is the concurrent `ServingCore`: every request
-//! frame (or, with `--batched`, every cross-connection dispatcher
-//! batch) runs inline through the sharded engine under the shard's
-//! active pipeline configuration, which a background adaptation
-//! controller re-plans off the hot path as the profiled workload
-//! shifts. There is no global lock on the query path: `--dispatchers N`
-//! batched dispatchers call the shared core concurrently, each striping
-//! its profiling into its own lane, and `--shards N` partitions the
-//! store by key hash. In batched mode, connections are carried by a
-//! fixed pool of `--readers N` reactor threads (default `min(4,
-//! cores)`) regardless of how many clients connect — see `DESIGN.md`
-//! §13 — and responses leave through `--sd-writers N` readiness-driven
-//! SD egress shards (default `min(2, cores/2)`) — see `DESIGN.md` §14.
+//! The serving core is the concurrent `ServingCore`: every
+//! cross-connection dispatcher batch runs inline through the sharded
+//! engine under the shard's active pipeline configuration, which a
+//! background adaptation controller re-plans off the hot path as the
+//! profiled workload shifts. There is no global lock on the query path:
+//! `--dispatchers N` dispatchers call the shared core concurrently, each
+//! striping its profiling into its own lane, and `--shards N` partitions
+//! the store by key hash. Connections are carried by a fixed pool of
+//! `--readers N` reactor threads (default `min(4, cores)`) regardless of
+//! how many clients connect — see `DESIGN.md` §13 — and responses leave
+//! through `--sd-writers N` readiness-driven SD egress shards (default
+//! `min(2, cores/2)`) — see `DESIGN.md` §14.
 //! `--io-backend` picks the syscall backend for both planes: `uring`
 //! runs them on batched io_uring submission, `epoll` on readiness
 //! polling, and `auto` (the default) probes the kernel and falls back
@@ -45,11 +44,13 @@
 //! bounded queue and a background writer (append-only, size-rotated;
 //! recording never blocks the data path — bursts beyond the queue are
 //! dropped and counted). `--stats-every` prints a metrics snapshot
-//! every N frames, formatted outside all locks. Runs until killed.
+//! every N dispatcher batches, formatted outside all locks. Runs until
+//! killed.
 //!
 //! The shard topology can change live, in two ways. `--resize-after
-//! FRAMES:SHARDS` requests a resize to SHARDS shards once FRAMES
-//! request frames have been served (a scripted trigger for benchmarks).
+//! BATCHES:SHARDS` requests a resize to SHARDS shards once BATCHES
+//! dispatcher batches have been served (a scripted trigger for
+//! benchmarks).
 //! At runtime, any client can send a SET to the admin key
 //! `__dido/resize` with the desired shard count as the value; the
 //! request is handed to the background controller, which installs the
@@ -88,19 +89,18 @@ struct Args {
     latency_us: f64,
     shards: usize,
     dispatchers: usize,
-    /// Reactor (reader) threads for batched mode; 0 = `min(4, cores)`.
+    /// Reactor (reader) threads; 0 = `min(4, cores)`.
     readers: usize,
-    /// SD egress shard threads for batched mode; 0 = `min(2, cores/2)`.
+    /// SD egress shard threads; 0 = `min(2, cores/2)`.
     sd_writers: usize,
     trace: Option<std::path::PathBuf>,
     stats_every: u64,
-    batched: bool,
     max_batch_delay_us: u64,
-    /// Syscall backend for the batched planes (`auto` probes, falling
-    /// back to epoll).
+    /// Syscall backend for the I/O planes (`auto` probes, falling back
+    /// to epoll).
     io_backend: IoBackendChoice,
-    /// `(frames, shards)`: request a live resize to `shards` once
-    /// `frames` request frames have been served.
+    /// `(batches, shards)`: request a live resize to `shards` once
+    /// `batches` dispatcher batches have been served.
     resize_after: Option<(u64, usize)>,
 }
 
@@ -117,7 +117,6 @@ fn parse_args() -> Args {
         sd_writers: 0,
         trace: None,
         stats_every: 0,
-        batched: false,
         max_batch_delay_us: 200,
         io_backend: IoBackendChoice::Auto,
         resize_after: None,
@@ -168,7 +167,8 @@ fn parse_args() -> Args {
             "--stats-every" => {
                 args.stats_every = parse_num("--stats-every", value("--stats-every")) as u64
             }
-            "--batched" => args.batched = true,
+            // Accepted no-op: the frozen `benchmark/` package passes it.
+            "--batched" => {}
             "--io-backend" => {
                 args.io_backend = match value("--io-backend").as_str() {
                     "auto" => IoBackendChoice::Auto,
@@ -182,13 +182,13 @@ fn parse_args() -> Args {
             }
             "--resize-after" => {
                 let v = value("--resize-after");
-                let parsed = v.split_once(':').and_then(|(frames, shards)| {
-                    Some((frames.parse().ok()?, shards.parse::<usize>().ok()?.max(1)))
+                let parsed = v.split_once(':').and_then(|(batches, shards)| {
+                    Some((batches.parse().ok()?, shards.parse::<usize>().ok()?.max(1)))
                 });
                 match parsed {
                     Some(pair) => args.resize_after = Some(pair),
                     None => {
-                        eprintln!("--resize-after needs FRAMES:SHARDS (e.g. 10000:4)");
+                        eprintln!("--resize-after needs BATCHES:SHARDS (e.g. 10000:4)");
                         std::process::exit(2);
                     }
                 }
@@ -202,10 +202,10 @@ fn parse_args() -> Args {
                     "usage: dido-server [--addr HOST:PORT] [--store-mb N] \
                      [--latency-us N] [--shards N] [--dispatchers N] \
                      [--readers N] [--sd-writers N] [--trace FILE] \
-                     [--stats-every N] [--batched] \
+                     [--stats-every N] \
                      [--max-batch-delay-us N] \
                      [--io-backend auto|uring|epoll] \
-                     [--resize-after FRAMES:SHARDS] \
+                     [--resize-after BATCHES:SHARDS] \
                      [--proto dido|memcached|resp] [--listen HOST:PORT]..."
                 );
                 std::process::exit(0);
@@ -287,31 +287,26 @@ fn main() -> std::io::Result<()> {
         Some(path) => Some(spawn_trace_recorder(path)?),
         None => None,
     };
-    let frames_seen = Arc::new(AtomicU64::new(0));
+    let batches_seen = AtomicU64::new(0);
 
     // The handler closes over the server's stats to fold network
     // dispatch counters into the node metrics; the server doesn't exist
-    // until `start_with` returns, so hand them over via a OnceLock.
+    // until `start_multi` returns, so hand them over via a OnceLock.
     let net_stats: Arc<OnceLock<Arc<ServerStats>>> = Arc::new(OnceLock::new());
     let last_net = Mutex::new(NetStatsSnapshot::default());
 
     let handler_core = Arc::clone(&core);
     let handler_net = Arc::clone(&net_stats);
-    let handler_frames = Arc::clone(&frames_seen);
     let stats_every = args.stats_every;
     let resize_after = args.resize_after;
-    let mode = if args.batched {
-        DispatchMode::Batched(BatchConfig {
-            max_batch_delay: std::time::Duration::from_micros(args.max_batch_delay_us),
-            dispatchers: args.dispatchers,
-            readers: args.readers,
-            sd_writers: args.sd_writers,
-            io_backend: args.io_backend,
-            ..BatchConfig::default()
-        })
-    } else {
-        DispatchMode::PerConnection
-    };
+    let mode = DispatchMode::Batched(BatchConfig {
+        max_batch_delay: std::time::Duration::from_micros(args.max_batch_delay_us),
+        dispatchers: args.dispatchers,
+        readers: args.readers,
+        sd_writers: args.sd_writers,
+        io_backend: args.io_backend,
+        ..BatchConfig::default()
+    });
     let listeners: Vec<(String, ProtocolKind)> = if args.listeners.is_empty() {
         vec![(args.addr.clone(), args.proto)]
     } else {
@@ -346,11 +341,11 @@ fn main() -> std::io::Result<()> {
             }
         }
         let responses = handler_core.process_batch(lane, queries);
-        let n = handler_frames.fetch_add(1, Ordering::Relaxed) + 1;
-        // Scripted trigger: fires exactly once, on the frame whose
+        let n = batches_seen.fetch_add(1, Ordering::Relaxed) + 1;
+        // Scripted trigger: fires exactly once, on the batch whose
         // unique counter value equals the threshold.
-        if let Some((frames, shards)) = resize_after {
-            if n == frames {
+        if let Some((batches, shards)) = resize_after {
+            if n == batches {
                 handler_core.request_resize(shards);
             }
         }
@@ -368,7 +363,7 @@ fn main() -> std::io::Result<()> {
             let metrics = handler_core.metrics();
             let configs = handler_core.configs();
             let adaptions = handler_core.adaptions();
-            eprintln!("--- after {n} frames ---\n{metrics}");
+            eprintln!("--- after {n} batches ---\n{metrics}");
             let (state, epoch) = handler_core.engine().shard_map().load();
             eprintln!("shard map: {state:?} (epoch {epoch})");
             for (s, c) in configs.iter().enumerate() {
@@ -383,32 +378,15 @@ fn main() -> std::io::Result<()> {
         println!("dido-server listening on {bound} ({})", proto.as_str());
     }
     println!(
-        "store {} MB across {} shard(s), latency budget {:.0} us{}{}",
+        "store {} MB across {} shard(s), latency budget {:.0} us, \
+         dispatch x{}, {} reader(s), {} sd writer(s), io backend {}{}",
         args.store_mb,
         args.shards,
         args.latency_us,
-        if args.batched {
-            format!(
-                ", batched dispatch x{}, {} reader(s), {} sd writer(s), io backend {}",
-                args.dispatchers,
-                server
-                    .stats()
-                    .reactor_threads
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                server
-                    .stats()
-                    .sd_writer_threads
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                IoBackend::name_of(
-                    server
-                        .stats()
-                        .io_backend
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                )
-            )
-        } else {
-            String::new()
-        },
+        args.dispatchers,
+        server.stats().reactor_threads.load(Ordering::Relaxed),
+        server.stats().sd_writer_threads.load(Ordering::Relaxed),
+        IoBackend::name_of(server.stats().io_backend.load(Ordering::Relaxed)),
         if args.trace.is_some() {
             ", tracing on"
         } else {
