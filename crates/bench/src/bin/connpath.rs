@@ -160,9 +160,8 @@ fn main() {
         report.uring_syscall_ratio(),
     ) {
         (Some(tp), Some(sys)) => println!(
-            "# uring vs epoll at largest cell (interleaved window): \
-             {tp:.2}x throughput (bar 1.00x), {sys:.2}x fewer I/O syscalls/query \
-             (bar 2.00x)"
+            "# uring vs epoll at largest cell (interleaved window; reported, not \
+             gated): {tp:.2}x throughput, {sys:.2}x fewer I/O syscalls/query"
         ),
         _ => println!("# uring cells skipped: kernel has no usable io_uring"),
     }

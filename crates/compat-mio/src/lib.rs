@@ -19,17 +19,17 @@
 //! every poll until the condition clears, so a reader that stops short
 //! of draining a socket (e.g. to bound per-connection work per wakeup)
 //! is re-notified on the next poll. The waker is the exception — it is
-//! registered edge-triggered on Linux (an `eventfd` that is never
-//! drained; each `wake` posts a fresh edge) and drained internally by
-//! the `poll(2)` backend, so callers never read it.
+//! registered edge-triggered (an `eventfd`; each `wake` posts a fresh
+//! edge) and never drained, so callers never read it.
 //!
-//! Backends: `epoll` + `eventfd` on Linux, `poll(2)` + a self-pipe on
-//! other unix. Both speak to the platform through `extern "C"`
-//! declarations against the C library std already links — no `libc`
-//! crate dependency.
+//! Linux only: the backend is `epoll` + `eventfd`, spoken to through
+//! `extern "C"` declarations against the C library std already links —
+//! no `libc` crate dependency.
 
 #![warn(missing_docs)]
-#![cfg(unix)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("compat-mio supports Linux only (epoll + eventfd)");
 
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
@@ -156,58 +156,28 @@ impl<'a> IntoIterator for &'a Events {
 mod ffi {
     use std::ffi::{c_int, c_uint, c_ulong, c_void};
 
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_ADD: c_int = 1;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_DEL: c_int = 2;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_MOD: c_int = 3;
-    #[cfg(target_os = "linux")]
     pub const EPOLLIN: u32 = 0x001;
-    #[cfg(target_os = "linux")]
     pub const EPOLLOUT: u32 = 0x004;
-    #[cfg(target_os = "linux")]
     pub const EPOLLERR: u32 = 0x008;
-    #[cfg(target_os = "linux")]
     pub const EPOLLHUP: u32 = 0x010;
-    #[cfg(target_os = "linux")]
     pub const EPOLLRDHUP: u32 = 0x2000;
-    #[cfg(target_os = "linux")]
     pub const EPOLLET: u32 = 1 << 31;
-    #[cfg(target_os = "linux")]
     pub const EFD_CLOEXEC: c_int = 0o2000000;
-    #[cfg(target_os = "linux")]
     pub const EFD_NONBLOCK: c_int = 0o4000;
 
-    // POLLIN/POLLERR/POLLHUP drive the poll(2) fallback backend; on
-    // Linux only POLLOUT (via `wait_writable`) is referenced.
-    #[allow(dead_code)]
-    pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
-    #[allow(dead_code)]
-    pub const POLLERR: i16 = 0x008;
-    #[allow(dead_code)]
-    pub const POLLHUP: i16 = 0x010;
 
     // setsockopt(2) levels/names for the send/receive buffer helpers.
-    #[cfg(target_os = "linux")]
     pub const SOL_SOCKET: c_int = 1;
-    #[cfg(target_os = "linux")]
     pub const SO_SNDBUF: c_int = 7;
-    #[cfg(target_os = "linux")]
     pub const SO_RCVBUF: c_int = 8;
-    #[cfg(not(target_os = "linux"))]
-    pub const SOL_SOCKET: c_int = 0xffff;
-    #[cfg(not(target_os = "linux"))]
-    pub const SO_SNDBUF: c_int = 0x1001;
-    #[cfg(not(target_os = "linux"))]
-    pub const SO_RCVBUF: c_int = 0x1002;
 
     /// `struct epoll_event`; packed on x86-64, natural elsewhere —
     /// matching the kernel ABI.
-    #[cfg(target_os = "linux")]
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Debug, Clone, Copy)]
@@ -226,23 +196,15 @@ mod ffi {
     }
 
     extern "C" {
-        #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        #[cfg(not(target_os = "linux"))]
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        #[cfg(not(target_os = "linux"))]
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub fn setsockopt(
             sockfd: c_int,
@@ -254,9 +216,6 @@ mod ffi {
         pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
         pub fn close(fd: c_int) -> c_int;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        // Drains the self-pipe waker of the poll(2) fallback backend.
-        #[allow(dead_code)]
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     }
 }
 
@@ -335,7 +294,6 @@ pub fn set_backlog(fd: RawFd, backlog: usize) -> io::Result<()> {
     Ok(())
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
     //! epoll backend.
 
@@ -445,13 +403,15 @@ mod sys {
     }
 
     impl WakerFd {
-        pub fn new(selector: &Selector, token: Token) -> io::Result<WakerFd> {
+        pub fn unregistered() -> io::Result<WakerFd> {
             let fd = cvt(unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) })?;
-            if let Err(e) = selector.register_waker_fd(fd, token) {
-                let _ = unsafe { ffi::close(fd) };
-                return Err(e);
-            }
             Ok(WakerFd { fd })
+        }
+
+        pub fn new(selector: &Selector, token: Token) -> io::Result<WakerFd> {
+            let waker = WakerFd::unregistered()?;
+            selector.register_waker_fd(waker.fd, token)?;
+            Ok(waker)
         }
 
         pub fn notify_fd(&self) -> RawFd {
@@ -479,199 +439,6 @@ mod sys {
     impl Drop for WakerFd {
         fn drop(&mut self) {
             let _ = unsafe { ffi::close(self.fd) };
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    //! Portable `poll(2)` backend with a self-pipe waker.
-
-    use super::{cvt, ffi, timeout_ms, Event, Events, Interest, Token};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const F_SETFL: i32 = 4;
-    const O_NONBLOCK: i32 = 0o4000;
-
-    #[derive(Debug, Clone, Copy)]
-    struct Entry {
-        token: Token,
-        interest: Interest,
-        waker: bool,
-    }
-
-    #[derive(Debug, Default)]
-    pub struct Selector {
-        fds: Mutex<HashMap<RawFd, Entry>>,
-        /// Poll scratch, reused across calls (only the polling thread
-        /// touches these; registrations go through the mutex above).
-        entries: Vec<(RawFd, Entry)>,
-        pfds: Vec<ffi::PollFd>,
-    }
-
-    impl Selector {
-        pub fn new() -> io::Result<Selector> {
-            Ok(Selector::default())
-        }
-
-        pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            self.insert(fd, token, interest, false, false)
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-            self.insert(fd, token, interest, false, true)
-        }
-
-        pub fn register_waker_fd(&self, fd: RawFd, token: Token) -> io::Result<()> {
-            self.insert(fd, token, Interest::READABLE, true, false)
-        }
-
-        fn insert(
-            &self,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-            waker: bool,
-            replace: bool,
-        ) -> io::Result<()> {
-            let mut fds = self.fds.lock().unwrap();
-            if !replace && fds.contains_key(&fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            fds.insert(
-                fd,
-                Entry {
-                    token,
-                    interest,
-                    waker,
-                },
-            );
-            Ok(())
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            match self.fds.lock().unwrap().remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "fd was not registered",
-                )),
-            }
-        }
-
-        pub fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-            events.list.clear();
-            self.entries.clear();
-            {
-                let fds = self.fds.lock().unwrap();
-                self.entries.extend(fds.iter().map(|(&fd, &e)| (fd, e)));
-            }
-            let entries = &self.entries;
-            self.pfds.clear();
-            self.pfds.extend(entries.iter().map(|(fd, e)| ffi::PollFd {
-                fd: *fd,
-                events: {
-                    let mut bits = 0i16;
-                    if e.interest.is_readable() {
-                        bits |= ffi::POLLIN;
-                    }
-                    if e.interest.is_writable() {
-                        bits |= ffi::POLLOUT;
-                    }
-                    bits
-                },
-                revents: 0,
-            }));
-            let pfds = &mut self.pfds;
-            let r = unsafe {
-                ffi::poll(pfds.as_mut_ptr(), pfds.len() as _, timeout_ms(timeout))
-            };
-            let n = match cvt(r) {
-                Ok(n) => n,
-                // A signal interrupting the wait reads as a timeout.
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                Err(e) => return Err(e),
-            };
-            if n == 0 {
-                return Ok(());
-            }
-            for (pfd, (_, entry)) in pfds.iter().zip(entries.iter()) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                if entry.waker {
-                    // Drain the self-pipe so a level-triggered poll does
-                    // not spin on stale wakeups.
-                    let mut buf = [0u8; 64];
-                    while unsafe {
-                        ffi::read(pfd.fd, buf.as_mut_ptr().cast(), buf.len())
-                    } > 0
-                    {}
-                }
-                if events.list.len() >= events.capacity {
-                    break;
-                }
-                events.list.push(Event {
-                    token: entry.token,
-                    readable: pfd.revents & ffi::POLLIN != 0,
-                    writable: pfd.revents & ffi::POLLOUT != 0,
-                    error: pfd.revents & ffi::POLLERR != 0,
-                    hup: pfd.revents & ffi::POLLHUP != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    #[derive(Debug)]
-    pub struct WakerFd {
-        read_fd: RawFd,
-        write_fd: RawFd,
-    }
-
-    impl WakerFd {
-        pub fn new(selector: &Selector, token: Token) -> io::Result<WakerFd> {
-            let mut fds = [0i32; 2];
-            cvt(unsafe { ffi::pipe(fds.as_mut_ptr()) })?;
-            for fd in fds {
-                cvt(unsafe { ffi::fcntl(fd, F_SETFL, O_NONBLOCK) })?;
-            }
-            selector.register_waker_fd(fds[0], token)?;
-            Ok(WakerFd {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
-        }
-
-        pub fn notify_fd(&self) -> RawFd {
-            self.read_fd
-        }
-
-        pub fn wake(&self) -> io::Result<()> {
-            let byte = 1u8;
-            let r = unsafe { ffi::write(self.write_fd, (&raw const byte).cast(), 1) };
-            if r < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::WouldBlock {
-                    return Ok(()); // pipe full: a wakeup is already pending
-                }
-                return Err(e);
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for WakerFd {
-        fn drop(&mut self) {
-            let _ = unsafe { ffi::close(self.read_fd) };
-            let _ = unsafe { ffi::close(self.write_fd) };
         }
     }
 }
@@ -756,6 +523,15 @@ impl Waker {
         })
     }
 
+    /// Extension over `mio`: a waker registered with no poller. Its
+    /// owner watches the notification fd ([`AsRawFd`]) through its own
+    /// event plane (DIDO's io_uring backend arms `POLL_ADD` on it).
+    pub fn unregistered() -> io::Result<Waker> {
+        Ok(Waker {
+            inner: sys::WakerFd::unregistered()?,
+        })
+    }
+
     /// Wake the poller. Wakeups coalesce; one `poll` return may cover
     /// several `wake` calls.
     pub fn wake(&self) -> io::Result<()> {
@@ -764,12 +540,10 @@ impl Waker {
 }
 
 /// Extension over `mio`: exposes the waker's readable notification fd
-/// (the eventfd on Linux, the pipe's read end elsewhere) so an
-/// alternative event plane — DIDO's io_uring backend — can arm its own
-/// readiness watch (`POLL_ADD`) on the same waker other planes kick
-/// through [`Waker::wake`]. Such a consumer must drain the fd itself
-/// after each completion; the epoll backend's edge-triggered
-/// registration is unaffected by draining.
+/// (the eventfd) so an alternative event plane — DIDO's io_uring
+/// backend — can arm its own readiness watch (`POLL_ADD`) on the waker
+/// other planes kick through [`Waker::wake`]. Such a consumer must
+/// drain the fd itself after each completion.
 impl AsRawFd for Waker {
     fn as_raw_fd(&self) -> RawFd {
         self.inner.notify_fd()

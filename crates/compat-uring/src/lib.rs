@@ -27,7 +27,12 @@
 //! closing the ring cancels asynchronously, so owners must drain
 //! before freeing. The planes track in-flight counts for exactly this
 //! reason.
+//!
+//! Linux only.
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("compat-uring supports Linux only (io_uring)");
 
 /// One completion-queue entry, copied out by [`Uring::reap`].
 ///
@@ -83,8 +88,7 @@ pub fn probe() -> &'static Probe {
 
 pub use imp::Uring;
 
-/// Drain a readable notification fd — an eventfd counter or a pipe's
-/// pending bytes. Uring event loops arm wakers with `POLL_ADD` (which
+/// Drain a readable notification fd (an eventfd counter). Uring event loops arm wakers with `POLL_ADD` (which
 /// reports readiness but consumes nothing), so they must reset the fd
 /// by hand before re-arming or the next poll completes immediately.
 /// The fd must be nonblocking (compat-mio's wakers are).
@@ -92,7 +96,6 @@ pub fn drain_notify_fd(fd: i32) {
     imp::drain_notify_fd(fd)
 }
 
-#[cfg(target_os = "linux")]
 mod imp {
     use super::{Cqe, IoVec, Probe};
     use std::io;
@@ -754,126 +757,7 @@ mod imp {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use super::{Cqe, IoVec, Probe};
-    use std::io;
-    use std::time::Duration;
-
-    fn unsupported<T>() -> io::Result<T> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "io_uring is Linux-only",
-        ))
-    }
-
-    /// Stub ring for non-Linux targets: construction always fails and
-    /// [`super::probe`] reports unavailable, so `auto` backends fall
-    /// back to the readiness poller.
-    pub struct Uring {
-        _private: (),
-    }
-
-    impl Uring {
-        /// Always fails with `Unsupported` on this target.
-        pub fn new(_sq_entries: u32, _cq_entries: u32) -> io::Result<Uring> {
-            unsupported()
-        }
-
-        /// Feature bits (unreachable on this target).
-        pub fn features(&self) -> u32 {
-            0
-        }
-
-        /// Free submission slots (unreachable on this target).
-        pub fn sq_space(&self) -> u32 {
-            0
-        }
-
-        /// Prepared-but-unsubmitted entries (unreachable here).
-        pub fn pending_submit(&self) -> u32 {
-            0
-        }
-
-        /// Enter-syscall counter (unreachable on this target).
-        pub fn enters(&self) -> u64 {
-            0
-        }
-
-        /// See the Linux implementation.
-        ///
-        /// # Safety
-        /// Never dereferences its arguments on this target.
-        pub unsafe fn push_recv(
-            &mut self,
-            _fd: i32,
-            _buf: *mut u8,
-            _len: u32,
-            _user_data: u64,
-        ) -> bool {
-            false
-        }
-
-        /// See the Linux implementation.
-        ///
-        /// # Safety
-        /// Never dereferences its arguments on this target.
-        pub unsafe fn push_writev(
-            &mut self,
-            _fd: i32,
-            _iov: *const IoVec,
-            _n: u32,
-            _user_data: u64,
-        ) -> bool {
-            false
-        }
-
-        /// See the Linux implementation.
-        pub fn push_poll_add(&mut self, _fd: i32, _events: u32, _user_data: u64) -> bool {
-            false
-        }
-
-        /// See the Linux implementation.
-        pub fn push_cancel(&mut self, _target: u64, _user_data: u64) -> bool {
-            false
-        }
-
-        /// See the Linux implementation.
-        pub fn push_nop(&mut self, _user_data: u64) -> bool {
-            false
-        }
-
-        /// See the Linux implementation.
-        pub fn submit(&mut self) -> io::Result<usize> {
-            unsupported()
-        }
-
-        /// See the Linux implementation.
-        pub fn submit_and_wait(
-            &mut self,
-            _min_complete: u32,
-            _timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            unsupported()
-        }
-
-        /// See the Linux implementation.
-        pub fn reap(&mut self, _out: &mut Vec<Cqe>) -> usize {
-            0
-        }
-    }
-
-    pub(super) fn run_probe() -> Probe {
-        Probe {
-            available: false,
-            reason: "io_uring is Linux-only".into(),
-        }
-    }
-
-    pub(super) fn drain_notify_fd(_fd: i32) {}
-}
-
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};

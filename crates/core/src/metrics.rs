@@ -105,9 +105,9 @@ pub struct Metrics {
     /// Requests answered with a per-protocol parse-error reply (same
     /// indexing).
     pub net_proto_parse_errors: [u64; dido_net::PROTOCOL_KINDS],
-    /// CQEs-reaped-per-`io_uring_enter` histogram (same buckets as
-    /// [`Metrics::net_batch_hist`]; uring backend only, empty enters
-    /// not recorded).
+    /// Completions-per-driver-wait histogram (same buckets as
+    /// [`Metrics::net_batch_hist`]; CQEs per `io_uring_enter` on the
+    /// uring backend; empty waits not recorded).
     pub net_cqe_per_enter_hist: [u64; dido_net::BATCH_HIST_BUCKETS],
     /// Objects expired in-band on the lookup path — a cumulative engine
     /// counter folded by last value (the snapshot is already a total).

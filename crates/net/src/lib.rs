@@ -27,7 +27,12 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("dido-net supports Linux only (its I/O drivers are epoll and io_uring)");
+
 mod codec;
+#[doc(hidden)]
+pub mod driver;
 mod nic;
 mod protocol;
 mod reactor;
@@ -39,15 +44,18 @@ pub use codec::{
     carve_one, decode_request, encode_overflow_into, encode_reply_into, request_query_estimate,
     Carve, ProtocolKind, RequestMeta, MAX_LINE_BYTES, MAX_MC_KEY, MAX_RESP_ARRAY, PROTOCOL_KINDS,
 };
+pub use driver::{backend_matrix, uring_available, IoBackend, IoBackendChoice};
 pub use nic::{FrameRing, Nic};
 pub use protocol::{
     encode_queries_wire_into, encode_responses, encode_responses_wire_into, frame_query_count,
     pack_frames, parse_frame, parse_frame_into, parse_responses, FrameBuilder, ProtocolError,
     DEFAULT_FRAME_CAPACITY, FRAME_HEADER, RECORD_HEADER,
 };
-pub use sd::{write_queue, BufRing};
+pub use sd::BufRing;
+#[doc(hidden)]
+pub use sd::WriteQueue;
 pub use server::{
-    backend_matrix, uring_available, BatchConfig, DispatchMode, IoBackend, IoBackendChoice,
-    KvClient, KvServer, NetStatsSnapshot, ServerStats, BATCH_HIST_BUCKETS, MAX_FRAME_BYTES,
+    BatchConfig, DispatchMode, KvClient, KvServer, NetStatsSnapshot, ServerStats,
+    BATCH_HIST_BUCKETS, MAX_FRAME_BYTES,
 };
 pub use trace::{read_trace, write_trace, TraceError, TraceWriter};

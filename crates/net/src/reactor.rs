@@ -1,35 +1,37 @@
 //! Reactor connection plane: the server's ingress half.
 //!
 //! A fixed pool of reactor threads (default `min(4, cores)`) carries
-//! every connection: each reactor owns an
-//! epoll-style readiness loop (the vendored `mio` compat shim), a set
-//! of per-connection [`ConnState`] machines, and a command queue for
-//! registrations. On readiness a connection's socket is burst-read
-//! nonblockingly — every complete frame is carved by the connection's
-//! [`FrameReader`] (partial-frame bytes stay buffered, so a read that
-//! ends mid-frame never desyncs the stream) — and the tagged frames
-//! go into the shared RX ring with one `push_burst` and one doorbell
-//! ring. Ring overflow is
+//! every connection. Each reactor owns one [`IoDriver`], a set of
+//! per-connection [`Conn`] machines, and a command queue for
+//! registrations; the loop is written once and runs on whichever
+//! adapter the server resolved (see `crate::driver`).
+//!
+//! Every connection keeps **at most one `recv` in flight**, targeting
+//! its [`FrameReader`]'s window. When it completes, every complete
+//! frame is carved out (partial-frame bytes stay buffered, so a read
+//! that ends mid-frame never desyncs the stream), the tagged frames go
+//! into the shared RX ring with one `push_burst` and one doorbell ring,
+//! and the recv is re-armed — unless SD backpressure paused the
+//! connection, in which case resume arms it again. Ring overflow is
 //! answered at drop time with empty response frames so the connection's
 //! sequence numbering never develops a hole (the SD writer's reorder
 //! buffer advances past every dropped frame).
 //!
-//! Reactor 0 additionally owns the listener, registered for readiness
-//! like any other source — accepting costs an event, not a 5 ms
-//! sleep-poll. New connections round-robin across the pool via
-//! per-reactor command queues, kicked by a [`Waker`]. Shutdown is also
-//! waker-driven: an idle server tears down in microseconds, and every
-//! still-registered connection is retired with an `Eof` message so the
-//! SD writer can close it.
+//! Reactor 0 additionally owns the listeners, watched through the same
+//! driver — accepting costs a completion, not a sleep-poll. New
+//! connections round-robin across the pool via per-reactor command
+//! queues, kicked by the target driver's waker. Shutdown is also
+//! waker-driven: an idle server tears down in microseconds. Teardown
+//! drains the driver before any reader is freed (the pinned-buffer
+//! contract) and retires every still-registered connection with an
+//! `Eof` message so the SD writer can close it.
 
 use crate::codec::ProtocolKind;
+use crate::driver::{ud, ud_id, ud_kind, Completion, IoDriver, Waker, EAGAIN, EINTR};
 use crate::nic::FrameRing;
 use crate::sd::SdPlane;
-use crate::server::{
-    Doorbell, FrameReader, IoBackend, ReadReady, ServerStats, TaggedFrame, READ_CHUNK,
-};
+use crate::server::{Doorbell, FrameReader, ReadReady, ServerStats, TaggedFrame};
 use crossbeam::channel::{Receiver, Sender};
-use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -37,25 +39,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Token of each reactor's waker.
-const WAKER_TOKEN: Token = Token(0);
-/// Listener tokens (reactor 0 only) start here:
-/// `LISTENER_TOKEN_BASE + listener index`, one per `--listen` front
-/// door.
-const LISTENER_TOKEN_BASE: usize = 1;
-/// Most listeners one server may bind — the token space reserved for
-/// them between the waker and the first connection.
+/// Most listeners one server may bind (`--listen` front doors).
 pub(crate) const MAX_LISTENERS: usize = 15;
-/// Connection tokens start here: `CONN_TOKEN_BASE + conn id`.
-const CONN_TOKEN_BASE: usize = LISTENER_TOKEN_BASE + MAX_LISTENERS;
 
-/// Bytes one connection may burst-read per readiness wakeup. A firehose
-/// connection yields after this much; level-triggered registration
-/// re-reports it on the next poll, so nothing is lost — other
-/// connections just get a turn first.
-const READ_BUDGET: usize = 8 * READ_CHUNK;
+// Completion `user_data` kinds (see `driver::ud`): a listener watch
+// carries the listener index, a recv the connection id.
+const UD_LISTENER: u64 = 2;
+const UD_RECV: u64 = 3;
 
-/// Fallback poll timeout. Wakeups (frames, registrations, shutdown) are
+/// Fallback wait timeout. Wakeups (frames, registrations, shutdown) are
 /// event-driven; this only bounds how long a lost external signal could
 /// go unnoticed.
 const POLL_TIMEOUT: Duration = Duration::from_millis(500);
@@ -71,12 +63,6 @@ pub(crate) struct ReactorShared {
     /// Shrink each accepted socket's kernel send buffer (`SO_SNDBUF`)
     /// to this many bytes (`None` keeps the kernel default).
     pub(crate) sndbuf_bytes: Option<usize>,
-    /// Which syscall backend this plane resolved at spawn. Epoll keeps
-    /// sockets nonblocking and burst-reads on readiness; uring keeps
-    /// sockets **blocking** (io_uring poll-arms them internally — a
-    /// nonblocking socket would complete recv SQEs with `EAGAIN`
-    /// instead) and keeps one recv SQE in flight per connection.
-    pub(crate) backend: IoBackend,
 }
 
 /// Commands to a reactor thread (kick the waker after sending).
@@ -89,8 +75,8 @@ pub(crate) enum ReactorCmd {
         proto: ProtocolKind,
     },
     /// Pause (`resume: false`) or resume (`resume: true`) a
-    /// connection's READ interest — the SD plane's slow-consumer
-    /// backpressure actuator.
+    /// connection's reads — the SD plane's slow-consumer backpressure
+    /// actuator.
     SetRead { conn: u64, resume: bool },
 }
 
@@ -108,7 +94,7 @@ pub(crate) fn effective_readers(configured: usize) -> usize {
 }
 
 /// The running reactor pool; join handles plus the wakers that unblock
-/// each poll loop for shutdown.
+/// each loop for shutdown.
 pub(crate) struct ReactorPool {
     threads: Vec<std::thread::JoinHandle<()>>,
     wakers: Vec<Arc<Waker>>,
@@ -131,23 +117,24 @@ impl ReactorPool {
 }
 
 /// Per-connection state machine inside a reactor.
-struct ConnState {
+struct Conn {
     conn: u64,
     stream: TcpStream,
+    /// Owns the recv window; `reader.window_open()` *is* the "a recv is
+    /// in flight" flag, and gates every other touch of the reader.
     reader: FrameReader,
     /// The protocol the connection's listener speaks (stamped at
     /// accept time; every carved request is tagged with it).
     proto: ProtocolKind,
     /// Next sequence number to assign to a carved frame.
     seq: u64,
-    /// READ interest is currently deregistered (SD backpressure).
+    /// Reads paused by SD backpressure: an in-flight recv may still
+    /// land (and is committed), but it is not re-armed until resume.
     paused: bool,
 }
 
-/// Listener state, owned by reactor 0. `listeners` is index-aligned
-/// with the registration tokens (`LISTENER_TOKEN_BASE + index`); a
-/// fatally broken listener is retired in place (`None`) while the rest
-/// keep accepting.
+/// Listener state, owned by reactor 0. A fatally broken listener is
+/// retired in place (`None`) while the rest keep accepting.
 struct Acceptor {
     listeners: Vec<Option<(TcpListener, ProtocolKind)>>,
     next_conn: u64,
@@ -156,35 +143,28 @@ struct Acceptor {
     peer_wakers: Vec<Arc<Waker>>,
 }
 
-impl Acceptor {
-    /// Whether any listener is still accepting.
-    fn any_alive(&self) -> bool {
-        self.listeners.iter().any(Option::is_some)
-    }
-}
-
-/// The reactor pool's polls and command queues, built *before* any
+/// The reactor pool's drivers and command queues, built *before* any
 /// thread spawns so other planes (the SD egress shards) can hold
 /// command handles from birth.
-pub(crate) struct ReactorScaffold {
-    polls: Vec<Poll>,
+pub(crate) struct ReactorScaffold<D> {
+    drivers: Vec<D>,
     wakers: Vec<Arc<Waker>>,
     cmd_txs: Vec<Sender<ReactorCmd>>,
     cmd_rxs: Vec<Receiver<ReactorCmd>>,
 }
 
 /// Cross-plane handle to the reactor pool's command queues: lets the SD
-/// egress shards pause/resume a connection's READ interest without
-/// touching reactor state directly.
+/// egress shards pause/resume a connection's reads without touching
+/// reactor state directly.
 pub(crate) struct ReactorHandles {
     cmd_txs: Vec<Sender<ReactorCmd>>,
     wakers: Vec<Arc<Waker>>,
 }
 
 impl ReactorHandles {
-    /// Ask the reactor owning `conn` to pause or resume its READ
-    /// interest. Routing mirrors the accept-time round-robin, so the
-    /// command lands on the thread that owns the connection.
+    /// Ask the reactor owning `conn` to pause or resume its reads.
+    /// Routing mirrors the accept-time round-robin, so the command
+    /// lands on the thread that owns the connection.
     pub(crate) fn set_read(&self, conn: u64, resume: bool) {
         let target = (conn as usize) % self.cmd_txs.len();
         if self.cmd_txs[target]
@@ -196,23 +176,22 @@ impl ReactorHandles {
     }
 }
 
-/// Build `n` reactors' polls, wakers, and command queues (no threads
-/// yet). The scaffold is consumed by [`spawn_reactor_pool`]; the
-/// handles go to whoever needs the command path.
-pub(crate) fn build_reactor_scaffold(
+/// Build `n` reactors' drivers and command queues (no threads yet). The
+/// scaffold is consumed by [`spawn_reactor_pool`]; the handles go to
+/// whoever needs the command path.
+pub(crate) fn build_reactor_scaffold<D: IoDriver>(
     n: usize,
-) -> std::io::Result<(ReactorScaffold, ReactorHandles)> {
+) -> std::io::Result<(ReactorScaffold<D>, ReactorHandles)> {
     let n = n.max(1);
-    let mut polls = Vec::with_capacity(n);
+    let mut drivers = Vec::with_capacity(n);
     let mut wakers = Vec::with_capacity(n);
     let mut cmd_txs = Vec::with_capacity(n);
     let mut cmd_rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
+        let driver = D::new()?;
         let (tx, rx) = crossbeam::channel::unbounded::<ReactorCmd>();
-        polls.push(poll);
-        wakers.push(waker);
+        wakers.push(driver.waker());
+        drivers.push(driver);
         cmd_txs.push(tx);
         cmd_rxs.push(rx);
     }
@@ -222,7 +201,7 @@ pub(crate) fn build_reactor_scaffold(
     };
     Ok((
         ReactorScaffold {
-            polls,
+            drivers,
             wakers,
             cmd_txs,
             cmd_rxs,
@@ -233,36 +212,28 @@ pub(crate) fn build_reactor_scaffold(
 
 /// Spawn the pool over a prebuilt scaffold, with the accept loop folded
 /// into reactor 0.
-pub(crate) fn spawn_reactor_pool(
+pub(crate) fn spawn_reactor_pool<D: IoDriver + 'static>(
     listeners: Vec<(TcpListener, ProtocolKind)>,
-    scaffold: ReactorScaffold,
+    scaffold: ReactorScaffold<D>,
     shared: ReactorShared,
 ) -> std::io::Result<ReactorPool> {
     let ReactorScaffold {
-        polls,
+        drivers,
         wakers,
         cmd_txs,
         cmd_rxs,
     } = scaffold;
-    let n = polls.len();
+    let n = drivers.len();
     shared
         .stats
         .reactor_threads
         .store(n as u64, Ordering::Relaxed);
 
     debug_assert!((1..=MAX_LISTENERS).contains(&listeners.len()));
-    // Listeners stay nonblocking under both backends: the epoll loop
-    // accepts on readiness events, the uring loop on `POLL_ADD`
-    // completions — and both accept-until-`WouldBlock`.
-    for (i, (listener, _)) in listeners.iter().enumerate() {
+    // A watch completion means "readable"; the reactor then accepts
+    // until `WouldBlock`, so listeners are nonblocking on every adapter.
+    for (listener, _) in &listeners {
         listener.set_nonblocking(true)?;
-        if shared.backend == IoBackend::Epoll {
-            polls[0].registry().register(
-                listener,
-                Token(LISTENER_TOKEN_BASE + i),
-                Interest::READABLE,
-            )?;
-        }
     }
     let mut acceptor = Some(Acceptor {
         listeners: listeners.into_iter().map(Some).collect(),
@@ -272,187 +243,90 @@ pub(crate) fn spawn_reactor_pool(
     });
 
     let mut threads = Vec::with_capacity(n);
-    for (idx, (poll, cmd_rx)) in polls.into_iter().zip(cmd_rxs).enumerate() {
+    for (idx, (driver, cmd_rx)) in drivers.into_iter().zip(cmd_rxs).enumerate() {
         let acceptor = if idx == 0 { acceptor.take() } else { None };
         let shared = shared.clone();
-        let waker = Arc::clone(&wakers[idx]);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("dido-reactor-{idx}"))
-                .spawn(move || match shared.backend {
-                    IoBackend::Epoll => run_reactor(idx, poll, cmd_rx, acceptor, &shared),
-                    IoBackend::Uring => {
-                        run_reactor_uring(idx, poll, waker, cmd_rx, acceptor, &shared)
-                    }
-                })?,
+                .spawn(move || run_reactor(idx, driver, cmd_rx, acceptor, &shared))?,
         );
     }
     Ok(ReactorPool { threads, wakers })
 }
 
-fn run_reactor(
-    idx: usize,
-    mut poll: Poll,
-    cmd_rx: Receiver<ReactorCmd>,
-    mut acceptor: Option<Acceptor>,
-    shared: &ReactorShared,
-) {
-    let mut events = Events::with_capacity(1024);
-    let mut ready: Vec<Token> = Vec::new();
-    let mut conns: HashMap<usize, ConnState> = HashMap::new();
-    let mut burst: Vec<bytes::Bytes> = Vec::new();
-    let mut tagged: Vec<TaggedFrame> = Vec::new();
-    let mut adopted: Vec<(u64, TcpStream, ProtocolKind)> = Vec::new();
-    loop {
-        if poll.poll(&mut events, Some(POLL_TIMEOUT)).is_err() {
-            // A broken selector cannot make progress; treat it like
-            // shutdown so the server tears down instead of spinning.
-            break;
-        }
-        // I/O syscalls this pass: the poll itself plus every read the
-        // ready handlers issue — the epoll side of the backends'
-        // syscalls-per-query comparison.
-        let mut sys = 1u64;
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if !events.is_empty() {
-            shared.stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-        ready.clear();
-        ready.extend(events.iter().map(|e| e.token()));
-        for &tok in &ready {
-            match tok {
-                WAKER_TOKEN => {} // registrations are drained below
-                Token(t) if t < CONN_TOKEN_BASE => {
-                    let lidx = t - LISTENER_TOKEN_BASE;
-                    if let Some(a) = acceptor.as_mut() {
-                        adopted.clear();
-                        let alive = accept_ready(a, lidx, idx, shared, true, &mut adopted);
-                        for (conn, stream, proto) in adopted.drain(..) {
-                            register_conn(&poll, &mut conns, conn, stream, proto, shared);
-                        }
-                        if !alive {
-                            // Fatal listener error: stop accepting on
-                            // this front door but keep serving live
-                            // connections (and the other listeners).
-                            if let Some((listener, _)) = a.listeners[lidx].take() {
-                                let _ = poll.registry().deregister(&listener);
-                            }
-                            if !a.any_alive() {
-                                acceptor = None;
-                            }
-                        }
-                    }
-                }
-                Token(tok) => handle_conn_ready(
-                    tok,
-                    &poll,
-                    &mut conns,
-                    &mut burst,
-                    &mut tagged,
-                    shared,
-                    &mut sys,
-                ),
-            }
-        }
-        shared.stats.ring_enters.fetch_add(sys, Ordering::Relaxed);
-        // Wakeups coalesce, so the command queue is drained every pass
-        // rather than only on a waker event.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            match cmd {
-                ReactorCmd::Register {
-                    conn,
-                    stream,
-                    proto,
-                } => {
-                    register_conn(&poll, &mut conns, conn, stream, proto, shared);
-                }
-                ReactorCmd::SetRead { conn, resume } => {
-                    set_read_interest(&poll, &mut conns, conn, resume, shared);
-                }
-            }
-        }
-    }
-    // Shutdown: retire every connection (the SD writer closes each once
-    // its owed responses are written), including registrations that
-    // were queued but never adopted.
-    let live = conns.len() as u64;
-    for (_, c) in conns.drain() {
-        shared.sd.send_eof(c.conn, c.seq);
-    }
-    shared
-        .stats
-        .reactor_conns
-        .fetch_sub(live, Ordering::Relaxed);
-    while let Ok(cmd) = cmd_rx.try_recv() {
-        if let ReactorCmd::Register { conn, .. } = cmd {
-            shared.sd.send_eof(conn, 0);
-        }
-    }
+/// Open `c`'s next reader window and submit a recv into it.
+fn arm_recv<D: IoDriver>(driver: &mut D, c: &mut Conn) {
+    let (buf, len) = c.reader.begin_recv();
+    // SAFETY: the pinned-buffer contract (`IoDriver`): the window stays
+    // allocated and untouched until the completion arrives —
+    // `window_open()` gates every other use of this reader, `Conn`s are
+    // only dropped with the window closed or after `drain()`, and an
+    // undrained teardown leaks the reader instead.
+    unsafe { driver.recv(c.stream.as_raw_fd(), buf, len, ud(UD_RECV, c.conn)) };
 }
 
-/// Apply an SD-plane backpressure command: deregister a paused
-/// connection's READ interest, or re-register it on resume. A resume
-/// that cannot re-register retires the connection (it would otherwise
-/// be stranded forever — no readiness events, no EOF).
-fn set_read_interest(
-    poll: &Poll,
-    conns: &mut HashMap<usize, ConnState>,
+/// Adopt a connection: insert its state and arm the first recv (a
+/// socket the driver cannot watch completes that recv with an error,
+/// which retires it through the normal path).
+fn register_conn<D: IoDriver>(
+    driver: &mut D,
+    conns: &mut HashMap<u64, Conn>,
     conn: u64,
-    resume: bool,
+    stream: TcpStream,
+    proto: ProtocolKind,
     shared: &ReactorShared,
 ) {
-    let tok = CONN_TOKEN_BASE + conn as usize;
-    let Some(c) = conns.get_mut(&tok) else {
-        return; // already retired; the SD plane learns via Eof
+    let mut c = Conn {
+        conn,
+        stream,
+        reader: FrameReader::with_proto(proto),
+        proto,
+        seq: 0,
+        paused: false,
     };
-    if resume && c.paused {
-        if poll
-            .registry()
-            .register(&c.stream, Token(tok), Interest::READABLE)
-            .is_ok()
-        {
-            c.paused = false;
-        } else {
-            let c = conns.remove(&tok).expect("conn just found");
-            shared.sd.send_eof(c.conn, c.seq);
-            shared.stats.reactor_conns.fetch_sub(1, Ordering::Relaxed);
-        }
-    } else if !resume && !c.paused {
-        let _ = poll.registry().deregister(&c.stream);
-        c.paused = true;
+    arm_recv(driver, &mut c);
+    conns.insert(conn, c);
+    shared.stats.reactor_conns.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Retire a connection whose recv is not in flight: EOF to the SD plane
+/// (which owns the write half and the close) and drop the read state.
+fn retire_conn<D: IoDriver>(
+    driver: &mut D,
+    conns: &mut HashMap<u64, Conn>,
+    conn: u64,
+    shared: &ReactorShared,
+) {
+    if let Some(c) = conns.remove(&conn) {
+        driver.detach(c.stream.as_raw_fd());
+        shared.sd.send_eof(c.conn, c.seq);
+        shared.stats.reactor_conns.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// Accept until listener `lidx` would block, routing each connection to
 /// its round-robin owner: remote reactors get a `Register` command,
 /// this reactor's own share lands in `adopted` for the caller to
-/// register backend-appropriately. Every accepted connection is stamped
-/// with the listener's [`ProtocolKind`]. `nonblocking` selects the
-/// accepted socket's mode (epoll needs nonblocking reads; the uring
-/// backend must keep sockets blocking so recv SQEs poll-arm instead of
-/// completing with `EAGAIN`). Returns whether the listener is still
-/// usable.
-fn accept_ready(
+/// register. Every accepted connection is stamped with the listener's
+/// [`ProtocolKind`] and put in the socket mode driver `D` needs.
+/// Returns whether the listener is still usable.
+fn accept_ready<D: IoDriver>(
     a: &mut Acceptor,
     lidx: usize,
     idx: usize,
     shared: &ReactorShared,
-    nonblocking: bool,
     adopted: &mut Vec<(u64, TcpStream, ProtocolKind)>,
 ) -> bool {
     let Some((listener, proto)) = a.listeners.get(lidx).and_then(Option::as_ref) else {
-        return false; // stale event for a retired listener
+        return false; // stale completion for a retired listener
     };
     let proto = *proto;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                // accept(2) does not inherit the listener's nonblocking
-                // flag on Linux, so each mode sets what it needs.
-                if nonblocking && stream.set_nonblocking(true).is_err() {
+                if D::prepare(&stream).is_err() {
                     continue; // connection dies; client sees a close
                 }
                 if let Some(bytes) = shared.sndbuf_bytes {
@@ -493,44 +367,10 @@ fn accept_ready(
     }
 }
 
-fn register_conn(
-    poll: &Poll,
-    conns: &mut HashMap<usize, ConnState>,
-    conn: u64,
-    stream: TcpStream,
-    proto: ProtocolKind,
-    shared: &ReactorShared,
-) {
-    let tok = CONN_TOKEN_BASE + conn as usize;
-    if poll
-        .registry()
-        .register(&stream, Token(tok), Interest::READABLE)
-        .is_err()
-    {
-        // Unwatchable: retire immediately so the SD writer closes it.
-        shared.sd.send_eof(conn, 0);
-        return;
-    }
-    conns.insert(
-        tok,
-        ConnState {
-            conn,
-            stream,
-            reader: FrameReader::with_proto(proto),
-            proto,
-            seq: 0,
-            paused: false,
-        },
-    );
-    shared.stats.reactor_conns.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Tag a carved burst with sequence numbers and push it into the
 /// shared RX ring with one lock and one doorbell ring; the full-ring
 /// tail stays in `tagged` and is answered with empty frames at drop
 /// time so the connection's sequence numbering never gains a hole.
-/// Shared verbatim by both backends — only how bytes reach the
-/// [`FrameReader`] differs.
 fn publish_burst(
     conn: u64,
     proto: ProtocolKind,
@@ -565,412 +405,141 @@ fn publish_burst(
     }
 }
 
-/// RV work for one ready connection: burst-read, carve, tag, push into
-/// the shared ring (drop-answering overflow), retire on EOF/error.
-#[allow(clippy::too_many_arguments)]
-fn handle_conn_ready(
-    tok: usize,
-    poll: &Poll,
-    conns: &mut HashMap<usize, ConnState>,
+/// RV work for one recv completion: commit the window, carve, tag and
+/// publish the burst (drop-answering overflow), then re-arm — or retire
+/// on EOF/error.
+fn handle_recv<D: IoDriver>(
+    driver: &mut D,
+    conns: &mut HashMap<u64, Conn>,
+    done: Completion,
     burst: &mut Vec<bytes::Bytes>,
     tagged: &mut Vec<TaggedFrame>,
     shared: &ReactorShared,
-    sys: &mut u64,
 ) {
-    let Some(c) = conns.get_mut(&tok) else {
-        return; // already retired this pass (spurious/stale event)
+    let conn = ud_id(done.user_data);
+    let Some(c) = conns.get_mut(&conn) else {
+        return; // no such connection (defensive: ops outlive no conn)
     };
-    burst.clear();
-    let status = c.reader.read_ready(&mut c.stream, burst, READ_BUDGET, sys);
-    publish_burst(c.conn, c.proto, &mut c.seq, burst, tagged, shared);
-    if !matches!(status, Ok(ReadReady::Open)) {
-        // Clean EOF, mid-frame EOF, or a fatal read/frame error: either
-        // way the connection is done producing frames.
-        let c = conns.remove(&tok).expect("conn just found");
-        if !c.paused {
-            let _ = poll.registry().deregister(&c.stream);
+    if done.res < 0 {
+        c.reader.abort_recv();
+        match -done.res {
+            // Spurious wakeups: re-arm unless paused.
+            EAGAIN | EINTR => {
+                if !c.paused {
+                    arm_recv(driver, c);
+                }
+            }
+            // Fatal socket error (reset, aborted, unwatchable, …).
+            _ => retire_conn(driver, conns, conn, shared),
         }
-        shared.sd.send_eof(c.conn, c.seq);
-        shared.stats.reactor_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------
-// io_uring backend: batched-submission RV loop.
-//
-// Where the epoll loop pays one `epoll_wait` plus one `read` per ready
-// connection per wakeup, this loop keeps one recv SQE in flight per
-// connection (targeting the connection's `FrameReader` window) and
-// reaps a whole batch of completions with a single `io_uring_enter`.
-// The waker eventfd and the listener are folded into the same ring via
-// one-shot `POLL_ADD` SQEs, re-armed after each completion, so the
-// thread blocks in exactly one place. Everything downstream of the
-// reader — carving, tagging, `push_burst`, overflow answering, EOF
-// retirement — is shared verbatim with the epoll path.
-
-/// CQE user-data kind tags (top 8 bits; low 56 bits carry the conn id
-/// for `RECV`).
-const UD_KIND_SHIFT: u32 = 56;
-const UD_DATA_MASK: u64 = (1 << UD_KIND_SHIFT) - 1;
-const UD_WAKER: u64 = 1;
-const UD_LISTENER: u64 = 2;
-const UD_RECV: u64 = 3;
-const UD_CANCEL: u64 = 4;
-
-fn ud(kind: u64, data: u64) -> u64 {
-    (kind << UD_KIND_SHIFT) | (data & UD_DATA_MASK)
-}
-
-// Raw errnos the CQE paths discriminate on (CQE `res` is a negated
-// errno; there is no `io::Error` to match kinds against).
-const ECANCELED: i32 = 125;
-const EAGAIN: i32 = 11;
-const EINTR_RAW: i32 = 4;
-
-/// SQ slots per reactor ring. Arms (recv re-arms, poll re-arms,
-/// cancels) are pushed incrementally and flushed whenever the queue
-/// fills, so this bounds batching, not connection count.
-const URING_SQ: u32 = 1024;
-/// CQ slots; sized above the SQ so completion bursts from thousands of
-/// armed connections do not hit the kernel's overflow path in steady
-/// state (`FEAT_NODROP` keeps even that lossless).
-const URING_CQ: u32 = 4096;
-
-/// Per-connection state in the uring reactor. No `paused`/epoll
-/// registration pair here: backpressure simply stops re-arming the
-/// recv, and resume arms it again.
-struct UringConn {
-    conn: u64,
-    stream: TcpStream,
-    reader: FrameReader,
-    /// The protocol the connection's listener speaks.
-    proto: ProtocolKind,
-    /// Next sequence number to assign to a carved frame.
-    seq: u64,
-    /// READ interest paused by SD backpressure: completions still
-    /// commit (one in-flight window may land after the pause), but the
-    /// recv is not re-armed until resume.
-    paused: bool,
-    /// A recv SQE is in flight; its window owns the reader's tail.
-    recv_inflight: bool,
-}
-
-/// Push a recv SQE for `c`'s next reader window, flushing the SQ when
-/// full. An `Err` means the ring itself is broken (fatal for the
-/// reactor).
-fn arm_recv(ring: &mut uring::Uring, c: &mut UringConn, inflight: &mut u64) -> std::io::Result<()> {
-    let (ptr, len) = c.reader.begin_recv();
-    let fd = c.stream.as_raw_fd();
-    // SAFETY: the window stays valid until the CQE is handled —
-    // `recv_inflight` gates every other touch of this reader, and
-    // teardown drains in-flight ops before freeing connections.
-    while !unsafe { ring.push_recv(fd, ptr, len, ud(UD_RECV, c.conn)) } {
-        ring.submit()?;
-    }
-    c.recv_inflight = true;
-    *inflight += 1;
-    Ok(())
-}
-
-/// Push a one-shot `POLL_ADD` readable watch, flushing the SQ when
-/// full.
-fn arm_poll_in(
-    ring: &mut uring::Uring,
-    fd: std::os::fd::RawFd,
-    user_data: u64,
-    inflight: &mut u64,
-) -> std::io::Result<()> {
-    while !ring.push_poll_add(fd, uring::POLL_IN, user_data) {
-        ring.submit()?;
-    }
-    *inflight += 1;
-    Ok(())
-}
-
-/// Retire a uring-side connection: EOF to the SD plane (which owns the
-/// write half and the close) and drop the read state.
-fn retire_uring_conn(conns: &mut HashMap<u64, UringConn>, conn: u64, shared: &ReactorShared) {
-    if let Some(c) = conns.remove(&conn) {
-        shared.sd.send_eof(c.conn, c.seq);
-        shared.stats.reactor_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Adopt a connection into the uring reactor: insert state and arm its
-/// first recv. A ring failure retires it immediately (EOF) so the SD
-/// plane closes the socket.
-#[allow(clippy::too_many_arguments)]
-fn register_conn_uring(
-    ring: &mut uring::Uring,
-    conns: &mut HashMap<u64, UringConn>,
-    conn: u64,
-    stream: TcpStream,
-    proto: ProtocolKind,
-    shared: &ReactorShared,
-    inflight: &mut u64,
-) {
-    let mut c = UringConn {
-        conn,
-        stream,
-        reader: FrameReader::with_proto(proto),
-        proto,
-        seq: 0,
-        paused: false,
-        recv_inflight: false,
-    };
-    if arm_recv(ring, &mut c, inflight).is_err() {
-        shared.sd.send_eof(conn, 0);
         return;
     }
-    conns.insert(conn, c);
-    shared.stats.reactor_conns.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Handle one recv completion: commit the window, publish the carved
-/// burst, and re-arm — or retire on EOF/error. Mirrors
-/// `handle_conn_ready` outcome-for-outcome so the reactor-plane test
-/// suite holds on both backends.
-#[allow(clippy::too_many_arguments)]
-fn handle_recv_cqe(
-    ring: &mut uring::Uring,
-    conns: &mut HashMap<u64, UringConn>,
-    conn: u64,
-    res: i32,
-    burst: &mut Vec<bytes::Bytes>,
-    tagged: &mut Vec<TaggedFrame>,
-    shared: &ReactorShared,
-    inflight: &mut u64,
-) {
-    let Some(c) = conns.get_mut(&conn) else {
-        return; // raced with retirement (e.g. a canceled teardown op)
-    };
-    c.recv_inflight = false;
-    if res < 0 {
-        c.reader.abort_recv();
-        match -res {
-            // Canceled: pause/teardown decided this recv should not
-            // land; the conn stays (teardown retires it separately).
-            ECANCELED => return,
-            // Spurious wakeups: re-arm unless paused.
-            EAGAIN | EINTR_RAW => {
-                if !c.paused && arm_recv(ring, c, inflight).is_err() {
-                    retire_uring_conn(conns, conn, shared);
-                }
-                return;
-            }
-            // Fatal socket error (reset, aborted, …): done producing.
-            _ => {
-                retire_uring_conn(conns, conn, shared);
-                return;
-            }
-        }
-    }
     burst.clear();
-    let status = c.reader.complete_recv(res as usize, burst);
+    let status = c.reader.complete_recv(done.res as usize, burst);
     publish_burst(c.conn, c.proto, &mut c.seq, burst, tagged, shared);
     match status {
         Ok(ReadReady::Open) => {
-            if !c.paused && arm_recv(ring, c, inflight).is_err() {
-                retire_uring_conn(conns, conn, shared);
+            if !c.paused {
+                arm_recv(driver, c);
             }
         }
-        // Clean EOF, mid-frame EOF, or a frame error: retire, exactly
-        // like the epoll path.
-        _ => retire_uring_conn(conns, conn, shared),
+        // Clean EOF, mid-frame EOF, or a frame error: either way the
+        // connection is done producing frames.
+        _ => retire_conn(driver, conns, conn, shared),
     }
 }
 
-/// The uring reactor loop. `_poll` is kept alive (unused) so the
-/// scaffold's waker registration outlives the thread; the waker's
-/// eventfd is watched through the ring instead.
-fn run_reactor_uring(
+fn run_reactor<D: IoDriver>(
     idx: usize,
-    _poll: Poll,
-    waker: Arc<Waker>,
+    mut driver: D,
     cmd_rx: Receiver<ReactorCmd>,
     mut acceptor: Option<Acceptor>,
     shared: &ReactorShared,
 ) {
-    let mut conns: HashMap<u64, UringConn> = HashMap::new();
+    let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut burst: Vec<bytes::Bytes> = Vec::new();
     let mut tagged: Vec<TaggedFrame> = Vec::new();
     let mut adopted: Vec<(u64, TcpStream, ProtocolKind)> = Vec::new();
-    let mut cqes: Vec<uring::Cqe> = Vec::with_capacity(URING_CQ as usize);
-    // Outstanding SQEs (recvs + poll watches + cancels): teardown must
-    // drain this to zero before connection buffers may be freed.
-    let mut inflight: u64 = 0;
-    let waker_fd = waker.as_raw_fd();
+    let mut completions: Vec<Completion> = Vec::new();
+    let mut enters_folded = 0u64;
 
-    // The probe passed at spawn, so ring setup failing here is a local
-    // resource problem (fd limits); behave like an immediate shutdown
-    // so accepted work is EOF'd rather than wedged.
-    let ring = uring::Uring::new(URING_SQ, URING_CQ);
-    let mut ring = match ring {
-        Ok(r) => r,
-        Err(_) => {
-            for (_, c) in conns.drain() {
-                shared.sd.send_eof(c.conn, c.seq);
-            }
-            while let Ok(cmd) = cmd_rx.try_recv() {
-                if let ReactorCmd::Register { conn, .. } = cmd {
-                    shared.sd.send_eof(conn, 0);
-                }
-            }
-            return;
-        }
-    };
-
-    let mut fatal = arm_poll_in(&mut ring, waker_fd, ud(UD_WAKER, 0), &mut inflight).is_err();
-    if !fatal {
-        if let Some(a) = acceptor.as_ref() {
-            // One POLL_ADD per front door; the CQE's user-data low bits
-            // carry the listener index.
-            for (lidx, slot) in a.listeners.iter().enumerate() {
-                if let Some((listener, _)) = slot {
-                    if arm_poll_in(
-                        &mut ring,
-                        listener.as_raw_fd(),
-                        ud(UD_LISTENER, lidx as u64),
-                        &mut inflight,
-                    )
-                    .is_err()
-                    {
-                        fatal = true;
-                        break;
-                    }
-                }
+    if let Some(a) = acceptor.as_ref() {
+        for (lidx, slot) in a.listeners.iter().enumerate() {
+            if let Some((listener, _)) = slot {
+                driver.watch_readable(listener.as_raw_fd(), ud(UD_LISTENER, lidx as u64));
             }
         }
     }
 
-    while !fatal {
-        let enters_before = ring.enters();
-        if ring.submit_and_wait(1, Some(POLL_TIMEOUT)).is_err() {
+    loop {
+        completions.clear();
+        if driver.wait(Some(POLL_TIMEOUT), &mut completions).is_err() {
+            // A broken driver cannot make progress; treat it like
+            // shutdown so the server tears down instead of spinning.
             break;
         }
-        cqes.clear();
-        ring.reap(&mut cqes);
+        let enters = driver.enters();
         shared
             .stats
             .ring_enters
-            .fetch_add(ring.enters() - enters_before, Ordering::Relaxed);
-        if !cqes.is_empty() {
+            .fetch_add(enters - enters_folded, Ordering::Relaxed);
+        enters_folded = enters;
+        if !completions.is_empty() {
             shared.stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-            shared.stats.record_cqe_batch(cqes.len() as u64);
+            shared.stats.record_cqe_batch(completions.len() as u64);
         }
         if shared.shutdown.load(Ordering::Acquire) {
-            // The just-reaped batch is not getting processed; settle
-            // its accounting so the teardown drain below terminates as
-            // soon as the remaining (truly in-flight) ops complete.
-            for cqe in &cqes {
-                inflight -= 1;
-                if cqe.user_data >> UD_KIND_SHIFT == UD_RECV {
-                    if let Some(c) = conns.get_mut(&(cqe.user_data & UD_DATA_MASK)) {
-                        c.recv_inflight = false;
-                        c.reader.abort_recv();
+            break; // the batch is moot: every conn is EOF'd at its seq below
+        }
+        for &done in &completions {
+            match ud_kind(done.user_data) {
+                UD_LISTENER => {
+                    let lidx = ud_id(done.user_data) as usize;
+                    let Some(a) = acceptor.as_mut() else { continue };
+                    adopted.clear();
+                    let alive = accept_ready::<D>(a, lidx, idx, shared, &mut adopted);
+                    for (conn, stream, proto) in adopted.drain(..) {
+                        register_conn(&mut driver, &mut conns, conn, stream, proto, shared);
+                    }
+                    if let Some((listener, _)) = a.listeners[lidx].as_ref() {
+                        if alive {
+                            driver.watch_readable(listener.as_raw_fd(), done.user_data);
+                        } else {
+                            // Fatal listener error: stop accepting on
+                            // this front door but keep serving live
+                            // connections (and the other listeners).
+                            driver.detach(listener.as_raw_fd());
+                            a.listeners[lidx] = None;
+                        }
                     }
                 }
-            }
-            break;
-        }
-        let mut rearm_waker = false;
-        // Bitmask of listener indices whose POLL_ADD completed this
-        // pass (MAX_LISTENERS ≤ 15, so a u64 is plenty).
-        let mut rearm_listeners = 0u64;
-        for &cqe in &cqes {
-            inflight -= 1;
-            match cqe.user_data >> UD_KIND_SHIFT {
-                UD_WAKER => {
-                    // POLL_ADD consumes nothing: reset the eventfd by
-                    // hand, then re-arm below (after the drain, so a
-                    // wake posted in between still completes promptly —
-                    // readiness is level-based at arm time).
-                    uring::drain_notify_fd(waker_fd);
-                    rearm_waker = true;
-                }
-                UD_LISTENER => rearm_listeners |= 1 << (cqe.user_data & UD_DATA_MASK),
-                UD_RECV => handle_recv_cqe(
-                    &mut ring,
+                UD_RECV => handle_recv(
+                    &mut driver,
                     &mut conns,
-                    cqe.user_data & UD_DATA_MASK,
-                    cqe.res,
+                    done,
                     &mut burst,
                     &mut tagged,
                     shared,
-                    &mut inflight,
                 ),
-                _ => {} // a cancel op's own completion
+                _ => {} // a waker kick: commands are drained below
             }
         }
-        for lidx in 0..MAX_LISTENERS {
-            if rearm_listeners & (1 << lidx) == 0 {
-                continue;
-            }
-            let Some(a) = acceptor.as_mut() else { break };
-            adopted.clear();
-            let alive = accept_ready(a, lidx, idx, shared, false, &mut adopted);
-            for (conn, stream, proto) in adopted.drain(..) {
-                register_conn_uring(
-                    &mut ring,
-                    &mut conns,
-                    conn,
-                    stream,
-                    proto,
-                    shared,
-                    &mut inflight,
-                );
-            }
-            if !alive {
-                // Retire this front door; the rest keep accepting.
-                a.listeners[lidx] = None;
-                if !a.any_alive() {
-                    acceptor = None;
-                }
-            } else if let Some((listener, _)) = a.listeners[lidx].as_ref() {
-                if arm_poll_in(
-                    &mut ring,
-                    listener.as_raw_fd(),
-                    ud(UD_LISTENER, lidx as u64),
-                    &mut inflight,
-                )
-                .is_err()
-                {
-                    fatal = true;
-                }
-            }
-        }
-        if rearm_waker && arm_poll_in(&mut ring, waker_fd, ud(UD_WAKER, 0), &mut inflight).is_err()
-        {
-            fatal = true;
-        }
-        // Commands are drained every pass (wakeups coalesce), exactly
-        // like the epoll loop.
+        // Wakeups coalesce, so the command queue is drained every pass
+        // rather than only on a waker completion.
         while let Ok(cmd) = cmd_rx.try_recv() {
             match cmd {
                 ReactorCmd::Register {
                     conn,
                     stream,
                     proto,
-                } => {
-                    register_conn_uring(
-                        &mut ring,
-                        &mut conns,
-                        conn,
-                        stream,
-                        proto,
-                        shared,
-                        &mut inflight,
-                    );
-                }
+                } => register_conn(&mut driver, &mut conns, conn, stream, proto, shared),
                 ReactorCmd::SetRead { conn, resume } => {
+                    // An already-retired conn is fine: the SD plane
+                    // learns via Eof.
                     if let Some(c) = conns.get_mut(&conn) {
-                        if resume && c.paused {
-                            c.paused = false;
-                            if !c.recv_inflight && arm_recv(&mut ring, c, &mut inflight).is_err() {
-                                retire_uring_conn(&mut conns, conn, shared);
-                            }
-                        } else if !resume {
-                            c.paused = true;
+                        c.paused = !resume;
+                        if resume && !c.reader.window_open() {
+                            arm_recv(&mut driver, c);
                         }
                     }
                 }
@@ -978,62 +547,17 @@ fn run_reactor_uring(
         }
     }
 
-    // Teardown. The kernel owns every in-flight recv's buffer until its
-    // CQE arrives (even a canceled op completes), so: cancel everything,
-    // drain the ring to zero in-flight, and only then drop connection
-    // state. If the drain cannot finish, the affected readers are
-    // leaked rather than freed out from under a pending DMA-style
-    // write.
-    let mut cancels: Vec<u64> = Vec::new();
-    cancels.push(ud(UD_WAKER, 0));
-    if let Some(a) = acceptor.as_ref() {
-        for (lidx, slot) in a.listeners.iter().enumerate() {
-            if slot.is_some() {
-                cancels.push(ud(UD_LISTENER, lidx as u64));
-            }
-        }
-    }
-    for c in conns.values() {
-        if c.recv_inflight {
-            cancels.push(ud(UD_RECV, c.conn));
-        }
-    }
-    for target in cancels {
-        while !ring.push_cancel(target, ud(UD_CANCEL, 0)) {
-            if ring.submit().is_err() {
-                break;
-            }
-        }
-        inflight += 1;
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while inflight > 0 && std::time::Instant::now() < deadline {
-        if ring
-            .submit_and_wait(1, Some(Duration::from_millis(100)))
-            .is_err()
-        {
-            break;
-        }
-        cqes.clear();
-        ring.reap(&mut cqes);
-        for cqe in &cqes {
-            inflight = inflight.saturating_sub(1);
-            if cqe.user_data >> UD_KIND_SHIFT == UD_RECV {
-                if let Some(c) = conns.get_mut(&(cqe.user_data & UD_DATA_MASK)) {
-                    // Close the window; the bytes (if any) are moot —
-                    // dispatchers drain the ring after reactors join,
-                    // but this conn is about to be EOF'd at its current
-                    // seq anyway.
-                    c.recv_inflight = false;
-                    c.reader.abort_recv();
-                }
-            }
-        }
-    }
+    // Teardown: the driver (or the kernel behind it) may access every
+    // open recv window until its op completes, so drain first and only
+    // then drop connection state. Bytes a canceled recv landed are
+    // moot — each conn is EOF'd at its current seq. Then retire every
+    // connection (the SD writer closes each once its owed responses
+    // are written), including registrations queued but never adopted.
+    let drained = driver.drain();
     let live = conns.len() as u64;
     for (_, c) in conns.drain() {
         shared.sd.send_eof(c.conn, c.seq);
-        if c.recv_inflight {
+        if !drained && c.reader.window_open() {
             // Undrained in-flight op: leak the reader so its window
             // stays allocated for as long as the process lives.
             std::mem::forget(c.reader);

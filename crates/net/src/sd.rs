@@ -1,76 +1,68 @@
-//! SD egress plane: sharded, readiness-driven response writers.
+//! SD egress plane: sharded, completion-driven response writers.
 //!
-//! PR 3's SD stage was one blocking thread that serviced every socket:
-//! a single stalled peer parked the whole server in `wait_writable` for
-//! up to 30 s, every wakeup re-deduplicated touched connections with a
-//! linear scan, and every dispatch allocated fresh response buffers and
-//! iovec scratch. This module replaces it with a small fixed pool of
-//! *shards* (see [`effective_sd_writers`]): connections map to shards
-//! by id, and each shard owns its connections' write halves, reorder
-//! buffers, and a `compat-mio` [`Poll`] instance of its own.
+//! A small fixed pool of *shards* (see [`effective_sd_writers`]) owns
+//! the write side: connections map to shards by id, and each shard owns
+//! its connections' write halves, reorder buffers, and one
+//! [`IoDriver`]. The loop is written once and runs on whichever adapter
+//! the server resolved (see `crate::driver`).
 //!
-//! Three properties the old writer lacked:
-//!
-//! * **Write-side readiness.** A socket that returns `WouldBlock` is
-//!   registered for WRITABLE interest and its pending runs stay parked
-//!   per-connection; the shard keeps servicing every other socket. The
-//!   blanket 30 s stall becomes a per-connection deadline
-//!   ([`BatchConfig::sd_stall_timeout`]) that retires only the stalled
-//!   peer (counted in `ServerStats::sd_stall_retired`).
+//! * **One `writev` in flight per connection.** In-order runs coalesce
+//!   into a [`WriteQueue`]; servicing a connection submits one vectored
+//!   write over the queue's front (its iovec array and buffers pinned
+//!   until the completion) and the completion advances the queue and
+//!   resubmits any remainder. A completion short of what was submitted
+//!   means the socket buffer filled (counted in
+//!   `ServerStats::sd_writable_parks`); the shard keeps servicing every
+//!   other socket meanwhile.
+//! * **One stall clock, measured from submission.** An op outstanding
+//!   past [`BatchConfig::sd_stall_timeout`] is a wedged peer: it is
+//!   canceled and only that connection is retired
+//!   (`ServerStats::sd_stall_retired`). Any progress completes the op,
+//!   so the deadline measures *continuous* stall.
 //! * **Buffer-reuse rings.** Encoded-response `BytesMut` buffers cycle
 //!   through a per-shard [`BufRing`] (pelikan `buf_ring` style):
 //!   dispatchers draw recycled buffers when encoding, the shard returns
-//!   them after the bytes hit the wire, and the vectored-write scratch
-//!   is a stack array — steady-state egress performs zero allocations
-//!   (audited by `crates/net/tests/sd_alloc.rs`).
+//!   them after the bytes hit the wire, and each connection's iovec
+//!   array is allocated once — steady-state egress performs zero
+//!   allocations (audited by `crates/net/tests/sd_alloc.rs`).
 //! * **Slow-consumer backpressure.** Each connection's not-yet-written
 //!   bytes are tracked; crossing [`BatchConfig::sd_hiwater_bytes`]
-//!   pauses that connection's READ interest in its reactor (resumed at
-//!   half the mark), so an un-drained client is bounded by the
-//!   watermark plus in-flight frames instead of growing without limit.
+//!   pauses that connection's reads in its reactor (resumed at half the
+//!   mark), so an un-drained client is bounded by the watermark plus
+//!   in-flight frames instead of growing without limit.
 //!
-//! The ordering contract is unchanged: `Open` reaches a shard's channel
-//! before any run or `Eof` for that connection can (the reactor sends
-//! `Open` before registering the read half), and the channel is FIFO,
-//! so per-connection sequence numbers still reorder exactly as before.
+//! The ordering contract: `Open` reaches a shard's channel before any
+//! run or `Eof` for that connection can (the reactor sends `Open`
+//! before registering the read half), and the channel is FIFO, so
+//! per-connection sequence numbers reorder deterministically.
 //!
-//! With [`IoBackend::Uring`] the shard trades the epoll loop for a
-//! batched-submission one: each connection keeps at most one `writev`
-//! SQE in flight (its iovec array pinned until the CQE lands), a full
-//! dispatch's worth of submissions is flushed with a single
-//! `io_uring_enter`, and the CQE's arrival doubles as the writability
-//! notification — a short write means the socket buffer filled, which
-//! is the uring analogue of `WouldBlock`. Reorder, backpressure, stall
-//! and teardown semantics are identical across backends.
+//! [`BatchConfig::sd_stall_timeout`]: crate::BatchConfig::sd_stall_timeout
+//! [`BatchConfig::sd_hiwater_bytes`]: crate::BatchConfig::sd_hiwater_bytes
 
 use crate::codec::encode_overflow_into;
+use crate::driver::{ud, ud_id, ud_kind, Completion, IoDriver, IoVec, Waker, ECANCELED, EINTR};
 use crate::reactor::ReactorHandles;
-use crate::server::{IoBackend, ServerStats, TaggedFrame};
+use crate::server::{ServerStats, TaggedFrame};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
-use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{IoSlice, Write};
 use std::net::{Shutdown, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Token of each shard's waker.
-const WAKER_TOKEN: Token = Token(0);
-/// Connection tokens start here: `CONN_TOKEN_BASE + conn id`.
-const CONN_TOKEN_BASE: usize = 1;
+/// Completion `user_data` kind of a connection's writev (see
+/// `driver::ud`); the id bits carry the connection id.
+const UD_WRITE: u64 = 3;
 
-/// Fallback poll timeout: wakeups are event-driven, this only bounds
+/// Fallback wait timeout: wakeups are event-driven, this only bounds
 /// how long a lost signal (or the teardown disconnect, which cannot
-/// wake an already-parked poll) could go unnoticed.
+/// wake an already-parked wait) could go unnoticed.
 const POLL_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Most buffers one vectored write submits. `IoSlice` is `Copy`, so the
-/// scratch is a stack array — no heap iovec per write (satellite of the
-/// zero-allocation audit).
+/// Most buffers one vectored write submits.
 const SD_IOV_MAX: usize = 64;
 
 /// Recycled buffers one shard's ring retains.
@@ -82,29 +74,6 @@ const BUF_MAX_RECYCLE: usize = 256 << 10;
 
 /// Recycled dispatch-batch vectors one shard retains.
 const MSG_POOL_SLOTS: usize = 32;
-
-// io_uring backend knobs (see `run_sd_shard_uring`). User-data tags
-// mirror the reactor's scheme: kind in the top 8 bits, conn id below.
-const UD_KIND_SHIFT: u32 = 56;
-const UD_DATA_MASK: u64 = (1 << UD_KIND_SHIFT) - 1;
-const UD_WAKER: u64 = 1;
-const UD_WRITE: u64 = 3;
-const UD_CANCEL: u64 = 4;
-
-fn ud(kind: u64, data: u64) -> u64 {
-    (kind << UD_KIND_SHIFT) | (data & UD_DATA_MASK)
-}
-
-// Raw errnos the write-CQE path discriminates on (`res` is a negated
-// errno).
-const ECANCELED: i32 = 125;
-const EINTR_RAW: i32 = 4;
-
-/// SQ slots per SD shard ring: one dispatch submits at most one writev
-/// per touched connection, flushed incrementally when the queue fills.
-const SD_URING_SQ: u32 = 1024;
-/// CQ slots, sized above the SQ for completion bursts.
-const SD_URING_CQ: u32 = 2048;
 
 /// Resolve a configured SD writer count: `0` means `min(2, cores/2)`
 /// with a floor of one — egress is cheaper than framing or dispatch, so
@@ -414,10 +383,9 @@ impl Drop for SdPlane {
 }
 
 /// Everything one shard thread needs, built before any thread spawns.
-pub(crate) struct SdShardPart {
-    poll: Poll,
+pub(crate) struct SdShardPart<D> {
+    driver: D,
     rx: Receiver<SdMsg>,
-    waker: Arc<Waker>,
     bufs: Arc<BufRing>,
     msgs: Arc<Mutex<Vec<RunBatch>>>,
 }
@@ -425,56 +393,179 @@ pub(crate) struct SdShardPart {
 /// Shard-loop knobs resolved from `BatchConfig`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SdShardCfg {
-    /// Per-connection unwritable deadline before the peer is retired.
+    /// Longest one write may stay in flight before the peer is retired.
     pub(crate) stall: Duration,
     /// Pending-bytes mark that pauses the connection's reactor reads.
     pub(crate) hiwater: usize,
     /// Mark below which paused reads resume (half the high water).
     pub(crate) lowater: usize,
-    /// Which syscall backend the egress loop runs on.
-    pub(crate) backend: IoBackend,
 }
 
 impl SdShardCfg {
-    pub(crate) fn new(stall: Duration, hiwater: usize, backend: IoBackend) -> SdShardCfg {
+    pub(crate) fn new(stall: Duration, hiwater: usize) -> SdShardCfg {
         let hiwater = hiwater.max(1);
         SdShardCfg {
             stall,
             hiwater,
             lowater: hiwater / 2,
-            backend,
         }
     }
 }
 
-/// Build the plane and its per-shard parts (one [`Poll`] + waker +
-/// channel + buffer pools each). Shard threads are spawned by the
-/// caller from the returned parts.
-pub(crate) fn build_sd_plane(n: usize) -> std::io::Result<(SdPlane, Vec<SdShardPart>)> {
+/// Build the plane and its per-shard parts (an [`IoDriver`], a channel
+/// and buffer pools each). Shard threads are spawned by the caller from
+/// the returned parts.
+pub(crate) fn build_sd_plane<D: IoDriver>(
+    n: usize,
+) -> std::io::Result<(SdPlane, Vec<SdShardPart<D>>)> {
     let n = n.max(1);
     let mut shards = Vec::with_capacity(n);
     let mut parts = Vec::with_capacity(n);
     for _ in 0..n {
-        let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
+        let driver = D::new()?;
         let (tx, rx) = channel::unbounded::<SdMsg>();
         let bufs = Arc::new(BufRing::new(BUF_RING_SLOTS, BUF_MAX_RECYCLE));
         let msgs = Arc::new(Mutex::new(Vec::with_capacity(MSG_POOL_SLOTS)));
         shards.push(SdShardHandle {
             tx,
-            waker: Arc::clone(&waker),
+            waker: driver.waker(),
             bufs: Arc::clone(&bufs),
             msgs: Arc::clone(&msgs),
         });
         parts.push(SdShardPart {
-            poll,
+            driver,
             rx,
-            waker,
             bufs,
             msgs,
         });
     }
     Ok((SdPlane { shards }, parts))
+}
+
+/// One connection's in-order egress queue and the single vectored write
+/// that may be in flight over its front — the egress step shared by
+/// every adapter (and driven directly by `tests/sd_alloc.rs`).
+///
+/// The fields are private because the pinned-buffer contract of
+/// [`IoDriver::writev`] rests on them: while `in_flight` is `Some`, no
+/// buffer is popped, advanced or recycled and the iovec array is not
+/// rewritten. Pushing is always allowed — it moves `BytesMut` handles
+/// inside the deque, never the heap bytes the iovecs point at.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct WriteQueue {
+    /// Runs not yet (fully) written; the front buffer may be partially
+    /// consumed (`head_written`).
+    bufs: VecDeque<BytesMut>,
+    /// Bytes of `bufs.front()` already on the wire.
+    head_written: usize,
+    /// Reusable iovec array, allocated on the first submission and
+    /// recycled for every write after. Boxed, so the array an adapter
+    /// reads asynchronously keeps one stable heap address even as the
+    /// connection moves around the shard's map.
+    iov: Option<Box<[IoVec; SD_IOV_MAX]>>,
+    /// The in-flight write: the byte count its iovecs cover and its
+    /// submission instant (the stall clock).
+    in_flight: Option<(usize, Instant)>,
+}
+
+impl WriteQueue {
+    /// Append a run's wire bytes.
+    pub fn push(&mut self, bytes: BytesMut) {
+        self.bufs.push_back(bytes);
+    }
+
+    /// Whether nothing is queued.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bufs.is_empty()
+    }
+
+    /// Submit one `writev` over the front of the queue (up to
+    /// [`SD_IOV_MAX`] buffers) tagged `user_data`, and start its stall
+    /// clock. Returns the submission instant.
+    ///
+    /// # Panics
+    /// If a write is already in flight or the queue is empty.
+    pub fn submit<D: IoDriver>(&mut self, driver: &mut D, fd: RawFd, user_data: u64) -> Instant {
+        assert!(self.in_flight.is_none() && !self.bufs.is_empty());
+        let iov = self.iov.get_or_insert_with(|| {
+            Box::new(
+                [IoVec {
+                    base: std::ptr::null(),
+                    len: 0,
+                }; SD_IOV_MAX],
+            )
+        });
+        let mut n_iov = 0u32;
+        let mut submitted = 0usize;
+        for (i, b) in self.bufs.iter().enumerate().take(SD_IOV_MAX) {
+            let s: &[u8] = if i == 0 {
+                &b[self.head_written..]
+            } else {
+                &b[..]
+            };
+            iov[n_iov as usize] = IoVec {
+                base: s.as_ptr(),
+                len: s.len(),
+            };
+            submitted += s.len();
+            n_iov += 1;
+        }
+        let since = Instant::now();
+        self.in_flight = Some((submitted, since));
+        // SAFETY: the pinned-buffer contract (`IoDriver`): `in_flight`
+        // (set above, cleared only by `complete`) gates every pop,
+        // advance and recycle of the queued buffers and every rewrite
+        // of the boxed array, whose heap address is stable; an
+        // undrained teardown goes through `leak`.
+        unsafe { driver.writev(fd, iov.as_ptr(), n_iov, user_data) };
+        since
+    }
+
+    /// Apply the in-flight write's completion: `written` bytes (0 for a
+    /// failed or canceled op) leave the front of the queue, fully
+    /// written buffers return to `pool`. Returns whether the write came
+    /// up short with data still queued — the socket buffer filled.
+    pub fn complete(&mut self, written: usize, pool: &BufRing) -> bool {
+        let Some((submitted, _)) = self.in_flight.take() else {
+            return false;
+        };
+        let mut left = written;
+        while left > 0 {
+            let avail = self
+                .bufs
+                .front()
+                .expect("bytes written from a buffer")
+                .len()
+                - self.head_written;
+            if left >= avail {
+                left -= avail;
+                self.head_written = 0;
+                pool.put(self.bufs.pop_front().expect("front just measured"));
+            } else {
+                self.head_written += left;
+                left = 0;
+            }
+        }
+        written < submitted && !self.bufs.is_empty()
+    }
+
+    /// Return every queued buffer to `pool` (no write may be in flight).
+    fn free_into(&mut self, pool: &BufRing) {
+        debug_assert!(self.in_flight.is_none());
+        for bytes in self.bufs.drain(..) {
+            pool.put(bytes);
+        }
+        self.head_written = 0;
+    }
+
+    /// The in-flight write could not be drained: leak the buffers and
+    /// the iovec array rather than recycle memory still being read.
+    fn leak(&mut self) {
+        std::mem::forget(std::mem::take(&mut self.bufs));
+        std::mem::forget(self.iov.take());
+    }
 }
 
 /// Per-connection state inside one SD shard.
@@ -486,132 +577,85 @@ struct SdConn {
     eof: Option<u64>,
     /// Out-of-order runs: first_seq → (frame count, wire bytes). The
     /// in-order common case bypasses this ring entirely (runs go
-    /// straight to `queue`), keeping the steady state allocation-free.
+    /// straight to `out`), keeping the steady state allocation-free.
     pending: ReorderRing,
-    /// In-order runs not yet (fully) written; front buffer may be
-    /// partially consumed (`head_written`).
-    queue: VecDeque<BytesMut>,
-    /// Bytes of `queue.front()` already on the wire.
-    head_written: usize,
+    /// In-order runs not yet written, and the write in flight over them.
+    out: WriteQueue,
     /// Bytes parked or queued but not yet written (backpressure input).
     unsent: usize,
-    /// Registered for WRITABLE interest since this instant (the socket
-    /// returned `WouldBlock` and made no progress after).
-    parked: Option<Instant>,
-    /// This connection's reactor READ interest is currently paused.
+    /// This connection's reactor reads are currently paused.
     read_paused: bool,
     /// A write failed; stop writing but keep consuming messages until
     /// EOF so the connection can still be retired.
     dead: bool,
-    /// Already queued for service this wakeup (O(1) touch dedupe —
-    /// the old writer's `touched.contains` scan was quadratic in the
-    /// number of touched connections per wakeup).
+    /// Already queued for service this wakeup (O(1) touch dedupe).
     touched: bool,
-    /// (uring backend only) a writev SQE is in flight for this
-    /// connection, covering the front of `queue` through `iov`.
-    inflight: Option<InflightWrite>,
-    /// (uring backend only) this connection's reusable iovec array,
-    /// allocated on the first submission and recycled for every write
-    /// after — the steady-state egress cycle allocates nothing. Boxed,
-    /// so the array the kernel reads asynchronously keeps one stable
-    /// heap address even as `SdConn` moves around the shard's map.
-    /// Never written while a submission is in flight.
-    iov: Option<Box<[uring::IoVec; SD_IOV_MAX]>>,
-}
-
-/// State of one in-flight uring writev: how much the pinned iovecs
-/// (`SdConn::iov`) cover, and when it was submitted (the stall clock).
-struct InflightWrite {
-    /// Total bytes the iovecs cover; a completion short of this means
-    /// the socket buffer filled (the uring analogue of `WouldBlock`).
-    submitted: usize,
-    /// Submission instant — the per-connection stall deadline input.
-    since: Instant,
 }
 
 impl SdConn {
     /// Whether every response owed to the client is on the wire (or the
     /// socket died), so the connection can be closed. A connection with
-    /// a writev SQE in flight is never done: its buffers are pinned
-    /// until the CQE lands.
+    /// a write in flight is never done: its buffers are pinned until
+    /// the completion.
     fn done(&self) -> bool {
-        if self.inflight.is_some() {
+        if self.out.in_flight.is_some() {
             return false;
         }
         match self.eof {
-            Some(total) => self.dead || (self.next >= total && self.queue.is_empty()),
+            Some(total) => self.dead || (self.next >= total && self.out.is_empty()),
             None => false,
         }
     }
 }
 
-/// Everything `service_conn` and friends need besides the connection.
+/// Everything the per-connection steps need besides the connection and
+/// the driver.
 struct ShardCtx<'a> {
-    registry: &'a mio::Registry,
     bufs: &'a BufRing,
     reactors: &'a ReactorHandles,
     stats: &'a ServerStats,
     cfg: SdShardCfg,
 }
 
-/// One shard's event loop, dispatched on the resolved backend.
-pub(crate) fn run_sd_shard(
-    part: SdShardPart,
+/// One shard's event loop: drain the channel, service touched
+/// connections (submitting writes), wait, apply write completions
+/// (which resubmit or retire), sweep stall deadlines.
+pub(crate) fn run_sd_shard<D: IoDriver>(
+    part: SdShardPart<D>,
     cfg: SdShardCfg,
-    reactors: Arc<ReactorHandles>,
-    stats: Arc<ServerStats>,
-) {
-    match cfg.backend {
-        IoBackend::Epoll => run_sd_shard_epoll(part, cfg, reactors, stats),
-        IoBackend::Uring => run_sd_shard_uring(part, cfg, reactors, stats),
-    }
-}
-
-/// The epoll-backed shard loop: drain the channel, service touched
-/// connections, poll for writability, sweep stall deadlines.
-fn run_sd_shard_epoll(
-    part: SdShardPart,
-    cfg: SdShardCfg,
-    reactors: Arc<ReactorHandles>,
-    stats: Arc<ServerStats>,
+    reactors: &ReactorHandles,
+    stats: &ServerStats,
 ) {
     let SdShardPart {
-        mut poll,
+        mut driver,
         rx,
-        waker: _waker, // keeps the eventfd alive past the plane's drop
         bufs,
         msgs,
     } = part;
-    let mut events = Events::with_capacity(1024);
-    let mut ready: Vec<Token> = Vec::new();
+    let ctx = ShardCtx {
+        bufs: &bufs,
+        reactors,
+        stats,
+        cfg,
+    };
     let mut conns: HashMap<u64, SdConn> = HashMap::new();
     let mut touched: Vec<u64> = Vec::new();
-    // Earliest instant any parked connection could hit its stall
-    // deadline; `None` while nothing is parked.
+    let mut completions: Vec<Completion> = Vec::new();
+    // Earliest instant any in-flight write could hit its stall
+    // deadline; `None` while nothing is in flight.
     let mut next_sweep: Option<Instant> = None;
     // Ring counters fold into the shared stats as deltas so multiple
     // shards (and the dispatchers drawing from their rings) sum.
     let (mut last_hits, mut last_misses) = (0u64, 0u64);
     let mut disconnected = false;
+    let mut enters_folded = 0u64;
     loop {
         // Apply every queued message, then service each touched
         // connection once.
         touched.clear();
         loop {
             match rx.try_recv() {
-                Ok(msg) => apply_msg(
-                    msg,
-                    &mut conns,
-                    &mut touched,
-                    &msgs,
-                    &ShardCtx {
-                        registry: poll.registry(),
-                        bufs: &bufs,
-                        reactors: &reactors,
-                        stats: &stats,
-                        cfg,
-                    },
-                ),
+                Ok(msg) => apply_msg(msg, &mut conns, &mut touched, &msgs, &ctx),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     disconnected = true;
@@ -620,16 +664,9 @@ fn run_sd_shard_epoll(
             }
         }
         for &conn in &touched {
-            let ctx = ShardCtx {
-                registry: poll.registry(),
-                bufs: &bufs,
-                reactors: &reactors,
-                stats: &stats,
-                cfg,
-            };
-            service_and_maybe_retire(conn, &mut conns, &ctx, &mut next_sweep);
+            service_and_maybe_retire(conn, &mut conns, &mut driver, &ctx, &mut next_sweep);
         }
-        fold_ring_stats(&bufs, &stats, &mut last_hits, &mut last_misses);
+        fold_ring_stats(&bufs, stats, &mut last_hits, &mut last_misses);
         if disconnected {
             break;
         }
@@ -639,55 +676,49 @@ fn run_sd_shard_epoll(
                 .min(POLL_TIMEOUT),
             None => POLL_TIMEOUT,
         };
-        stats.ring_enters.fetch_add(1, Ordering::Relaxed);
-        if poll.poll(&mut events, Some(timeout)).is_err() {
-            break; // broken selector: tear down rather than spin
+        completions.clear();
+        if driver.wait(Some(timeout), &mut completions).is_err() {
+            break; // broken driver: tear down rather than spin
         }
-        ready.clear();
-        ready.extend(events.iter().map(|e| e.token()));
-        for &tok in &ready {
-            if tok == WAKER_TOKEN {
-                continue; // channel is drained at the top of the loop
+        // Everything since the last fold: this wait plus the immediate
+        // writes the servicing above may have issued.
+        let enters = driver.enters();
+        stats
+            .ring_enters
+            .fetch_add(enters - enters_folded, Ordering::Relaxed);
+        enters_folded = enters;
+        if !completions.is_empty() {
+            stats.record_cqe_batch(completions.len() as u64);
+        }
+        for &done in &completions {
+            // Waker kicks need nothing: the channel is drained at the
+            // top of every pass.
+            if ud_kind(done.user_data) == UD_WRITE {
+                handle_write_done(done, &mut conns, &mut driver, &ctx, &mut next_sweep);
             }
-            let conn = (tok.0 - CONN_TOKEN_BASE) as u64;
-            let ctx = ShardCtx {
-                registry: poll.registry(),
-                bufs: &bufs,
-                reactors: &reactors,
-                stats: &stats,
-                cfg,
-            };
-            service_and_maybe_retire(conn, &mut conns, &ctx, &mut next_sweep);
         }
         if next_sweep.is_some_and(|at| Instant::now() >= at) {
-            let ctx = ShardCtx {
-                registry: poll.registry(),
-                bufs: &bufs,
-                reactors: &reactors,
-                stats: &stats,
-                cfg,
-            };
-            next_sweep = sweep_stalls(&mut conns, &ctx);
+            next_sweep = sweep_stalls(&mut conns, &mut driver, &ctx);
         }
     }
     // Teardown (all plane handles dropped): every queued message has
     // been applied and every touched connection serviced once above.
-    // Retire the survivors so gauges and leak counters stay truthful,
-    // then drop the write halves to disconnect the clients.
+    // Drain the driver — pinned iovecs and the buffers they point into
+    // may be read until each op completes — then retire the survivors
+    // so gauges and leak counters stay truthful, and drop the write
+    // halves to disconnect the clients.
+    let drained = driver.drain();
     for (_, mut c) in conns.drain() {
-        free_unwritten(
-            &mut c,
-            &ShardCtx {
-                registry: poll.registry(),
-                bufs: &bufs,
-                reactors: &reactors,
-                stats: &stats,
-                cfg,
-            },
-        );
+        if c.out.in_flight.take().is_some() && !drained {
+            stats
+                .sd_pending_dropped
+                .fetch_add(c.out.bufs.len() as u64, Ordering::Relaxed);
+            c.out.leak();
+        }
+        free_unwritten(&mut c, &ctx);
         stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
     }
-    fold_ring_stats(&bufs, &stats, &mut last_hits, &mut last_misses);
+    fold_ring_stats(&bufs, stats, &mut last_hits, &mut last_misses);
 }
 
 /// Fold the ring's cumulative hit/miss counters into the shared stats
@@ -731,15 +762,11 @@ fn apply_msg(
                     next: 0,
                     eof: None,
                     pending: ReorderRing::new(),
-                    queue: VecDeque::new(),
-                    head_written: 0,
+                    out: WriteQueue::default(),
                     unsent: 0,
-                    parked: None,
                     read_paused: false,
                     dead: false,
                     touched: false,
-                    inflight: None,
-                    iov: None,
                 },
             );
         }
@@ -798,8 +825,8 @@ fn touch(conn: u64, c: &mut SdConn, touched: &mut Vec<u64>) {
 }
 
 /// Park one response run: straight onto the write queue when it is the
-/// next run in sequence (the common case — no tree node churn), into
-/// the reorder map otherwise. Runs for a dead socket are freed at once.
+/// next run in sequence (the common case — no reorder churn), into the
+/// reorder ring otherwise. Runs for a dead socket are freed at once.
 fn park_run(c: &mut SdConn, run: ResponseRun, ctx: &ShardCtx<'_>) {
     if c.dead {
         ctx.stats.sd_pending_dropped.fetch_add(1, Ordering::Relaxed);
@@ -809,7 +836,7 @@ fn park_run(c: &mut SdConn, run: ResponseRun, ctx: &ShardCtx<'_>) {
     c.unsent += run.bytes.len();
     if run.first_seq == c.next && c.pending.is_empty() {
         c.next += run.count;
-        c.queue.push_back(run.bytes);
+        c.out.push(run.bytes);
     } else if let Some(displaced) = c.pending.insert(run.first_seq, run.count, run.bytes) {
         // Unreachable in practice (each seq is tagged once); keep the
         // buffer and byte accounting honest regardless.
@@ -818,118 +845,147 @@ fn park_run(c: &mut SdConn, run: ResponseRun, ctx: &ShardCtx<'_>) {
     }
 }
 
-/// Service one connection (promote, write, park/unpark, backpressure)
-/// and retire it when done.
-fn service_and_maybe_retire(
+/// Service the connection `conn` names, and retire it when done.
+fn service_and_maybe_retire<D: IoDriver>(
     conn: u64,
     conns: &mut HashMap<u64, SdConn>,
+    driver: &mut D,
     ctx: &ShardCtx<'_>,
     next_sweep: &mut Option<Instant>,
 ) {
-    let Some(c) = conns.get_mut(&conn) else {
-        return; // stale event or double touch after retire
-    };
-    c.touched = false;
-    service_conn(conn, c, ctx, next_sweep);
-    if c.done() {
-        let mut c = conns.remove(&conn).expect("conn just found");
-        free_unwritten(&mut c, ctx);
-        ctx.stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
-        // The write half drops here: the client sees EOF.
+    // A miss is a stale touch after retire.
+    if let Some(c) = conns.get_mut(&conn) {
+        if service_conn(conn, c, driver, ctx, next_sweep) {
+            retire_conn(conn, conns, driver, ctx);
+        }
     }
 }
 
-fn service_conn(conn: u64, c: &mut SdConn, ctx: &ShardCtx<'_>, next_sweep: &mut Option<Instant>) {
-    // Promote every in-order run from the reorder map to the queue.
+/// Service one connection: promote in-order runs, then submit a write —
+/// or, with one already in flight, apply backpressure. Returns whether
+/// the connection is done; `done()` is false while a write is in
+/// flight, so retirement always happens with no pinned buffers.
+fn service_conn<D: IoDriver>(
+    conn: u64,
+    c: &mut SdConn,
+    driver: &mut D,
+    ctx: &ShardCtx<'_>,
+    next_sweep: &mut Option<Instant>,
+) -> bool {
+    c.touched = false;
     while let Some((count, bytes)) = c.pending.remove(c.next) {
         c.next += count;
-        c.queue.push_back(bytes);
+        c.out.push(bytes);
     }
-    if !c.dead && !c.queue.is_empty() {
-        let mut sys = 0u64;
-        let res = write_queue_counted(
-            &mut c.stream,
-            &mut c.queue,
-            &mut c.head_written,
-            ctx.bufs,
-            &mut sys,
-        );
-        if sys > 0 {
-            ctx.stats.ring_enters.fetch_add(sys, Ordering::Relaxed);
-        }
-        match res {
-            Ok((written, blocked)) => {
-                c.unsent -= written;
-                if blocked {
-                    if c.parked.is_none() {
-                        if ctx
-                            .registry
-                            .register(
-                                &c.stream,
-                                Token(CONN_TOKEN_BASE + conn as usize),
-                                Interest::WRITABLE,
-                            )
-                            .is_ok()
-                        {
-                            ctx.stats.sd_writable_parks.fetch_add(1, Ordering::Relaxed);
-                            c.parked = Some(Instant::now());
-                        } else {
-                            mark_dead(conn, c, ctx);
-                        }
-                    } else if written > 0 {
-                        // Partial progress restarts the stall clock:
-                        // the deadline measures *continuous* stall.
-                        c.parked = Some(Instant::now());
-                    }
-                    if let Some(since) = c.parked {
-                        let deadline = since + ctx.cfg.stall;
-                        *next_sweep = Some(match *next_sweep {
-                            Some(at) => at.min(deadline),
-                            None => deadline,
-                        });
-                    }
-                } else {
-                    let _ = c.stream.flush();
-                    if c.parked.take().is_some() {
-                        let _ = ctx.registry.deregister(&c.stream);
-                    }
-                }
-            }
-            Err(_) => mark_dead(conn, c, ctx),
-        }
+    if c.dead {
+        // Nothing to write, nothing to throttle.
+    } else if c.out.in_flight.is_none() && !c.out.is_empty() {
+        let since = c
+            .out
+            .submit(driver, c.stream.as_raw_fd(), ud(UD_WRITE, conn));
+        // Every submission arms the stall deadline: an op that never
+        // completes is exactly a wedged peer.
+        let deadline = since + ctx.cfg.stall;
+        *next_sweep = Some(next_sweep.map_or(deadline, |at| at.min(deadline)));
+    } else {
+        // Runs piling up behind a write still in flight (or nothing
+        // left to write): `unsent` is what the socket has not taken.
+        apply_backpressure(conn, c, ctx);
     }
-    if !c.dead {
-        ctx.stats
-            .sd_pending_bytes_hiwater
-            .fetch_max(c.unsent as u64, Ordering::Relaxed);
-        if !c.read_paused && c.unsent > ctx.cfg.hiwater {
-            c.read_paused = true;
-            ctx.stats.sd_read_pauses.fetch_add(1, Ordering::Relaxed);
-            ctx.reactors.set_read(conn, false);
-        } else if c.read_paused && c.unsent <= ctx.cfg.lowater {
-            c.read_paused = false;
-            ctx.reactors.set_read(conn, true);
+    c.done()
+}
+
+/// Remove a done connection: free what it never delivered and drop the
+/// write half, so the client sees EOF.
+fn retire_conn<D: IoDriver>(
+    conn: u64,
+    conns: &mut HashMap<u64, SdConn>,
+    driver: &mut D,
+    ctx: &ShardCtx<'_>,
+) {
+    let mut c = conns.remove(&conn).expect("caller just found it");
+    free_unwritten(&mut c, ctx);
+    driver.detach(c.stream.as_raw_fd());
+    ctx.stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// Slow-consumer backpressure: pause the connection's reactor reads
+/// when its unwritten backlog crosses the high water, resume below the
+/// low water. Judged on what the socket has *refused*, so it runs where
+/// a write's outcome is known — at its completion, and when runs pile
+/// up behind a write still in flight — never in the pass that submits
+/// one (a write the socket takes whole must not read as a backlog).
+fn apply_backpressure(conn: u64, c: &mut SdConn, ctx: &ShardCtx<'_>) {
+    ctx.stats
+        .sd_pending_bytes_hiwater
+        .fetch_max(c.unsent as u64, Ordering::Relaxed);
+    if !c.read_paused && c.unsent > ctx.cfg.hiwater {
+        c.read_paused = true;
+        ctx.stats.sd_read_pauses.fetch_add(1, Ordering::Relaxed);
+        ctx.reactors.set_read(conn, false);
+    } else if c.read_paused && c.unsent <= ctx.cfg.lowater {
+        c.read_paused = false;
+        ctx.reactors.set_read(conn, true);
+    }
+}
+
+/// Apply one write completion: advance the queue by the written byte
+/// count, count a park when the write came up short with data still
+/// queued (the socket buffer filled), run the deferred free for peers
+/// that died while the op was in flight, and re-service (which
+/// resubmits any remainder or retires).
+fn handle_write_done<D: IoDriver>(
+    done: Completion,
+    conns: &mut HashMap<u64, SdConn>,
+    driver: &mut D,
+    ctx: &ShardCtx<'_>,
+    next_sweep: &mut Option<Instant>,
+) {
+    let conn = ud_id(done.user_data);
+    let Some(c) = conns.get_mut(&conn) else {
+        return; // no such connection (defensive: ops outlive no conn)
+    };
+    let written = usize::try_from(done.res).unwrap_or(0);
+    let short = c.out.complete(written, ctx.bufs);
+    c.unsent -= written;
+    if written > 0 {
+        if short {
+            ctx.stats.sd_writable_parks.fetch_add(1, Ordering::Relaxed);
         }
+    } else if !matches!(-done.res, ECANCELED | EINTR) {
+        // An error, or a zero-byte vectored write: the peer is gone.
+        // (Canceled by the stall sweep — already marked dead — or
+        // spuriously interrupted: re-servicing below handles both.)
+        mark_dead(conn, c, ctx);
+    }
+    if c.dead {
+        // Deferred free: `mark_dead` could not reclaim buffers while
+        // the write held them; it can now.
+        free_unwritten(c, ctx);
+    } else {
+        apply_backpressure(conn, c, ctx);
+    }
+    if service_conn(conn, c, driver, ctx, next_sweep) {
+        retire_conn(conn, conns, driver, ctx);
     }
 }
 
 /// The socket can take no more responses (write error, or retired by
-/// the stall sweep): free everything parked, undo watch/pause state,
-/// and shut the socket down both ways so the reactor — which still owns
-/// the shared file description's read half — observes it and posts the
+/// the stall sweep): free everything parked, undo pause state, and shut
+/// the socket down both ways so the reactor — which still owns the
+/// shared file description's read half — observes it and posts the
 /// `Eof` that lets the connection retire.
 fn mark_dead(conn: u64, c: &mut SdConn, ctx: &ShardCtx<'_>) {
     c.dead = true;
-    if c.inflight.is_none() {
+    if c.out.in_flight.is_none() {
         free_unwritten(c, ctx);
     }
-    // else (uring only): the kernel still reads the queued buffers
-    // through the in-flight iovecs; the write-CQE handler frees them
-    // once the op completes.
+    // else: the in-flight write still pins the queued buffers;
+    // `handle_write_done` frees them once it completes.
     if c.read_paused {
         c.read_paused = false;
-        // Resume reads so the paused (deregistered) read half gets
-        // re-registered and the reactor can observe the shutdown.
+        // Resume reads so the paused read half gets a recv armed again
+        // and the reactor can observe the shutdown.
         ctx.reactors.set_read(conn, true);
     }
     let _ = c.stream.shutdown(Shutdown::Both);
@@ -938,593 +994,44 @@ fn mark_dead(conn: u64, c: &mut SdConn, ctx: &ShardCtx<'_>) {
 /// Count and free every run this connection will never deliver,
 /// returning the buffers to the shard's ring.
 fn free_unwritten(c: &mut SdConn, ctx: &ShardCtx<'_>) {
-    let undelivered = (c.queue.len() + c.pending.len()) as u64;
+    let undelivered = (c.out.bufs.len() + c.pending.len()) as u64;
     if undelivered > 0 {
         ctx.stats
             .sd_pending_dropped
             .fetch_add(undelivered, Ordering::Relaxed);
     }
-    for bytes in c.queue.drain(..) {
-        ctx.bufs.put(bytes);
-    }
+    c.out.free_into(ctx.bufs);
     for bytes in c.pending.drain() {
         ctx.bufs.put(bytes);
     }
-    c.head_written = 0;
     c.unsent = 0;
-    if c.parked.take().is_some() {
-        let _ = ctx.registry.deregister(&c.stream);
-    }
 }
 
-/// Retire every connection whose stall deadline passed; returns the
-/// next deadline still outstanding.
-fn sweep_stalls(conns: &mut HashMap<u64, SdConn>, ctx: &ShardCtx<'_>) -> Option<Instant> {
-    let now = Instant::now();
-    let mut next: Option<Instant> = None;
-    let mut retire: Vec<u64> = Vec::new();
-    for (&conn, c) in conns.iter_mut() {
-        let Some(since) = c.parked else { continue };
-        let deadline = since + ctx.cfg.stall;
-        if now >= deadline {
-            ctx.stats.sd_stall_retired.fetch_add(1, Ordering::Relaxed);
-            mark_dead(conn, c, ctx);
-            if c.done() {
-                retire.push(conn);
-            }
-        } else {
-            next = Some(match next {
-                Some(at) => at.min(deadline),
-                None => deadline,
-            });
-        }
-    }
-    for conn in retire {
-        if let Some(mut c) = conns.remove(&conn) {
-            free_unwritten(&mut c, ctx);
-            ctx.stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    next
-}
-
-/// The uring-backed shard loop. Message handling, reorder promotion,
-/// backpressure, and retirement are shared with the epoll loop; only
-/// the write path differs: instead of writing until `WouldBlock` and
-/// parking on WRITABLE readiness, each connection keeps at most one
-/// `writev` SQE in flight and every pass flushes all submissions with a
-/// single `io_uring_enter`. A CQE short of the submitted byte count is
-/// the `WouldBlock` analogue (counted in `sd_writable_parks`); an op
-/// outstanding past [`SdShardCfg::stall`] is the park-stall analogue
-/// (canceled and retired by [`sweep_stalls_uring`]).
-fn run_sd_shard_uring(
-    part: SdShardPart,
-    cfg: SdShardCfg,
-    reactors: Arc<ReactorHandles>,
-    stats: Arc<ServerStats>,
-) {
-    let SdShardPart {
-        poll,
-        rx,
-        waker,
-        bufs,
-        msgs,
-    } = part;
-    let mut conns: HashMap<u64, SdConn> = HashMap::new();
-    let mut touched: Vec<u64> = Vec::new();
-    let mut cqes: Vec<uring::Cqe> = Vec::with_capacity(SD_URING_CQ as usize);
-    let mut next_sweep: Option<Instant> = None;
-    let (mut last_hits, mut last_misses) = (0u64, 0u64);
-    // Outstanding SQEs (writevs + the waker watch + cancels): teardown
-    // drains this to zero before any pinned buffer may be freed.
-    let mut inflight_ops: u64 = 0;
-    let waker_fd = waker.as_raw_fd();
-
-    /// Queue a one-shot readable watch, flushing the SQ when full.
-    fn arm_poll_in(ring: &mut uring::Uring, fd: i32, user_data: u64, inflight: &mut u64) -> bool {
-        loop {
-            if ring.push_poll_add(fd, uring::POLL_IN, user_data) {
-                *inflight += 1;
-                return true;
-            }
-            if ring.submit().is_err() {
-                return false;
-            }
-        }
-    }
-
-    // The probe passed at spawn, so setup failing here is a local
-    // resource problem (fd limits): behave like an immediate teardown,
-    // consuming messages until the plane drops so no buffer leaks.
-    let mut ring = match uring::Uring::new(SD_URING_SQ, SD_URING_CQ) {
-        Ok(r) => r,
-        Err(_) => {
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    SdMsg::Open { .. } => {} // stream drops; client sees EOF
-                    SdMsg::Runs { runs, .. } => {
-                        stats
-                            .sd_pending_dropped
-                            .fetch_add(runs.len() as u64, Ordering::Relaxed);
-                        for r in runs {
-                            bufs.put(r.bytes);
-                        }
-                    }
-                    SdMsg::Batch(mut batch) => {
-                        stats
-                            .sd_pending_dropped
-                            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        for (_, r) in batch.drain(..) {
-                            bufs.put(r.bytes);
-                        }
-                    }
-                    SdMsg::Eof { .. } => {}
-                }
-            }
-            return;
-        }
-    };
-
-    let mut fatal = !arm_poll_in(&mut ring, waker_fd, ud(UD_WAKER, 0), &mut inflight_ops);
-    let mut disconnected = false;
-    while !fatal {
-        touched.clear();
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => apply_msg(
-                    msg,
-                    &mut conns,
-                    &mut touched,
-                    &msgs,
-                    &ShardCtx {
-                        registry: poll.registry(),
-                        bufs: &bufs,
-                        reactors: &reactors,
-                        stats: &stats,
-                        cfg,
-                    },
-                ),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        for &conn in &touched {
-            let ctx = ShardCtx {
-                registry: poll.registry(),
-                bufs: &bufs,
-                reactors: &reactors,
-                stats: &stats,
-                cfg,
-            };
-            service_and_maybe_retire_uring(
-                conn,
-                &mut conns,
-                &mut ring,
-                &ctx,
-                &mut next_sweep,
-                &mut inflight_ops,
-            );
-        }
-        fold_ring_stats(&bufs, &stats, &mut last_hits, &mut last_misses);
-        if disconnected {
-            break;
-        }
-        let timeout = match next_sweep {
-            Some(at) => at
-                .saturating_duration_since(Instant::now())
-                .min(POLL_TIMEOUT),
-            None => POLL_TIMEOUT,
-        };
-        let enters_before = ring.enters();
-        if ring.submit_and_wait(1, Some(timeout)).is_err() {
-            break;
-        }
-        cqes.clear();
-        ring.reap(&mut cqes);
-        stats
-            .ring_enters
-            .fetch_add(ring.enters() - enters_before, Ordering::Relaxed);
-        if !cqes.is_empty() {
-            stats.record_cqe_batch(cqes.len() as u64);
-        }
-        let mut rearm_waker = false;
-        for &cqe in &cqes {
-            inflight_ops -= 1;
-            match cqe.user_data >> UD_KIND_SHIFT {
-                UD_WAKER => {
-                    // POLL_ADD consumes nothing: reset the eventfd by
-                    // hand; the channel itself is drained at the top of
-                    // every pass.
-                    uring::drain_notify_fd(waker_fd);
-                    rearm_waker = true;
-                }
-                UD_WRITE => {
-                    let ctx = ShardCtx {
-                        registry: poll.registry(),
-                        bufs: &bufs,
-                        reactors: &reactors,
-                        stats: &stats,
-                        cfg,
-                    };
-                    handle_write_cqe(
-                        cqe.user_data & UD_DATA_MASK,
-                        cqe.res,
-                        &mut conns,
-                        &mut ring,
-                        &ctx,
-                        &mut next_sweep,
-                        &mut inflight_ops,
-                    );
-                }
-                _ => {} // a cancel op's own completion
-            }
-        }
-        if rearm_waker && !arm_poll_in(&mut ring, waker_fd, ud(UD_WAKER, 0), &mut inflight_ops) {
-            fatal = true;
-        }
-        if next_sweep.is_some_and(|at| Instant::now() >= at) {
-            let ctx = ShardCtx {
-                registry: poll.registry(),
-                bufs: &bufs,
-                reactors: &reactors,
-                stats: &stats,
-                cfg,
-            };
-            next_sweep = sweep_stalls_uring(&mut conns, &mut ring, &ctx, &mut inflight_ops);
-        }
-    }
-
-    // Teardown: cancel every outstanding op and drain the ring to zero
-    // in-flight — the kernel reads pinned iovecs (and the buffers they
-    // point into) until each CQE lands, so freeing first would be a
-    // use-after-free handed to the kernel.
-    let mut cancels: Vec<u64> = vec![ud(UD_WAKER, 0)];
-    for (&conn, c) in conns.iter() {
-        if c.inflight.is_some() {
-            cancels.push(ud(UD_WRITE, conn));
-        }
-    }
-    for target in cancels {
-        loop {
-            if ring.push_cancel(target, ud(UD_CANCEL, 0)) {
-                inflight_ops += 1;
-                break;
-            }
-            if ring.submit().is_err() {
-                break;
-            }
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while inflight_ops > 0 && Instant::now() < deadline {
-        if ring
-            .submit_and_wait(1, Some(Duration::from_millis(100)))
-            .is_err()
-        {
-            break;
-        }
-        cqes.clear();
-        ring.reap(&mut cqes);
-        for cqe in &cqes {
-            inflight_ops = inflight_ops.saturating_sub(1);
-            if cqe.user_data >> UD_KIND_SHIFT == UD_WRITE {
-                if let Some(c) = conns.get_mut(&(cqe.user_data & UD_DATA_MASK)) {
-                    c.inflight = None;
-                }
-            }
-        }
-    }
-    for (_, mut c) in conns.drain() {
-        if c.inflight.is_some() {
-            // Undrained op: leak the write queue and its iovec box
-            // rather than recycle memory the kernel may still read.
-            let undelivered = (c.queue.len() + c.pending.len()) as u64;
-            if undelivered > 0 {
-                stats
-                    .sd_pending_dropped
-                    .fetch_add(undelivered, Ordering::Relaxed);
-            }
-            for bytes in c.pending.drain() {
-                bufs.put(bytes);
-            }
-            std::mem::forget(std::mem::take(&mut c.queue));
-            std::mem::forget(c.iov.take());
-        } else {
-            free_unwritten(
-                &mut c,
-                &ShardCtx {
-                    registry: poll.registry(),
-                    bufs: &bufs,
-                    reactors: &reactors,
-                    stats: &stats,
-                    cfg,
-                },
-            );
-        }
-        stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-    fold_ring_stats(&bufs, &stats, &mut last_hits, &mut last_misses);
-}
-
-/// Service one uring-side connection (promote, submit, backpressure)
-/// and retire it when done. `done()` is false while a writev is in
-/// flight, so retirement always happens with no pinned buffers.
-fn service_and_maybe_retire_uring(
-    conn: u64,
-    conns: &mut HashMap<u64, SdConn>,
-    ring: &mut uring::Uring,
-    ctx: &ShardCtx<'_>,
-    next_sweep: &mut Option<Instant>,
-    inflight_ops: &mut u64,
-) {
-    let Some(c) = conns.get_mut(&conn) else {
-        return; // stale touch after retire
-    };
-    c.touched = false;
-    service_conn_uring(conn, c, ring, ctx, next_sweep, inflight_ops);
-    if c.done() {
-        let mut c = conns.remove(&conn).expect("conn just found");
-        free_unwritten(&mut c, ctx);
-        ctx.stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
-        // The write half drops here: the client sees EOF.
-    }
-}
-
-fn service_conn_uring(
-    conn: u64,
-    c: &mut SdConn,
-    ring: &mut uring::Uring,
-    ctx: &ShardCtx<'_>,
-    next_sweep: &mut Option<Instant>,
-    inflight_ops: &mut u64,
-) {
-    // Promote every in-order run from the reorder ring to the queue.
-    while let Some((count, bytes)) = c.pending.remove(c.next) {
-        c.next += count;
-        c.queue.push_back(bytes);
-    }
-    if !c.dead && c.inflight.is_none() && !c.queue.is_empty() {
-        submit_writev(conn, c, ring, ctx, next_sweep, inflight_ops);
-    }
-    if !c.dead {
-        ctx.stats
-            .sd_pending_bytes_hiwater
-            .fetch_max(c.unsent as u64, Ordering::Relaxed);
-        if !c.read_paused && c.unsent > ctx.cfg.hiwater {
-            c.read_paused = true;
-            ctx.stats.sd_read_pauses.fetch_add(1, Ordering::Relaxed);
-            ctx.reactors.set_read(conn, false);
-        } else if c.read_paused && c.unsent <= ctx.cfg.lowater {
-            c.read_paused = false;
-            ctx.reactors.set_read(conn, true);
-        }
-    }
-}
-
-/// Build and queue one writev SQE over the front of `c.queue` (up to
-/// [`SD_IOV_MAX`] buffers), filling the connection's reusable iovec
-/// array (allocated once, on the first write). The array stays pinned
-/// until the CQE lands; every submission arms the stall deadline,
-/// since an op that never completes is exactly a wedged peer.
-fn submit_writev(
-    conn: u64,
-    c: &mut SdConn,
-    ring: &mut uring::Uring,
-    ctx: &ShardCtx<'_>,
-    next_sweep: &mut Option<Instant>,
-    inflight_ops: &mut u64,
-) {
-    let iov = c.iov.get_or_insert_with(|| {
-        Box::new(
-            [uring::IoVec {
-                base: std::ptr::null(),
-                len: 0,
-            }; SD_IOV_MAX],
-        )
-    });
-    let mut n_iov = 0u32;
-    let mut submitted = 0usize;
-    for (i, b) in c.queue.iter().enumerate().take(SD_IOV_MAX) {
-        let s: &[u8] = if i == 0 { &b[c.head_written..] } else { &b[..] };
-        iov[n_iov as usize] = uring::IoVec {
-            base: s.as_ptr(),
-            len: s.len(),
-        };
-        submitted += s.len();
-        n_iov += 1;
-    }
-    let fd = c.stream.as_raw_fd();
-    // SAFETY: `iov` and the queue buffers it points into stay valid
-    // until the CQE is reaped — `inflight` gates every queue mutation
-    // and every refill of the iovec array, the boxed array's heap
-    // address is stable, and teardown drains in-flight ops before
-    // freeing.
-    loop {
-        if unsafe { ring.push_writev(fd, iov.as_ptr(), n_iov, ud(UD_WRITE, conn)) } {
-            break;
-        }
-        if ring.submit().is_err() {
-            return; // broken ring: the loop is about to exit; teardown frees the run
-        }
-    }
-    *inflight_ops += 1;
-    let since = Instant::now();
-    c.inflight = Some(InflightWrite { submitted, since });
-    let deadline = since + ctx.cfg.stall;
-    *next_sweep = Some(match *next_sweep {
-        Some(at) => at.min(deadline),
-        None => deadline,
-    });
-}
-
-/// Apply one writev completion: advance the queue by the written byte
-/// count, count a park when the write came up short with data still
-/// queued (the socket buffer filled — uring's `WouldBlock`), run the
-/// deferred free for peers that died while the op was in flight, and
-/// re-service (which resubmits any remainder or retires).
-fn handle_write_cqe(
-    conn: u64,
-    res: i32,
-    conns: &mut HashMap<u64, SdConn>,
-    ring: &mut uring::Uring,
-    ctx: &ShardCtx<'_>,
-    next_sweep: &mut Option<Instant>,
-    inflight_ops: &mut u64,
-) {
-    let Some(c) = conns.get_mut(&conn) else {
-        return; // raced with retirement
-    };
-    let Some(finished) = c.inflight.take() else {
-        return;
-    };
-    if res < 0 {
-        match -res {
-            // Canceled by the stall sweep (already marked dead) or a
-            // spurious interruption; the paths below handle both.
-            ECANCELED | EINTR_RAW => {}
-            _ => mark_dead(conn, c, ctx),
-        }
-    } else if res == 0 {
-        // Zero-byte vectored write: peer is gone.
-        mark_dead(conn, c, ctx);
-    } else {
-        let n = res as usize;
-        advance_queue(&mut c.queue, &mut c.head_written, n, ctx.bufs);
-        c.unsent -= n;
-        if n < finished.submitted && !c.queue.is_empty() {
-            ctx.stats.sd_writable_parks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if c.dead {
-        // Deferred free: `mark_dead` could not reclaim buffers while
-        // the kernel held the iovecs; it can now.
-        free_unwritten(c, ctx);
-    }
-    service_and_maybe_retire_uring(conn, conns, ring, ctx, next_sweep, inflight_ops);
-}
-
-/// Retire every connection whose in-flight writev has been outstanding
-/// past the stall deadline: mark it dead (shutting the socket down,
-/// which normally completes the op with an error) and push a cancel for
-/// good measure. Buffer reclamation and map removal happen at the CQE.
+/// Retire every connection whose write has been in flight past the
+/// stall deadline: mark it dead (shutting the socket down) and cancel
+/// the op. Buffer reclamation and map removal happen at its completion.
 /// Returns the next deadline still outstanding.
-fn sweep_stalls_uring(
+fn sweep_stalls<D: IoDriver>(
     conns: &mut HashMap<u64, SdConn>,
-    ring: &mut uring::Uring,
+    driver: &mut D,
     ctx: &ShardCtx<'_>,
-    inflight_ops: &mut u64,
 ) -> Option<Instant> {
     let now = Instant::now();
     let mut next: Option<Instant> = None;
     for (&conn, c) in conns.iter_mut() {
-        if c.dead {
-            continue;
-        }
-        let Some(infl) = c.inflight.as_ref() else {
+        let Some((_, since)) = c.out.in_flight.filter(|_| !c.dead) else {
             continue;
         };
-        let deadline = infl.since + ctx.cfg.stall;
+        let deadline = since + ctx.cfg.stall;
         if now >= deadline {
             ctx.stats.sd_stall_retired.fetch_add(1, Ordering::Relaxed);
             mark_dead(conn, c, ctx);
-            loop {
-                if ring.push_cancel(ud(UD_WRITE, conn), ud(UD_CANCEL, 0)) {
-                    *inflight_ops += 1;
-                    break;
-                }
-                if ring.submit().is_err() {
-                    break;
-                }
-            }
+            driver.cancel(c.stream.as_raw_fd(), ud(UD_WRITE, conn));
         } else {
-            next = Some(match next {
-                Some(at) => at.min(deadline),
-                None => deadline,
-            });
+            next = Some(next.map_or(deadline, |at| at.min(deadline)));
         }
     }
     next
-}
-
-/// Write as much of `queue` as the socket will take in vectored chunks
-/// of up to [`SD_IOV_MAX`] buffers, returning fully written buffers to
-/// `pool`. Returns `(bytes_written, blocked)`; `blocked` means the
-/// socket returned `WouldBlock` with data still queued. The iovec
-/// scratch is a stack array (`IoSlice` is `Copy`), so this performs no
-/// allocation.
-#[doc(hidden)]
-pub fn write_queue(
-    stream: &mut TcpStream,
-    queue: &mut VecDeque<BytesMut>,
-    head_written: &mut usize,
-    pool: &BufRing,
-) -> std::io::Result<(usize, bool)> {
-    let mut sys = 0u64;
-    write_queue_counted(stream, queue, head_written, pool, &mut sys)
-}
-
-/// [`write_queue`] with a syscall out-counter: every `writev` attempt
-/// (including `WouldBlock`/`Interrupted` returns) bumps `syscalls`, so
-/// the epoll backend's `ring_enters` stays comparable with uring's
-/// enter count.
-pub(crate) fn write_queue_counted(
-    stream: &mut TcpStream,
-    queue: &mut VecDeque<BytesMut>,
-    head_written: &mut usize,
-    pool: &BufRing,
-    syscalls: &mut u64,
-) -> std::io::Result<(usize, bool)> {
-    let mut total = 0usize;
-    while !queue.is_empty() {
-        let mut iov = [IoSlice::new(&[]); SD_IOV_MAX];
-        let mut n_iov = 0usize;
-        for (i, b) in queue.iter().enumerate().take(SD_IOV_MAX) {
-            iov[n_iov] = IoSlice::new(if i == 0 { &b[*head_written..] } else { &b[..] });
-            n_iov += 1;
-        }
-        *syscalls += 1;
-        let n = match stream.write_vectored(&iov[..n_iov]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "wrote zero bytes",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok((total, true)),
-            Err(e) => return Err(e),
-        };
-        total += n;
-        advance_queue(queue, head_written, n, pool);
-    }
-    Ok((total, false))
-}
-
-/// Consume `advanced` written bytes from the front of `queue`,
-/// returning fully drained buffers to `pool` and tracking the partial
-/// offset of the new front in `head_written`. Shared by both backends'
-/// write paths.
-fn advance_queue(
-    queue: &mut VecDeque<BytesMut>,
-    head_written: &mut usize,
-    mut advanced: usize,
-    pool: &BufRing,
-) {
-    while advanced > 0 {
-        let avail = queue.front().expect("bytes written from a buffer").len() - *head_written;
-        if advanced >= avail {
-            advanced -= avail;
-            *head_written = 0;
-            pool.put(queue.pop_front().expect("front just measured"));
-        } else {
-            *head_written += advanced;
-            advanced = 0;
-        }
-    }
 }
 
 #[cfg(test)]

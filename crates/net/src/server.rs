@@ -24,6 +24,9 @@ use crate::codec::{
     decode_request, encode_reply_into, request_query_estimate, ProtocolKind, RequestMeta,
     PROTOCOL_KINDS,
 };
+use crate::driver::{
+    resolve_backend, EpollDriver, IoBackend, IoBackendChoice, IoDriver, UringDriver,
+};
 use crate::nic::FrameRing;
 use crate::protocol::ProtocolError;
 use crate::sd::{ResponseRun, RunBatch, SdPlane};
@@ -53,6 +56,11 @@ const IDLE_WAIT: Duration = Duration::from_millis(5);
 /// enough that a pipelined client's whole burst of small frames arrives
 /// in one syscall.
 pub(crate) const READ_CHUNK: usize = 16 << 10;
+
+/// Largest recv window a saturated connection grows to (see
+/// [`FrameReader::begin_recv`]) — the most one connection delivers per
+/// completion before its siblings get a turn.
+const MAX_RECV_WINDOW: usize = 8 * READ_CHUNK;
 
 /// Longest a [`KvClient`] send parks waiting for a stalled socket to
 /// become writable again before failing with `TimedOut`. (The server's
@@ -132,9 +140,10 @@ pub struct ServerStats {
     /// Which I/O backend the I/O planes resolved at spawn (a gauge:
     /// 0 = epoll, 1 = io_uring; see [`IoBackend`]).
     pub io_backend: AtomicU64,
-    /// I/O-plane syscalls issued by reactors and SD shards: every
-    /// `io_uring_enter` on the uring backend; every `epoll_wait`,
-    /// `read`, and `writev` on the epoll backend. Divide by `queries`
+    /// I/O-plane syscalls issued by reactors and SD shards, as counted
+    /// by their drivers: every `io_uring_enter` on the uring backend;
+    /// every `epoll_wait`, `read`, and `writev` on the epoll backend.
+    /// Divide by `queries`
     /// for the syscalls-per-query estimate the connpath harness
     /// reports.
     pub ring_enters: AtomicU64,
@@ -195,11 +204,11 @@ impl ServerStats {
         self.cqe_per_enter_hist[hist_bucket(cqes)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The uring backend's completions-per-enter histogram (CQEs reaped
-    /// per `io_uring_enter`, bucketed like
-    /// [`ServerStats::batch_histogram`]). All zeros on the epoll
-    /// backend. High buckets mean one ring enter is amortizing many
-    /// per-connection reads/writes.
+    /// The completions-per-wait histogram: completions one
+    /// `IoDriver::wait` returned to a reactor or SD shard (CQEs per
+    /// `io_uring_enter` on the uring backend), bucketed like
+    /// [`ServerStats::batch_histogram`]. High buckets mean one wait is
+    /// amortizing many per-connection reads/writes.
     #[must_use]
     pub fn cqe_per_enter_histogram(&self) -> [u64; BATCH_HIST_BUCKETS] {
         std::array::from_fn(|i| self.cqe_per_enter_hist[i].load(Ordering::Relaxed))
@@ -328,7 +337,7 @@ pub struct NetStatsSnapshot {
     pub batch_hist: [u64; BATCH_HIST_BUCKETS],
     /// Frames-per-readiness-read histogram (same buckets).
     pub read_burst_hist: [u64; BATCH_HIST_BUCKETS],
-    /// CQEs-reaped-per-enter histogram (same buckets; uring only).
+    /// Completions-per-wait histogram (same buckets).
     pub cqe_per_enter_hist: [u64; BATCH_HIST_BUCKETS],
 }
 
@@ -384,147 +393,6 @@ impl NetStatsSnapshot {
                 self.cqe_per_enter_hist[i] - earlier.cqe_per_enter_hist[i]
             }),
         }
-    }
-}
-
-/// Which syscall backend the I/O planes should use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IoBackendChoice {
-    /// Probe at spawn: io_uring when the kernel exposes a fully usable
-    /// ring, else the epoll shim. The `DIDO_IO_BACKEND` environment
-    /// variable (`uring` / `epoll`) overrides the probe, so test and
-    /// CI runs can pin a backend without touching configs.
-    #[default]
-    Auto,
-    /// Readiness-driven plane over the vendored epoll shim
-    /// (`compat-mio`).
-    Epoll,
-    /// Batched-submission plane over the vendored io_uring binding
-    /// (`compat-uring`); spawning fails with `Unsupported` when the
-    /// kernel lacks io_uring rather than silently falling back.
-    Uring,
-}
-
-/// The backend [`IoBackendChoice`] resolved to at spawn. Encoded into
-/// the [`ServerStats::io_backend`] gauge as its discriminant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoBackend {
-    /// Readiness-driven epoll plane (gauge value 0).
-    Epoll = 0,
-    /// Batched-submission io_uring plane (gauge value 1).
-    Uring = 1,
-}
-
-impl IoBackend {
-    /// Stable lowercase name (`"epoll"` / `"uring"`), as recorded in
-    /// bench reports.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoBackend::Epoll => "epoll",
-            IoBackend::Uring => "uring",
-        }
-    }
-
-    /// Decode the [`ServerStats::io_backend`] gauge back to a name.
-    #[must_use]
-    pub fn name_of(gauge: u64) -> &'static str {
-        if gauge == IoBackend::Uring as u64 {
-            "uring"
-        } else {
-            "epoll"
-        }
-    }
-}
-
-impl From<IoBackend> for IoBackendChoice {
-    /// Pin a resolved backend back into a config choice (never
-    /// `Auto`), for harnesses that sweep both backends explicitly.
-    fn from(backend: IoBackend) -> IoBackendChoice {
-        match backend {
-            IoBackend::Epoll => IoBackendChoice::Epoll,
-            IoBackend::Uring => IoBackendChoice::Uring,
-        }
-    }
-}
-
-/// Whether the running kernel exposes a fully usable io_uring (cached
-/// probe: setup, required features and opcodes, NOP round-trip).
-#[must_use]
-pub fn uring_available() -> bool {
-    uring::available()
-}
-
-/// The backend matrix test suites and bench harnesses sweep: always
-/// [`IoBackend::Epoll`], plus [`IoBackend::Uring`] when the kernel
-/// probe finds a usable ring. Prints a skip notice to stderr when the
-/// uring leg is dropped, so a green matrix log can't silently mean
-/// "epoll passed twice".
-///
-/// `DIDO_IO_BACKEND=epoll|uring` pins the matrix to one leg — the CI
-/// escape hatch (e.g. an epoll-only sanitizer run, or forcing the
-/// uring leg so its skip is loud). A pinned `uring` on a kernel
-/// without io_uring falls back to epoll with a notice: matrix callers
-/// are test suites that must still run.
-#[must_use]
-pub fn backend_matrix() -> Vec<IoBackend> {
-    match std::env::var("DIDO_IO_BACKEND").as_deref() {
-        Ok("epoll") => return vec![IoBackend::Epoll],
-        Ok("uring") => {
-            if uring::available() {
-                return vec![IoBackend::Uring];
-            }
-            eprintln!(
-                "note: DIDO_IO_BACKEND=uring but kernel has no usable io_uring ({}); \
-                 running the epoll leg only",
-                uring::probe().reason
-            );
-            return vec![IoBackend::Epoll];
-        }
-        _ => {}
-    }
-    let mut backends = vec![IoBackend::Epoll];
-    if uring::available() {
-        backends.push(IoBackend::Uring);
-    } else {
-        eprintln!(
-            "note: skipping io_uring matrix leg ({})",
-            uring::probe().reason
-        );
-    }
-    backends
-}
-
-/// Resolve a backend choice against the environment and the kernel
-/// probe. `Auto` honors `DIDO_IO_BACKEND` before probing; an explicit
-/// `Uring` on a kernel without io_uring is an error.
-pub(crate) fn resolve_backend(choice: IoBackendChoice) -> std::io::Result<IoBackend> {
-    let choice = if choice == IoBackendChoice::Auto {
-        match std::env::var("DIDO_IO_BACKEND").as_deref() {
-            Ok("uring") => IoBackendChoice::Uring,
-            Ok("epoll") => IoBackendChoice::Epoll,
-            _ => IoBackendChoice::Auto,
-        }
-    } else {
-        choice
-    };
-    match choice {
-        IoBackendChoice::Epoll => Ok(IoBackend::Epoll),
-        IoBackendChoice::Uring => {
-            if uring::available() {
-                Ok(IoBackend::Uring)
-            } else {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    format!("io_uring backend unavailable: {}", uring::probe().reason),
-                ))
-            }
-        }
-        IoBackendChoice::Auto => Ok(if uring::available() {
-            IoBackend::Uring
-        } else {
-            IoBackend::Epoll
-        }),
     }
 }
 
@@ -820,11 +688,8 @@ impl Drop for KvServer {
     }
 }
 
-/// Spawn the topology: reactor scaffold, SD egress shards, dispatchers,
-/// then the reactor pool (which owns the listeners and the accept path).
-/// The reactor scaffold (polls + command queues) is built *before* the
-/// SD shards spawn because backpressure needs the reactor command
-/// handles.
+/// Resolve the I/O backend — the one place a driver adapter is chosen —
+/// and spawn the topology on it.
 fn spawn_topology<F>(
     addrs: Vec<SocketAddr>,
     listeners: Vec<(TcpListener, ProtocolKind)>,
@@ -836,29 +701,58 @@ where
     F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
 {
     let stats = Arc::new(ServerStats::default());
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let doorbell = Arc::new(Doorbell::default());
     let backend = resolve_backend(cfg.io_backend)?;
     stats.io_backend.store(backend as u64, Ordering::Relaxed);
+    match backend {
+        IoBackend::Epoll => {
+            spawn_planes::<EpollDriver, F>(addrs, listeners, cfg, clock, handler, stats)
+        }
+        IoBackend::Uring => {
+            spawn_planes::<UringDriver, F>(addrs, listeners, cfg, clock, handler, stats)
+        }
+    }
+}
+
+/// Spawn the planes over driver `D`: reactor scaffold, SD egress shards,
+/// dispatchers, then the reactor pool (which owns the listeners and the
+/// accept path). Every driver is built here, before any thread spawns —
+/// a ring or selector that cannot be set up fails the start — and the
+/// reactor scaffold comes first because SD backpressure needs the
+/// reactor command handles.
+fn spawn_planes<D, F>(
+    addrs: Vec<SocketAddr>,
+    listeners: Vec<(TcpListener, ProtocolKind)>,
+    cfg: BatchConfig,
+    clock: SharedClock,
+    handler: Arc<F>,
+    stats: Arc<ServerStats>,
+) -> std::io::Result<KvServer>
+where
+    D: IoDriver + 'static,
+    F: Fn(usize, Vec<Query>) -> Vec<Response> + Send + Sync + 'static,
+{
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let doorbell = Arc::new(Doorbell::default());
     let ring: Arc<FrameRing<TaggedFrame>> = Arc::new(FrameRing::new(cfg.ring_slots.max(1)));
-    let (scaffold, handles) =
-        crate::reactor::build_reactor_scaffold(crate::reactor::effective_readers(cfg.readers))?;
+    let (scaffold, handles) = crate::reactor::build_reactor_scaffold::<D>(
+        crate::reactor::effective_readers(cfg.readers),
+    )?;
     let handles = Arc::new(handles);
 
     let n_sd = crate::sd::effective_sd_writers(cfg.sd_writers);
-    let (plane, parts) = crate::sd::build_sd_plane(n_sd)?;
+    let (plane, parts) = crate::sd::build_sd_plane::<D>(n_sd)?;
     let plane = Arc::new(plane);
     stats
         .sd_writer_threads
         .store(n_sd as u64, Ordering::Relaxed);
-    let shard_cfg = crate::sd::SdShardCfg::new(cfg.sd_stall_timeout, cfg.sd_hiwater_bytes, backend);
+    let shard_cfg = crate::sd::SdShardCfg::new(cfg.sd_stall_timeout, cfg.sd_hiwater_bytes);
     let mut sd = Vec::with_capacity(n_sd);
     for (idx, part) in parts.into_iter().enumerate() {
         let reactors = Arc::clone(&handles);
         let stats = Arc::clone(&stats);
         let spawned = std::thread::Builder::new()
             .name(format!("dido-sd-{idx}"))
-            .spawn(move || crate::sd::run_sd_shard(part, shard_cfg, reactors, stats));
+            .spawn(move || crate::sd::run_sd_shard(part, shard_cfg, &reactors, &stats));
         match spawned {
             Ok(t) => sd.push(t),
             Err(e) => {
@@ -912,7 +806,6 @@ where
         shutdown: Arc::clone(&shutdown),
         doorbell: Arc::clone(&doorbell),
         sndbuf_bytes: cfg.sndbuf_bytes,
-        backend,
     };
     // After the pool spawns, only reactors and dispatchers hold
     // `SdPlane` handles (the local one drops below), which is what lets
@@ -1207,16 +1100,19 @@ pub(crate) struct FrameReader {
     /// Complete request payloads carved but not yet handed to the
     /// caller.
     pending: VecDeque<Bytes>,
-    /// Start of the in-flight recv window ([`FrameReader::begin_recv`])
-    /// relative to `buf`; only meaningful between `begin_recv` and the
-    /// matching `complete_recv`/`abort_recv`.
-    recv_base: usize,
+    /// Start, relative to `buf`, of the recv window opened by
+    /// [`FrameReader::begin_recv`] and not yet closed by
+    /// `complete_recv`/`abort_recv`.
+    window: Option<usize>,
+    /// Length of the next recv window (0 until the first: read as
+    /// [`READ_CHUNK`]).
+    window_len: usize,
     /// Scratch payload ranges of the current carve pass (kept across
     /// calls for its capacity).
     scratch: Vec<(usize, usize)>,
 }
 
-/// Outcome of a [`FrameReader::read_ready`] pass.
+/// Socket state after a [`FrameReader::complete_recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadReady {
     /// The socket is still open; more data may arrive later.
@@ -1260,97 +1156,55 @@ impl FrameReader {
         }
     }
 
-    /// Nonblocking burst read for readiness-driven callers: pull up to
-    /// `budget` bytes from a nonblocking socket, appending every
-    /// complete frame carved to `out` — on **every** exit path, so
-    /// frames framed before an EOF or error are never lost.
+    /// Open a recv window for an [`IoDriver::recv`]: reserve writable
+    /// (zeroed) bytes at the tail of `buf` and return the pointer/len
+    /// the op should target. The window is sized to what the last
+    /// completion delivered (rounded up to [`READ_CHUNK`], the
+    /// minimum), doubling up to [`MAX_RECV_WINDOW`] when it was filled,
+    /// so a saturated stream drains in a few large bursts while an
+    /// ordinary one never zeroes more than a chunk. Until
+    /// [`FrameReader::complete_recv`] or [`FrameReader::abort_recv`]
+    /// closes it the window belongs to the driver (the pinned-buffer
+    /// contract): the reader must not be touched, which the reactor
+    /// guarantees by keeping at most one recv in flight per connection.
     ///
-    /// Returns [`ReadReady::Open`] when the socket drained
-    /// (`WouldBlock`) or the budget ran out — level-triggered
-    /// registration re-reports leftover data on the next poll — and
-    /// [`ReadReady::Closed`] on clean EOF at a frame boundary. Mid-frame
-    /// EOF and oversized/short frames are errors; either way the caller
-    /// retires the connection. The frame-boundary invariant of
-    /// [`FrameReader::read_frame`] holds structurally here: a partial
-    /// frame's bytes simply stay buffered across readiness events.
-    pub(crate) fn read_ready(
-        &mut self,
-        stream: &mut TcpStream,
-        out: &mut Vec<Bytes>,
-        budget: usize,
-        syscalls: &mut u64,
-    ) -> std::io::Result<ReadReady> {
-        let mut pulled = 0usize;
-        let status = loop {
-            if pulled >= budget {
-                break ReadReady::Open;
-            }
-            let old = self.buf.len();
-            self.buf.resize(old + READ_CHUNK, 0);
-            *syscalls += 1;
-            match stream.read(&mut self.buf[old..]) {
-                Ok(0) => {
-                    self.buf.resize(old, 0);
-                    if old == 0 {
-                        break ReadReady::Closed;
-                    }
-                    out.extend(self.pending.drain(..));
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "EOF inside a frame",
-                    ));
-                }
-                Ok(n) => {
-                    self.buf.resize(old + n, 0);
-                    pulled += n;
-                    if let Err(e) = self.carve() {
-                        out.extend(self.pending.drain(..));
-                        return Err(e);
-                    }
-                }
-                Err(e) => {
-                    self.buf.resize(old, 0);
-                    match e.kind() {
-                        std::io::ErrorKind::Interrupted => continue,
-                        std::io::ErrorKind::WouldBlock => break ReadReady::Open,
-                        _ => {
-                            out.extend(self.pending.drain(..));
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        };
-        out.extend(self.pending.drain(..));
-        Ok(status)
-    }
-
-    /// Open a recv window for the uring backend: reserve
-    /// [`READ_CHUNK`] writable bytes at the tail of `buf` (zeroed, same
-    /// cost as the epoll path's resize) and return the pointer/len a
-    /// `RECV` SQE should target. The window — and the whole reader —
-    /// must stay untouched until [`FrameReader::complete_recv`] or
-    /// [`FrameReader::abort_recv`] closes it; the reactor guarantees
-    /// this by keeping at most one recv in flight per connection.
+    /// [`IoDriver::recv`]: crate::driver::IoDriver::recv
     pub(crate) fn begin_recv(&mut self) -> (*mut u8, u32) {
+        debug_assert!(self.window.is_none(), "one recv window at a time");
         let old = self.buf.len();
-        self.buf.resize(old + READ_CHUNK, 0);
-        self.recv_base = old;
-        (unsafe { self.buf.as_mut_ptr().add(old) }, READ_CHUNK as u32)
+        let len = self.window_len.max(READ_CHUNK);
+        self.buf.resize(old + len, 0);
+        self.window = Some(old);
+        (self.buf[old..].as_mut_ptr(), len as u32)
     }
 
-    /// Commit `n` received bytes into the window opened by
-    /// [`FrameReader::begin_recv`], carve every complete frame into
-    /// `out`, and report the socket state exactly like
-    /// [`FrameReader::read_ready`] (`n == 0` is EOF: clean at a frame
-    /// boundary, an error mid-frame).
+    /// Whether a recv window is open (an op may still target it).
+    pub(crate) fn window_open(&self) -> bool {
+        self.window.is_some()
+    }
+
+    /// Commit `n` received bytes into the open window and carve every
+    /// complete frame into `out` — on **every** exit path, so frames
+    /// framed before an EOF or error are never lost. `n == 0` is EOF:
+    /// [`ReadReady::Closed`] at a frame boundary, an error mid-frame.
+    /// Oversized/short frames are errors too; either way the caller
+    /// retires the connection. A partial frame's bytes simply stay
+    /// buffered across completions, so the frame-boundary invariant of
+    /// [`FrameReader::read_frame`] holds structurally.
     pub(crate) fn complete_recv(
         &mut self,
         n: usize,
         out: &mut Vec<Bytes>,
     ) -> std::io::Result<ReadReady> {
-        let base = self.recv_base;
-        debug_assert!(n <= READ_CHUNK);
+        let base = self.window.take().expect("complete_recv without a window");
+        let len = self.buf.len() - base;
+        debug_assert!(n <= len);
+        self.window_len = if n == len {
+            2 * len
+        } else {
+            n.next_multiple_of(READ_CHUNK)
+        }
+        .clamp(READ_CHUNK, MAX_RECV_WINDOW);
         self.buf.truncate(base + n);
         if n == 0 {
             if base == 0 {
@@ -1367,12 +1221,13 @@ impl FrameReader {
         Ok(ReadReady::Open)
     }
 
-    /// Close an in-flight recv window without committing any bytes
-    /// (the op was canceled or failed); buffered partial-frame bytes
-    /// are preserved.
+    /// Close the open recv window (if any) without committing bytes —
+    /// the op was canceled or failed; buffered partial-frame bytes are
+    /// preserved.
     pub(crate) fn abort_recv(&mut self) {
-        let base = self.recv_base;
-        self.buf.truncate(base);
+        if let Some(base) = self.window.take() {
+            self.buf.truncate(base);
+        }
     }
 
     /// One socket read into the tail of `buf`, then carve. `Ok(false)`

@@ -5,12 +5,10 @@
 //!
 //! Thread counts come from `/proc/self/task`, so this file holds a
 //! single test and nothing else runs in the binary to pollute the
-//! count (Linux only).
-
-#![cfg(target_os = "linux")]
+//! count.
 
 use dido_model::{Query, Response};
-use dido_net::{BatchConfig, KvClient, KvServer};
+use dido_net::{backend_matrix, BatchConfig, IoBackend, KvClient, KvServer};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -29,8 +27,18 @@ fn thread_count() -> usize {
 
 #[test]
 fn shutdown_joins_every_thread_and_idle_conns_see_it_promptly() {
+    for backend in backend_matrix() {
+        audit(backend);
+    }
+}
+
+fn audit(backend: IoBackend) {
     let before = thread_count();
-    let server = KvServer::start("127.0.0.1:0", key_echo_handler).unwrap();
+    let cfg = BatchConfig {
+        io_backend: backend.into(),
+        ..BatchConfig::default()
+    };
+    let server = KvServer::start_batched("127.0.0.1:0", cfg, key_echo_handler).unwrap();
 
     // Live traffic plus one idle connection that never sends.
     let mut active: Vec<KvClient> = (0..6)
@@ -54,7 +62,7 @@ fn shutdown_joins_every_thread_and_idle_conns_see_it_promptly() {
     // its fixed pools, nothing per connection.
     let stats = server.stats();
     let pools = stats.reactor_threads.load(Ordering::Relaxed) as usize
-        + BatchConfig::default().dispatchers
+        + cfg.dispatchers
         + stats.sd_writer_threads.load(Ordering::Relaxed) as usize;
     assert_eq!(
         thread_count() - before,
