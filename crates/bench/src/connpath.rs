@@ -498,25 +498,14 @@ fn measure_cell(
     // Fleet fully open: give registration commands a beat to drain,
     // then sample the connection-plane gauges the report asserts on.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while (stats
-        .reactor_conns
-        .load(std::sync::atomic::Ordering::Relaxed) as usize)
-        < connections
-        && Instant::now() < deadline
-    {
+    while (stats.reactor_conns.get() as usize) < connections && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
-    let reader_threads = stats
-        .reactor_threads
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let registered_conns = stats
-        .reactor_conns
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let wakeups_before = stats
-        .reactor_wakeups
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let enters_before = stats.ring_enters.load(std::sync::atomic::Ordering::Relaxed);
-    let queries_before = stats.queries.load(std::sync::atomic::Ordering::Relaxed);
+    let reader_threads = stats.reactor_threads.get();
+    let registered_conns = stats.reactor_conns.get();
+    let wakeups_before = stats.reactor_wakeups.get();
+    let enters_before = stats.ring_enters.get();
+    let queries_before = stats.queries.get();
 
     go.wait();
     let start = Instant::now();
@@ -525,19 +514,15 @@ fn measure_cell(
         latencies.extend(w.join().expect("client thread"));
     }
     let elapsed = start.elapsed();
-    let mean_batch_frames = server.stats().mean_batch_frames();
-    let reactor_wakeups = stats
-        .reactor_wakeups
-        .load(std::sync::atomic::Ordering::Relaxed)
-        - wakeups_before;
-    let ring_enters = stats.ring_enters.load(std::sync::atomic::Ordering::Relaxed) - enters_before;
-    let served_queries = stats.queries.load(std::sync::atomic::Ordering::Relaxed) - queries_before;
+    let mean_batch_frames = server.stats().snapshot().mean_batch_frames();
+    let reactor_wakeups = stats.reactor_wakeups.get() - wakeups_before;
+    let ring_enters = stats.ring_enters.get() - enters_before;
+    let served_queries = stats.queries.get() - queries_before;
     // Egress gauges are sampled after shutdown: the shards fold their
     // buffer-ring counters one last time at teardown.
     server.shutdown();
-    let relaxed = std::sync::atomic::Ordering::Relaxed;
-    let hits = stats.sd_buf_hits.load(relaxed);
-    let lookups = hits + stats.sd_buf_misses.load(relaxed);
+    let hits = stats.sd_buf_hits.get();
+    let lookups = hits + stats.sd_buf_misses.get();
 
     latencies.sort_unstable();
     let total_queries = (latencies.len() * opts.frame_queries) as f64;
@@ -552,9 +537,9 @@ fn measure_cell(
         p99_us: percentile_us(&latencies, 0.99),
         mean_batch_frames,
         reactor_wakeups,
-        sd_writer_threads: stats.sd_writer_threads.load(relaxed),
-        sd_writable_parks: stats.sd_writable_parks.load(relaxed),
-        sd_pending_hiwater: stats.sd_pending_bytes_hiwater.load(relaxed),
+        sd_writer_threads: stats.sd_writer_threads.get(),
+        sd_writable_parks: stats.sd_writable_parks.get(),
+        sd_pending_hiwater: stats.sd_pending_bytes_hiwater.get(),
         sd_buf_hit_rate: if lookups == 0 {
             0.0
         } else {
@@ -639,12 +624,7 @@ fn measure_slow_pass(
         // Don't start the clock until the wedge is real: at least one
         // connection parked on WRITABLE readiness.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while stats
-            .sd_writable_parks
-            .load(std::sync::atomic::Ordering::Relaxed)
-            == 0
-            && Instant::now() < deadline
-        {
+        while stats.sd_writable_parks.get() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -701,7 +681,6 @@ pub fn run_slow_cell(opts: &ConnpathOptions, connections: usize) -> SlowCell {
     let (base_p99_us, _) = measure_slow_pass(opts, connections, &engine, &streams, 0);
     let (slow_p99_us, stats) =
         measure_slow_pass(opts, connections, &engine, &streams, SLOW_CONSUMERS);
-    let relaxed = std::sync::atomic::Ordering::Relaxed;
     SlowCell {
         connections,
         slow_consumers: SLOW_CONSUMERS,
@@ -712,10 +691,10 @@ pub fn run_slow_cell(opts: &ConnpathOptions, connections: usize) -> SlowCell {
         } else {
             0.0
         },
-        sd_writable_parks: stats.sd_writable_parks.load(relaxed),
-        sd_read_pauses: stats.sd_read_pauses.load(relaxed),
-        sd_stall_retired: stats.sd_stall_retired.load(relaxed),
-        sd_pending_hiwater: stats.sd_pending_bytes_hiwater.load(relaxed),
+        sd_writable_parks: stats.sd_writable_parks.get(),
+        sd_read_pauses: stats.sd_read_pauses.get(),
+        sd_stall_retired: stats.sd_stall_retired.get(),
+        sd_pending_hiwater: stats.sd_pending_bytes_hiwater.get(),
     }
 }
 

@@ -391,7 +391,7 @@ pub fn run_resize(opts: &ReshardOptions) -> ResizeRun {
         post_qps: qps_in(&events, settled_ns, end_ns),
         resize_ms: (settled - resize_start).as_secs_f64() * 1e3,
         dropped: core.engine().migrate_dropped(),
-        resizes: core.metrics().resizes,
+        resizes: core.metrics().control.resizes,
     }
 }
 

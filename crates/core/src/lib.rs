@@ -49,5 +49,5 @@ mod system;
 pub use metrics::Metrics;
 pub use profiler::{ProfilerConfig, WorkloadProfiler};
 pub use serving::{ControllerHandle, ServingCore};
-pub use striped::{MemoryFold, StatsFold, StripedStats};
+pub use striped::{ControlFold, MemoryFold, StatsFold, StripedStats};
 pub use system::{DidoOptions, DidoSystem, TraceSample};

@@ -7,8 +7,9 @@
 //! the same Figure-7 architecture:
 //!
 //! * **Data plane** — N network dispatchers concurrently call
-//!   [`ServingCore::process_batch`]. Each call folds the batch into its
-//!   lane's striped accumulators ([`StripedStats`]), loads the owning
+//!   [`ServingCore::process_batch`]. Each call folds the batch and its
+//!   outcome into its lane's striped accumulators ([`StripedStats`] —
+//!   relaxed adds on cells no other lane writes), loads the owning
 //!   shard's active configuration wait-free from an epoch-stamped
 //!   [`ConfigCell`], and executes the batch inline on the calling thread
 //!   over the [`ShardedEngine`]. No global lock anywhere on this path.
@@ -36,10 +37,10 @@ use crate::system::DidoOptions;
 use dido_cost_model::{CostModel, ModelInputs};
 use dido_kvstore::HEADER_SIZE;
 use dido_model::{ConfigCell, PipelineConfig, Query, QueryOp, Response, ResponseStatus};
-use dido_net::NetStatsSnapshot;
 use dido_pipeline::{EngineConfig, ResizeError, RunOptions, ShardedEngine};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,15 +57,22 @@ const RESIZE_CHUNK_KEYS: usize = 512;
 /// blocking one.
 const SWEEP_SEGMENTS_PER_TICK: usize = 32;
 
+thread_local! {
+    /// Which queries of the batch in flight on this dispatcher thread
+    /// are GETs. The batch moves into the engine, so the mask is what
+    /// pairs responses back to ops; it lives per thread so a warmed
+    /// dispatcher never allocates for it.
+    static GET_MASK: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Control-plane state: everything only the (single) controller and
-/// occasional administrative calls touch.
+/// occasional administrative calls touch. (Its counters are lock-free
+/// cells in [`StripedStats`].)
 struct ControlState {
     profiler: WorkloadProfiler,
     /// The fold consumed by the previous tick; the next tick profiles
     /// the delta against it.
     last_fold: StatsFold,
-    adaptions: usize,
-    model_runs: usize,
 }
 
 /// The concurrent adaptive serving core (data plane + control plane).
@@ -87,7 +95,6 @@ pub struct ServingCore {
     /// The in-flight background migration worker, if any.
     resize_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     control: Mutex<ControlState>,
-    metrics: Mutex<Metrics>,
 }
 
 impl ServingCore {
@@ -156,10 +163,7 @@ impl ServingCore {
             control: Mutex::new(ControlState {
                 profiler: WorkloadProfiler::new(options.profiler),
                 last_fold: StatsFold::default(),
-                adaptions: 0,
-                model_runs: 0,
             }),
-            metrics: Mutex::new(Metrics::default()),
             engine: Arc::new(engine),
             options,
         }
@@ -223,17 +227,19 @@ impl ServingCore {
         }
     }
 
-    /// Total configuration changes published by the control plane.
+    /// Configurations published by the control plane: one per shard
+    /// whose configuration changed (a tick that re-plans two shards
+    /// counts two).
     #[must_use]
     pub fn adaptions(&self) -> usize {
-        self.control.lock().adaptions
+        self.stripes.control.adaptions.get() as usize
     }
 
     /// Cost-model runs (each >10 %-drift tick runs the model once per
     /// shard but counts as one run, matching the sequential system).
     #[must_use]
     pub fn model_runs(&self) -> usize {
-        self.control.lock().model_runs
+        self.stripes.control.model_runs.get() as usize
     }
 
     /// Reset the profiler baseline so the next tick re-runs the model.
@@ -241,22 +247,12 @@ impl ServingCore {
         self.control.lock().profiler.force_readapt();
     }
 
-    /// Snapshot of the rolling operational metrics. Clones so callers
-    /// format/print without holding any lock.
+    /// The node's operational metrics, assembled now from the lanes,
+    /// the control counters and the memory snapshot. Busy time is the
+    /// busiest lane's, so the mean rate is the node's, not one lane's.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        self.metrics.lock().clone()
-    }
-
-    /// Fold a network front-end delta into the node metrics.
-    pub fn record_net_stats(&self, delta: &NetStatsSnapshot) {
-        self.metrics.lock().record_net_stats(delta);
-    }
-
-    /// Cumulative striped-accumulator fold (for tests and monitoring).
-    #[must_use]
-    pub fn stats_fold(&self) -> StatsFold {
-        self.stripes.fold()
+        self.stripes.metrics(self.stripes.busiest_lane_ns() as f64)
     }
 
     /// Aggregate live objects across shards.
@@ -280,26 +276,21 @@ impl ServingCore {
         self.engine.execute(q)
     }
 
-    /// Process one batch on dispatcher lane `lane`. Lock-free profiling,
-    /// wait-free config load, inline execution on the calling thread;
-    /// safe and intended to be called concurrently from every
+    /// Process one batch on dispatcher lane `lane`. Lock-free profiling
+    /// and bookkeeping (nothing here is shared between lanes, and a
+    /// warmed dispatcher allocates nothing beyond what the engine
+    /// does), wait-free config load, inline execution on the calling
+    /// thread; safe and intended to be called concurrently from every
     /// dispatcher.
     pub fn process_batch(&self, lane: usize, queries: Vec<Query>) -> Vec<Response> {
-        let n = queries.len() as u64;
-        if n == 0 {
+        if queries.is_empty() {
             return Vec::new();
         }
         self.stripes
             .observe(lane, &queries, self.engine.live_objects() as u64);
-        let mut gets = 0u64;
-        let is_get: Vec<bool> = queries
-            .iter()
-            .map(|q| {
-                let g = q.op == QueryOp::Get;
-                gets += u64::from(g);
-                g
-            })
-            .collect();
+        let mut is_get = GET_MASK.take();
+        is_get.clear();
+        is_get.extend(queries.iter().map(|q| q.op == QueryOp::Get));
         // One Arc clone per batch: the cells themselves stay wait-free;
         // the RwLock is only written when a resize swaps the topology.
         let configs = Arc::clone(&self.configs.read());
@@ -311,7 +302,7 @@ impl ServingCore {
             // always a valid answer.
             configs.get(shard).unwrap_or(&configs[0]).load().0
         });
-        let elapsed_ns = started.elapsed().as_nanos() as f64;
+        let busy_ns = started.elapsed().as_nanos() as u64;
         let mut hits = 0u64;
         let mut hit_bytes = 0u64;
         for (r, g) in responses.iter().zip(&is_get) {
@@ -320,10 +311,9 @@ impl ServingCore {
                 hit_bytes += r.value.len() as u64;
             }
         }
-        self.stripes.record_hits(lane, hits, hit_bytes);
-        self.metrics
-            .lock()
-            .record_batch(shard0_config, n, gets, hits, elapsed_ns);
+        GET_MASK.set(is_get);
+        self.stripes
+            .record_batch(lane, shard0_config, hits, hit_bytes, busy_ns);
         responses
     }
 
@@ -349,7 +339,7 @@ impl ServingCore {
         if stats.batch_size == 0 || !ctl.profiler.should_readapt(stats) {
             return false;
         }
-        ctl.model_runs += 1;
+        self.stripes.control.model_runs.add(1);
         let interval_ns = self.stage_interval_ns();
         let mut changed = false;
         let configs = Arc::clone(&self.configs.read());
@@ -375,14 +365,9 @@ impl ServingCore {
             };
             if prediction.config != cell.load().0 {
                 cell.publish(prediction.config);
-                ctl.adaptions += 1;
+                self.stripes.control.adaptions.add(1);
                 changed = true;
             }
-        }
-        let mut m = self.metrics.lock();
-        m.model_runs += 1;
-        if changed {
-            m.adaptions += 1;
         }
         changed
     }
@@ -390,9 +375,8 @@ impl ServingCore {
     /// One memory-plane tick: proactively reclaim up to
     /// [`SWEEP_SEGMENTS_PER_TICK`] expired TTL segments per primary
     /// shard, then publish a fresh memory snapshot (expiry counters +
-    /// per-class gauges) through the striped accumulators into the
-    /// node metrics. Returns `(objects purged, segments reclaimed)`
-    /// for this tick.
+    /// per-class gauges) through the striped accumulators. Returns
+    /// `(objects purged, segments reclaimed)` for this tick.
     ///
     /// Called by the background controller thread alongside
     /// [`ServingCore::controller_tick`]; also callable directly (the
@@ -400,24 +384,15 @@ impl ServingCore {
     pub fn sweep_tick(&self) -> (usize, usize) {
         let (purged, segments) = self.engine.sweep_expired(SWEEP_SEGMENTS_PER_TICK);
         let expiry = self.engine.expiry_stats();
-        let fold = MemoryFold {
+        self.stripes.publish_memory(MemoryFold {
             expired_lazy: self.engine.op_counts().expired_lazy,
             expired_proactive: expiry.expired_proactive,
             segments_reclaimed: expiry.segments_reclaimed,
             sealed_segments: expiry.sealed_segments,
             classes: self.engine.class_stats(),
-        };
-        self.stripes.publish_memory(fold.clone());
-        let mut m = self.metrics.lock();
-        m.sweeps += 1;
-        m.record_memory(&fold);
+        });
+        self.stripes.control.sweeps.add(1);
         (purged, segments)
-    }
-
-    /// The most recently published memory-plane snapshot.
-    #[must_use]
-    pub fn memory_fold(&self) -> MemoryFold {
-        self.stripes.memory()
     }
 
     /// Start a live resize to `n` shards: install the `Migrating` shard
@@ -448,7 +423,7 @@ impl ServingCore {
                 core.engine
                     .settle_resize()
                     .expect("worker is the only settler");
-                core.metrics.lock().resizes += 1;
+                core.stripes.control.resizes.add(1);
                 // The topology changed under the profiler's feet: force
                 // the next tick to re-run the cost model per new shard.
                 core.force_readapt();
@@ -523,11 +498,10 @@ impl ServingCore {
 
 impl std::fmt::Debug for ServingCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ctl = self.control.lock();
         f.debug_struct("ServingCore")
             .field("shards", &self.shard_count())
             .field("lanes", &self.stripes.lanes())
-            .field("adaptions", &ctl.adaptions)
+            .field("adaptions", &self.adaptions())
             .finish()
     }
 }
@@ -618,9 +592,9 @@ mod tests {
             "preloaded GETs should mostly hit: {hits}/2048"
         );
         let m = core.metrics();
-        assert_eq!(m.batches, 1);
-        assert_eq!(m.queries, 2048);
-        assert!(m.hits > 0);
+        assert_eq!(m.work.batches, 1);
+        assert_eq!(m.work.queries, 2048);
+        assert!(m.work.hits > 0);
     }
 
     #[test]
@@ -642,7 +616,7 @@ mod tests {
         assert_eq!(r.status, ResponseStatus::Ok);
         // Nothing due yet: the tick publishes gauges but reclaims zero.
         assert_eq!(core.sweep_tick().0, 0);
-        let gauges = core.memory_fold();
+        let gauges = core.metrics().memory;
         assert!(
             gauges.classes.iter().map(|c| c.live_objects).sum::<usize>() >= 201,
             "per-class gauges must see the preload"
@@ -653,9 +627,9 @@ mod tests {
         assert!(segments >= 1);
         assert_eq!(core.live_objects(), 1);
         let m = core.metrics();
-        assert_eq!(m.expired_proactive, 200);
-        assert_eq!(m.segments_reclaimed, segments as u64);
-        assert_eq!(m.sweeps, 2);
+        assert_eq!(m.memory.expired_proactive, 200);
+        assert_eq!(m.memory.segments_reclaimed, segments as u64);
+        assert_eq!(m.control.sweeps, 2);
         let s = m.to_string();
         assert!(s.contains("mem: 0 lazy / 200 proactive"), "{s}");
         assert!(s.contains("class"), "{s}");

@@ -1,14 +1,16 @@
-//! Striped (per-dispatcher) workload accumulators for the concurrent
-//! serving path.
+//! The node's recording substrate: striped (per-dispatcher) workload
+//! and batch counters, the control plane's counters, and the published
+//! memory-plane snapshot. [`crate::Metrics`] is a read-side view
+//! assembled from these on demand; nothing is kept twice.
 //!
 //! The sequential profiler owns a `&mut WorkloadProfiler` and folds each
 //! batch in-line; with N dispatchers calling `process_batch(&self)`
 //! concurrently that would serialize the data plane on profiling. Instead
 //! each dispatcher lane owns a *stripe* of monotonic counters (one
-//! relaxed `fetch_add` per counter per batch — the per-query work stays
-//! in thread-local sums) and the control plane folds all stripes on read.
-//! Folds are cumulative, so the controller diffs consecutive folds to get
-//! an interval profile; nothing is ever reset, which is what makes the
+//! relaxed add per counter per batch — the per-query work stays in
+//! thread-local sums) and readers fold all stripes by kind. Folds are
+//! cumulative, so the controller diffs consecutive folds to get an
+//! interval profile; nothing is ever reset, which is what makes the
 //! scheme lossless under concurrency (the stress tests assert exact
 //! totals).
 //!
@@ -19,11 +21,12 @@
 //! last writer wins. With a single lane the published sequence is
 //! bit-identical to `WorkloadProfiler::observe_queries`.
 
+use crate::metrics::Metrics;
 use crate::profiler::ProfilerConfig;
 use dido_cost_model::estimate_skew;
 use dido_hashtable::hash64;
 use dido_kvstore::ClassStats;
-use dido_model::{Query, QueryOp, WorkloadStats};
+use dido_model::{metric_table, Counter, PipelineConfig, Query, QueryOp, WorkloadStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,20 +50,71 @@ pub struct MemoryFold {
     pub classes: Vec<ClassStats>,
 }
 
-/// One dispatcher lane's counters. Fields are cumulative and only ever
-/// added to (relaxed ordering is enough: folds happen-after the batch
-/// via the caller's own synchronization, and exactness only needs
-/// atomicity of each add).
+metric_table! {
+    /// One dispatcher lane's counters.
+    struct LaneCounters;
+    /// A cumulative fold of every lane, taken at one instant.
+    ///
+    /// Subtract two folds (`delta`) to profile the interval between
+    /// them; convert a delta to [`WorkloadStats`] with
+    /// [`StatsFold::workload_stats`].
+    pub struct StatsFold;
+
+    /// Batches processed.
+    batches: Counter,
+    /// Queries observed.
+    queries: Counter,
+    /// GET queries observed.
+    gets: Counter,
+    /// DELETE queries observed.
+    deletes: Counter,
+    /// Total key bytes across all queries.
+    key_bytes: Counter,
+    /// Total value bytes across SET queries.
+    set_value_bytes: Counter,
+    /// GET queries that resolved to an object.
+    hits: Counter,
+    /// Total value bytes returned by those hits.
+    hit_value_bytes: Counter,
+    /// Wall time lanes spent executing batches, ns ([`crate::ServingCore`]
+    /// only). Lanes run concurrently, so a fold's sum is lane-time, not
+    /// node time; see [`Metrics::busy_ns`].
+    lane_busy_ns: Counter,
+    /// Batches the simulated executor applied work stealing to
+    /// ([`crate::DidoSystem`] only).
+    sim_steals: Counter,
+    /// Wavefront items the simulated executor moved between processors.
+    sim_stolen_items: Counter,
+}
+
+metric_table! {
+    /// Control-plane counters: bumped by the controller, the resize
+    /// worker and the sweeper, never by a dispatcher.
+    pub(crate) struct ControlCounters;
+    /// Snapshot of the control plane's counters.
+    pub struct ControlFold;
+
+    /// Cost-model runs (one per >10 %-drift tick or batch, however many
+    /// shards it re-planned).
+    model_runs: Counter,
+    /// Configurations published: one per shard whose configuration
+    /// changed, so a tick that re-plans two shards counts two.
+    adaptions: Counter,
+    /// Completed live shard resizes (settled migrations).
+    resizes: Counter,
+    /// Memory-plane sweep ticks executed.
+    sweeps: Counter,
+}
+
+/// One dispatcher lane: its counters, its key-frequency window, and how
+/// many batches it ran under each configuration.
 #[derive(Debug, Default)]
-struct Stripe {
-    queries: AtomicU64,
-    gets: AtomicU64,
-    deletes: AtomicU64,
-    key_bytes: AtomicU64,
-    set_value_bytes: AtomicU64,
-    hits: AtomicU64,
-    hit_value_bytes: AtomicU64,
+struct Lane {
+    counters: LaneCounters,
     skew: Mutex<SkewWindow>,
+    /// A handful of entries at most, compared by `Eq`; grows only when
+    /// the lane first sees a configuration.
+    configs: Mutex<Vec<(PipelineConfig, u64)>>,
 }
 
 /// Per-lane key-frequency sampling state (the sequential profiler's
@@ -72,45 +126,15 @@ struct SkewWindow {
     sample_tick: usize,
 }
 
-/// A cumulative fold of every stripe, taken at one instant.
-///
-/// Subtract two folds ([`StatsFold::delta`]) to profile the interval
-/// between them; convert a delta to [`WorkloadStats`] with
-/// [`StatsFold::workload_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsFold {
-    /// Queries observed.
-    pub queries: u64,
-    /// GET queries observed.
-    pub gets: u64,
-    /// DELETE queries observed.
-    pub deletes: u64,
-    /// Total key bytes across all queries.
-    pub key_bytes: u64,
-    /// Total value bytes across SET queries.
-    pub set_value_bytes: u64,
-    /// GET queries that resolved to an object.
-    pub hits: u64,
-    /// Total value bytes returned by those hits.
-    pub hit_value_bytes: u64,
+/// `counts[config] += n`, appending the entry on first sight.
+fn bump_config(counts: &mut Vec<(PipelineConfig, u64)>, config: PipelineConfig, n: u64) {
+    match counts.iter_mut().find(|(c, _)| *c == config) {
+        Some((_, count)) => *count += n,
+        None => counts.push((config, n)),
+    }
 }
 
 impl StatsFold {
-    /// Counters accumulated since `earlier` (which must be an older fold
-    /// of the same [`StripedStats`]; counters are monotonic).
-    #[must_use]
-    pub fn delta(&self, earlier: &StatsFold) -> StatsFold {
-        StatsFold {
-            queries: self.queries - earlier.queries,
-            gets: self.gets - earlier.gets,
-            deletes: self.deletes - earlier.deletes,
-            key_bytes: self.key_bytes - earlier.key_bytes,
-            set_value_bytes: self.set_value_bytes - earlier.set_value_bytes,
-            hits: self.hits - earlier.hits,
-            hit_value_bytes: self.hit_value_bytes - earlier.hit_value_bytes,
-        }
-    }
-
     /// The interval profile as [`WorkloadStats`], mirroring the
     /// simulator's per-batch accounting: `avg_value_size` weights SET
     /// payloads against resolved-GET payloads (the executor's GET-hit
@@ -136,16 +160,17 @@ impl StatsFold {
     }
 }
 
-/// Striped workload accumulators: one counter stripe per dispatcher
-/// lane, one shared skew estimate.
+/// Striped accumulators: one lane per dispatcher, one shared skew
+/// estimate, the control plane's counters and memory snapshot.
 #[derive(Debug)]
 pub struct StripedStats {
     cfg: ProfilerConfig,
-    stripes: Vec<Stripe>,
+    lanes: Vec<Lane>,
     /// Latest completed-window skew estimate, as `f64` bits.
     skew_bits: AtomicU64,
     /// Latest memory-plane snapshot (last writer wins).
     memory: Mutex<MemoryFold>,
+    pub(crate) control: ControlCounters,
 }
 
 impl StripedStats {
@@ -154,23 +179,28 @@ impl StripedStats {
     pub fn new(lanes: usize, cfg: ProfilerConfig) -> StripedStats {
         StripedStats {
             cfg,
-            stripes: (0..lanes.max(1)).map(|_| Stripe::default()).collect(),
+            lanes: (0..lanes.max(1)).map(|_| Lane::default()).collect(),
             skew_bits: AtomicU64::new(0f64.to_bits()),
             memory: Mutex::new(MemoryFold::default()),
+            control: ControlCounters::default(),
         }
     }
 
     /// Number of stripes.
     #[must_use]
     pub fn lanes(&self) -> usize {
-        self.stripes.len()
+        self.lanes.len()
+    }
+
+    fn lane(&self, lane: usize) -> &Lane {
+        &self.lanes[lane % self.lanes.len()]
     }
 
     /// Observe one batch on `lane` (wrapped into range): fold the batch
     /// counters in and advance the lane's frequency-sampling window.
     /// `n_keys` is the live key count used when a window completes.
     pub fn observe(&self, lane: usize, queries: &[Query], n_keys: u64) {
-        let stripe = &self.stripes[lane % self.stripes.len()];
+        let lane = self.lane(lane);
         let mut gets = 0u64;
         let mut deletes = 0u64;
         let mut key_bytes = 0u64;
@@ -183,13 +213,13 @@ impl StripedStats {
                 QueryOp::Set => set_value_bytes += q.value.len() as u64,
             }
         }
-        stripe.queries.fetch_add(queries.len() as u64, Ordering::Relaxed);
-        stripe.gets.fetch_add(gets, Ordering::Relaxed);
-        stripe.deletes.fetch_add(deletes, Ordering::Relaxed);
-        stripe.key_bytes.fetch_add(key_bytes, Ordering::Relaxed);
-        stripe.set_value_bytes.fetch_add(set_value_bytes, Ordering::Relaxed);
+        lane.counters.queries.add(queries.len() as u64);
+        lane.counters.gets.add(gets);
+        lane.counters.deletes.add(deletes);
+        lane.counters.key_bytes.add(key_bytes);
+        lane.counters.set_value_bytes.add(set_value_bytes);
 
-        let mut w = stripe.skew.lock();
+        let mut w = lane.skew.lock();
         for q in queries {
             w.sample_tick += 1;
             if !w.sample_tick.is_multiple_of(self.cfg.skew_sample_rate) {
@@ -207,11 +237,31 @@ impl StripedStats {
         }
     }
 
-    /// Fold a batch's GET-hit outcome into `lane`'s stripe.
-    pub fn record_hits(&self, lane: usize, hits: u64, hit_value_bytes: u64) {
-        let stripe = &self.stripes[lane % self.stripes.len()];
-        stripe.hits.fetch_add(hits, Ordering::Relaxed);
-        stripe.hit_value_bytes.fetch_add(hit_value_bytes, Ordering::Relaxed);
+    /// Fold an executed batch's outcome into `lane`: the configuration
+    /// it ran under, its GET hits, and the wall time it took (0 where
+    /// time is virtual). Touches only the lane's own cells.
+    pub fn record_batch(
+        &self,
+        lane: usize,
+        config: PipelineConfig,
+        hits: u64,
+        hit_value_bytes: u64,
+        busy_ns: u64,
+    ) {
+        let lane = self.lane(lane);
+        lane.counters.batches.add(1);
+        lane.counters.hits.add(hits);
+        lane.counters.hit_value_bytes.add(hit_value_bytes);
+        lane.counters.lane_busy_ns.add(busy_ns);
+        bump_config(&mut lane.configs.lock(), config, 1);
+    }
+
+    /// Record a simulated-executor steal outcome (`items` wavefront
+    /// items moved between processors in one batch).
+    pub(crate) fn record_sim_steal(&self, lane: usize, items: u64) {
+        let lane = self.lane(lane);
+        lane.counters.sim_steals.add(1);
+        lane.counters.sim_stolen_items.add(items);
     }
 
     /// Latest completed-window skew estimate (0 until a window fills).
@@ -235,16 +285,38 @@ impl StripedStats {
     #[must_use]
     pub fn fold(&self) -> StatsFold {
         let mut f = StatsFold::default();
-        for s in &self.stripes {
-            f.queries += s.queries.load(Ordering::Relaxed);
-            f.gets += s.gets.load(Ordering::Relaxed);
-            f.deletes += s.deletes.load(Ordering::Relaxed);
-            f.key_bytes += s.key_bytes.load(Ordering::Relaxed);
-            f.set_value_bytes += s.set_value_bytes.load(Ordering::Relaxed);
-            f.hits += s.hits.load(Ordering::Relaxed);
-            f.hit_value_bytes += s.hit_value_bytes.load(Ordering::Relaxed);
+        for lane in &self.lanes {
+            f.merge(&lane.counters.snapshot());
         }
         f
+    }
+
+    /// Wall time of the lane that spent longest executing batches, ns:
+    /// the node was busy at least this long, so `queries / this` is the
+    /// node's rate however many lanes ran beside it.
+    #[must_use]
+    pub(crate) fn busiest_lane_ns(&self) -> u64 {
+        let busy = |lane: &Lane| lane.counters.lane_busy_ns.get();
+        self.lanes.iter().map(busy).max().unwrap_or(0)
+    }
+
+    /// The node's metrics, assembled now from the lanes, the control
+    /// counters and the memory snapshot. `busy_ns` is the owner's
+    /// notion of node busy time (see [`Metrics::busy_ns`]).
+    pub(crate) fn metrics(&self, busy_ns: f64) -> Metrics {
+        let mut configs = Vec::new();
+        for lane in &self.lanes {
+            for &(config, n) in lane.configs.lock().iter() {
+                bump_config(&mut configs, config, n);
+            }
+        }
+        Metrics {
+            work: self.fold(),
+            busy_ns,
+            control: self.control.snapshot(),
+            memory: self.memory(),
+            configs,
+        }
     }
 }
 
@@ -263,7 +335,7 @@ mod tests {
         let b = g.batch(500);
         s.observe(0, &a, 10_000);
         s.observe(1, &b, 10_000);
-        s.record_hits(1, 42, 42 * 64);
+        s.record_batch(1, PipelineConfig::mega_kv(), 42, 42 * 64, 7);
         let f = s.fold();
         assert_eq!(f.queries, 1500);
         let gets = a.iter().chain(&b).filter(|q| q.op == QueryOp::Get).count() as u64;
@@ -271,6 +343,26 @@ mod tests {
         assert_eq!(f.hits, 42);
         let d = f.delta(&f);
         assert_eq!(d, StatsFold::default());
+    }
+
+    #[test]
+    fn metrics_view_folds_lanes_and_merges_config_counts() {
+        let s = StripedStats::new(2, ProfilerConfig::default());
+        let (mega, cpu) = (PipelineConfig::mega_kv(), PipelineConfig::cpu_only());
+        s.record_batch(0, mega, 1, 8, 100);
+        s.record_batch(0, cpu, 0, 0, 50);
+        s.record_batch(1, cpu, 2, 16, 400);
+        s.record_batch(3, cpu, 0, 0, 10); // lanes wrap: 3 is lane 1
+        s.record_sim_steal(0, 128);
+        s.control.adaptions.add(2);
+        let m = s.metrics(s.busiest_lane_ns() as f64);
+        assert_eq!(m.work.batches, 4);
+        assert_eq!((m.work.hits, m.work.hit_value_bytes), (3, 24));
+        assert_eq!((m.work.sim_steals, m.work.sim_stolen_items), (1, 128));
+        assert_eq!(m.work.lane_busy_ns, 560, "the fold sums lane time");
+        assert_eq!(m.busy_ns, 410.0, "node busy time is the busiest lane's");
+        assert_eq!(m.configs, [(mega, 1), (cpu, 3)]);
+        assert_eq!(m.control.adaptions, 2);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! profiling goes through striped per-lane accumulators
 //! ([`crate::StripedStats`]), the active configuration lives in an
 //! epoch-stamped [`ConfigCell`] that the hot path loads wait-free, and
-//! metrics sit behind their own short-lived lock. The *virtual-time
-//! simulator* and the adaptation decision remain serial by nature (the
-//! clock is a fold over batches), so they share one internal mutex —
-//! concurrent callers interleave batches in lock order with exactly the
-//! sequential semantics. The truly parallel data plane over real
-//! (non-simulated) execution is [`crate::ServingCore`].
+//! metrics are a view folded from those accumulators on read. The
+//! *virtual-time simulator* and the adaptation decision remain serial
+//! by nature (the clock is a fold over batches), so they share one
+//! internal mutex — concurrent callers interleave batches in lock order
+//! with exactly the sequential semantics. The truly parallel data plane
+//! over real (non-simulated) execution is [`crate::ServingCore`].
 
 use crate::metrics::Metrics;
 use crate::profiler::{ProfilerConfig, WorkloadProfiler};
@@ -21,9 +21,8 @@ use dido_cost_model::{CostModel, ModelInputs};
 use dido_model::{
     ConfigCell, ConfigEnumerator, PipelineConfig, Query, Response, ResponseStatus, WorkloadStats,
 };
-use dido_net::NetStatsSnapshot;
 use dido_pipeline::{
-    preloaded_engine, BatchReport, ExecStats, KvEngine, RunOptions, SimExecutor, TestbedOptions,
+    preloaded_engine, BatchReport, KvEngine, RunOptions, SimExecutor, TestbedOptions,
     WorkloadReport,
 };
 use dido_workload::WorkloadSpec;
@@ -78,7 +77,7 @@ pub struct TraceSample {
 const SYSTEM_LANES: usize = 8;
 
 /// Serial state: the virtual-time executor plus the control plane
-/// (profiler baseline, adaption counters, clock, trace). One mutex —
+/// (profiler baseline, clock, trace). One mutex —
 /// the simulator's virtual clock is a fold over batches, so batches
 /// through it are inherently ordered; keeping the adaptation decision
 /// under the same lock preserves the exact sequential semantics under
@@ -86,8 +85,6 @@ const SYSTEM_LANES: usize = 8;
 struct SerialState {
     sim: SimExecutor,
     profiler: WorkloadProfiler,
-    adaptions: usize,
-    model_runs: usize,
     clock_ns: Ns,
     trace: Vec<TraceSample>,
 }
@@ -102,7 +99,6 @@ pub struct DidoSystem {
     stripes: StripedStats,
     config: ConfigCell,
     serial: Mutex<SerialState>,
-    metrics: Mutex<Metrics>,
 }
 
 impl DidoSystem {
@@ -152,12 +148,9 @@ impl DidoSystem {
             serial: Mutex::new(SerialState {
                 sim: SimExecutor::new(TimingEngine::new(options.hw)),
                 profiler: WorkloadProfiler::new(options.profiler),
-                adaptions: 0,
-                model_runs: 0,
                 clock_ns: 0.0,
                 trace: Vec::new(),
             }),
-            metrics: Mutex::new(Metrics::default()),
             engine,
             options,
         }
@@ -185,7 +178,7 @@ impl DidoSystem {
     /// Number of pipeline re-adaptions (configuration changes) so far.
     #[must_use]
     pub fn adaptions(&self) -> usize {
-        self.serial.lock().adaptions
+        self.stripes.control.adaptions.get() as usize
     }
 
     /// Number of times the cost model was (re)run — every >10 % workload
@@ -193,7 +186,7 @@ impl DidoSystem {
     /// changed.
     #[must_use]
     pub fn model_runs(&self) -> usize {
-        self.serial.lock().model_runs
+        self.stripes.control.model_runs.get() as usize
     }
 
     /// Virtual time elapsed, ns.
@@ -208,24 +201,12 @@ impl DidoSystem {
         self.serial.lock().trace.clone()
     }
 
-    /// Snapshot of the rolling operational metrics (queries, hit rate,
-    /// throughput, configuration histogram). Clones outside the hot
-    /// path so callers can format/print without holding any lock.
+    /// The node's operational metrics (queries, hit rate, throughput,
+    /// configuration histogram), assembled now from the accumulators;
+    /// busy time is the virtual clock.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        self.metrics.lock().clone()
-    }
-
-    /// Fold a network front-end delta into the node metrics (see
-    /// [`Metrics::record_net_stats`]).
-    pub fn record_net_stats(&self, delta: &NetStatsSnapshot) {
-        self.metrics.lock().record_net_stats(delta);
-    }
-
-    /// Fold a threaded-executor counter delta into the node metrics
-    /// (see [`Metrics::record_exec_stats`]).
-    pub fn record_exec_stats(&self, delta: &ExecStats) {
-        self.metrics.lock().record_exec_stats(delta);
+        self.stripes.metrics(self.clock_ns())
     }
 
     /// Per-stage interval implied by the latency budget.
@@ -301,15 +282,17 @@ impl DidoSystem {
             .filter(|r| r.status == ResponseStatus::Ok)
             .map(|r| r.value.len() as u64)
             .sum();
-        self.stripes.record_hits(lane, report.hits as u64, hit_bytes);
+        self.stripes
+            .record_batch(lane, active_config, report.hits as u64, hit_bytes, 0);
+        if let Some(steal) = &report.steal {
+            self.stripes.record_sim_steal(lane, steal.items as u64);
+        }
 
         serial.profiler.note_skew(self.stripes.skew());
         let stats = serial.profiler.finish_batch(report.stats);
         let mut readapted = false;
-        let mut model_ran = false;
         if stats.batch_size > 0 && serial.profiler.should_readapt(stats) {
-            serial.model_runs += 1;
-            model_ran = true;
+            self.stripes.control.model_runs.add(1);
             let inputs = self.model_inputs(stats);
             let prediction = if self.options.greedy_search {
                 self.model.greedy_config(&inputs)
@@ -319,7 +302,7 @@ impl DidoSystem {
             let (current, _) = self.config.load();
             if prediction.config != current {
                 self.config.publish(prediction.config);
-                serial.adaptions += 1;
+                self.stripes.control.adaptions.add(1);
                 readapted = true;
             }
         }
@@ -333,25 +316,6 @@ impl DidoSystem {
             readapted,
         });
         drop(serial);
-
-        let mut m = self.metrics.lock();
-        m.record_batch(
-            active_config,
-            report.batch_size as u64,
-            (report.stats.get_ratio * report.batch_size as f64).round() as u64,
-            report.hits as u64,
-            report.t_max_ns,
-        );
-        if let Some(steal) = &report.steal {
-            m.record_sim_steal(steal.items as u64);
-        }
-        if model_ran {
-            m.model_runs += 1;
-        }
-        if readapted {
-            m.adaptions += 1;
-        }
-        drop(m);
         (report, responses)
     }
 
@@ -390,7 +354,7 @@ impl std::fmt::Debug for DidoSystem {
         let serial = self.serial.lock();
         f.debug_struct("DidoSystem")
             .field("config", &self.config.load().0.to_string())
-            .field("adaptions", &serial.adaptions)
+            .field("adaptions", &self.adaptions())
             .field("clock_us", &(serial.clock_ns / 1000.0))
             .finish()
     }
@@ -505,14 +469,14 @@ mod tests {
             let _ = dido.process_batch(g.batch(2048));
         }
         let m = dido.metrics();
-        assert_eq!(m.batches, 3);
-        assert_eq!(m.queries, 3 * 2048);
+        assert_eq!(m.work.batches, 3);
+        assert_eq!(m.work.queries, 3 * 2048);
         assert!(m.hit_rate() > 0.9, "preloaded GETs should hit: {}", m.hit_rate());
         assert!(m.mean_throughput_mops() > 0.0);
-        assert!(m.dominant_config().is_some());
-        assert_eq!(m.model_runs, dido.model_runs() as u64);
+        assert_eq!(m.configs.iter().map(|(_, n)| n).sum::<u64>(), 3);
+        assert_eq!(m.busy_ns.to_bits(), dido.clock_ns().to_bits());
         let rendered = m.to_string();
-        assert!(rendered.contains("3 batches"));
+        assert!(rendered.contains("batches=3 "), "{rendered}");
     }
 
     #[test]

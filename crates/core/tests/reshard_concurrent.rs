@@ -110,7 +110,7 @@ fn live_resize_loses_no_updates_under_concurrent_get_set() {
     // Nothing was dropped by the migration and the final state is the
     // last value each thread wrote.
     assert_eq!(core.engine().migrate_dropped(), 0);
-    assert_eq!(core.metrics().resizes, 1);
+    assert_eq!(core.metrics().control.resizes, 1);
     for (t, &round) in last_round.iter().enumerate() {
         for i in 0..KEYS_PER_THREAD {
             let r = core.execute(&Query::get(key(t, i)));
@@ -308,7 +308,7 @@ fn live_resize_under_ttl_churn_expires_neither_early_nor_late() {
     }
 
     assert_eq!(core.engine().migrate_dropped(), 0);
-    assert_eq!(core.metrics().resizes, 1);
+    assert_eq!(core.metrics().control.resizes, 1);
 
     // Post-settle: mortals are dead once their last deadline passes,
     // immortals and long-TTL keys live on — nothing resurrected, and
@@ -360,7 +360,7 @@ fn live_resize_under_ttl_churn_expires_neither_early_nor_late() {
     }
 
     // The run actually exercised both expiry paths' counters.
-    let fold = core.memory_fold();
+    let fold = core.metrics().memory;
     assert!(
         fold.expired_proactive + fold.expired_lazy > 0,
         "no expirations recorded: {fold:?}"

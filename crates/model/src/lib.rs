@@ -14,8 +14,10 @@
 //!   accounting unit shared between the functional simulator and the
 //!   analytic cost model (paper §IV, Equation 1),
 //! * [`WorkloadStats`] — the per-batch profile (GET ratio, key/value
-//!   sizes, skewness) that drives the cost-model-guided adaption, and
-//! * [`Query`]/[`QueryOp`] — the client-visible operations.
+//!   sizes, skewness) that drives the cost-model-guided adaption,
+//! * [`Query`]/[`QueryOp`] — the client-visible operations, and
+//! * [`metric_table!`] — the one-row-per-metric declaration every
+//!   crate's counters are built from.
 //!
 //! It is dependency-light on purpose: `dido-apu-sim`, `dido-hashtable`,
 //! `dido-pipeline`, `dido-cost-model` and `dido` all build on it without
@@ -27,6 +29,7 @@ mod clock;
 mod config;
 pub mod costs;
 mod epoch;
+mod metrics;
 mod query;
 mod resources;
 mod stats;
@@ -37,6 +40,9 @@ pub use clock::{
 };
 pub use config::{ConfigEnumerator, IndexOpAssignment, PipelineConfig, PipelinePlan, StagePlan};
 pub use epoch::ConfigCell;
+pub use metrics::{
+    fold_slots, write_metric, Cell, Counter, Gauge, Hist, Max, MetricKind, HIST_BUCKETS,
+};
 pub use query::{Query, QueryOp, Response, ResponseStatus};
 pub use resources::ResourceUsage;
 pub use stats::WorkloadStats;

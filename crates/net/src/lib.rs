@@ -38,6 +38,7 @@ mod protocol;
 mod reactor;
 mod sd;
 mod server;
+mod stats;
 mod trace;
 
 pub use codec::{
@@ -54,8 +55,6 @@ pub use protocol::{
 pub use sd::BufRing;
 #[doc(hidden)]
 pub use sd::WriteQueue;
-pub use server::{
-    BatchConfig, DispatchMode, KvClient, KvServer, NetStatsSnapshot, ServerStats,
-    BATCH_HIST_BUCKETS, MAX_FRAME_BYTES,
-};
+pub use server::{BatchConfig, DispatchMode, KvClient, KvServer, MAX_FRAME_BYTES};
+pub use stats::{NetStatsSnapshot, ServerStats};
 pub use trace::{read_trace, write_trace, TraceError, TraceWriter};

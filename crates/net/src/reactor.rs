@@ -30,7 +30,8 @@ use crate::codec::ProtocolKind;
 use crate::driver::{ud, ud_id, ud_kind, Completion, IoDriver, Waker, EAGAIN, EINTR};
 use crate::nic::FrameRing;
 use crate::sd::SdPlane;
-use crate::server::{Doorbell, FrameReader, ReadReady, ServerStats, TaggedFrame};
+use crate::server::{Doorbell, FrameReader, ReadReady, TaggedFrame};
+use crate::stats::ServerStats;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -224,10 +225,7 @@ pub(crate) fn spawn_reactor_pool<D: IoDriver + 'static>(
         cmd_rxs,
     } = scaffold;
     let n = drivers.len();
-    shared
-        .stats
-        .reactor_threads
-        .store(n as u64, Ordering::Relaxed);
+    shared.stats.reactor_threads.set(n as u64);
 
     debug_assert!((1..=MAX_LISTENERS).contains(&listeners.len()));
     // A watch completion means "readable"; the reactor then accepts
@@ -287,7 +285,7 @@ fn register_conn<D: IoDriver>(
     };
     arm_recv(driver, &mut c);
     conns.insert(conn, c);
-    shared.stats.reactor_conns.fetch_add(1, Ordering::Relaxed);
+    shared.stats.reactor_conns.add(1);
 }
 
 /// Retire a connection whose recv is not in flight: EOF to the SD plane
@@ -301,7 +299,7 @@ fn retire_conn<D: IoDriver>(
     if let Some(c) = conns.remove(&conn) {
         driver.detach(c.stream.as_raw_fd());
         shared.sd.send_eof(c.conn, c.seq);
-        shared.stats.reactor_conns.fetch_sub(1, Ordering::Relaxed);
+        shared.stats.reactor_conns.sub(1);
     }
 }
 
@@ -337,8 +335,8 @@ fn accept_ready<D: IoDriver>(
                 let Ok(write_half) = stream.try_clone() else {
                     continue;
                 };
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                shared.stats.proto_conns[proto.index()].fetch_add(1, Ordering::Relaxed);
+                shared.stats.connections.add(1);
+                shared.stats.proto_conns[proto.index()].add(1);
                 let conn = a.next_conn;
                 a.next_conn += 1;
                 // Open must reach the SD plane before any response (or
@@ -382,7 +380,7 @@ fn publish_burst(
     if burst.is_empty() {
         return;
     }
-    shared.stats.record_read_burst(burst.len() as u64);
+    shared.stats.read_burst_hist.observe(burst.len() as u64);
     tagged.clear();
     for frame in burst.drain(..) {
         tagged.push(TaggedFrame {
@@ -397,10 +395,7 @@ fn publish_burst(
         shared.doorbell.ring();
     }
     if !tagged.is_empty() {
-        shared
-            .stats
-            .dropped_frames
-            .fetch_add(tagged.len() as u64, Ordering::Relaxed);
+        shared.stats.dropped_frames.add(tagged.len() as u64);
         shared.sd.overflow_answers(conn, tagged);
     }
 }
@@ -479,14 +474,14 @@ fn run_reactor<D: IoDriver>(
             break;
         }
         let enters = driver.enters();
-        shared
-            .stats
-            .ring_enters
-            .fetch_add(enters - enters_folded, Ordering::Relaxed);
+        shared.stats.ring_enters.add(enters - enters_folded);
         enters_folded = enters;
         if !completions.is_empty() {
-            shared.stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-            shared.stats.record_cqe_batch(completions.len() as u64);
+            shared.stats.reactor_wakeups.add(1);
+            shared
+                .stats
+                .cqe_per_enter_hist
+                .observe(completions.len() as u64);
         }
         if shared.shutdown.load(Ordering::Acquire) {
             break; // the batch is moot: every conn is EOF'd at its seq below
@@ -563,10 +558,7 @@ fn run_reactor<D: IoDriver>(
             std::mem::forget(c.reader);
         }
     }
-    shared
-        .stats
-        .reactor_conns
-        .fetch_sub(live, Ordering::Relaxed);
+    shared.stats.reactor_conns.sub(live);
     while let Ok(cmd) = cmd_rx.try_recv() {
         if let ReactorCmd::Register { conn, .. } = cmd {
             shared.sd.send_eof(conn, 0);

@@ -42,7 +42,8 @@
 use crate::codec::encode_overflow_into;
 use crate::driver::{ud, ud_id, ud_kind, Completion, IoDriver, IoVec, Waker, ECANCELED, EINTR};
 use crate::reactor::ReactorHandles;
-use crate::server::{ServerStats, TaggedFrame};
+use crate::server::TaggedFrame;
+use crate::stats::ServerStats;
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -683,12 +684,10 @@ pub(crate) fn run_sd_shard<D: IoDriver>(
         // Everything since the last fold: this wait plus the immediate
         // writes the servicing above may have issued.
         let enters = driver.enters();
-        stats
-            .ring_enters
-            .fetch_add(enters - enters_folded, Ordering::Relaxed);
+        stats.ring_enters.add(enters - enters_folded);
         enters_folded = enters;
         if !completions.is_empty() {
-            stats.record_cqe_batch(completions.len() as u64);
+            stats.cqe_per_enter_hist.observe(completions.len() as u64);
         }
         for &done in &completions {
             // Waker kicks need nothing: the channel is drained at the
@@ -710,13 +709,11 @@ pub(crate) fn run_sd_shard<D: IoDriver>(
     let drained = driver.drain();
     for (_, mut c) in conns.drain() {
         if c.out.in_flight.take().is_some() && !drained {
-            stats
-                .sd_pending_dropped
-                .fetch_add(c.out.bufs.len() as u64, Ordering::Relaxed);
+            stats.sd_pending_dropped.add(c.out.bufs.len() as u64);
             c.out.leak();
         }
         free_unwritten(&mut c, &ctx);
-        stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
+        stats.sd_open_conns.sub(1);
     }
     fold_ring_stats(&bufs, stats, &mut last_hits, &mut last_misses);
 }
@@ -732,15 +729,11 @@ fn fold_ring_stats(
 ) {
     let (h, m) = (bufs.hits(), bufs.misses());
     if h != *last_hits {
-        stats
-            .sd_buf_hits
-            .fetch_add(h - *last_hits, Ordering::Relaxed);
+        stats.sd_buf_hits.add(h - *last_hits);
         *last_hits = h;
     }
     if m != *last_misses {
-        stats
-            .sd_buf_misses
-            .fetch_add(m - *last_misses, Ordering::Relaxed);
+        stats.sd_buf_misses.add(m - *last_misses);
         *last_misses = m;
     }
 }
@@ -754,7 +747,7 @@ fn apply_msg(
 ) {
     match msg {
         SdMsg::Open { conn, stream } => {
-            ctx.stats.sd_open_conns.fetch_add(1, Ordering::Relaxed);
+            ctx.stats.sd_open_conns.add(1);
             conns.insert(
                 conn,
                 SdConn {
@@ -777,9 +770,7 @@ fn apply_msg(
                 }
                 touch(conn, c, touched);
             } else {
-                ctx.stats
-                    .sd_pending_dropped
-                    .fetch_add(runs.len() as u64, Ordering::Relaxed);
+                ctx.stats.sd_pending_dropped.add(runs.len() as u64);
                 for r in runs {
                     ctx.bufs.put(r.bytes);
                 }
@@ -796,7 +787,7 @@ fn apply_msg(
                         // Already retired (e.g. stall-retired while the
                         // dispatch was in flight); the run can never be
                         // delivered.
-                        ctx.stats.sd_pending_dropped.fetch_add(1, Ordering::Relaxed);
+                        ctx.stats.sd_pending_dropped.add(1);
                         ctx.bufs.put(run.bytes);
                     }
                 }
@@ -829,7 +820,7 @@ fn touch(conn: u64, c: &mut SdConn, touched: &mut Vec<u64>) {
 /// reorder ring otherwise. Runs for a dead socket are freed at once.
 fn park_run(c: &mut SdConn, run: ResponseRun, ctx: &ShardCtx<'_>) {
     if c.dead {
-        ctx.stats.sd_pending_dropped.fetch_add(1, Ordering::Relaxed);
+        ctx.stats.sd_pending_dropped.add(1);
         ctx.bufs.put(run.bytes);
         return;
     }
@@ -906,7 +897,7 @@ fn retire_conn<D: IoDriver>(
     let mut c = conns.remove(&conn).expect("caller just found it");
     free_unwritten(&mut c, ctx);
     driver.detach(c.stream.as_raw_fd());
-    ctx.stats.sd_open_conns.fetch_sub(1, Ordering::Relaxed);
+    ctx.stats.sd_open_conns.sub(1);
 }
 
 /// Slow-consumer backpressure: pause the connection's reactor reads
@@ -916,12 +907,10 @@ fn retire_conn<D: IoDriver>(
 /// up behind a write still in flight — never in the pass that submits
 /// one (a write the socket takes whole must not read as a backlog).
 fn apply_backpressure(conn: u64, c: &mut SdConn, ctx: &ShardCtx<'_>) {
-    ctx.stats
-        .sd_pending_bytes_hiwater
-        .fetch_max(c.unsent as u64, Ordering::Relaxed);
+    ctx.stats.sd_pending_bytes_hiwater.observe(c.unsent as u64);
     if !c.read_paused && c.unsent > ctx.cfg.hiwater {
         c.read_paused = true;
-        ctx.stats.sd_read_pauses.fetch_add(1, Ordering::Relaxed);
+        ctx.stats.sd_read_pauses.add(1);
         ctx.reactors.set_read(conn, false);
     } else if c.read_paused && c.unsent <= ctx.cfg.lowater {
         c.read_paused = false;
@@ -950,7 +939,7 @@ fn handle_write_done<D: IoDriver>(
     c.unsent -= written;
     if written > 0 {
         if short {
-            ctx.stats.sd_writable_parks.fetch_add(1, Ordering::Relaxed);
+            ctx.stats.sd_writable_parks.add(1);
         }
     } else if !matches!(-done.res, ECANCELED | EINTR) {
         // An error, or a zero-byte vectored write: the peer is gone.
@@ -996,9 +985,7 @@ fn mark_dead(conn: u64, c: &mut SdConn, ctx: &ShardCtx<'_>) {
 fn free_unwritten(c: &mut SdConn, ctx: &ShardCtx<'_>) {
     let undelivered = (c.out.bufs.len() + c.pending.len()) as u64;
     if undelivered > 0 {
-        ctx.stats
-            .sd_pending_dropped
-            .fetch_add(undelivered, Ordering::Relaxed);
+        ctx.stats.sd_pending_dropped.add(undelivered);
     }
     c.out.free_into(ctx.bufs);
     for bytes in c.pending.drain() {
@@ -1024,7 +1011,7 @@ fn sweep_stalls<D: IoDriver>(
         };
         let deadline = since + ctx.cfg.stall;
         if now >= deadline {
-            ctx.stats.sd_stall_retired.fetch_add(1, Ordering::Relaxed);
+            ctx.stats.sd_stall_retired.add(1);
             mark_dead(conn, c, ctx);
             driver.cancel(c.stream.as_raw_fd(), ud(UD_WRITE, conn));
         } else {

@@ -30,6 +30,7 @@ use crate::driver::{
 use crate::nic::FrameRing;
 use crate::protocol::ProtocolError;
 use crate::sd::{ResponseRun, RunBatch, SdPlane};
+use crate::stats::ServerStats;
 use bytes::{Bytes, BytesMut};
 use dido_model::{Query, Response, SharedClock, SystemClock};
 use parking_lot::{Condvar, Mutex};
@@ -37,17 +38,13 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum accepted frame size (prevents a bad client from making the
 /// server allocate unboundedly).
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
-
-/// Buckets of the dispatch batch-size histogram: frames per dispatch in
-/// `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+`.
-pub const BATCH_HIST_BUCKETS: usize = 8;
 
 /// How long an idle dispatcher sleeps between doorbell checks.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
@@ -73,327 +70,6 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
-}
-
-/// Server statistics. All counters are cumulative since start; take a
-/// [`ServerStats::snapshot`] and diff to get per-interval rates.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Query frames served.
-    pub frames: AtomicU64,
-    /// Individual queries answered.
-    pub queries: AtomicU64,
-    /// Malformed frames rejected.
-    pub bad_frames: AtomicU64,
-    /// Frames dropped because the shared RX ring was full (each one is
-    /// answered with an empty response frame so the client's
-    /// request/response accounting stays aligned).
-    pub dropped_frames: AtomicU64,
-    /// Dispatcher drains executed.
-    pub dispatches: AtomicU64,
-    /// Frames aggregated across all dispatches.
-    pub dispatched_frames: AtomicU64,
-    /// Queries aggregated across all dispatches.
-    pub dispatched_queries: AtomicU64,
-    /// Deepest RX-ring occupancy observed at drain time.
-    pub ring_depth_max: AtomicU64,
-    /// Dispatches that waited out the full drain window without
-    /// accumulating a wavefront (the latency-bound regime of Fig. 9).
-    pub delayed_dispatches: AtomicU64,
-    /// Reactor threads serving the data path (a gauge, set at spawn).
-    pub reactor_threads: AtomicU64,
-    /// Readiness wakeups across all reactors (poll returns with at
-    /// least one event).
-    pub reactor_wakeups: AtomicU64,
-    /// Connections currently registered with a reactor (a gauge, not a
-    /// cumulative counter).
-    pub reactor_conns: AtomicU64,
-    /// Connections currently open inside the SD writer (a gauge): every
-    /// accepted connection enters here and leaves when it is retired,
-    /// so a steady value under churn means no reorder-buffer leak.
-    pub sd_open_conns: AtomicU64,
-    /// Response runs the SD writer freed without putting them on the
-    /// wire: the socket died mid-stream, or runs were still parked in
-    /// the reorder buffer when the connection was retired or the server
-    /// shut down. A leak-detector counter.
-    pub sd_pending_dropped: AtomicU64,
-    /// SD egress shard threads (a gauge, set at spawn).
-    pub sd_writer_threads: AtomicU64,
-    /// Connections retired because they stayed unwritable past
-    /// [`BatchConfig::sd_stall_timeout`].
-    pub sd_stall_retired: AtomicU64,
-    /// Times a connection's write hit `WouldBlock` and was parked on
-    /// WRITABLE readiness instead of blocking its SD shard.
-    pub sd_writable_parks: AtomicU64,
-    /// Times slow-consumer backpressure paused a connection's READ
-    /// interest (pending bytes crossed the high-water mark).
-    pub sd_read_pauses: AtomicU64,
-    /// Encode buffers served from an SD shard's reuse ring.
-    pub sd_buf_hits: AtomicU64,
-    /// Encode buffers that had to be freshly allocated (ring dry).
-    pub sd_buf_misses: AtomicU64,
-    /// Deepest per-connection pending-bytes backlog observed by the SD
-    /// plane (folds by max, like `ring_depth_max`).
-    pub sd_pending_bytes_hiwater: AtomicU64,
-    /// Which I/O backend the I/O planes resolved at spawn (a gauge:
-    /// 0 = epoll, 1 = io_uring; see [`IoBackend`]).
-    pub io_backend: AtomicU64,
-    /// I/O-plane syscalls issued by reactors and SD shards, as counted
-    /// by their drivers: every `io_uring_enter` on the uring backend;
-    /// every `epoll_wait`, `read`, and `writev` on the epoll backend.
-    /// Divide by `queries`
-    /// for the syscalls-per-query estimate the connpath harness
-    /// reports.
-    pub ring_enters: AtomicU64,
-    /// Connections accepted per protocol, indexed by
-    /// [`ProtocolKind::index`].
-    pub proto_conns: [AtomicU64; PROTOCOL_KINDS],
-    /// Queries decoded per protocol (a multi-key `get`/`MGET` counts
-    /// once per key), indexed by [`ProtocolKind::index`].
-    pub proto_queries: [AtomicU64; PROTOCOL_KINDS],
-    /// Requests rejected with a per-protocol error reply (malformed
-    /// frame, bad command line, bad data chunk), indexed by
-    /// [`ProtocolKind::index`].
-    pub proto_parse_errors: [AtomicU64; PROTOCOL_KINDS],
-    batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    read_burst_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    cqe_per_enter_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-}
-
-fn hist_bucket(frames: u64) -> usize {
-    if frames <= 1 {
-        0
-    } else {
-        ((64 - (frames - 1).leading_zeros()) as usize).min(BATCH_HIST_BUCKETS - 1)
-    }
-}
-
-impl ServerStats {
-    pub(crate) fn record_dispatch(
-        &self,
-        frames: u64,
-        queries: u64,
-        ring_depth: u64,
-        delayed: bool,
-    ) {
-        self.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.dispatched_frames.fetch_add(frames, Ordering::Relaxed);
-        self.dispatched_queries
-            .fetch_add(queries, Ordering::Relaxed);
-        self.ring_depth_max.fetch_max(ring_depth, Ordering::Relaxed);
-        if delayed {
-            self.delayed_dispatches.fetch_add(1, Ordering::Relaxed);
-        }
-        self.batch_hist[hist_bucket(frames)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The dispatch batch-size histogram (frames per dispatch, bucketed
-    /// `1, 2, 3–4, …, 65+`).
-    #[must_use]
-    pub fn batch_histogram(&self) -> [u64; BATCH_HIST_BUCKETS] {
-        std::array::from_fn(|i| self.batch_hist[i].load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn record_read_burst(&self, frames: u64) {
-        self.read_burst_hist[hist_bucket(frames)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_cqe_batch(&self, cqes: u64) {
-        self.cqe_per_enter_hist[hist_bucket(cqes)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The completions-per-wait histogram: completions one
-    /// `IoDriver::wait` returned to a reactor or SD shard (CQEs per
-    /// `io_uring_enter` on the uring backend), bucketed like
-    /// [`ServerStats::batch_histogram`]. High buckets mean one wait is
-    /// amortizing many per-connection reads/writes.
-    #[must_use]
-    pub fn cqe_per_enter_histogram(&self) -> [u64; BATCH_HIST_BUCKETS] {
-        std::array::from_fn(|i| self.cqe_per_enter_hist[i].load(Ordering::Relaxed))
-    }
-
-    /// The reactor read-burst histogram: frames carved per readiness
-    /// read, bucketed like [`ServerStats::batch_histogram`]. High
-    /// buckets mean readiness reads are amortizing framing well.
-    #[must_use]
-    pub fn read_burst_histogram(&self) -> [u64; BATCH_HIST_BUCKETS] {
-        std::array::from_fn(|i| self.read_burst_hist[i].load(Ordering::Relaxed))
-    }
-
-    /// Mean frames aggregated per dispatch (0 when nothing dispatched).
-    #[must_use]
-    pub fn mean_batch_frames(&self) -> f64 {
-        let d = self.dispatches.load(Ordering::Relaxed);
-        if d == 0 {
-            0.0
-        } else {
-            self.dispatched_frames.load(Ordering::Relaxed) as f64 / d as f64
-        }
-    }
-
-    /// Plain-value copy of every counter, for diffing and for folding
-    /// into `dido::Metrics`.
-    #[must_use]
-    pub fn snapshot(&self) -> NetStatsSnapshot {
-        NetStatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            frames: self.frames.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            bad_frames: self.bad_frames.load(Ordering::Relaxed),
-            dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            dispatched_frames: self.dispatched_frames.load(Ordering::Relaxed),
-            dispatched_queries: self.dispatched_queries.load(Ordering::Relaxed),
-            ring_depth_max: self.ring_depth_max.load(Ordering::Relaxed),
-            delayed_dispatches: self.delayed_dispatches.load(Ordering::Relaxed),
-            reactor_threads: self.reactor_threads.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            reactor_conns: self.reactor_conns.load(Ordering::Relaxed),
-            sd_open_conns: self.sd_open_conns.load(Ordering::Relaxed),
-            sd_pending_dropped: self.sd_pending_dropped.load(Ordering::Relaxed),
-            sd_writer_threads: self.sd_writer_threads.load(Ordering::Relaxed),
-            sd_stall_retired: self.sd_stall_retired.load(Ordering::Relaxed),
-            sd_writable_parks: self.sd_writable_parks.load(Ordering::Relaxed),
-            sd_read_pauses: self.sd_read_pauses.load(Ordering::Relaxed),
-            sd_buf_hits: self.sd_buf_hits.load(Ordering::Relaxed),
-            sd_buf_misses: self.sd_buf_misses.load(Ordering::Relaxed),
-            sd_pending_bytes_hiwater: self.sd_pending_bytes_hiwater.load(Ordering::Relaxed),
-            io_backend: self.io_backend.load(Ordering::Relaxed),
-            ring_enters: self.ring_enters.load(Ordering::Relaxed),
-            proto_conns: std::array::from_fn(|i| self.proto_conns[i].load(Ordering::Relaxed)),
-            proto_queries: std::array::from_fn(|i| self.proto_queries[i].load(Ordering::Relaxed)),
-            proto_parse_errors: std::array::from_fn(|i| {
-                self.proto_parse_errors[i].load(Ordering::Relaxed)
-            }),
-            batch_hist: self.batch_histogram(),
-            read_burst_hist: self.read_burst_histogram(),
-            cqe_per_enter_hist: self.cqe_per_enter_histogram(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`ServerStats`] (see
-/// [`ServerStats::snapshot`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NetStatsSnapshot {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Query frames served.
-    pub frames: u64,
-    /// Individual queries answered.
-    pub queries: u64,
-    /// Malformed frames rejected.
-    pub bad_frames: u64,
-    /// Frames dropped on RX-ring overflow.
-    pub dropped_frames: u64,
-    /// Dispatcher drains executed.
-    pub dispatches: u64,
-    /// Frames aggregated across all dispatches.
-    pub dispatched_frames: u64,
-    /// Queries aggregated across all dispatches.
-    pub dispatched_queries: u64,
-    /// Deepest RX-ring occupancy observed at drain time.
-    pub ring_depth_max: u64,
-    /// Dispatches that waited out the full drain window.
-    pub delayed_dispatches: u64,
-    /// Reactor threads serving the data path (gauge).
-    pub reactor_threads: u64,
-    /// Readiness wakeups across all reactors.
-    pub reactor_wakeups: u64,
-    /// Connections registered with a reactor at snapshot time (gauge).
-    pub reactor_conns: u64,
-    /// Connections open inside the SD writer at snapshot time (gauge).
-    pub sd_open_conns: u64,
-    /// Response runs freed by the SD writer without being written.
-    pub sd_pending_dropped: u64,
-    /// SD egress shard threads (gauge).
-    pub sd_writer_threads: u64,
-    /// Connections retired by the per-connection stall deadline.
-    pub sd_stall_retired: u64,
-    /// Writes parked on WRITABLE readiness after `WouldBlock`.
-    pub sd_writable_parks: u64,
-    /// READ-interest pauses from slow-consumer backpressure.
-    pub sd_read_pauses: u64,
-    /// Encode buffers served from the SD reuse rings.
-    pub sd_buf_hits: u64,
-    /// Encode buffers freshly allocated (rings dry).
-    pub sd_buf_misses: u64,
-    /// Deepest per-connection pending-bytes backlog (folds by max).
-    pub sd_pending_bytes_hiwater: u64,
-    /// Resolved I/O backend (gauge: 0 = epoll, 1 = io_uring).
-    pub io_backend: u64,
-    /// I/O-plane syscalls (ring enters on uring; `epoll_wait` + `read`
-    /// + `writev` on epoll).
-    pub ring_enters: u64,
-    /// Connections accepted per protocol ([`ProtocolKind::index`]).
-    pub proto_conns: [u64; PROTOCOL_KINDS],
-    /// Queries decoded per protocol ([`ProtocolKind::index`]).
-    pub proto_queries: [u64; PROTOCOL_KINDS],
-    /// Per-protocol parse-error replies ([`ProtocolKind::index`]).
-    pub proto_parse_errors: [u64; PROTOCOL_KINDS],
-    /// Frames-per-dispatch histogram (buckets `1, 2, 3–4, …, 65+`).
-    pub batch_hist: [u64; BATCH_HIST_BUCKETS],
-    /// Frames-per-readiness-read histogram (same buckets).
-    pub read_burst_hist: [u64; BATCH_HIST_BUCKETS],
-    /// Completions-per-wait histogram (same buckets).
-    pub cqe_per_enter_hist: [u64; BATCH_HIST_BUCKETS],
-}
-
-impl NetStatsSnapshot {
-    /// Counter deltas since `earlier` (`ring_depth_max` and
-    /// `sd_pending_bytes_hiwater` keep the max, not a difference;
-    /// gauges — `reactor_threads`, `reactor_conns`, `sd_open_conns`,
-    /// `sd_writer_threads`, `io_backend` — keep their current value).
-    /// Use to fold
-    /// per-interval activity into `dido::Metrics` without
-    /// double-counting.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &NetStatsSnapshot) -> NetStatsSnapshot {
-        NetStatsSnapshot {
-            connections: self.connections - earlier.connections,
-            frames: self.frames - earlier.frames,
-            queries: self.queries - earlier.queries,
-            bad_frames: self.bad_frames - earlier.bad_frames,
-            dropped_frames: self.dropped_frames - earlier.dropped_frames,
-            dispatches: self.dispatches - earlier.dispatches,
-            dispatched_frames: self.dispatched_frames - earlier.dispatched_frames,
-            dispatched_queries: self.dispatched_queries - earlier.dispatched_queries,
-            ring_depth_max: self.ring_depth_max.max(earlier.ring_depth_max),
-            delayed_dispatches: self.delayed_dispatches - earlier.delayed_dispatches,
-            reactor_threads: self.reactor_threads,
-            reactor_wakeups: self.reactor_wakeups - earlier.reactor_wakeups,
-            reactor_conns: self.reactor_conns,
-            sd_open_conns: self.sd_open_conns,
-            sd_pending_dropped: self.sd_pending_dropped - earlier.sd_pending_dropped,
-            sd_writer_threads: self.sd_writer_threads,
-            sd_stall_retired: self.sd_stall_retired - earlier.sd_stall_retired,
-            sd_writable_parks: self.sd_writable_parks - earlier.sd_writable_parks,
-            sd_read_pauses: self.sd_read_pauses - earlier.sd_read_pauses,
-            sd_buf_hits: self.sd_buf_hits - earlier.sd_buf_hits,
-            sd_buf_misses: self.sd_buf_misses - earlier.sd_buf_misses,
-            sd_pending_bytes_hiwater: self
-                .sd_pending_bytes_hiwater
-                .max(earlier.sd_pending_bytes_hiwater),
-            io_backend: self.io_backend,
-            ring_enters: self.ring_enters - earlier.ring_enters,
-            proto_conns: std::array::from_fn(|i| self.proto_conns[i] - earlier.proto_conns[i]),
-            proto_queries: std::array::from_fn(|i| {
-                self.proto_queries[i] - earlier.proto_queries[i]
-            }),
-            proto_parse_errors: std::array::from_fn(|i| {
-                self.proto_parse_errors[i] - earlier.proto_parse_errors[i]
-            }),
-            batch_hist: std::array::from_fn(|i| self.batch_hist[i] - earlier.batch_hist[i]),
-            read_burst_hist: std::array::from_fn(|i| {
-                self.read_burst_hist[i] - earlier.read_burst_hist[i]
-            }),
-            cqe_per_enter_hist: std::array::from_fn(|i| {
-                self.cqe_per_enter_hist[i] - earlier.cqe_per_enter_hist[i]
-            }),
-        }
-    }
 }
 
 /// Knobs of the data path.
@@ -644,8 +320,8 @@ impl KvServer {
     }
 
     /// A shared handle to the server statistics, for observers that
-    /// outlive borrows of the server (e.g. folding snapshots into
-    /// `dido::Metrics` from the request handler).
+    /// outlive borrows of the server (e.g. printing snapshots from the
+    /// request handler).
     #[must_use]
     pub fn stats_handle(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
@@ -702,7 +378,7 @@ where
 {
     let stats = Arc::new(ServerStats::default());
     let backend = resolve_backend(cfg.io_backend)?;
-    stats.io_backend.store(backend as u64, Ordering::Relaxed);
+    stats.io_backend.set(backend as u64);
     match backend {
         IoBackend::Epoll => {
             spawn_planes::<EpollDriver, F>(addrs, listeners, cfg, clock, handler, stats)
@@ -742,9 +418,7 @@ where
     let n_sd = crate::sd::effective_sd_writers(cfg.sd_writers);
     let (plane, parts) = crate::sd::build_sd_plane::<D>(n_sd)?;
     let plane = Arc::new(plane);
-    stats
-        .sd_writer_threads
-        .store(n_sd as u64, Ordering::Relaxed);
+    stats.sd_writer_threads.set(n_sd as u64);
     let shard_cfg = crate::sd::SdShardCfg::new(cfg.sd_stall_timeout, cfg.sd_hiwater_bytes);
     let mut sd = Vec::with_capacity(n_sd);
     for (idx, part) in parts.into_iter().enumerate() {
@@ -1009,7 +683,7 @@ fn dispatch_batch<F>(
         let meta = decode_request(t.proto, &t.frame, now, &mut batch);
         let len = batch.len() - start;
         if meta.is_parse_error() {
-            stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+            stats.bad_frames.add(1);
             proto_errors[t.proto.index()] += 1;
         } else {
             good_frames += 1;
@@ -1023,16 +697,14 @@ fn dispatch_batch<F>(
             meta,
         });
     }
-    stats.frames.fetch_add(good_frames, Ordering::Relaxed);
-    stats
-        .queries
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    stats.frames.add(good_frames);
+    stats.queries.add(batch.len() as u64);
     for i in 0..PROTOCOL_KINDS {
         if proto_queries[i] > 0 {
-            stats.proto_queries[i].fetch_add(proto_queries[i], Ordering::Relaxed);
+            stats.proto_queries[i].add(proto_queries[i]);
         }
         if proto_errors[i] > 0 {
-            stats.proto_parse_errors[i].fetch_add(proto_errors[i], Ordering::Relaxed);
+            stats.proto_parse_errors[i].add(proto_errors[i]);
         }
     }
     let responses = if batch.is_empty() {
@@ -1544,7 +1216,7 @@ mod tests {
         a.request(&[Query::set("shared", "from-a")]).unwrap();
         let rs = b.request(&[Query::get("shared")]).unwrap();
         assert_eq!(&rs[0].value[..], b"from-a");
-        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 2);
+        assert_eq!(server.stats().connections.get(), 2);
         server.shutdown();
     }
 
@@ -1561,7 +1233,7 @@ mod tests {
         let mut client = KvClient::from_stream(stream);
         let rs = client.recv().unwrap();
         assert!(rs.is_empty());
-        assert_eq!(server.stats().bad_frames.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().bad_frames.get(), 1);
         let rs = client.request(&[Query::get("x")]).unwrap();
         assert_eq!(rs[0].status, ResponseStatus::NotFound);
         server.shutdown();
@@ -1605,59 +1277,6 @@ mod tests {
         let hist_total: u64 = stats.batch_hist.iter().sum();
         assert_eq!(hist_total, stats.dispatches);
         server.shutdown();
-    }
-
-    #[test]
-    fn batch_histogram_buckets() {
-        assert_eq!(hist_bucket(1), 0);
-        assert_eq!(hist_bucket(2), 1);
-        assert_eq!(hist_bucket(3), 2);
-        assert_eq!(hist_bucket(4), 2);
-        assert_eq!(hist_bucket(5), 3);
-        assert_eq!(hist_bucket(8), 3);
-        assert_eq!(hist_bucket(16), 4);
-        assert_eq!(hist_bucket(64), 6);
-        assert_eq!(hist_bucket(65), 7);
-        assert_eq!(hist_bucket(100_000), 7);
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_counters_and_keeps_depth_max() {
-        let a = NetStatsSnapshot {
-            frames: 10,
-            queries: 100,
-            dispatches: 4,
-            ring_depth_max: 7,
-            sd_stall_retired: 1,
-            sd_writable_parks: 3,
-            sd_buf_hits: 50,
-            sd_pending_bytes_hiwater: 9000,
-            ..NetStatsSnapshot::default()
-        };
-        let b = NetStatsSnapshot {
-            frames: 25,
-            queries: 260,
-            dispatches: 9,
-            ring_depth_max: 5,
-            sd_writer_threads: 2,
-            sd_stall_retired: 4,
-            sd_writable_parks: 10,
-            sd_buf_hits: 80,
-            sd_pending_bytes_hiwater: 4000,
-            ..NetStatsSnapshot::default()
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(d.frames, 15);
-        assert_eq!(d.queries, 160);
-        assert_eq!(d.dispatches, 5);
-        assert_eq!(d.ring_depth_max, 7);
-        // New egress counters subtract; the pending-bytes high water
-        // folds by max and the thread count carries the current gauge.
-        assert_eq!(d.sd_stall_retired, 3);
-        assert_eq!(d.sd_writable_parks, 7);
-        assert_eq!(d.sd_buf_hits, 30);
-        assert_eq!(d.sd_pending_bytes_hiwater, 9000);
-        assert_eq!(d.sd_writer_threads, 2);
     }
 
     /// A three-request burst for each protocol, with the decode

@@ -7,7 +7,6 @@ use dido_net::{backend_matrix, BatchConfig, IoBackend, KvClient, KvServer};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,7 +191,7 @@ fn ring_overflow_counts_drops_and_keeps_connection_alive() {
         }
         // Wait for the overflow to happen before releasing the engine.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.stats().dropped_frames.load(Ordering::Relaxed) == 0 {
+        while server.stats().dropped_frames.get() == 0 {
             assert!(Instant::now() < deadline, "{name}: ring never overflowed");
             std::thread::sleep(Duration::from_millis(5));
         }

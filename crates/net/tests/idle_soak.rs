@@ -10,7 +10,6 @@
 
 use dido_model::{Query, Response};
 use dido_net::{BatchConfig, KvClient, KvServer};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 const CONNS: usize = 512;
@@ -58,11 +57,11 @@ fn idle_soak_512_conns_flat_threads_bounded_rss_then_pipelined_pass() {
         clients.push(KvClient::connect(server.addr()).unwrap());
     }
     let deadline = Instant::now() + Duration::from_secs(30);
-    while (server.stats().reactor_conns.load(Ordering::Relaxed) as usize) < CONNS {
+    while (server.stats().reactor_conns.get() as usize) < CONNS {
         assert!(
             Instant::now() < deadline,
             "only {}/{CONNS} connections registered",
-            server.stats().reactor_conns.load(Ordering::Relaxed)
+            server.stats().reactor_conns.get()
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -76,7 +75,7 @@ fn idle_soak_512_conns_flat_threads_bounded_rss_then_pipelined_pass() {
         threads_after_conns, threads_before_conns,
         "connection count must not change the thread count"
     );
-    let readers = server.stats().reactor_threads.load(Ordering::Relaxed);
+    let readers = server.stats().reactor_threads.get();
     assert!(readers >= 1, "no reactor threads reported");
 
     // Bounded memory: the per-connection footprint (both halves, since

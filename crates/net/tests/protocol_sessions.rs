@@ -11,7 +11,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -245,18 +244,18 @@ fn canned_sessions_are_byte_exact_on_every_backend() {
         let stats = server.stats();
         let mc = ProtocolKind::Memcached.index();
         let resp = ProtocolKind::Resp.index();
-        assert_eq!(stats.proto_conns[mc].load(Ordering::Relaxed), 1, "{name}");
-        assert_eq!(stats.proto_conns[resp].load(Ordering::Relaxed), 1, "{name}");
-        assert!(stats.proto_queries[mc].load(Ordering::Relaxed) >= 10, "{name}");
-        assert!(stats.proto_queries[resp].load(Ordering::Relaxed) >= 10, "{name}");
+        assert_eq!(stats.proto_conns[mc].get(), 1, "{name}");
+        assert_eq!(stats.proto_conns[resp].get(), 1, "{name}");
+        assert!(stats.proto_queries[mc].get() >= 10, "{name}");
+        assert!(stats.proto_queries[resp].get() >= 10, "{name}");
         // "bogus" + bad set line (mc); BLAH (resp).
         assert_eq!(
-            stats.proto_parse_errors[mc].load(Ordering::Relaxed),
+            stats.proto_parse_errors[mc].get(),
             2,
             "{name}"
         );
         assert_eq!(
-            stats.proto_parse_errors[resp].load(Ordering::Relaxed),
+            stats.proto_parse_errors[resp].get(),
             1,
             "{name}"
         );

@@ -67,9 +67,7 @@ fn seq_gap_from_dropped_frames_does_not_stall_later_responses() {
         for i in 0..K {
             client.send(&[Query::get(format!("q{i}"))]).unwrap();
         }
-        wait_until("ring overflow", || {
-            server.stats().dropped_frames.load(Ordering::Relaxed) > 0
-        });
+        wait_until("ring overflow", || server.stats().dropped_frames.get() > 0);
         drop(held);
 
         // The overflow round itself drains: one response per request,
@@ -150,9 +148,7 @@ fn disconnect_mid_stream_frees_reorder_buffer_and_counts_it() {
         // reset, per TCP) — which is exactly the "vanished mid-stream"
         // shape.
         client.send(&[Query::get("warmup")]).unwrap();
-        wait_until("warm-up served", || {
-            server.stats().frames.load(Ordering::Relaxed) >= 1
-        });
+        wait_until("warm-up served", || server.stats().frames.get() >= 1);
         std::thread::sleep(Duration::from_millis(50)); // response delivery
 
         // Wedge the engine, then pin one frame inside it.
@@ -167,32 +163,26 @@ fn disconnect_mid_stream_frees_reorder_buffer_and_counts_it() {
         for i in 0..12 {
             client.send(&[Query::get(format!("fill-{i}"))]).unwrap();
         }
-        wait_until("ring overflow", || {
-            server.stats().dropped_frames.load(Ordering::Relaxed) > 0
-        });
+        wait_until("ring overflow", || server.stats().dropped_frames.get() > 0);
 
         // Vanish. The reactor observes the reset and retires the read
         // side; the SD connection stays open — it still owes the
         // parked runs.
         drop(client);
         wait_until("reactor retired the connection", || {
-            server.stats().reactor_conns.load(Ordering::Relaxed) == 0
+            server.stats().reactor_conns.get() == 0
         });
-        assert_eq!(
-            server.stats().sd_open_conns.load(Ordering::Relaxed),
-            1,
-            "{name}"
-        );
+        assert_eq!(server.stats().sd_open_conns.get(), 1, "{name}");
 
         // Unwedge: the stuck frame's response hits the dead socket,
         // the write fails, and cleanup must free the parked runs —
         // counted — and retire the connection.
         drop(held);
         wait_until("SD retired the dead connection", || {
-            server.stats().sd_open_conns.load(Ordering::Relaxed) == 0
+            server.stats().sd_open_conns.get() == 0
         });
         assert!(
-            server.stats().sd_pending_dropped.load(Ordering::Relaxed) > 0,
+            server.stats().sd_pending_dropped.get() > 0,
             "{name}: parked runs freed on disconnect must be counted"
         );
         server.shutdown();

@@ -7,7 +7,6 @@ use dido_model::{Query, Response};
 use dido_net::{backend_matrix, BatchConfig, IoBackend, KvClient, KvServer};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// A [`BatchConfig`] pinned to one I/O backend, for the matrix loops.
@@ -75,10 +74,7 @@ fn pipelined_ordering_holds_across_sd_writer_counts() {
                 key_echo_handler,
             )
             .unwrap();
-            assert_eq!(
-                server.stats().sd_writer_threads.load(Ordering::Relaxed),
-                sd_writers as u64
-            );
+            assert_eq!(server.stats().sd_writer_threads.get(), sd_writers as u64);
             let addr = server.addr();
             let workers: Vec<_> = (0..CONNS)
                 .map(|c| {
@@ -158,7 +154,7 @@ fn slow_reader_does_not_stall_healthy_conn_on_same_shard() {
             slow
         });
         wait_until("slow connection parked on WRITABLE", || {
-            server.stats().sd_writable_parks.load(Ordering::Relaxed) >= 1
+            server.stats().sd_writable_parks.get() >= 1
         });
 
         // Healthy probes while the slow connection is parked on the same
@@ -183,7 +179,7 @@ fn slow_reader_does_not_stall_healthy_conn_on_same_shard() {
          while a slow consumer was parked on the same shard"
         );
         assert!(
-            server.stats().sd_read_pauses.load(Ordering::Relaxed) >= 1,
+            server.stats().sd_read_pauses.get() >= 1,
             "the slow consumer should have crossed the pending-bytes high water"
         );
 
@@ -241,12 +237,9 @@ fn backpressure_caps_pending_bytes_and_drains_in_order() {
         });
 
         wait_until("read interest paused by backpressure", || {
-            server.stats().sd_read_pauses.load(Ordering::Relaxed) >= 1
+            server.stats().sd_read_pauses.get() >= 1
         });
-        let hiwater_seen = server
-            .stats()
-            .sd_pending_bytes_hiwater
-            .load(Ordering::Relaxed);
+        let hiwater_seen = server.stats().sd_pending_bytes_hiwater.get();
         assert!(
             hiwater_seen >= HIWATER as u64,
             "pause implies the high water was crossed, saw {hiwater_seen}"
@@ -305,10 +298,10 @@ fn stall_deadline_retires_only_the_wedged_conn() {
             slow.send(&[Query::get(format!("wedge-{i}"))]).unwrap();
         }
         wait_until("stalled connection retired", || {
-            server.stats().sd_stall_retired.load(Ordering::Relaxed) >= 1
+            server.stats().sd_stall_retired.get() >= 1
         });
         wait_until("retired connection leaves the SD gauge", || {
-            server.stats().sd_open_conns.load(Ordering::Relaxed) == 1
+            server.stats().sd_open_conns.get() == 1
         });
 
         // The healthy connection never noticed.
@@ -347,7 +340,7 @@ fn writable_park_recovers_when_the_client_resumes() {
             client.send(&[Query::get(format!("nap-{i:02}"))]).unwrap();
         }
         wait_until("connection parked on WRITABLE", || {
-            server.stats().sd_writable_parks.load(Ordering::Relaxed) >= 1
+            server.stats().sd_writable_parks.get() >= 1
         });
         // Napping (well under the 5 s default stall deadline), then
         // draining: the parked run must resume exactly where it stopped.
@@ -358,7 +351,7 @@ fn writable_park_recovers_when_the_client_resumes() {
         }
         let rs = client.request(&[Query::get("after")]).unwrap();
         assert_eq!(rs[0].value.len(), VALUE);
-        assert_eq!(server.stats().sd_stall_retired.load(Ordering::Relaxed), 0);
+        assert_eq!(server.stats().sd_stall_retired.get(), 0);
         server.shutdown();
     }
 }

@@ -9,7 +9,6 @@
 
 use dido_model::{Query, Response};
 use dido_net::{backend_matrix, BatchConfig, IoBackend, KvClient, KvServer};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 fn key_echo_handler(_lane: usize, queries: Vec<Query>) -> Vec<Response> {
@@ -54,16 +53,16 @@ fn audit(backend: IoBackend) {
     // listener backlog, where a closing listener would RST them)
     // before counting threads and shutting down.
     let accept_deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().connections.load(Ordering::Relaxed) < 8 {
+    while server.stats().connections.get() < 8 {
         assert!(Instant::now() < accept_deadline, "idle conns not accepted");
         std::thread::sleep(Duration::from_millis(5));
     }
     // With all 8 connections open the default config's thread count is
     // its fixed pools, nothing per connection.
     let stats = server.stats();
-    let pools = stats.reactor_threads.load(Ordering::Relaxed) as usize
+    let pools = stats.reactor_threads.get() as usize
         + cfg.dispatchers
-        + stats.sd_writer_threads.load(Ordering::Relaxed) as usize;
+        + stats.sd_writer_threads.get() as usize;
     assert_eq!(
         thread_count() - before,
         pools,

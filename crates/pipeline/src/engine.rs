@@ -4,10 +4,13 @@
 use crate::cache::LruFilter;
 use dido_hashtable::{key_hash, IndexTable, KeyHash};
 use dido_kvstore::{ObjectStore, ProbeOutcome, PurgedEntry};
-use dido_model::{ttl_to_deadline, Processor, Query, QueryOp, Response, SharedClock, SystemClock};
+use dido_model::{
+    metric_table, ttl_to_deadline, Counter, Processor, Query, QueryOp, Response, SharedClock,
+    SystemClock,
+};
 use dido_net::Nic;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Deferred purge requests (expired objects awaiting index unlink and
@@ -101,74 +104,31 @@ impl IntegrityReport {
     }
 }
 
-/// Snapshot of the per-task operation totals applied through the
-/// pipeline tasks (`MM` allocations and the three `IN` operation
-/// kinds). Every count is driven by the *workload* — e.g. one index
-/// search per GET, one allocation and one upsert per SET — so race
-/// regression tests can compute the exact expected totals and detect a
-/// duplicated task execution (a stolen sub-batch re-run) as an
-/// inflated counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCounts {
+metric_table! {
+    /// Write side of [`OpCounts`] (incremented by the task functions in
+    /// `tasks.rs`).
+    pub(crate) struct OpCounters;
+    /// Snapshot of the per-task operation totals applied through the
+    /// pipeline tasks (`MM` allocations and the three `IN` operation
+    /// kinds). Every count is driven by the *workload* — e.g. one index
+    /// search per GET, one allocation and one upsert per SET — so race
+    /// regression tests can compute the exact expected totals and
+    /// detect a duplicated task execution (a stolen sub-batch re-run)
+    /// as an inflated counter.
+    pub struct OpCounts;
+
     /// `MM` allocation attempts (one per SET processed).
-    pub mm_allocs: u64,
+    mm_allocs: Counter,
     /// `IN`-Search lookups (one per GET processed).
-    pub index_searches: u64,
+    index_searches: Counter,
     /// `IN`-Insert upserts (one per SET whose allocation succeeded).
-    pub index_inserts: u64,
+    index_inserts: Counter,
     /// `IN`-Delete removals applied (eviction cleanups + explicit
     /// DELETEs that matched).
-    pub index_deletes: u64,
+    index_deletes: Counter,
     /// Objects discovered expired on access (`KC` or the scalar GET
     /// path) and purged lazily.
-    pub expired_lazy: u64,
-}
-
-impl std::ops::AddAssign for OpCounts {
-    fn add_assign(&mut self, o: OpCounts) {
-        self.mm_allocs += o.mm_allocs;
-        self.index_searches += o.index_searches;
-        self.index_inserts += o.index_inserts;
-        self.index_deletes += o.index_deletes;
-        self.expired_lazy += o.expired_lazy;
-    }
-}
-
-/// Interior counters behind [`OpCounts`] (relaxed atomics; incremented
-/// by the task functions in `tasks.rs`).
-#[derive(Debug, Default)]
-pub(crate) struct OpCounters {
-    pub(crate) mm_allocs: AtomicU64,
-    pub(crate) index_searches: AtomicU64,
-    pub(crate) index_inserts: AtomicU64,
-    pub(crate) index_deletes: AtomicU64,
-    pub(crate) expired_lazy: AtomicU64,
-}
-
-impl OpCounters {
-    /// Read every counter into a consistent-enough snapshot.
-    pub(crate) fn snapshot(&self) -> OpCounts {
-        OpCounts {
-            mm_allocs: self.mm_allocs.load(Ordering::Relaxed),
-            index_searches: self.index_searches.load(Ordering::Relaxed),
-            index_inserts: self.index_inserts.load(Ordering::Relaxed),
-            index_deletes: self.index_deletes.load(Ordering::Relaxed),
-            expired_lazy: self.expired_lazy.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Fold a snapshot into these counters (used when a donor engine
-    /// retires after a reshard so cumulative accounting survives).
-    pub(crate) fn absorb(&self, c: OpCounts) {
-        self.mm_allocs.fetch_add(c.mm_allocs, Ordering::Relaxed);
-        self.index_searches
-            .fetch_add(c.index_searches, Ordering::Relaxed);
-        self.index_inserts
-            .fetch_add(c.index_inserts, Ordering::Relaxed);
-        self.index_deletes
-            .fetch_add(c.index_deletes, Ordering::Relaxed);
-        self.expired_lazy.fetch_add(c.expired_lazy, Ordering::Relaxed);
-    }
+    expired_lazy: Counter,
 }
 
 /// The functional key-value node shared by every pipeline configuration:
@@ -498,7 +458,7 @@ impl KvEngine {
                             if removed && self.store.expire_if_due(loc, now) {
                                 self.cache_invalidate(loc);
                             }
-                            self.ops.expired_lazy.fetch_add(1, Ordering::Relaxed);
+                            self.ops.expired_lazy.add(1);
                             return Response::not_found();
                         }
                         ProbeOutcome::Hit => {

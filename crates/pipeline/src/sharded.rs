@@ -38,7 +38,7 @@
 //! wait out every in-flight batch: no batch ever runs against a set
 //! topology that has been retired.
 
-use crate::engine::{EngineConfig, KvEngine, OpCounters, OpCounts};
+use crate::engine::{EngineConfig, KvEngine, OpCounts};
 use crate::shardmap::{route_of, MapState, ShardMap, MAX_SHARDS};
 use crate::threaded::ThreadedPipeline;
 use dido_kvstore::{ClassStats, ExpiryStats};
@@ -93,6 +93,9 @@ impl ShardSet {
 struct EngineSets {
     primary: Arc<ShardSet>,
     donor: Option<Arc<ShardSet>>,
+    /// Op counts carried over from retired donor sets, so aggregate
+    /// [`ShardedEngine::op_counts`] accounting survives resizes.
+    retired: OpCounts,
 }
 
 /// Where the migration sweep is within the donor set.
@@ -150,9 +153,6 @@ pub struct ShardedEngine {
     sets: RwLock<EngineSets>,
     /// Migration sweep position. Lock order: `sets` before `cursor`.
     cursor: Mutex<Option<MigrationCursor>>,
-    /// Op counters carried over from retired donor sets, so aggregate
-    /// [`ShardedEngine::op_counts`] accounting survives resizes.
-    retired: OpCounters,
     /// Cumulative keys dropped by migrations (target store rejections).
     migrate_dropped: AtomicU64,
     /// One clock shared by every shard (and every future shard a resize
@@ -201,9 +201,9 @@ impl ShardedEngine {
             sets: RwLock::new(EngineSets {
                 primary: Arc::new(set),
                 donor: None,
+                retired: OpCounts::default(),
             }),
             cursor: Mutex::new(None),
-            retired: OpCounters::default(),
             migrate_dropped: AtomicU64::new(0),
             clock,
         }
@@ -599,7 +599,7 @@ impl ShardedEngine {
         drop(cursor);
         let donor = sets.donor.take().expect("checked above");
         for e in &donor.engines {
-            self.retired.absorb(e.op_counts());
+            sets.retired.merge(&e.op_counts());
         }
         Ok(self.map.publish(MapState::Settled {
             shards: sets.primary.len(),
@@ -651,14 +651,10 @@ impl ShardedEngine {
     #[must_use]
     pub fn op_counts(&self) -> OpCounts {
         let sets = self.sets.read();
-        let mut total = self.retired.snapshot();
-        for e in &sets.primary.engines {
-            total += e.op_counts();
-        }
-        if let Some(donor) = &sets.donor {
-            for e in &donor.engines {
-                total += e.op_counts();
-            }
+        let mut total = sets.retired;
+        let donors = sets.donor.iter().flat_map(|d| &d.engines);
+        for e in sets.primary.engines.iter().chain(donors) {
+            total.merge(&e.op_counts());
         }
         total
     }

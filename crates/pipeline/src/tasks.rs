@@ -19,7 +19,6 @@ use dido_model::{
 };
 use dido_net::{encode_responses, frame_query_count, parse_frame, FrameBuilder};
 use std::ops::Range;
-use std::sync::atomic::Ordering as AtomicOrdering;
 
 /// Placeholder for initializing wavefront gather buffers (never probed:
 /// only the filled prefix of a gather array is handed to the batch ops).
@@ -106,7 +105,7 @@ pub fn run_mm(ctx: StageCtx, engine: &KvEngine, batch: &mut Batch, range: Range<
         }
         let q = &batch.queries[i];
         usage += ResourceUsage::new(costs::MM_INSNS_PER_ALLOC, costs::MM_MEM_PER_ALLOC, 0);
-        engine.ops.mm_allocs.fetch_add(1, AtomicOrdering::Relaxed);
+        engine.ops.mm_allocs.add(1);
         let kh = key_hash(&q.key);
         let deadline = ttl_to_deadline(q.ttl, now);
         match engine
@@ -184,10 +183,7 @@ pub fn run_index_search(
         if n == 0 {
             continue;
         }
-        engine
-            .ops
-            .index_searches
-            .fetch_add(n as u64, AtomicOrdering::Relaxed);
+        engine.ops.index_searches.add(n as u64);
         usage += engine.index.search_batch(&keys[..n], &mut cands[..n]);
         for k in 0..n {
             batch.state[idx[k]].candidates = cands[k];
@@ -225,10 +221,7 @@ pub fn run_index_insert(
         if n == 0 {
             continue;
         }
-        engine
-            .ops
-            .index_inserts
-            .fetch_add(n as u64, AtomicOrdering::Relaxed);
+        engine.ops.index_inserts.add(n as u64);
         usage += engine.index.upsert_batch(&items[..n], &mut outs[..n]);
         for k in 0..n {
             match outs[k] {
@@ -285,10 +278,7 @@ pub fn run_index_delete(
             if n == 0 {
                 continue;
             }
-            engine
-                .ops
-                .index_deletes
-                .fetch_add(n as u64, AtomicOrdering::Relaxed);
+            engine.ops.index_deletes.add(n as u64);
             usage += engine.index.delete_batch(&items[..n], &mut removed[..n]);
             for &(_, loc) in &items[..n] {
                 // Free-and-invalidate for KC-deferred entries; bulk
@@ -322,10 +312,7 @@ pub fn run_index_delete(
             }
         }
         if n_ev > 0 {
-            engine
-                .ops
-                .index_deletes
-                .fetch_add(n_ev as u64, AtomicOrdering::Relaxed);
+            engine.ops.index_deletes.add(n_ev as u64);
             usage += engine.index.delete_batch(&items[..n_ev], &mut removed[..n_ev]);
         }
         // Explicit DELETE queries: one batched search per wavefront, then
@@ -356,7 +343,7 @@ pub fn run_index_delete(
                     key_lines.saturating_sub(1),
                 );
                 if engine.store.key_matches(loc, key) {
-                    engine.ops.index_deletes.fetch_add(1, AtomicOrdering::Relaxed);
+                    engine.ops.index_deletes.add(1);
                     let (deleted, du) = engine.index.delete(keys[k], loc);
                     usage += du;
                     if deleted {
@@ -462,10 +449,7 @@ pub fn run_kc(
     // sub-batch, taken only when something actually expired, so the
     // no-TTL hot path pays nothing here.
     if !expired_hits.is_empty() {
-        engine
-            .ops
-            .expired_lazy
-            .fetch_add(expired_hits.len() as u64, AtomicOrdering::Relaxed);
+        engine.ops.expired_lazy.add(expired_hits.len() as u64);
         engine
             .pending_expired
             .push(expired_hits.into_iter().map(|(i, loc)| PurgedEntry {

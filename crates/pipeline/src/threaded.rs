@@ -20,11 +20,11 @@ use crate::sync::{Backoff, Claim, ClaimCtrl};
 use crate::tasks::{self, StageCtx};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dido_model::{
-    PipelineConfig, PipelinePlan, Query, Response, StagePlan, TaskKind, WAVEFRONT_WIDTH,
+    metric_table, Counter, PipelineConfig, PipelinePlan, Query, Response, StagePlan, TaskKind,
+    WAVEFRONT_WIDTH,
 };
 use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,39 +119,33 @@ impl BatchGroup {
     }
 }
 
-/// Claim/steal counters of one [`ThreadedPipeline`], accumulated across
-/// every `run`/`run_inline` call. Snapshot via
-/// [`ThreadedPipeline::exec_stats`]; feed into `dido::metrics::Metrics`
-/// with its `record_exec_stats` to make stealing observable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
+metric_table! {
+    /// Write side of [`ExecStats`].
+    struct ExecCounters;
+    /// Claim/steal counters of one [`ThreadedPipeline`], accumulated
+    /// across every `run`/`run_inline` call. Snapshot via
+    /// [`ThreadedPipeline::exec_stats`]; its `Display` is the claim
+    /// accounting line.
+    pub struct ExecStats;
+
     /// Sub-batches processed by their stage's own thread.
-    pub owner_claims: u64,
+    owner_claims: Counter,
     /// Sub-batches processed by the steal helper.
-    pub stolen_claims: u64,
+    stolen_claims: Counter,
     /// Steal attempts refused because the group had already moved to a
     /// later stage (each one is a race the epoch guard defused).
-    pub stale_rejects: u64,
+    stale_rejects: Counter,
     /// Groups handed to the steal helper.
-    pub steal_groups: u64,
+    steal_groups: Counter,
 }
 
-#[derive(Debug, Default)]
-struct ExecCounters {
-    owner_claims: AtomicU64,
-    stolen_claims: AtomicU64,
-    stale_rejects: AtomicU64,
-    steal_groups: AtomicU64,
-}
-
-impl ExecCounters {
-    fn snapshot(&self) -> ExecStats {
-        ExecStats {
-            owner_claims: self.owner_claims.load(Ordering::Relaxed),
-            stolen_claims: self.stolen_claims.load(Ordering::Relaxed),
-            stale_rejects: self.stale_rejects.load(Ordering::Relaxed),
-            steal_groups: self.steal_groups.load(Ordering::Relaxed),
-        }
+impl std::fmt::Display for ExecStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "claims: {} owner / {} stolen, {} stale rejects over {} steal groups",
+            self.owner_claims, self.stolen_claims, self.stale_rejects, self.steal_groups
+        )
     }
 }
 
@@ -225,8 +219,8 @@ fn drain_group(
                 let sub = unsafe { &mut *group.subs[i].0.get() };
                 run_stage_on_sub(engine, stage, sub, cache_line);
                 match role {
-                    Role::Owner => counters.owner_claims.fetch_add(1, Ordering::Relaxed),
-                    Role::Thief => counters.stolen_claims.fetch_add(1, Ordering::Relaxed),
+                    Role::Owner => counters.owner_claims.add(1),
+                    Role::Thief => counters.stolen_claims.add(1),
                 };
                 group.complete_one();
             }
@@ -236,7 +230,7 @@ fn drain_group(
                 // pre-epoch executor this was the moment a lagging
                 // helper re-ran index ops on sub-batches the next stage
                 // was concurrently mutating.
-                counters.stale_rejects.fetch_add(1, Ordering::Relaxed);
+                counters.stale_rejects.add(1);
                 break;
             }
         }
@@ -376,7 +370,7 @@ impl<'e> ThreadedPipeline<'e> {
                         let epoch = group.begin_stage();
                         if let Some(steal_tx) = &steal_tx {
                             if steal_tx.try_send((Arc::clone(&group), epoch)).is_ok() {
-                                counters.steal_groups.fetch_add(1, Ordering::Relaxed);
+                                counters.steal_groups.add(1);
                             }
                         }
                         drain_group(

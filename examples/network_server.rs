@@ -61,11 +61,9 @@ fn main() -> std::io::Result<()> {
     let stats = server.stats();
     println!(
         "server stats: {} connections, {} frames, {} queries",
-        stats
-            .connections
-            .load(std::sync::atomic::Ordering::Relaxed),
-        stats.frames.load(std::sync::atomic::Ordering::Relaxed),
-        stats.queries.load(std::sync::atomic::Ordering::Relaxed),
+        stats.connections.get(),
+        stats.frames.get(),
+        stats.queries.get(),
     );
     server.shutdown();
     Ok(())

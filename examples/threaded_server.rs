@@ -8,7 +8,6 @@
 //! cargo run --release --example threaded_server
 //! ```
 
-use dido_kv::dido::Metrics;
 use dido_kv::model::{PipelineConfig, Query, ResponseStatus};
 use dido_kv::pipeline::{EngineConfig, KvEngine, ThreadedPipeline};
 use std::time::Instant;
@@ -63,13 +62,7 @@ fn main() {
             ok,
         );
 
-        // The executor's claim accounting (epoch-guarded work stealing),
-        // surfaced through the node metrics.
-        let stats = pipeline.exec_stats();
-        let mut metrics = Metrics::default();
-        metrics.record_exec_stats(&stats);
-        for line in metrics.to_string().lines().filter(|l| l.contains("claims")) {
-            println!("  {line}");
-        }
+        // The executor's claim accounting (epoch-guarded work stealing).
+        println!("  {}", pipeline.exec_stats());
     }
 }

@@ -43,9 +43,12 @@
 //! `--trace` tees accepted queries to a replayable trace file through a
 //! bounded queue and a background writer (append-only, size-rotated;
 //! recording never blocks the data path — bursts beyond the queue are
-//! dropped and counted). `--stats-every` prints a metrics snapshot
-//! every N dispatcher batches, formatted outside all locks. Runs until
-//! killed.
+//! dropped and counted). `--stats-every` prints a stats block every N
+//! dispatcher batches: the core's counters (`core:`, `mem:`, batches
+//! per configuration), the front-end's (`net:`, `reactors:`, `sd:`,
+//! `io:`, `proto:`), the shard map and each shard's pipeline — all
+//! cumulative, read lock-free and formatted off the data path's locks.
+//! Runs until killed.
 //!
 //! The shard topology can change live, in two ways. `--resize-after
 //! BATCHES:SHARDS` requests a resize to SHARDS shards once BATCHES
@@ -59,11 +62,10 @@
 
 use dido_kv::dido::{DidoOptions, ServingCore};
 use dido_kv::net::{
-    BatchConfig, DispatchMode, IoBackend, IoBackendChoice, KvServer, NetStatsSnapshot,
-    ProtocolKind, ServerStats, TraceWriter,
+    BatchConfig, DispatchMode, IoBackend, IoBackendChoice, KvServer, ProtocolKind, ServerStats,
+    TraceWriter,
 };
 use dido_kv::pipeline::TestbedOptions;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 
@@ -289,11 +291,10 @@ fn main() -> std::io::Result<()> {
     };
     let batches_seen = AtomicU64::new(0);
 
-    // The handler closes over the server's stats to fold network
-    // dispatch counters into the node metrics; the server doesn't exist
-    // until `start_multi` returns, so hand them over via a OnceLock.
+    // The handler closes over the server's stats to print them; the
+    // server doesn't exist until `start_multi` returns, so hand them
+    // over via a OnceLock.
     let net_stats: Arc<OnceLock<Arc<ServerStats>>> = Arc::new(OnceLock::new());
-    let last_net = Mutex::new(NetStatsSnapshot::default());
 
     let handler_core = Arc::clone(&core);
     let handler_net = Arc::clone(&net_stats);
@@ -350,26 +351,17 @@ fn main() -> std::io::Result<()> {
             }
         }
         if stats_every > 0 && n.is_multiple_of(stats_every) {
-            // Snapshot under the metrics lock, format and print outside
-            // every lock — a slow stderr must not stall dispatchers.
-            if let Some(stats) = handler_net.get() {
-                let now = stats.snapshot();
-                let mut last = last_net.lock();
-                let delta = now.delta_since(&last);
-                *last = now;
-                drop(last);
-                handler_core.record_net_stats(&delta);
-            }
+            // Both halves are cumulative snapshots of lock-free cells;
+            // formatting and the (possibly slow) stderr write happen on
+            // this dispatcher only.
             let metrics = handler_core.metrics();
-            let configs = handler_core.configs();
-            let adaptions = handler_core.adaptions();
-            eprintln!("--- after {n} batches ---\n{metrics}");
+            let net = handler_net.get().map(|s| s.snapshot()).unwrap_or_default();
+            eprint!("--- after {n} batches ---\n{metrics}{net}");
             let (state, epoch) = handler_core.engine().shard_map().load();
             eprintln!("shard map: {state:?} (epoch {epoch})");
-            for (s, c) in configs.iter().enumerate() {
+            for (s, c) in handler_core.configs().iter().enumerate() {
                 eprintln!("shard {s} pipeline: {c}");
             }
-            eprintln!("adaptions: {adaptions}");
         }
         responses
     })?;
@@ -384,9 +376,9 @@ fn main() -> std::io::Result<()> {
         args.shards,
         args.latency_us,
         args.dispatchers,
-        server.stats().reactor_threads.load(Ordering::Relaxed),
-        server.stats().sd_writer_threads.load(Ordering::Relaxed),
-        IoBackend::name_of(server.stats().io_backend.load(Ordering::Relaxed)),
+        server.stats().reactor_threads.get(),
+        server.stats().sd_writer_threads.get(),
+        IoBackend::name_of(server.stats().io_backend.get()),
         if args.trace.is_some() {
             ", tracing on"
         } else {

@@ -1,16 +1,17 @@
 //! The `dido-server` binary itself: spawn it, find its ready line,
 //! round-trip a query, and check the threads it runs. Covers the flag
-//! vector the `benchmark/` package starts it with and the bare default.
+//! vector the `benchmark/` package starts it with, the bare default,
+//! and the `--stats-every` block on stderr.
 
 #![cfg(target_os = "linux")]
 
 use dido_kv::model::Query;
 use dido_kv::net::KvClient;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `benchmark/src/server.rs::SERVER_FLAGS` plus the arguments
 /// `ServerProc::spawn` appends (that package is outside the workspace,
@@ -49,9 +50,10 @@ const PLANE_THREADS: [&str; 4] = [
     "dido-controller",
 ];
 
-/// A running `dido-server`; dropping it kills and reaps the process, so
-/// a failed assertion leaves nothing behind.
-struct Server(Child);
+/// A running `dido-server` and its stderr, line by line; dropping it
+/// kills and reaps the process, so a failed assertion leaves nothing
+/// behind.
+struct Server(Child, mpsc::Receiver<String>);
 
 impl Drop for Server {
     fn drop(&mut self) {
@@ -60,17 +62,25 @@ impl Drop for Server {
     }
 }
 
-/// Start the binary with `args` and wait for its ready line.
-fn start(args: &[&str]) -> (Server, SocketAddr) {
-    let mut server = Server(
-        Command::new(env!("CARGO_BIN_EXE_dido-server"))
-            .args(args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn dido-server"),
-    );
-    let stdout = server.0.stdout.take().expect("piped stdout");
+/// Start the binary with `args` and wait for one ready line per
+/// listener.
+fn start(args: &[&str], listeners: usize) -> (Server, Vec<SocketAddr>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dido-server"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dido-server");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let stderr = child.stderr.take().expect("piped stderr");
+    let (err_tx, err_rx) = mpsc::channel();
+    let server = Server(child, err_rx);
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            let _ = err_tx.send(line);
+        }
+    });
     let (tx, rx) = mpsc::channel();
     // Reads to EOF (the kill in `Drop`): closing the pipe early would
     // fail the server's later prints.
@@ -85,10 +95,13 @@ fn start(args: &[&str]) -> (Server, SocketAddr) {
             }
         }
     });
-    let addr = rx
-        .recv_timeout(Duration::from_secs(20))
-        .expect("dido-server printed no ready line");
-    (server, addr)
+    let addrs = (0..listeners)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(20))
+                .expect("dido-server printed no ready line")
+        })
+        .collect();
+    (server, addrs)
 }
 
 fn thread_names(pid: u32) -> Vec<String> {
@@ -102,13 +115,25 @@ fn thread_names(pid: u32) -> Vec<String> {
 #[test]
 fn binary_serves_on_the_reactor_planes_with_benchmark_and_default_flags() {
     for args in [&BENCHMARK_ARGS[..], &DEFAULT_ARGS[..]] {
-        let (server, addr) = start(args);
-        let mut client = KvClient::connect(addr).expect("connect");
+        let (server, addrs) = start(args, 1);
+        let mut client = KvClient::connect(addrs[0]).expect("connect");
         let rs = client
             .request(&[Query::set("bin-key", "bin-value"), Query::get("bin-key")])
             .expect("round trip");
         assert_eq!(&rs[1].value[..], b"bin-value", "{args:?}");
-        let names = thread_names(server.0.id());
+        // A thread names itself once it first runs; on a busy host the
+        // controller may not have been scheduled yet.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let names = loop {
+            let names = thread_names(server.0.id());
+            let all = PLANE_THREADS
+                .iter()
+                .all(|want| names.iter().any(|n| n == want));
+            if all || Instant::now() > deadline {
+                break names;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
         for want in PLANE_THREADS {
             assert!(
                 names.iter().any(|n| n == want),
@@ -116,4 +141,90 @@ fn binary_serves_on_the_reactor_planes_with_benchmark_and_default_flags() {
             );
         }
     }
+}
+
+/// The value of `name=` in a stats block.
+fn metric<'a>(block: &'a str, name: &str) -> &'a str {
+    let at = block
+        .find(&format!(" {name}="))
+        .unwrap_or_else(|| panic!("no {name}= in:\n{block}"));
+    let rest = &block[at + name.len() + 2..];
+    rest.split([' ', '\n']).next().expect("a value follows")
+}
+
+/// `--stats-every 1` on a two-shard, two-dispatcher node, driven one
+/// request at a time over dido-binary and memcached-text: every batch
+/// prints one block, and the last one carries the cumulative front-end
+/// counters, the core's, a single adaptions figure and one pipeline
+/// line per shard.
+#[test]
+fn stats_block_carries_cumulative_net_and_core_counters() {
+    let args = "--stats-every 1 --shards 2 --dispatchers 2 --store-mb 16 \
+                --listen 127.0.0.1:0 --proto memcached --listen 127.0.0.1:0";
+    let args: Vec<&str> = args.split_whitespace().collect();
+    let (server, addrs) = start(&args, 2);
+    let mut dido = KvClient::connect(addrs[0]).expect("connect dido");
+    let rs = dido
+        .request(&[Query::set("stat-key", "v1"), Query::get("stat-key")])
+        .expect("dido round trip");
+    assert_eq!(&rs[1].value[..], b"v1");
+    dido.request(&[Query::get("stat-key")]).expect("dido get");
+
+    let mut mc = TcpStream::connect(addrs[1]).expect("connect memcached");
+    mc.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut converse = |request: &[u8], until: &[u8]| {
+        mc.write_all(request).expect("memcached write");
+        let mut reply = Vec::new();
+        let mut byte = [0u8; 1];
+        while !reply.ends_with(until) {
+            mc.read_exact(&mut byte).expect("memcached reply");
+            reply.push(byte[0]);
+        }
+        reply
+    };
+    let stored = converse(b"set mc-key 0 0 2\r\nhi\r\n", b"\r\n");
+    assert_eq!(stored, b"STORED\r\n");
+    let reply = converse(b"get mc-key stat-key\r\n", b"END\r\n");
+    assert!(reply.starts_with(b"VALUE mc-key 0 2\r\nhi\r\n"));
+    dido.request(&[Query::get("mc-key")]).expect("dido get");
+
+    // The handler prints a batch's block before its reply leaves, so
+    // the fifth block is already in the pipe. 5 frames, 7 queries.
+    let mut blocks: Vec<String> = Vec::new();
+    while blocks.len() < 5 || !blocks[4].contains("shard 1 pipeline:") {
+        let line = server
+            .1
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("stats blocks stopped short: {blocks:#?}"));
+        if line.starts_with("--- after ") {
+            blocks.push(String::new());
+        }
+        if let Some(block) = blocks.last_mut() {
+            block.push_str(&line);
+            block.push('\n');
+        }
+    }
+    let (first, last) = (&blocks[0], &blocks[4]);
+    let head = "--- after 5 batches ---\ncore: batches=5 queries=7 ";
+    assert!(last.starts_with(head), "{last}");
+    // Cumulative, not per-interval: the first block saw one frame.
+    assert_eq!(metric(first, "frames"), "1", "{first}");
+    for (name, want) in [
+        ("frames", "5"),
+        ("dispatches", "5"),
+        ("dispatched_frames", "5"),
+        ("connections", "2"),
+        ("proto_queries", "4/3/0"),
+    ] {
+        assert_eq!(metric(last, name), want, "{name} in:\n{last}");
+    }
+    assert!(!first.contains("proto("), "all-DIDO so far: {first}");
+    let lines = "net: |reactors: |sd: |io: |proto(dido/memcached/resp): |shard map: \
+                 |shard 0 pipeline: |shard 1 pipeline: ";
+    for line in lines.split('|') {
+        let found = last.lines().filter(|l| l.starts_with(line)).count();
+        assert_eq!(found, 1, "want exactly one {line:?} line in:\n{last}");
+    }
+    assert_eq!(last.matches("adaptions").count(), 1, "{last}");
+    assert_eq!(last.matches(" pipeline: ").count(), 2, "{last}");
 }

@@ -49,7 +49,7 @@ fn tcp_clients_drive_a_dido_node_end_to_end() {
     }
 
     // The node profiled real traffic and ran its cost model.
-    assert!(dido.metrics().batches >= 2);
+    assert!(dido.metrics().work.batches >= 2);
     assert!(dido.model_runs() >= 1);
     server.shutdown();
 }

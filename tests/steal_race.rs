@@ -18,7 +18,6 @@
 //! epoch-guarded claim protocol every stale attempt is refused and
 //! counted.
 
-use dido_kv::dido::Metrics;
 use dido_kv::model::{PipelineConfig, Query, ResponseStatus, WAVEFRONT_WIDTH};
 use dido_kv::pipeline::{EngineConfig, KvEngine, ThreadedPipeline};
 use std::time::Duration;
@@ -112,7 +111,7 @@ fn lagging_steal_helper_never_duplicates_task_work() {
 }
 
 #[test]
-fn stolen_claims_flow_into_metrics() {
+fn stolen_claims_are_counted_and_rendered() {
     let engine = KvEngine::new(EngineConfig::new(8 << 20, 256 << 10, 64 << 10));
     for id in 0..2_000 {
         engine.execute(&Query::set(format!("race-{id:05}"), vec![b'p'; 48]));
@@ -147,14 +146,11 @@ fn stolen_claims_flow_into_metrics() {
     assert!(stats.stolen_claims > 0, "helper never won a claim: {stats:?}");
     assert!(stats.steal_groups > 0, "{stats:?}");
 
-    // The counters are observable through the node metrics.
-    let mut metrics = Metrics::default();
-    metrics.record_exec_stats(&stats);
-    assert!(metrics.stolen_claims > 0);
-    assert!(metrics.steal_groups > 0);
-    assert_eq!(metrics.owner_claims, stats.owner_claims);
-    let rendered = metrics.to_string();
-    assert!(rendered.contains("stolen"), "{rendered}");
+    let rendered = stats.to_string();
+    assert!(
+        rendered.contains(&format!("{} stolen", stats.stolen_claims)),
+        "{rendered}"
+    );
 }
 
 #[test]
