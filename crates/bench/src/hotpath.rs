@@ -156,14 +156,13 @@ pub fn run_vectorized_batch(
 ) -> Vec<Response> {
     let mut batch = Batch::new(queries, config);
     let n = batch.len();
-    let mut usage = tasks::run_mm(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_index_insert(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_index_delete(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_index_search(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_kc(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_rd(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_wr(ctx, &mut batch, 0..n);
-    std::hint::black_box(usage);
+    tasks::run_mm(ctx, engine, &mut batch, 0..n);
+    tasks::run_index_insert(ctx, engine, &mut batch, 0..n);
+    tasks::run_index_delete(ctx, engine, &mut batch, 0..n);
+    tasks::run_index_search(ctx, engine, &mut batch, 0..n);
+    tasks::run_kc(ctx, engine, &mut batch, 0..n);
+    tasks::run_rd(ctx, engine, &mut batch, 0..n);
+    tasks::run_wr(ctx, &mut batch, 0..n);
     batch.take_responses()
 }
 

@@ -34,13 +34,52 @@ impl Default for ProfilerConfig {
     }
 }
 
+/// Key-frequency sampling window: counts one in
+/// [`ProfilerConfig::skew_sample_rate`] keys and estimates the Zipf skew
+/// every [`ProfilerConfig::skew_window`] samples. The sequential
+/// profiler owns one; the serving path's striped accumulators own one
+/// per dispatcher lane.
+#[derive(Debug, Default)]
+pub(crate) struct SkewWindow {
+    freqs: HashMap<u64, u32>,
+    window_seen: usize,
+    sample_tick: usize,
+}
+
+impl SkewWindow {
+    /// Feed a batch's keys into the sampler. Returns the estimate of
+    /// the last window the batch completed, if it completed one;
+    /// `n_keys` is the live key count the estimate is taken against.
+    pub(crate) fn observe(
+        &mut self,
+        cfg: &ProfilerConfig,
+        queries: &[Query],
+        n_keys: u64,
+    ) -> Option<f64> {
+        let mut completed = None;
+        for q in queries {
+            self.sample_tick += 1;
+            if !self.sample_tick.is_multiple_of(cfg.skew_sample_rate) {
+                continue;
+            }
+            *self.freqs.entry(hash64(&q.key)).or_insert(0) += 1;
+            self.window_seen += 1;
+            if self.window_seen >= cfg.skew_window {
+                let freqs: Vec<u32> = self.freqs.values().copied().collect();
+                completed = Some(estimate_skew(&freqs, n_keys.max(1)));
+                self.freqs.clear();
+                self.window_seen = 0;
+            }
+        }
+        completed
+    }
+}
+
 /// Runtime workload profiler.
 #[derive(Debug)]
 pub struct WorkloadProfiler {
     cfg: ProfilerConfig,
-    freqs: HashMap<u64, u32>,
-    window_seen: usize,
-    sample_tick: usize,
+    window: SkewWindow,
     current_skew: f64,
     /// The stats in force when the pipeline was last (re)configured.
     last_applied: Option<WorkloadStats>,
@@ -54,9 +93,7 @@ impl WorkloadProfiler {
     pub fn new(cfg: ProfilerConfig) -> WorkloadProfiler {
         WorkloadProfiler {
             cfg,
-            freqs: HashMap::new(),
-            window_seen: 0,
-            sample_tick: 0,
+            window: SkewWindow::default(),
             current_skew: 0.0,
             last_applied: None,
             smoothed: None,
@@ -80,19 +117,8 @@ impl WorkloadProfiler {
 
     /// Feed the queries of a batch into the frequency sampler.
     pub fn observe_queries(&mut self, queries: &[Query], n_keys: u64) {
-        for q in queries {
-            self.sample_tick += 1;
-            if !self.sample_tick.is_multiple_of(self.cfg.skew_sample_rate) {
-                continue;
-            }
-            *self.freqs.entry(hash64(&q.key)).or_insert(0) += 1;
-            self.window_seen += 1;
-            if self.window_seen >= self.cfg.skew_window {
-                let freqs: Vec<u32> = self.freqs.values().copied().collect();
-                self.current_skew = estimate_skew(&freqs, n_keys.max(1));
-                self.freqs.clear();
-                self.window_seen = 0;
-            }
+        if let Some(skew) = self.window.observe(&self.cfg, queries, n_keys) {
+            self.current_skew = skew;
         }
     }
 

@@ -14,21 +14,17 @@
 //! scheme lossless under concurrency (the stress tests assert exact
 //! totals).
 //!
-//! Key-frequency sampling for the Zipf skew estimate keeps the exact
-//! sequential algorithm (sample 1-in-`skew_sample_rate`, estimate every
-//! `skew_window` samples), but runs it per stripe under an uncontended
+//! Key-frequency sampling for the Zipf skew estimate is the sequential
+//! profiler's own [`SkewWindow`], one per stripe under an uncontended
 //! per-lane mutex; completed windows publish to one shared atomic cell,
 //! last writer wins. With a single lane the published sequence is
 //! bit-identical to `WorkloadProfiler::observe_queries`.
 
 use crate::metrics::Metrics;
-use crate::profiler::ProfilerConfig;
-use dido_cost_model::estimate_skew;
-use dido_hashtable::hash64;
+use crate::profiler::{ProfilerConfig, SkewWindow};
 use dido_kvstore::ClassStats;
 use dido_model::{metric_table, Counter, PipelineConfig, Query, QueryOp, WorkloadStats};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Memory-plane snapshot published by the control plane: cumulative
@@ -115,15 +111,6 @@ struct Lane {
     /// A handful of entries at most, compared by `Eq`; grows only when
     /// the lane first sees a configuration.
     configs: Mutex<Vec<(PipelineConfig, u64)>>,
-}
-
-/// Per-lane key-frequency sampling state (the sequential profiler's
-/// window algorithm, verbatim).
-#[derive(Debug, Default)]
-struct SkewWindow {
-    freqs: HashMap<u64, u32>,
-    window_seen: usize,
-    sample_tick: usize,
 }
 
 /// `counts[config] += n`, appending the entry on first sight.
@@ -219,21 +206,8 @@ impl StripedStats {
         lane.counters.key_bytes.add(key_bytes);
         lane.counters.set_value_bytes.add(set_value_bytes);
 
-        let mut w = lane.skew.lock();
-        for q in queries {
-            w.sample_tick += 1;
-            if !w.sample_tick.is_multiple_of(self.cfg.skew_sample_rate) {
-                continue;
-            }
-            *w.freqs.entry(hash64(&q.key)).or_insert(0) += 1;
-            w.window_seen += 1;
-            if w.window_seen >= self.cfg.skew_window {
-                let freqs: Vec<u32> = w.freqs.values().copied().collect();
-                let skew = estimate_skew(&freqs, n_keys.max(1));
-                self.skew_bits.store(skew.to_bits(), Ordering::Relaxed);
-                w.freqs.clear();
-                w.window_seen = 0;
-            }
+        if let Some(skew) = lane.skew.lock().observe(&self.cfg, queries, n_keys) {
+            self.skew_bits.store(skew.to_bits(), Ordering::Relaxed);
         }
     }
 

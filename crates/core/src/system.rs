@@ -156,7 +156,7 @@ impl DidoSystem {
         }
     }
 
-    /// The functional engine (index, store, NIC).
+    /// The functional engine (index, store).
     #[must_use]
     pub fn engine(&self) -> &KvEngine {
         &self.engine

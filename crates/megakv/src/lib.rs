@@ -34,7 +34,7 @@ pub enum Variant {
 }
 
 /// The Mega-KV baseline system.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MegaKv {
     sim: SimExecutor,
     variant: Variant,

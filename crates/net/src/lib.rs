@@ -1,14 +1,15 @@
-//! Network substrate for DIDO: the binary query protocol and a
-//! simulated NIC.
+//! Network substrate for DIDO: the binary query protocol and bounded
+//! frame rings.
 //!
 //! The paper's `RV` (receive) and `SD` (send) tasks operate on frames
 //! from the RX/TX rings of a 10 GbE NIC; `PP` parses queries out of
 //! those frames. This crate provides the functional pieces:
-//! [`FrameRing`]/[`Nic`] for the rings, [`FrameBuilder`]/[`parse_frame`]
+//! [`FrameRing`] for the rings, [`FrameBuilder`]/[`parse_frame`]
 //! for encoding and zero-copy decoding, and the response-side
-//! equivalents. The per-frame/per-query *time* costs of RV/PP/SD are
-//! charged by the pipeline's timing layer (the paper estimates them from
-//! microbenchmarked unit costs, §IV-B).
+//! equivalents. The simulated NIC itself — two rings, and the
+//! per-frame/per-query *time* costs of RV/PP/SD (the paper estimates
+//! them from microbenchmarked unit costs, §IV-B) — belongs to the
+//! pipeline crate's simulator.
 //!
 //! [`KvServer`] is the real TCP front-end: the paper's
 //! RV-ring/dispatcher/SD-writer topology, where frames from every
@@ -46,7 +47,7 @@ pub use codec::{
     Carve, ProtocolKind, RequestMeta, MAX_LINE_BYTES, MAX_MC_KEY, MAX_RESP_ARRAY, PROTOCOL_KINDS,
 };
 pub use driver::{backend_matrix, uring_available, IoBackend, IoBackendChoice};
-pub use nic::{FrameRing, Nic};
+pub use nic::FrameRing;
 pub use protocol::{
     encode_queries_wire_into, encode_responses, encode_responses_wire_into, frame_query_count,
     pack_frames, parse_frame, parse_frame_into, parse_responses, FrameBuilder, ProtocolError,

@@ -1,14 +1,11 @@
-//! Simulated NIC: bounded RX/TX frame rings with drop accounting.
+//! Bounded frame rings with drop accounting.
 //!
-//! Stands in for the Intel 82599 10 GbE NIC of the paper's testbed. The
-//! `RV` task drains the RX ring; the `SD` task fills the TX ring. Rings
-//! are bounded, and a full RX ring drops frames exactly like real
-//! hardware under overload.
-//!
-//! The ring is generic over its payload: the simulator moves raw
-//! [`Bytes`] frames, while the batched TCP server moves
-//! connection-tagged frames so one shared RX ring can aggregate traffic
-//! across every client (the server's `RV` stage). Producers and
+//! Rings are bounded, and a full ring drops frames exactly like NIC
+//! hardware under overload. The ring is generic over its payload: the
+//! batched TCP server moves connection-tagged frames so one shared RX
+//! ring can aggregate traffic across every client (the server's `RV`
+//! stage), while the simulator builds the paper's Intel 82599 from two
+//! rings of raw [`Bytes`] frames (`dido-pipeline`'s `SimMachine`). Producers and
 //! consumers move frames in bursts — [`FrameRing::push_burst`] and
 //! [`FrameRing::pop_into`] take the ring lock once per burst, not once
 //! per frame, which is what makes the shared ring cheaper than the
@@ -140,27 +137,6 @@ impl<T> FrameRing<T> {
     }
 }
 
-/// A NIC: one RX ring (client → server) and one TX ring (server →
-/// client).
-#[derive(Debug)]
-pub struct Nic {
-    /// Receive ring, drained by the `RV` task.
-    pub rx: FrameRing,
-    /// Transmit ring, filled by the `SD` task.
-    pub tx: FrameRing,
-}
-
-impl Nic {
-    /// NIC with `slots` frames of buffering per direction.
-    #[must_use]
-    pub fn new(slots: usize) -> Nic {
-        Nic {
-            rx: FrameRing::new(slots),
-            tx: FrameRing::new(slots),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,14 +214,6 @@ mod tests {
         let (conn, frame) = r.pop().unwrap();
         assert_eq!(conn, 7);
         assert_eq!(frame, Bytes::from_static(b"payload"));
-    }
-
-    #[test]
-    fn nic_has_independent_directions() {
-        let nic = Nic::new(4);
-        nic.rx.push(Bytes::from_static(b"in"));
-        assert!(nic.tx.is_empty());
-        assert_eq!(nic.rx.len(), 1);
     }
 
     #[test]

@@ -5,16 +5,13 @@
 //! how to process the queries in it. This mechanism ensures that queries
 //! can be handled correctly when the pipeline is changed at runtime"
 //! (§III-B-1). A [`Batch`] therefore carries its own
-//! [`PipelineConfig`] plus all per-query intermediate state, and an
-//! array of work-stealing tags at wavefront (64-query) granularity
-//! (§III-B-3).
+//! [`PipelineConfig`] plus all per-query intermediate state.
 
 use bytes::Bytes;
 use dido_hashtable::Candidates;
 use dido_kvstore::EvictedObject;
 use dido_model::{PipelineConfig, Query, Response, WorkloadStats, WAVEFRONT_WIDTH};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Per-query pipeline state, filled in task by task.
 #[derive(Debug, Clone, Default)]
@@ -23,9 +20,6 @@ pub struct QueryState {
     pub candidates: Candidates,
     /// Resolved object location (after `KC`).
     pub loc: Option<u64>,
-    /// Whether the resolved object was hot in the comparing processor's
-    /// cache filter (drives `RD` cost).
-    pub hot: bool,
     /// Newly allocated location for a SET (after `MM`).
     pub new_loc: Option<u64>,
     /// Object evicted by this SET's allocation (after `MM`); its index
@@ -123,71 +117,6 @@ impl StagingArena {
     }
 }
 
-/// Wavefront-granular work-stealing tags: "tag *i* represents the state
-/// of queries from 64×i to 64×(i+1)−1 in the batch. The tags are updated
-/// with atomic operations when a processor is going to grab the
-/// corresponding queries" (§III-B-3).
-#[derive(Debug)]
-pub struct StealTags {
-    tags: Vec<AtomicU8>,
-    queries: usize,
-}
-
-/// Tag owner values.
-pub const TAG_FREE: u8 = 0;
-
-impl StealTags {
-    /// Tags covering `queries` queries.
-    #[must_use]
-    pub fn new(queries: usize) -> StealTags {
-        let n = queries.div_ceil(WAVEFRONT_WIDTH);
-        let mut tags = Vec::with_capacity(n);
-        tags.resize_with(n, || AtomicU8::new(TAG_FREE));
-        StealTags { tags, queries }
-    }
-
-    /// Number of tags.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether there are no tags (empty batch).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Try to claim tag `i` for `owner` (non-zero). Returns true when
-    /// the claim won.
-    pub fn try_claim(&self, i: usize, owner: u8) -> bool {
-        debug_assert_ne!(owner, TAG_FREE);
-        self.tags[i]
-            .compare_exchange(TAG_FREE, owner, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Current owner of tag `i` (0 = unclaimed).
-    #[must_use]
-    pub fn owner(&self, i: usize) -> u8 {
-        self.tags[i].load(Ordering::Acquire)
-    }
-
-    /// The query range tag `i` covers.
-    #[must_use]
-    pub fn range(&self, i: usize) -> Range<usize> {
-        let start = i * WAVEFRONT_WIDTH;
-        start..((start + WAVEFRONT_WIDTH).min(self.queries))
-    }
-
-    /// Reset all tags to free.
-    pub fn reset(&self) {
-        for t in &self.tags {
-            t.store(TAG_FREE, Ordering::Release);
-        }
-    }
-}
-
 /// A batch of queries moving through the pipeline together.
 #[derive(Debug)]
 pub struct Batch {
@@ -197,13 +126,10 @@ pub struct Batch {
     pub queries: Vec<Query>,
     /// Per-query pipeline state (same length as `queries`).
     pub state: Vec<QueryState>,
-    /// Work-stealing tags.
-    pub tags: StealTags,
     /// The staging buffer `RD` writes values into (see [`StagingArena`]).
     pub arena: StagingArena,
     /// Per-wavefront slot-recycle generation snapshots, indexed by
-    /// `query_index / 64` (wavefronts coincide with steal-tag
-    /// granularity, so sub-batch ranges touch disjoint entries). `KC`
+    /// `query_index / 64`. `KC`
     /// records the store's generation before validating a wavefront's
     /// locations; `RD` rechecks it after copying the wavefront's
     /// values — unchanged means no slot anywhere was recycled in
@@ -221,7 +147,6 @@ impl Batch {
         Batch {
             config,
             state: vec![QueryState::default(); n],
-            tags: StealTags::new(n),
             arena: StagingArena::new(),
             wf_gens: vec![0; n.div_ceil(WAVEFRONT_WIDTH)],
             queries,
@@ -298,32 +223,11 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dido_model::QueryOp;
 
     #[test]
-    fn tags_cover_batch_in_wavefronts() {
-        let t = StealTags::new(130);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.range(0), 0..64);
-        assert_eq!(t.range(1), 64..128);
-        assert_eq!(t.range(2), 128..130);
-    }
-
-    #[test]
-    fn tag_claims_are_exclusive() {
-        let t = StealTags::new(64);
-        assert!(t.try_claim(0, 1));
-        assert!(!t.try_claim(0, 2), "second claim must lose");
-        assert_eq!(t.owner(0), 1);
-        t.reset();
-        assert_eq!(t.owner(0), TAG_FREE);
-        assert!(t.try_claim(0, 2));
-    }
-
-    #[test]
-    fn empty_batch_has_no_tags() {
+    fn empty_batch_profiles_as_empty() {
         let b = Batch::new(Vec::new(), PipelineConfig::mega_kv());
-        assert!(b.tags.is_empty());
+        assert!(b.wf_gens.is_empty());
         assert!(b.is_empty());
         assert_eq!(b.profile().batch_size, 0);
     }
@@ -360,28 +264,5 @@ mod tests {
     fn take_responses_requires_wr() {
         let mut b = Batch::new(vec![Query::get("k")], PipelineConfig::mega_kv());
         let _ = b.take_responses();
-    }
-
-    #[test]
-    fn concurrent_tag_claims_partition_work() {
-        use std::sync::Arc;
-        let t = Arc::new(StealTags::new(64 * 50));
-        let counters: Vec<_> = (1..=4u8)
-            .map(|owner| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    let mut claimed = 0;
-                    for i in 0..t.len() {
-                        if t.try_claim(i, owner) {
-                            claimed += 1;
-                        }
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        let total: usize = counters.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 50, "every tag claimed exactly once");
-        let _ = QueryOp::Get; // silence unused import in cfg(test)
     }
 }

@@ -96,28 +96,15 @@ impl LruFilter {
     }
 
     /// Resident objects.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether nothing is resident.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Resident bytes.
-    #[must_use]
-    pub fn used_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn used_bytes(&self) -> u64 {
         self.used_bytes
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.queue.clear();
-        self.used_bytes = 0;
     }
 }
 
@@ -193,14 +180,5 @@ mod tests {
             f64::from(hits) / f64::from(total) > 0.7,
             "hot objects should mostly hit: {hits}/{total}"
         );
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = LruFilter::new(100);
-        f.access(1, 10);
-        f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.used_bytes(), 0);
     }
 }

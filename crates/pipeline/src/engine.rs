@@ -1,16 +1,15 @@
 //! The shared functional state of a key-value node: index + object
-//! store + NIC + per-processor cache filters.
+//! store + op counters + clock + deferred purges. Nothing here is
+//! simulated; the reproduction's cache filters and NIC live beside it in
+//! `sim_meter.rs`.
 
-use crate::cache::LruFilter;
 use dido_hashtable::{key_hash, IndexTable, KeyHash};
 use dido_kvstore::{ObjectStore, ProbeOutcome, PurgedEntry};
 use dido_model::{
-    metric_table, ttl_to_deadline, Counter, Processor, Query, QueryOp, Response, SharedClock,
-    SystemClock,
+    metric_table, ttl_to_deadline, Counter, Query, QueryOp, Response, SharedClock, SystemClock,
 };
-use dido_net::Nic;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Deferred purge requests (expired objects awaiting index unlink and
@@ -60,12 +59,11 @@ pub struct EngineConfig {
     /// and experiments use a scaled-down region with the same
     /// cache-to-store ratio dynamics).
     pub store_bytes: usize,
-    /// CPU last-level cache bytes (hot-set filter capacity).
+    /// CPU last-level cache bytes. The engine only carries this: it
+    /// sizes the hot-set filter of a simulator driving the engine.
     pub cpu_cache_bytes: u64,
-    /// GPU cache bytes.
+    /// GPU cache bytes (likewise simulator-only).
     pub gpu_cache_bytes: u64,
-    /// NIC ring slots per direction.
-    pub nic_slots: usize,
 }
 
 impl EngineConfig {
@@ -76,9 +74,6 @@ impl EngineConfig {
             store_bytes,
             cpu_cache_bytes,
             gpu_cache_bytes,
-            // Large enough that the biggest calibrated batch (2^18
-            // queries, one K128-sized response per frame) never drops.
-            nic_slots: 1 << 19,
         }
     }
 }
@@ -132,17 +127,15 @@ metric_table! {
 }
 
 /// The functional key-value node shared by every pipeline configuration:
-/// cuckoo index, slab object store, NIC rings, hot-set cache filters,
-/// and the sampling epoch for skew estimation.
+/// cuckoo index, slab object store, and the sampling epoch for skew
+/// estimation.
 pub struct KvEngine {
+    id: u64,
+    cfg: EngineConfig,
     /// The cuckoo hash index (the `IN` task's data structure).
     pub index: IndexTable,
     /// The key-value object store (`MM`/`KC`/`RD`).
     pub store: ObjectStore,
-    /// NIC rings (`RV`/`SD`).
-    pub nic: Nic,
-    cpu_cache: Mutex<LruFilter>,
-    gpu_cache: Mutex<LruFilter>,
     epoch: AtomicU32,
     pub(crate) ops: OpCounters,
     pub(crate) clock: SharedClock,
@@ -168,17 +161,29 @@ impl KvEngine {
         // Index sized for the worst case: every object in the smallest
         // (32 B) class.
         let max_objects = (cfg.store_bytes / 32).max(16);
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         KvEngine {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            cfg,
             index: IndexTable::with_capacity(max_objects),
             store: ObjectStore::new(cfg.store_bytes),
-            nic: Nic::new(cfg.nic_slots),
-            cpu_cache: Mutex::new(LruFilter::new(cfg.cpu_cache_bytes)),
-            gpu_cache: Mutex::new(LruFilter::new(cfg.gpu_cache_bytes)),
             epoch: AtomicU32::new(1),
             ops: OpCounters::default(),
             clock,
             pending_expired: DeferredPurges::new(),
         }
+    }
+
+    /// The sizing this engine was built from (a simulator sizes its
+    /// cache filters from it).
+    pub(crate) fn config(&self) -> EngineConfig {
+        self.cfg
+    }
+
+    /// Process-unique identity: a simulator keeps its cache filters per
+    /// engine, and an address can be reused by a later engine.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// The engine's clock (shared with codecs and sweeper so every
@@ -238,9 +243,7 @@ impl KvEngine {
                 continue;
             }
             let _ = self.index.delete(KeyHash::from_hash(p.cookie), p.loc);
-            if self.store.expire_if_due(p.loc, now) {
-                self.cache_invalidate(p.loc);
-            }
+            self.store.expire_if_due(p.loc, now);
         }
         let mut purged = Vec::new();
         let segments = self.store.sweep_expired(now, max_segments, &mut purged);
@@ -252,23 +255,8 @@ impl KvEngine {
                 continue;
             }
             let _ = self.index.delete(KeyHash::from_hash(p.cookie), p.loc);
-            self.cache_invalidate(p.loc);
         }
         (purged.len(), segments)
-    }
-
-    /// Record an object access in `proc`'s cache filter; true on hit.
-    pub fn cache_access(&self, proc: Processor, loc: u64, bytes: u64) -> bool {
-        match proc {
-            Processor::Cpu => self.cpu_cache.lock().access(loc, bytes),
-            Processor::Gpu => self.gpu_cache.lock().access(loc, bytes),
-        }
-    }
-
-    /// Forget a (freed/evicted) object in both filters.
-    pub fn cache_invalidate(&self, loc: u64) {
-        self.cpu_cache.lock().invalidate(loc);
-        self.gpu_cache.lock().invalidate(loc);
     }
 
     /// Current skew-sampling epoch.
@@ -342,8 +330,8 @@ impl KvEngine {
     }
 
     /// Store `key = value` through the canonical SET sequence: slab
-    /// allocation, eviction cleanup (index delete + cache invalidate
-    /// for whatever CLOCK pushed out), then index upsert. Returns the
+    /// allocation, eviction cleanup (index delete for whatever CLOCK
+    /// pushed out), then index upsert. Returns the
     /// new object's location, or `None` if the store or index rejected
     /// it (the allocation is rolled back).
     ///
@@ -382,7 +370,6 @@ impl KvEngine {
                 continue;
             }
             let _ = self.index.delete(KeyHash::from_hash(p.cookie), p.loc);
-            self.cache_invalidate(p.loc);
         }
         if let Some(ev) = &out.evicted {
             // Unlink unless the slot was recycled to the same key and is
@@ -390,7 +377,6 @@ impl KvEngine {
             // occupant's and must survive).
             if !self.store.key_matches(ev.loc, &ev.key) || self.store.is_expired(ev.loc, now) {
                 let _ = self.index.delete(key_hash(&ev.key), ev.loc);
-                self.cache_invalidate(ev.loc);
             }
         }
         match self.index.upsert(kh, out.loc).0 {
@@ -418,8 +404,8 @@ impl KvEngine {
             .any(|&loc| self.store.key_matches(loc, key))
     }
 
-    /// Remove `key` from this engine (index delete + store free + cache
-    /// invalidate); `true` if a live entry was removed. The canonical
+    /// Remove `key` from this engine (index delete + store free);
+    /// `true` if a live entry was removed. The canonical
     /// DELETE sequence, shared by [`KvEngine::execute`] and shard
     /// migration's donor-side cleanup.
     pub fn purge_key(&self, key: &[u8]) -> bool {
@@ -430,7 +416,6 @@ impl KvEngine {
                 let (removed, _) = self.index.delete(kh, loc);
                 if removed {
                     self.store.free(loc);
-                    self.cache_invalidate(loc);
                     return true;
                 }
             }
@@ -455,8 +440,8 @@ impl KvEngine {
                             // Lazy expiry: the read observes the miss
                             // in-band and purges entry + slot.
                             let (removed, _) = self.index.delete(kh, loc);
-                            if removed && self.store.expire_if_due(loc, now) {
-                                self.cache_invalidate(loc);
+                            if removed {
+                                self.store.expire_if_due(loc, now);
                             }
                             self.ops.expired_lazy.add(1);
                             return Response::not_found();
@@ -532,14 +517,6 @@ mod tests {
             e.execute(&Query::delete("k")).status,
             ResponseStatus::NotFound
         );
-    }
-
-    #[test]
-    fn cache_filters_are_per_processor() {
-        let e = engine();
-        assert!(!e.cache_access(Processor::Cpu, 7, 64));
-        assert!(e.cache_access(Processor::Cpu, 7, 64));
-        assert!(!e.cache_access(Processor::Gpu, 7, 64), "GPU filter is separate");
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! Query-processing pipelines for DIDO.
 //!
-//! This crate implements the paper's eight fine-grained tasks
+//! This crate implements the paper's fine-grained tasks
 //! (`RV, PP, MM, IN, KC, RD, WR, SD` — §III-A) as real functions over a
-//! [`KvEngine`] (cuckoo index + object store + NIC), and two executors:
+//! [`KvEngine`] (cuckoo index + object store), and runs them in three
+//! roles:
 //!
-//! * [`SimExecutor`] — deterministic virtual-time execution on the
-//!   simulated coupled CPU-GPU chip: per-stage resource accounting,
-//!   GPU kernels per task and per index-operation type, CPU↔GPU
-//!   interference, wavefront-granular work stealing, and batch-size
-//!   calibration under the paper's periodical scheduling. This is what
-//!   every experiment in the evaluation uses.
-//! * [`ThreadedPipeline`] — the same stages on real host threads wired
-//!   by channels, demonstrating the design live (including tag-based
-//!   co-processing of the GPU stage when work stealing is on).
+//! * **Reproduction** — [`SimExecutor`]: deterministic virtual-time
+//!   execution on the simulated coupled CPU-GPU chip. It meters every
+//!   task ([`tasks::Meter`]) on its own cache filters and NIC rings,
+//!   then prices stages, GPU kernels per task and per index-operation
+//!   type, CPU↔GPU interference, wavefront-granular work stealing, and
+//!   batch-size calibration under the paper's periodical scheduling.
+//!   This is what every experiment in the evaluation uses.
+//! * **Live demonstration** — [`ThreadedPipeline::run`]: the same
+//!   stages on real host threads wired by channels, with epoch-guarded
+//!   co-processing of the GPU stage when work stealing is on.
+//! * **Serving** — [`ShardedEngine::process_batch_inline`]: the plain
+//!   stage loop, [`tasks::run_stage`] per stage of the plan on the
+//!   calling dispatcher thread, unmetered ([`tasks::NoMeter`]). No
+//!   simulator state, claim protocol or `unsafe` is reachable from it.
 //!
 //! ```
 //! use dido_apu_sim::{HwSpec, TimingEngine};
@@ -40,12 +46,12 @@ mod setup;
 mod sharded;
 pub mod shardmap;
 mod sim;
+mod sim_meter;
 pub mod sync;
 pub mod tasks;
 mod threaded;
 
-pub use batch::{Batch, QueryState, StagingArena, StealTags, TAG_FREE};
-pub use cache::LruFilter;
+pub use batch::{Batch, QueryState, StagingArena};
 pub use engine::{EngineConfig, IntegrityReport, KvEngine, OpCounts};
 pub use setup::{preloaded_engine, TestbedOptions};
 pub use sharded::{MigrateProgress, ResizeError, ShardedEngine};

@@ -38,13 +38,14 @@
 //! wait out every in-flight batch: no batch ever runs against a set
 //! topology that has been retired.
 
+use crate::batch::Batch;
 use crate::engine::{EngineConfig, KvEngine, OpCounts};
 use crate::shardmap::{route_of, MapState, ShardMap, MAX_SHARDS};
-use crate::threaded::ThreadedPipeline;
+use crate::tasks;
 use dido_kvstore::{ClassStats, ExpiryStats};
 use dido_model::{PipelineConfig, Query, QueryOp, Response, SharedClock, SystemClock};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Donor index buckets walked per migration chunk. At 4 slots per
@@ -345,66 +346,14 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Process one batch across all shards on real threads: the batch is
-    /// split by routing, each shard runs its own pipeline under
-    /// `config`, and responses return in the original query order.
-    ///
-    /// A bounded worker pool (`min(shards, host cores)`) claims shards
-    /// from an atomic cursor and runs each through
-    /// [`ThreadedPipeline::run_inline`] — the same epoch-guarded claim
-    /// machinery as the staged executor, without the former
-    /// shards × (stages + 2) thread explosion of spawning one full
-    /// staged pipeline per shard.
-    #[must_use]
-    pub fn process_batch(&self, queries: Vec<Query>, config: PipelineConfig) -> Vec<Response> {
-        let sets = self.sets.read();
-        if sets.donor.is_some() {
-            return Self::migrating_batch(&sets, &queries);
+    /// The executor: one shard's queries through `config`'s stages, each
+    /// stage's tasks in plan order over the whole batch.
+    fn run_shard(engine: &KvEngine, queries: Vec<Query>, config: PipelineConfig) -> Vec<Response> {
+        let mut batch = Batch::new(queries, config);
+        for stage in &config.plan().stages {
+            tasks::run_stage(engine, stage, &mut batch);
         }
-        let engines = &sets.primary.engines;
-        let n = queries.len();
-        let (per_shard, positions) = Self::partition(queries, engines.len());
-        // Hand each worker ownership of its shard's queries (no clone):
-        // the pool takes the Vec out of its slot when it claims a shard.
-        let work: Vec<Mutex<Option<Vec<Query>>>> =
-            per_shard.into_iter().map(|qs| Mutex::new(Some(qs))).collect();
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .clamp(1, engines.len());
-        let next_shard = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Vec<Response>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next_shard = &next_shard;
-                let done = &done;
-                let work = &work;
-                scope.spawn(move || loop {
-                    let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                    if s >= engines.len() {
-                        break;
-                    }
-                    let Some(queries) = work[s].lock().take() else {
-                        continue;
-                    };
-                    if queries.is_empty() {
-                        continue;
-                    }
-                    let pipeline = ThreadedPipeline::new(&engines[s], config);
-                    let mut results = pipeline.run_inline(vec![queries]);
-                    done.lock().push((s, results.pop().unwrap_or_default()));
-                });
-            }
-        });
-        let mut out: Vec<Option<Response>> = vec![None; n];
-        for (s, responses) in done.into_inner() {
-            for (&pos, r) in positions[s].iter().zip(responses) {
-                out[pos as usize] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every query answered by its shard"))
-            .collect()
+        batch.take_responses()
     }
 
     /// Process one batch across all shards *on the calling thread*, with
@@ -412,12 +361,13 @@ impl ShardedEngine {
     ///
     /// This is the concurrent serving core's data path: parallelism
     /// lives across the N network dispatchers that each call this
-    /// concurrently, so spawning a worker pool per batch (as
-    /// [`ShardedEngine::process_batch`] does) would only oversubscribe
-    /// the host. Each shard's sub-batch runs through
-    /// [`ThreadedPipeline::run_inline_no_sd`] under the configuration
-    /// `config_for(shard)` — the per-shard epoch cell the adaptation
-    /// controller publishes into. Responses return in query order.
+    /// concurrently. Each shard's sub-batch runs the plain stage loop
+    /// ([`tasks::run_stage`] per stage of `config_for(shard)` — the
+    /// per-shard epoch cell the adaptation controller publishes into):
+    /// no thread, no claim protocol, no lock beyond the `sets` read
+    /// guard. A batch is a set of concurrent operations; each stage's
+    /// tasks and index ops apply in plan order over the whole shard
+    /// batch (DESIGN.md §9). Responses return in query order.
     #[must_use]
     pub fn process_batch_inline(
         &self,
@@ -431,11 +381,7 @@ impl ShardedEngine {
         let engines = &sets.primary.engines;
         if engines.len() == 1 {
             // Fast path: no partitioning, no order restoration.
-            let pipeline = ThreadedPipeline::new(&engines[0], config_for(0));
-            return pipeline
-                .run_inline_no_sd(vec![queries])
-                .pop()
-                .unwrap_or_default();
+            return Self::run_shard(&engines[0], queries, config_for(0));
         }
         let n = queries.len();
         let (per_shard, positions) = Self::partition(queries, engines.len());
@@ -444,11 +390,7 @@ impl ShardedEngine {
             if queries.is_empty() {
                 continue;
             }
-            let pipeline = ThreadedPipeline::new(&engines[s], config_for(s));
-            let responses = pipeline
-                .run_inline_no_sd(vec![queries])
-                .pop()
-                .unwrap_or_default();
+            let responses = Self::run_shard(&engines[s], queries, config_for(s));
             for (&pos, r) in positions[s].iter().zip(responses) {
                 out[pos as usize] = Some(r);
             }
@@ -555,7 +497,6 @@ impl ShardedEngine {
             let kh = dido_hashtable::key_hash(&key);
             let _ = d.index.delete(kh, loc);
             d.store.free(loc);
-            d.cache_invalidate(loc);
             return None;
         }
         let target = primary.engine_of(&key);
@@ -577,7 +518,6 @@ impl ShardedEngine {
         let kh = dido_hashtable::key_hash(&key);
         let _ = d.index.delete(kh, loc);
         d.store.free(loc);
-        d.cache_invalidate(loc);
         outcome
     }
 
@@ -800,21 +740,6 @@ mod tests {
         let r = s.execute(&Query::get("sk"));
         assert_eq!(&r.value[..], b"sv");
         assert_eq!(s.live_objects(), 1);
-    }
-
-    #[test]
-    fn batch_processing_preserves_order_across_shards() {
-        let s = sharded(4);
-        for i in 0..500 {
-            s.execute(&Query::set(format!("batch-{i:03}"), format!("v{i:03}")));
-        }
-        let queries: Vec<Query> = (0..500).map(|i| Query::get(format!("batch-{i:03}"))).collect();
-        let responses = s.process_batch(queries, PipelineConfig::mega_kv());
-        assert_eq!(responses.len(), 500);
-        for (i, r) in responses.iter().enumerate() {
-            assert_eq!(r.status, ResponseStatus::Ok, "batch-{i}");
-            assert_eq!(r.value, format!("v{i:03}"), "order broken at {i}");
-        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 
 use crate::batch::Batch;
 use crate::engine::KvEngine;
-use crate::tasks::{self, StageCtx};
+use crate::sim_meter::{self, SimMachine};
+use crate::tasks;
 use dido_apu_sim::{Ns, StageTiming, TimingEngine};
 use dido_model::costs::STEAL_TAG_INSNS;
 use dido_model::{
@@ -25,6 +26,7 @@ use dido_model::{
     WorkloadStats, WAVEFRONT_WIDTH,
 };
 use dido_net::parse_responses;
+use std::cell::RefCell;
 
 /// A GPU kernel launched within a stage (per task / per index op).
 #[derive(Debug, Clone)]
@@ -232,16 +234,26 @@ struct StageExec {
 }
 
 /// The virtual-time executor.
-#[derive(Debug, Clone)]
+///
+/// The executor owns the simulated machine around the engine it is
+/// driving: cache filters and NIC rings sized from that engine's
+/// [`crate::EngineConfig`], warm across its batches, and rebuilt cold
+/// when a batch arrives for a different engine.
+#[derive(Debug)]
 pub struct SimExecutor {
     timing: TimingEngine,
+    /// The machine and the id of the engine it was built for.
+    machine: RefCell<Option<(u64, SimMachine)>>,
 }
 
 impl SimExecutor {
     /// Executor over a hardware profile's timing engine.
     #[must_use]
     pub fn new(timing: TimingEngine) -> SimExecutor {
-        SimExecutor { timing }
+        SimExecutor {
+            timing,
+            machine: RefCell::new(None),
+        }
     }
 
     /// The timing engine.
@@ -261,12 +273,17 @@ impl SimExecutor {
     ) -> (BatchReport, Vec<Response>) {
         let hw = self.timing.hw();
         let cache_line = hw.cpu.cache_line;
+        let mut machine = self.machine.borrow_mut();
+        if machine.as_ref().map(|(id, _)| *id) != Some(engine.id()) {
+            *machine = Some((engine.id(), SimMachine::new(engine.config())));
+        }
+        let machine = &machine.as_ref().expect("installed above").1;
 
         // Network ingress: RV + PP always belong to the first stage.
         let n_injected = queries.len();
-        tasks::inject_queries(engine, &queries);
-        let (frames, rv_usage) = tasks::run_rv(engine, usize::MAX >> 1);
-        let (parsed, pp_usage) = tasks::run_pp(&frames);
+        sim_meter::inject_queries(&machine.rx, &queries);
+        let (frames, rv_usage) = sim_meter::run_rv(&machine.rx, usize::MAX >> 1);
+        let (parsed, pp_usage) = sim_meter::run_pp(&frames);
         debug_assert_eq!(
             parsed.len(),
             n_injected,
@@ -307,14 +324,14 @@ impl SimExecutor {
 
         // Functional execution, stage by stage, tasks in canonical order.
         for (si, stage) in plan.stages.iter().enumerate() {
-            let ctx = StageCtx::new(stage.processor, stage.tasks, cache_line);
+            let ctx = machine.ctx(stage.processor, stage.tasks, cache_line);
             let gpu = stage.processor == Processor::Gpu;
             for t in stage.tasks.iter() {
                 match t {
                     TaskKind::Rv | TaskKind::Pp => {} // done above
                     TaskKind::Mm => {
-                        let u = tasks::run_mm(ctx, engine, &mut batch, 0..n);
-                        execs[si].usage += u;
+                        tasks::run_mm(ctx, engine, &mut batch, 0..n);
+                        execs[si].usage += machine.take_usage();
                     }
                     TaskKind::In => {
                         for &op in &stage.index_ops {
@@ -330,7 +347,8 @@ impl SimExecutor {
                                             .count()
                                 }
                             };
-                            let u = tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
+                            tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
+                            let u = machine.take_usage();
                             execs[si].usage += u;
                             if gpu {
                                 execs[si].kernels.push(self.kernel(
@@ -344,7 +362,8 @@ impl SimExecutor {
                         }
                     }
                     TaskKind::Kc => {
-                        let u = tasks::run_kc(ctx, engine, &mut batch, 0..n);
+                        tasks::run_kc(ctx, engine, &mut batch, 0..n);
+                        let u = machine.take_usage();
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("KC".into(), n_get, u));
@@ -356,7 +375,8 @@ impl SimExecutor {
                     TaskKind::Rd => {
                         let hits =
                             batch.state.iter().filter(|s| s.loc.is_some()).count();
-                        let u = tasks::run_rd(ctx, engine, &mut batch, 0..n);
+                        tasks::run_rd(ctx, engine, &mut batch, 0..n);
+                        let u = machine.take_usage();
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("RD".into(), hits, u));
@@ -364,7 +384,8 @@ impl SimExecutor {
                         }
                     }
                     TaskKind::Wr => {
-                        let u = tasks::run_wr(ctx, &mut batch, 0..n);
+                        tasks::run_wr(ctx, &mut batch, 0..n);
+                        let u = machine.take_usage();
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("WR".into(), n, u));
@@ -374,8 +395,7 @@ impl SimExecutor {
                         }
                     }
                     TaskKind::Sd => {
-                        let u = tasks::run_sd(engine, &mut batch);
-                        execs[si].usage += u;
+                        execs[si].usage += sim_meter::run_sd(&machine.tx, &batch.take_responses());
                     }
                 }
             }
@@ -383,8 +403,8 @@ impl SimExecutor {
             // stage hosting CPU-assigned Insert/Delete, §V-C).
             if !stage.tasks.contains(TaskKind::In) {
                 for &op in &stage.index_ops {
-                    let u = tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
-                    execs[si].usage += u;
+                    tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
+                    execs[si].usage += machine.take_usage();
                 }
             }
         }
@@ -393,7 +413,7 @@ impl SimExecutor {
 
         // Collect client-visible responses from the TX ring.
         let mut responses = Vec::with_capacity(n);
-        while let Some(frame) = engine.nic.tx.pop() {
+        while let Some(frame) = machine.tx.pop() {
             if let Ok(mut rs) = parse_responses(&frame) {
                 responses.append(&mut rs);
             }

@@ -1,7 +1,9 @@
-//! A real multi-threaded pipeline executor.
+//! A real multi-threaded pipeline executor: the live demonstration of
+//! the paper's staged, work-stealing design.
 //!
-//! Where [`crate::SimExecutor`] prices a batch on the simulated APU,
-//! `ThreadedPipeline` actually runs the stages on host threads wired by
+//! Where [`crate::SimExecutor`] prices a batch on the simulated APU and
+//! the serving path runs [`tasks::run_stage`] on its dispatcher thread,
+//! `ThreadedPipeline` runs the same stages on host threads wired by
 //! channels, with batches flowing through in pipelined fashion — one
 //! thread per pipeline stage (the "GPU" stage is a host thread standing
 //! in for the device) plus, when work stealing is enabled, a helper
@@ -17,10 +19,10 @@
 use crate::batch::Batch;
 use crate::engine::KvEngine;
 use crate::sync::{Backoff, Claim, ClaimCtrl};
-use crate::tasks::{self, StageCtx};
+use crate::tasks;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dido_model::{
-    metric_table, Counter, PipelineConfig, PipelinePlan, Query, Response, StagePlan, TaskKind,
+    metric_table, Counter, PipelineConfig, PipelinePlan, Query, Response, StagePlan,
     WAVEFRONT_WIDTH,
 };
 use parking_lot::{Condvar, Mutex};
@@ -123,7 +125,7 @@ metric_table! {
     /// Write side of [`ExecStats`].
     struct ExecCounters;
     /// Claim/steal counters of one [`ThreadedPipeline`], accumulated
-    /// across every `run`/`run_inline` call. Snapshot via
+    /// across every `run` call. Snapshot via
     /// [`ThreadedPipeline::exec_stats`]; its `Display` is the claim
     /// accounting line.
     pub struct ExecStats;
@@ -155,52 +157,15 @@ enum Role {
     Thief,
 }
 
-fn run_stage_on_sub(engine: &KvEngine, stage: &StagePlan, batch: &mut Batch, cache_line: u64) {
-    let ctx = StageCtx::new(stage.processor, stage.tasks, cache_line);
-    let n = batch.len();
-    for t in stage.tasks.iter() {
-        match t {
-            TaskKind::Rv | TaskKind::Pp | TaskKind::Sd => {
-                // Frame I/O happens at the pipeline boundary, not per
-                // sub-batch; see `ThreadedPipeline::run`.
-            }
-            TaskKind::Mm => {
-                tasks::run_mm(ctx, engine, batch, 0..n);
-            }
-            TaskKind::In => {
-                for &op in &stage.index_ops {
-                    tasks::run_index_op(op, ctx, engine, batch, 0..n);
-                }
-            }
-            TaskKind::Kc => {
-                tasks::run_kc(ctx, engine, batch, 0..n);
-            }
-            TaskKind::Rd => {
-                tasks::run_rd(ctx, engine, batch, 0..n);
-            }
-            TaskKind::Wr => {
-                tasks::run_wr(ctx, batch, 0..n);
-            }
-        }
-    }
-    if !stage.tasks.contains(TaskKind::In) {
-        for &op in &stage.index_ops {
-            tasks::run_index_op(op, ctx, engine, batch, 0..n);
-        }
-    }
-}
-
 /// Claim-and-process loop shared by a stage's own thread and any
 /// stealing helper. `epoch` is the ticket handed out by
 /// [`BatchGroup::begin_stage`]; the loop stops at the first exhausted or
 /// stale claim.
-#[allow(clippy::too_many_arguments)]
 fn drain_group(
     engine: &KvEngine,
     stage: &StagePlan,
     group: &BatchGroup,
     epoch: u32,
-    cache_line: u64,
     counters: &ExecCounters,
     role: Role,
     per_sub_lag: Option<Duration>,
@@ -217,7 +182,7 @@ fn drain_group(
                 // The next stage cannot advance the epoch until our
                 // `complete_one` below has been counted by the barrier.
                 let sub = unsafe { &mut *group.subs[i].0.get() };
-                run_stage_on_sub(engine, stage, sub, cache_line);
+                tasks::run_stage(engine, stage, sub);
                 match role {
                     Role::Owner => counters.owner_claims.add(1),
                     Role::Thief => counters.stolen_claims.add(1),
@@ -241,7 +206,6 @@ fn drain_group(
 pub struct ThreadedPipeline<'e> {
     engine: &'e KvEngine,
     plan: PipelinePlan,
-    cache_line: u64,
     counters: ExecCounters,
     /// Test hook: delay the steal helper between dequeuing a group and
     /// claiming from it (forces it to lag behind the owner).
@@ -259,7 +223,6 @@ impl<'e> ThreadedPipeline<'e> {
         ThreadedPipeline {
             engine,
             plan: config.plan(),
-            cache_line: 64,
             counters: ExecCounters::default(),
             steal_lag: None,
             owner_lag: None,
@@ -303,7 +266,6 @@ impl<'e> ThreadedPipeline<'e> {
     pub fn run(&self, batches: Vec<Vec<Query>>) -> Vec<Vec<Response>> {
         let stages = &self.plan.stages;
         let engine = self.engine;
-        let cache_line = self.cache_line;
         let config = self.plan.config;
         let work_stealing = config.work_stealing;
         let n_batches = batches.len();
@@ -337,16 +299,7 @@ impl<'e> ThreadedPipeline<'e> {
                         if let Some(lag) = steal_lag {
                             std::thread::sleep(lag);
                         }
-                        drain_group(
-                            engine,
-                            &stage,
-                            &group,
-                            epoch,
-                            cache_line,
-                            counters,
-                            Role::Thief,
-                            None,
-                        );
+                        drain_group(engine, &stage, &group, epoch, counters, Role::Thief, None);
                     }
                 });
             }
@@ -378,7 +331,6 @@ impl<'e> ThreadedPipeline<'e> {
                             &stage,
                             &group,
                             epoch,
-                            cache_line,
                             counters,
                             Role::Owner,
                             owner_lag,
@@ -430,63 +382,10 @@ impl<'e> ThreadedPipeline<'e> {
                 for mut sub in group.into_batches() {
                     responses.append(&mut sub.take_responses());
                 }
-                tasks::run_sd_responses(engine, &responses);
                 results.push(responses);
             }
         });
         results
-    }
-
-    /// Process batches sequentially on the calling thread, through the
-    /// same stage plan and claim machinery as [`ThreadedPipeline::run`]
-    /// but without spawning any threads. Used by
-    /// [`crate::ShardedEngine`]'s worker pool, where parallelism lives
-    /// across shards rather than across stages.
-    #[must_use]
-    pub fn run_inline(&self, batches: Vec<Vec<Query>>) -> Vec<Vec<Response>> {
-        self.run_inline_impl(batches, true)
-    }
-
-    /// [`ThreadedPipeline::run_inline`] without the final SD packing
-    /// onto the engine's simulated TX ring. The concurrent serving core
-    /// uses this: its responses leave through the real network
-    /// front-end's SD writer, so packing them onto the simulated NIC
-    /// would only burn cycles and (on a long-lived server) churn the TX
-    /// ring for frames nobody drains.
-    #[must_use]
-    pub fn run_inline_no_sd(&self, batches: Vec<Vec<Query>>) -> Vec<Vec<Response>> {
-        self.run_inline_impl(batches, false)
-    }
-
-    fn run_inline_impl(&self, batches: Vec<Vec<Query>>, sd: bool) -> Vec<Vec<Response>> {
-        batches
-            .into_iter()
-            .map(|queries| {
-                let group = BatchGroup::new(queries, self.plan.config);
-                for stage in &self.plan.stages {
-                    let epoch = group.begin_stage();
-                    drain_group(
-                        self.engine,
-                        stage,
-                        &group,
-                        epoch,
-                        self.cache_line,
-                        &self.counters,
-                        Role::Owner,
-                        None,
-                    );
-                    group.wait_stage_complete();
-                }
-                let mut responses = Vec::new();
-                for mut sub in group.into_batches() {
-                    responses.append(&mut sub.take_responses());
-                }
-                if sd {
-                    tasks::run_sd_responses(self.engine, &responses);
-                }
-                responses
-            })
-            .collect()
     }
 }
 
@@ -599,34 +498,6 @@ mod tests {
         let out = tp.run(vec![Vec::new()]);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
-    }
-
-    #[test]
-    fn run_inline_matches_run() {
-        let mk = || {
-            let e = engine();
-            for q in queries(300, "il") {
-                e.execute(&q);
-            }
-            e
-        };
-        let statuses = |out: Vec<Vec<Response>>| {
-            out.into_iter()
-                .map(|rs| rs.into_iter().map(|r| r.status).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-        };
-        let e1 = mk();
-        let threaded = ThreadedPipeline::new(&e1, PipelineConfig::mega_kv());
-        let a = statuses(threaded.run(vec![queries(512, "il")]));
-        let e2 = mk();
-        let inline = ThreadedPipeline::new(&e2, PipelineConfig::mega_kv());
-        let b = statuses(inline.run_inline(vec![queries(512, "il")]));
-        assert_eq!(a, b);
-        // Inline processing claims every sub-batch as the owner.
-        let stats = inline.exec_stats();
-        assert!(stats.owner_claims > 0);
-        assert_eq!(stats.stolen_claims, 0);
-        assert_eq!(stats.stale_rejects, 0);
     }
 
     #[test]

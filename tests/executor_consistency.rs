@@ -1,14 +1,16 @@
 //! Cross-executor and model-vs-simulator consistency: the same queries
 //! must produce the same functional answers on the virtual-time
-//! executor and the real-thread executor, for every pipeline shape; and
+//! executor, the real-thread executor and the serving path's stage
+//! loop, for every pipeline shape; and
 //! the analytic cost model must track the simulator within a sane error
 //! band (the paper's Figure 9 property).
 
 use dido_kv::apu::{HwSpec, TimingEngine};
 use dido_kv::cost_model::CostModel;
-use dido_kv::model::{ConfigEnumerator, PipelineConfig, Query, ResponseStatus};
+use dido_kv::model::{ConfigEnumerator, PipelineConfig, Query, Response, ResponseStatus};
 use dido_kv::pipeline::{
-    preloaded_engine, RunOptions, SimExecutor, TestbedOptions, ThreadedPipeline,
+    preloaded_engine, EngineConfig, KvEngine, RunOptions, ShardedEngine, SimExecutor,
+    TestbedOptions, ThreadedPipeline,
 };
 use dido_kv::workload::WorkloadSpec;
 
@@ -17,6 +19,40 @@ fn testbed() -> TestbedOptions {
         store_bytes: 4 << 20,
         ..TestbedOptions::default()
     }
+}
+
+/// The three executors over one engine each.
+#[derive(Clone, Copy, Debug)]
+enum Executor {
+    Sim,
+    Threaded,
+    Serving,
+}
+
+impl Executor {
+    fn run(self, engine: KvEngine, batch: Vec<Query>, config: PipelineConfig) -> Vec<Response> {
+        match self {
+            Executor::Sim => {
+                let sim = SimExecutor::new(TimingEngine::new(HwSpec::kaveri_apu()));
+                sim.run_batch(&engine, batch, config).1
+            }
+            Executor::Threaded => ThreadedPipeline::new(&engine, config)
+                .run(vec![batch])
+                .remove(0),
+            Executor::Serving => {
+                ShardedEngine::from_engines(vec![engine]).process_batch_inline(batch, |_| config)
+            }
+        }
+    }
+}
+
+/// A roomy engine (no SET ever evicts) holding `pre-{i}` = `old-{i}`.
+fn roomy_engine(keys: usize) -> KvEngine {
+    let engine = KvEngine::new(EngineConfig::new(8 << 20, 256 << 10, 64 << 10));
+    for i in 0..keys {
+        engine.execute(&Query::set(format!("pre-{i:04}"), format!("old-{i:04}")));
+    }
+    engine
 }
 
 #[test]
@@ -32,22 +68,46 @@ fn sim_and_threaded_agree_on_every_config_shape() {
     ];
     for config in configs {
         // Fresh, identical state per executor.
-        let run_sim = || {
+        let run = |executor: Executor| {
             let (engine, mut generator) = preloaded_engine(spec, &hw, testbed());
-            let sim = SimExecutor::new(TimingEngine::new(hw));
-            let (_, responses) = sim.run_batch(&engine, generator.batch(2_048), config);
+            let responses = executor.run(engine, generator.batch(2_048), config);
             responses.iter().map(|r| r.status).collect::<Vec<_>>()
         };
-        let run_threaded = || {
-            let (engine, mut generator) = preloaded_engine(spec, &hw, testbed());
-            let tp = ThreadedPipeline::new(&engine, config);
-            let out = tp.run(vec![generator.batch(2_048)]);
-            out[0].iter().map(|r| r.status).collect::<Vec<_>>()
-        };
-        let a = run_sim();
-        let b = run_threaded();
-        assert_eq!(a.len(), b.len(), "config {config}");
-        assert_eq!(a, b, "executors disagree under {config}");
+        let a = run(Executor::Sim);
+        assert_eq!(a.len(), 2_048, "config {config}");
+        assert_eq!(a, run(Executor::Threaded), "sim vs threaded under {config}");
+        assert_eq!(a, run(Executor::Serving), "sim vs serving under {config}");
+
+        // Mixed SET/GET/DELETE over four wavefronts, every key touched
+        // once: no order between wavefronts can change a reply, so all
+        // three executors must match the scalar oracle byte for byte.
+        let mixed: Vec<Query> = (0..250)
+            .map(|i| match i % 3 {
+                0 => Query::set(format!("pre-{i:04}"), format!("new-{i:04}")),
+                1 => Query::get(format!("pre-{i:04}")),
+                _ => Query::delete(format!("pre-{i:04}")),
+            })
+            .collect();
+        let oracle = roomy_engine(200); // keys 200.. miss
+        let expected: Vec<Response> = mixed.iter().map(|q| oracle.execute(q)).collect();
+        for executor in [Executor::Sim, Executor::Threaded, Executor::Serving] {
+            let got = executor.run(roomy_engine(200), mixed.clone(), config);
+            assert_eq!(got, expected, "{executor:?}, mixed batch, {config}");
+        }
+
+        // The intra-batch contract (DESIGN.md §9): index ops apply in
+        // plan order over the whole batch — Insert before Search — so a
+        // GET two wavefronts after a SET of the same key reads the new
+        // value, on the serving loop exactly as on the simulator.
+        let mut same_key: Vec<Query> = (1..=140)
+            .map(|i| Query::get(format!("pre-{i:04}")))
+            .collect();
+        same_key[0] = Query::set("pre-0000", "rewritten");
+        same_key[130] = Query::get("pre-0000");
+        let sim = Executor::Sim.run(roomy_engine(200), same_key.clone(), config);
+        let serving = Executor::Serving.run(roomy_engine(200), same_key, config);
+        assert_eq!(serving, sim, "same-key batch under {config}");
+        assert_eq!(&serving[130].value[..], b"rewritten", "under {config}");
     }
 }
 

@@ -19,7 +19,7 @@
 //! counted.
 
 use dido_kv::model::{PipelineConfig, Query, ResponseStatus, WAVEFRONT_WIDTH};
-use dido_kv::pipeline::{EngineConfig, KvEngine, ThreadedPipeline};
+use dido_kv::pipeline::{EngineConfig, KvEngine, ShardedEngine, ThreadedPipeline};
 use std::time::Duration;
 
 /// Deterministic mixed SET/GET workload (no DELETEs, so the expected
@@ -156,8 +156,9 @@ fn stolen_claims_are_counted_and_rendered() {
 #[test]
 fn stealing_and_inline_paths_agree_under_lag() {
     // The same workload through (a) the staged executor with a lagging
-    // helper and (b) the inline executor must produce identical status
-    // sequences — stale refusals must not drop or duplicate responses.
+    // helper and (b) the serving path's plain stage loop must produce
+    // identical status sequences — stale refusals must not drop or
+    // duplicate responses.
     let run = |inline: bool| {
         let engine = KvEngine::new(EngineConfig::new(8 << 20, 256 << 10, 64 << 10));
         for id in 0..2_000 {
@@ -165,13 +166,17 @@ fn stealing_and_inline_paths_agree_under_lag() {
         }
         let mut config = PipelineConfig::small_kv_read_intensive();
         config.work_stealing = true;
-        let pipeline = ThreadedPipeline::new(&engine, config)
-            .with_steal_lag(Duration::from_micros(200));
         let batches: Vec<Vec<Query>> = (0..3).map(|b| mixed_batch(b, 512, 2_000)).collect();
         let out = if inline {
-            pipeline.run_inline(batches)
+            let serving = ShardedEngine::from_engines(vec![engine]);
+            batches
+                .into_iter()
+                .map(|b| serving.process_batch_inline(b, |_| config))
+                .collect()
         } else {
-            pipeline.run(batches)
+            ThreadedPipeline::new(&engine, config)
+                .with_steal_lag(Duration::from_micros(200))
+                .run(batches)
         };
         out.into_iter()
             .map(|rs| rs.into_iter().map(|r| r.status).collect::<Vec<_>>())
