@@ -9,7 +9,6 @@ use crate::harness::spec;
 use crate::{ExperimentCtx, Table};
 use dido::{DidoOptions, DidoSystem};
 use dido_apu_sim::{HwSpec, TimingEngine};
-use dido_hashtable::key_hash;
 use dido_model::{PipelineConfig, Query};
 use dido_pipeline::{EngineConfig, KvEngine, SimExecutor};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
@@ -33,18 +32,9 @@ fn dual_preloaded_engine(
         for id in 0..n {
             let key = key_bytes(spec.dataset, id);
             let value = value_bytes(spec.dataset, id);
-            let out = engine
-                .store
-                .allocate(&key, &value)
-                .expect("fits half store");
-            if let Some(ev) = &out.evicted {
-                let _ = engine.index.delete(key_hash(&ev.key), ev.loc);
-            }
             engine
-                .index
-                .upsert(key_hash(&key), out.loc)
-                .0
-                .expect("index fits");
+                .load_object(&key, &value)
+                .expect("fits half store and its index");
         }
     }
     (engine, n_a, n_b)

@@ -401,7 +401,9 @@ impl ServingCore {
     /// active configuration, and spawn a background worker that drains
     /// donor shards chunk by chunk and settles the map when done. The
     /// data path serves throughout; returns as soon as the migration is
-    /// underway (use [`ServingCore::wait_resize`] to block on it).
+    /// underway (use [`ServingCore::wait_resize`] to block on it). A
+    /// count the store cannot be split into is refused with
+    /// [`ResizeError::BadCount`] before anything is built or swapped.
     pub fn resize_shards(self: &Arc<Self>, n: usize) -> Result<(), ResizeError> {
         let (cpu_cache, gpu_cache) = Self::scaled_caches(&self.options, n.max(1));
         let per_shard = EngineConfig::new(
@@ -657,5 +659,22 @@ mod tests {
             core.model_runs() > runs_after_warmup,
             "workload swap must re-run the cost model in the background"
         );
+    }
+
+    #[test]
+    fn a_resize_the_store_cannot_be_split_into_is_refused() {
+        // 1 MiB over 40 000 shards leaves each 26 bytes, below the
+        // store's minimum: any client can ask for this through the
+        // `__dido/resize` admin key, and building that store would
+        // assert on the controller thread.
+        let mut options = opts();
+        options.testbed.store_bytes = 1 << 20;
+        let core = Arc::new(ServingCore::new(1, 1, options));
+        core.engine().load(b"kept", b"v").unwrap();
+        assert_eq!(core.resize_shards(40_000), Err(ResizeError::BadCount));
+        assert!(!core.is_migrating());
+        assert_eq!(core.shard_count(), 1);
+        let r = core.process_batch(0, vec![Query::get("kept")]);
+        assert_eq!(r[0].value, "v");
     }
 }

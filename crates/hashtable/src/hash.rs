@@ -22,10 +22,17 @@ pub struct KeyHash {
 /// mixed even for short or sequential keys.
 #[must_use]
 pub fn hash64(key: &[u8]) -> u64 {
+    hash64_bytes(key.iter().copied())
+}
+
+/// [`hash64`] over a byte sequence that is not a slice — the object
+/// store hashes a key where it lies in its atomic-byte arena.
+#[must_use]
+pub fn hash64_bytes(key: impl IntoIterator<Item = u8>) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    for &b in key {
+    for b in key {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }

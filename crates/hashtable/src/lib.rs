@@ -31,7 +31,7 @@ mod hash;
 mod prefetch;
 mod table;
 
-pub use hash::{hash64, key_hash, KeyHash};
+pub use hash::{hash64, hash64_bytes, key_hash, KeyHash};
 pub use prefetch::prefetch_read;
 pub use table::{
     Candidates, IndexTable, InsertError, MAX_LOCATION, PROBE_WAVEFRONT, SLOTS_PER_BUCKET,

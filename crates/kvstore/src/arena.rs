@@ -62,6 +62,17 @@ impl Arena {
         v
     }
 
+    /// The `len` bytes at `offset`, read where they lie (no copy). A
+    /// range that exceeds the arena yields nothing: a racing reader may
+    /// hold a torn length from a slot that is being rewritten.
+    pub fn bytes(&self, offset: usize, len: usize) -> impl Iterator<Item = u8> + '_ {
+        let range = self.bytes.get(offset..offset.saturating_add(len));
+        range
+            .unwrap_or(&[])
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+    }
+
     /// Compare the bytes at `offset..offset+other.len()` with `other`.
     #[must_use]
     pub fn bytes_equal(&self, offset: usize, other: &[u8]) -> bool {

@@ -3,9 +3,10 @@
 //! the runtime skewness estimate.
 //!
 //! The paper's memory-management (`MM`) task maps onto
-//! [`ObjectStore::allocate`] (which may return an [`EvictedObject`]
-//! whose index entry the caller must delete — the mechanism that makes
-//! every SET generate one Insert *and* one Delete index operation), the
+//! [`ObjectStore::allocate`] (which may report an evicted object as a
+//! [`PurgedEntry`] whose index entry the caller must delete — the
+//! mechanism that makes every SET generate one Insert *and* one Delete
+//! index operation), the
 //! key-comparison (`KC`) task onto [`ObjectStore::key_matches`], and the
 //! value-read (`RD`) task onto [`ObjectStore::read_value`].
 //!
@@ -27,6 +28,6 @@ mod store;
 
 pub use arena::Arena;
 pub use store::{
-    AllocOutcome, ClassStats, EvictedObject, ExpiryStats, ObjectStore, ProbeOutcome, PurgedEntry,
-    StoreError, HEADER_SIZE,
+    AllocOutcome, ClassStats, ExpiryStats, ObjectStore, ProbeOutcome, PurgedEntry, StoreError,
+    HEADER_SIZE, MIN_STORE_BYTES,
 };

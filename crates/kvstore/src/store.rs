@@ -25,6 +25,7 @@
 //! the rounding waste shows up in the per-class fragmentation gauge.
 
 use crate::arena::Arena;
+use dido_hashtable::hash64_bytes;
 use dido_model::deadline_expired;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -54,6 +55,11 @@ const FLAG_REFERENCED: u8 = 2;
 
 /// Smallest size class in bytes.
 const MIN_CLASS_BYTES: usize = 32;
+
+/// Smallest arena [`ObjectStore::new`] accepts: one slot of the smallest
+/// class. Callers that split a byte budget across stores check against
+/// it instead of tripping the constructor's assertion.
+pub const MIN_STORE_BYTES: usize = MIN_CLASS_BYTES;
 
 /// Objects per segment before it seals and becomes sweepable as a unit.
 const SEGMENT_SLOTS: usize = 512;
@@ -89,26 +95,19 @@ pub enum StoreError {
     OutOfMemory,
 }
 
-/// An object displaced by an allocation; the caller must issue the
-/// matching index Delete (this is what turns one SET into an Insert plus
-/// a Delete in the paper's Figure 6 accounting).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvictedObject {
-    /// The recycled location (same slot the new object now occupies).
-    pub loc: u64,
-    /// The evicted object's key, needed to delete its index entry.
-    pub key: Vec<u8>,
-}
-
-/// An expired object bulk-purged during segment reclamation. Its slot is
-/// already back on the free list; the caller must drop the matching
-/// index entry, identified by the key-hash cookie recorded at
-/// allocation time (no key bytes are re-read on the reclaim path).
+/// How the store reports that an object died — displaced by CLOCK to
+/// make room for an allocation (what turns one SET into an Insert plus a
+/// Delete in the paper's Figure 6 accounting), or bulk-purged with its
+/// expired segment. The slot is already free or reoccupied; the caller
+/// must drop the index entry `(cookie, loc)` unless the slot has since
+/// been recycled to the same key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PurgedEntry {
-    /// The freed location.
+    /// The dead object's location.
     pub loc: u64,
-    /// The 64-bit key hash supplied to [`ObjectStore::allocate_with`].
+    /// The dead object's 64-bit key hash: the cookie recorded at
+    /// allocation time for segment members (no key bytes are re-read on
+    /// the reclaim path), hashed in place for a CLOCK victim.
     pub cookie: u64,
 }
 
@@ -117,8 +116,8 @@ pub struct PurgedEntry {
 pub struct AllocOutcome {
     /// Location of the stored object (index this under the key).
     pub loc: u64,
-    /// Object evicted to make room, if any.
-    pub evicted: Option<EvictedObject>,
+    /// Object evicted to make room, if any (its slot is `loc`).
+    pub evicted: Option<PurgedEntry>,
     /// Expired objects purged wholesale from reclaimed segments while
     /// satisfying this allocation; empty on the common path.
     pub reclaimed: Vec<PurgedEntry>,
@@ -198,10 +197,10 @@ impl ObjectStore {
     /// A store over `capacity` bytes of (simulated) shared memory.
     ///
     /// # Panics
-    /// Panics if `capacity < MIN_CLASS_BYTES`.
+    /// Panics if `capacity < MIN_STORE_BYTES`.
     #[must_use]
     pub fn new(capacity: usize) -> ObjectStore {
-        assert!(capacity >= MIN_CLASS_BYTES, "capacity too small");
+        assert!(capacity >= MIN_STORE_BYTES, "capacity too small");
         let max_class_bytes = capacity.next_power_of_two().min(1 << 22);
         let class_count = (max_class_bytes / MIN_CLASS_BYTES).ilog2() as usize + 1;
         ObjectStore {
@@ -322,13 +321,8 @@ impl ObjectStore {
                     Some((loc, class_idx, class_size))
                 } else {
                     let mut lists = self.classes[class_idx].lock();
-                    match self.evict_one(&mut lists, class_size, now) {
-                        Some((loc, key)) => {
-                            evicted = Some(EvictedObject { loc, key });
-                            Some((loc, class_idx, class_size))
-                        }
-                        None => None,
-                    }
+                    evicted = self.evict_one(&mut lists, class_size, now);
+                    evicted.map(|ev| (ev.loc, class_idx, class_size))
                 }
             }
         };
@@ -403,7 +397,7 @@ impl ObjectStore {
         &self,
         class_idx: usize,
         now: u32,
-        evicted: &mut Option<EvictedObject>,
+        evicted: &mut Option<PurgedEntry>,
     ) -> Option<(u64, usize, usize)> {
         // Free slots anywhere above cost nothing; only then evict live
         // data from a larger class. Smallest sufficient class first, to
@@ -416,9 +410,9 @@ impl ObjectStore {
         }
         for c in class_idx + 1..self.class_count {
             let mut lists = self.classes[c].lock();
-            if let Some((loc, key)) = self.evict_one(&mut lists, Self::class_size(c), now) {
-                *evicted = Some(EvictedObject { loc, key });
-                return Some((loc, c, Self::class_size(c)));
+            *evicted = self.evict_one(&mut lists, Self::class_size(c), now);
+            if let Some(ev) = evicted {
+                return Some((ev.loc, c, Self::class_size(c)));
             }
         }
         None
@@ -427,13 +421,14 @@ impl ObjectStore {
     /// CLOCK sweep: skip dead entries, give referenced objects a second
     /// chance (unless they are expired, which forfeits it), evict the
     /// first eligible live object. Decrements the class's live
-    /// accounting for the victim.
+    /// accounting for the victim and hashes its key before the caller
+    /// overwrites the slot.
     fn evict_one(
         &self,
         lists: &mut ClassLists,
         class_size: usize,
         now: u32,
-    ) -> Option<(u64, Vec<u8>)> {
+    ) -> Option<PurgedEntry> {
         let budget = lists.ring.len() * 2;
         for _ in 0..budget {
             let loc = lists.ring.pop_front()?;
@@ -456,14 +451,17 @@ impl ObjectStore {
             if prev & FLAG_LIVE == 0 {
                 continue;
             }
-            let key_len = self.arena.read_u16(off + OFF_KEY_LEN) as usize;
-            let val_len = self.arena.read_u32(off + OFF_VAL_LEN) as usize;
-            let key = self.arena.read_vec(off + HEADER_SIZE, key_len);
+            let (key_len, val_len) = self.object_lens(loc);
             let total = HEADER_SIZE + key_len + val_len;
             lists.live = lists.live.saturating_sub(1);
             lists.live_bytes = lists.live_bytes.saturating_sub(total);
-            lists.frag_bytes = lists.frag_bytes.saturating_sub(class_size - total.min(class_size));
-            return Some((loc, key));
+            lists.frag_bytes = lists
+                .frag_bytes
+                .saturating_sub(class_size - total.min(class_size));
+            return Some(PurgedEntry {
+                loc,
+                cookie: self.key_cookie(loc),
+            });
         }
         None
     }
@@ -785,6 +783,15 @@ impl ObjectStore {
         val_len
     }
 
+    /// 64-bit hash of the key stored at `loc`, computed over the arena
+    /// bytes where they lie — the cookie a [`PurgedEntry`] for this
+    /// object carries.
+    #[must_use]
+    pub fn key_cookie(&self, loc: u64) -> u64 {
+        let (key_len, _) = self.object_lens(loc);
+        hash64_bytes(self.arena.bytes(loc as usize + HEADER_SIZE, key_len))
+    }
+
     /// Copy of the object's key.
     #[must_use]
     pub fn read_key(&self, loc: u64) -> Vec<u8> {
@@ -857,6 +864,7 @@ impl std::fmt::Debug for ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dido_hashtable::hash64;
 
     #[test]
     fn store_and_read_back() {
@@ -914,7 +922,11 @@ mod tests {
         }
         let out = s.allocate(b"k4", b"v").unwrap();
         let ev = out.evicted.expect("must evict");
-        assert_eq!(ev.key, b"k0", "CLOCK evicts the oldest unreferenced object");
+        assert_eq!(
+            ev.cookie,
+            hash64(b"k0"),
+            "CLOCK evicts the oldest unreferenced object"
+        );
         assert_eq!(ev.loc, out.loc);
         assert_eq!(s.live_objects(), 4);
     }
@@ -930,7 +942,7 @@ mod tests {
         // (loc of k0 is 0: the first carve.)
         s.touch(0, 1);
         let out = s.allocate(b"k4", b"v").unwrap();
-        assert_eq!(out.evicted.unwrap().key, b"k1");
+        assert_eq!(out.evicted.unwrap().cookie, hash64(b"k1"));
         assert!(s.key_matches(0, b"k0"), "referenced object survived");
     }
 
@@ -971,7 +983,7 @@ mod tests {
         assert_eq!(s.bytes_carved(), 256);
         let out = s.allocate(b"tiny", b"v").unwrap();
         let ev = out.evicted.expect("borrow must evict from the larger class");
-        assert_eq!(ev.key, b"b0");
+        assert_eq!(ev.cookie, hash64(b"b0"));
         assert_eq!(ev.loc, out.loc);
         assert!(s.key_matches(out.loc, b"tiny"));
         // The borrowed slot keeps its real class: freeing it returns it
@@ -1005,8 +1017,8 @@ mod tests {
         assert_eq!(s.bytes_carved(), 192);
         let out = s.allocate_with(b"a4", b"v", 0, 0, 100, 0).unwrap();
         assert_eq!(
-            out.evicted.expect("same-class CLOCK evicts first").key,
-            b"a0"
+            out.evicted.expect("same-class CLOCK evicts first").cookie,
+            hash64(b"a0")
         );
         assert!(out.reclaimed.is_empty(), "expired segment left untouched");
 
@@ -1051,8 +1063,8 @@ mod tests {
         s.touch(0, 1); // sets REFERENCED on k0
         let out = s.allocate_with(b"k4", b"v", 0, 0, 100, 0).unwrap();
         assert_eq!(
-            out.evicted.unwrap().key,
-            b"k0",
+            out.evicted.unwrap().cookie,
+            hash64(b"k0"),
             "an expired object is evicted despite its referenced bit"
         );
     }

@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use dido_hashtable::Candidates;
-use dido_kvstore::EvictedObject;
+use dido_kvstore::PurgedEntry;
 use dido_model::{PipelineConfig, Query, Response, WorkloadStats, WAVEFRONT_WIDTH};
 use std::ops::Range;
 
@@ -22,11 +22,6 @@ pub struct QueryState {
     pub loc: Option<u64>,
     /// Newly allocated location for a SET (after `MM`).
     pub new_loc: Option<u64>,
-    /// Object evicted by this SET's allocation (after `MM`); its index
-    /// entry is deleted by `IN`-Delete. (Expired objects bulk-purged by
-    /// a reclaim, and expired hits `KC` observes, travel via the
-    /// engine's deferred purge queue instead of per-query state.)
-    pub evicted: Option<EvictedObject>,
     /// Where the query's value landed in the batch's [`StagingArena`]
     /// (after `RD`). Modelled as the sequential staging buffer of the
     /// paper (§III-A); an offset range instead of an owned buffer so the
@@ -137,6 +132,11 @@ pub struct Batch {
     /// recompare is skipped. Truncated to `u32`: wrapping 2^32
     /// recycles while one batch is in flight is impossible.
     pub wf_gens: Vec<u32>,
+    /// Objects that died making room for this batch's SETs — CLOCK
+    /// victims and members of reclaimed expired segments — appended by
+    /// `MM` in query order; `IN`-Delete unlinks them from the index
+    /// ahead of the explicit DELETEs.
+    pub dead: Vec<PurgedEntry>,
 }
 
 impl Batch {
@@ -149,6 +149,7 @@ impl Batch {
             state: vec![QueryState::default(); n],
             arena: StagingArena::new(),
             wf_gens: vec![0; n.div_ceil(WAVEFRONT_WIDTH)],
+            dead: Vec::new(),
             queries,
         }
     }

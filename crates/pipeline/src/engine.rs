@@ -3,20 +3,32 @@
 //! simulated; the reproduction's cache filters and NIC live beside it in
 //! `sim_meter.rs`.
 
-use dido_hashtable::{key_hash, IndexTable, KeyHash};
+use crate::tasks::{Meter, NoMeter, StageCtx, KH_NONE};
+use dido_hashtable::{key_hash, IndexTable, KeyHash, PROBE_WAVEFRONT};
 use dido_kvstore::{ObjectStore, ProbeOutcome, PurgedEntry};
 use dido_model::{
-    metric_table, ttl_to_deadline, Counter, Query, QueryOp, Response, SharedClock, SystemClock,
+    metric_table, ttl_to_deadline, Counter, Processor, Query, QueryOp, Response, SharedClock,
+    SystemClock, TaskSet,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Deferred purge requests (expired objects awaiting index unlink and
-/// slot free) behind a lock-free emptiness gate: the batched hot path
-/// drains this once per sub-batch, and with TTLs absent or idle the
-/// drain is a single relaxed-ish atomic read instead of a mutex
-/// acquisition.
+/// Context for a [`KvEngine::unlink`] or [`KvEngine::remove`] made
+/// outside any stage (the scalar paths, the controller's sweep, the
+/// migration walk): nothing is priced.
+pub(crate) const UNMETERED: StageCtx = StageCtx {
+    processor: Processor::Cpu,
+    stage_tasks: TaskSet::EMPTY,
+    cache_line: 64,
+    meter: NoMeter,
+};
+
+/// Death records that must cross a batch boundary — the expired hits
+/// `KC` observes after its batch's `IN`-Delete has already run — behind
+/// a lock-free emptiness gate: the batched hot path drains this once
+/// per sub-batch, and with TTLs absent or idle the drain is a single
+/// relaxed-ish atomic read instead of a mutex acquisition.
 pub(crate) struct DeferredPurges {
     nonempty: AtomicBool,
     entries: Mutex<Vec<PurgedEntry>>,
@@ -208,18 +220,71 @@ impl KvEngine {
     }
 
     /// Whether the index entry `(cookie, loc)` has been *refreshed*
-    /// since the purge request naming it was recorded: the slot was
+    /// since the death record naming it was written: the slot was
     /// freed, then recycled to the **same key at the same location**
     /// (LIFO free lists make this common), so the entry now belongs to
     /// a fresh live object and must survive. A slot recycled to a
     /// different key leaves the old entry dangling — deleting it is
     /// still correct (the fresh occupant's entry has a different sig).
-    pub(crate) fn entry_refreshed(&self, loc: u64, cookie: u64, now: u32) -> bool {
-        if !self.store.slot_live(loc) || self.store.is_expired(loc, now) {
-            return false;
+    fn entry_refreshed(&self, p: &PurgedEntry, now: u32) -> bool {
+        self.store.slot_live(p.loc)
+            && !self.store.is_expired(p.loc, now)
+            && self.store.key_cookie(p.loc) == p.cookie
+    }
+
+    /// Drop the index entries of dead objects. Every death — CLOCK
+    /// eviction, segment reclaim, lazy expiry — ends here and nowhere
+    /// else. Per record: the [`KvEngine::entry_refreshed`] guard spares
+    /// an entry a recycled slot made fresh; otherwise `(cookie, loc)`
+    /// leaves the index, and the slot is settled by the store's
+    /// deadline-revalidating free, which releases a lazily-expired
+    /// object still sitting there and does nothing to a slot that is
+    /// already free or holds a fresh occupant. Records go to the index
+    /// one prefetched probe wavefront at a time. Returns how many
+    /// passed the guard.
+    pub(crate) fn unlink<M: Meter>(&self, ctx: &StageCtx<M>, dead: &[PurgedEntry]) -> usize {
+        if dead.is_empty() {
+            return 0; // the common batch: no clock read, no gather buffers
         }
-        let key = self.store.read_key(loc);
-        !key.is_empty() && key_hash(&key).hash == cookie
+        let now = self.clock.now_secs();
+        let mut items = [(KH_NONE, 0u64); PROBE_WAVEFRONT];
+        let mut removed = [false; PROBE_WAVEFRONT];
+        let mut unlinked = 0;
+        for chunk in dead.chunks(PROBE_WAVEFRONT) {
+            let mut n = 0;
+            for p in chunk.iter().filter(|p| !self.entry_refreshed(p, now)) {
+                items[n] = (KeyHash::from_hash(p.cookie), p.loc);
+                n += 1;
+            }
+            if n == 0 {
+                continue;
+            }
+            M::index_op(ctx, self.index.delete_batch(&items[..n], &mut removed[..n]));
+            for &(_, loc) in &items[..n] {
+                if self.store.expire_if_due(loc, now) {
+                    M::freed(ctx, loc);
+                }
+            }
+            unlinked += n;
+        }
+        unlinked
+    }
+
+    /// Drop a *live* object whose key the caller has just compared at
+    /// `loc`: `(kh, loc)` leaves the index, then the slot is freed. The
+    /// index delete is the ownership handoff — whoever removes the
+    /// entry frees the slot. When the entry is already gone a racing
+    /// DELETE or unlink won it and owns the slot; freeing here as well
+    /// could kill an object a SET has since put there. Returns whether
+    /// this call removed the entry.
+    pub(crate) fn remove<M: Meter>(&self, ctx: &StageCtx<M>, kh: KeyHash, loc: u64) -> bool {
+        let (removed, usage) = self.index.delete(kh, loc);
+        M::index_op(ctx, usage);
+        if removed {
+            self.store.free(loc);
+            M::freed(ctx, loc);
+        }
+        removed
     }
 
     /// Proactive expiry: reclaim up to `max_segments` expired TTL
@@ -229,33 +294,13 @@ impl KvEngine {
     /// useful directly in tests. Returns `(objects purged, segments
     /// reclaimed)`.
     pub fn sweep_expired(&self, max_segments: usize) -> (usize, usize) {
-        let now = self.clock.now_secs();
-        // First drain purge requests deferred by the batched KC path, so
-        // lazy leftovers cannot outlive a traffic stall. `expire_if_due`
-        // revalidates the deadline, sparing a recycled slot's fresh
-        // occupant.
-        let deferred = self.pending_expired.drain();
-        for p in &deferred {
-            // A slot recycled to the same key at the same loc since the
-            // deferral makes this entry fresh — deleting it would kill
-            // a live key.
-            if self.entry_refreshed(p.loc, p.cookie, now) {
-                continue;
-            }
-            let _ = self.index.delete(KeyHash::from_hash(p.cookie), p.loc);
-            self.store.expire_if_due(p.loc, now);
-        }
+        // The lazy expiries `KC` deferred go first, so they cannot
+        // outlive a traffic stall.
+        self.unlink(&UNMETERED, &self.pending_expired.drain());
         let mut purged = Vec::new();
+        let now = self.clock.now_secs();
         let segments = self.store.sweep_expired(now, max_segments, &mut purged);
-        for p in &purged {
-            // The reclaim already freed the slot; skip the index unlink
-            // if an allocation recycled it to the same key in the
-            // meantime (the entry is fresh again).
-            if self.entry_refreshed(p.loc, p.cookie, now) {
-                continue;
-            }
-            let _ = self.index.delete(KeyHash::from_hash(p.cookie), p.loc);
-        }
+        self.unlink(&UNMETERED, &purged);
         (purged.len(), segments)
     }
 
@@ -330,10 +375,9 @@ impl KvEngine {
     }
 
     /// Store `key = value` through the canonical SET sequence: slab
-    /// allocation, eviction cleanup (index delete for whatever CLOCK
-    /// pushed out), then index upsert. Returns the
-    /// new object's location, or `None` if the store or index rejected
-    /// it (the allocation is rolled back).
+    /// allocation, `unlink` for whatever died to make room, then index
+    /// upsert. Returns the new object's location, or `None` if the store
+    /// or index rejected it (the allocation is rolled back).
     ///
     /// This is the *one* implementation of that sequence — the
     /// [`KvEngine::execute`] SET arm, the serving core's preload path,
@@ -361,24 +405,11 @@ impl KvEngine {
             .store
             .allocate_with(key, value, deadline, flags, now, kh.hash)
             .ok()?;
-        // Allocation pressure may have bulk-reclaimed expired segments;
-        // drop their index entries before anything can re-probe them
-        // (unless a peer already recycled the slot for the same key —
-        // then the entry is the fresh occupant's and must survive).
-        for p in &out.reclaimed {
-            if self.entry_refreshed(p.loc, p.cookie, now) {
-                continue;
-            }
-            let _ = self.index.delete(KeyHash::from_hash(p.cookie), p.loc);
-        }
-        if let Some(ev) = &out.evicted {
-            // Unlink unless the slot was recycled to the same key and is
-            // still live-unexpired (then the entry is the fresh
-            // occupant's and must survive).
-            if !self.store.key_matches(ev.loc, &ev.key) || self.store.is_expired(ev.loc, now) {
-                let _ = self.index.delete(key_hash(&ev.key), ev.loc);
-            }
-        }
+        // Allocation pressure may have bulk-reclaimed expired segments
+        // and evicted a CLOCK victim; their index entries go before
+        // anything can re-probe them.
+        self.unlink(&UNMETERED, &out.reclaimed);
+        self.unlink(&UNMETERED, out.evicted.as_slice());
         match self.index.upsert(kh, out.loc).0 {
             Ok(_replaced) => {
                 // A replaced old version lingers as garbage until CLOCK
@@ -404,23 +435,17 @@ impl KvEngine {
             .any(|&loc| self.store.key_matches(loc, key))
     }
 
-    /// Remove `key` from this engine (index delete + store free);
-    /// `true` if a live entry was removed. The canonical
-    /// DELETE sequence, shared by [`KvEngine::execute`] and shard
-    /// migration's donor-side cleanup.
+    /// Remove `key` from this engine (search, compare, then `remove`);
+    /// `true` if a live entry was removed. The canonical DELETE
+    /// sequence, shared by [`KvEngine::execute`] and shard migration's
+    /// donor-side cleanup.
     pub fn purge_key(&self, key: &[u8]) -> bool {
         let kh = key_hash(key);
         let (cands, _) = self.index.search(kh);
-        for &loc in cands.as_slice() {
-            if self.store.key_matches(loc, key) {
-                let (removed, _) = self.index.delete(kh, loc);
-                if removed {
-                    self.store.free(loc);
-                    return true;
-                }
-            }
-        }
-        false
+        cands
+            .as_slice()
+            .iter()
+            .any(|&loc| self.store.key_matches(loc, key) && self.remove(&UNMETERED, kh, loc))
     }
 
     /// Convenience single-query execution outside any pipeline (used by
@@ -439,10 +464,8 @@ impl KvEngine {
                         ProbeOutcome::Expired => {
                             // Lazy expiry: the read observes the miss
                             // in-band and purges entry + slot.
-                            let (removed, _) = self.index.delete(kh, loc);
-                            if removed {
-                                self.store.expire_if_due(loc, now);
-                            }
+                            let cookie = kh.hash;
+                            self.unlink(&UNMETERED, &[PurgedEntry { loc, cookie }]);
                             self.ops.expired_lazy.add(1);
                             return Response::not_found();
                         }
@@ -676,6 +699,155 @@ mod tests {
         assert_eq!(b.execute(&Query::get("fresh")).status, ResponseStatus::NotFound);
         assert_eq!(b.execute(&Query::get("forever")).status, ResponseStatus::Ok);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Where a death record comes from.
+    #[derive(Debug, Clone, Copy)]
+    enum Death {
+        ClockEviction,
+        SegmentReclaim,
+        KcLazyExpiry,
+        ScalarGetLazyExpiry,
+    }
+
+    /// The recycle race, once per source of a death record, through the
+    /// one `unlink`: the record is written, the slot is freed, a SET
+    /// takes the slot back off the LIFO free list, and only then does
+    /// the unlink run. Re-SET of the *same* key makes the stale entry
+    /// fresh — it must survive (every such row fails with `unlink`'s
+    /// guard removed; the scalar-GET row is the sequence `execute` ran
+    /// unguarded before it called `unlink`). Re-SET of *another* key
+    /// leaves the stale entry dangling — it must go.
+    #[test]
+    fn unlink_spares_a_slot_recycled_to_the_same_key_whatever_reported_the_death() {
+        use crate::batch::Batch;
+        use dido_model::{MockClock, PipelineConfig};
+        const VICTIM: &[u8] = b"victim";
+        const OTHER: &[u8] = b"other!";
+        let loc_of = |e: &KvEngine, key: &[u8]| {
+            let (cands, _) = e.index.search(key_hash(key));
+            cands
+                .as_slice()
+                .iter()
+                .copied()
+                .find(|&l| e.store.key_matches(l, key))
+        };
+        let sources = [
+            Death::ClockEviction,
+            Death::SegmentReclaim,
+            Death::KcLazyExpiry,
+            Death::ScalarGetLazyExpiry,
+        ];
+        for source in sources {
+            for same_key in [true, false] {
+                let case = format!(
+                    "{source:?}, re-SET of the {} key",
+                    if same_key { "same" } else { "other" }
+                );
+                let clock = Arc::new(MockClock::at(1_000));
+                // Four 64-byte slots: the victim and three fillers fill it.
+                let e =
+                    KvEngine::with_clock(EngineConfig::new(256, 1 << 16, 1 << 14), clock.clone());
+                let ttl = if matches!(source, Death::ClockEviction) {
+                    0
+                } else {
+                    10
+                };
+                e.execute(&Query::set_with(VICTIM, vec![b'o'; 20], ttl, 0));
+                let loc = loc_of(&e, VICTIM).expect("victim stored");
+                for i in 0..3 {
+                    e.execute(&Query::set(format!("fill-{i}"), vec![b'f'; 20]));
+                }
+                clock.advance(60);
+                let now = e.now_secs();
+
+                // The death record, and the slot back on the free list.
+                let dead = match source {
+                    Death::ClockEviction => {
+                        // A SET's allocation displaces the victim (the
+                        // oldest unreferenced object); its index insert
+                        // never happens and the allocation is rolled back.
+                        let out = e
+                            .store
+                            .allocate_with(b"intruder", &[b'i'; 20], 0, 0, now, 0)
+                            .unwrap();
+                        assert!(e.store.free(out.loc));
+                        out.evicted.expect("a full store evicts")
+                    }
+                    Death::SegmentReclaim => {
+                        let mut purged = Vec::new();
+                        e.store.sweep_expired(now, usize::MAX, &mut purged);
+                        assert_eq!(purged.len(), 1, "{case}");
+                        purged[0]
+                    }
+                    Death::KcLazyExpiry => {
+                        let config = PipelineConfig::mega_kv();
+                        let mut batch = Batch::new(vec![Query::get(VICTIM)], config);
+                        for stage in &config.plan().stages {
+                            crate::tasks::run_stage(&e, stage, &mut batch);
+                        }
+                        assert_eq!(batch.take_responses()[0].status, ResponseStatus::NotFound);
+                        let queued = e.pending_expired.drain();
+                        assert_eq!(queued.len(), 1, "{case}");
+                        assert!(
+                            e.store.expire_if_due(loc, now),
+                            "the sweeper frees the slot"
+                        );
+                        queued[0]
+                    }
+                    Death::ScalarGetLazyExpiry => {
+                        // What `execute`'s GET holds between its probe
+                        // and its unlink.
+                        assert_eq!(e.store.probe(loc, VICTIM, now), ProbeOutcome::Expired);
+                        assert!(
+                            e.store.expire_if_due(loc, now),
+                            "the sweeper frees the slot"
+                        );
+                        PurgedEntry {
+                            loc,
+                            cookie: key_hash(VICTIM).hash,
+                        }
+                    }
+                };
+                assert_eq!(
+                    dead,
+                    PurgedEntry {
+                        loc,
+                        cookie: key_hash(VICTIM).hash
+                    },
+                    "{case}"
+                );
+
+                let key = if same_key { VICTIM } else { OTHER };
+                e.execute(&Query::set(key, "new"));
+                assert_eq!(
+                    loc_of(&e, key),
+                    Some(loc),
+                    "{case}: LIFO hands the slot back"
+                );
+
+                e.unlink(&UNMETERED, &[dead]);
+
+                assert_eq!(&e.execute(&Query::get(key)).value[..], b"new", "{case}");
+                if !same_key {
+                    let (stale, _) = e.index.search(key_hash(VICTIM));
+                    assert!(
+                        !stale.as_slice().contains(&loc),
+                        "{case}: stale entry left behind"
+                    );
+                    assert_eq!(
+                        e.execute(&Query::get(VICTIM)).status,
+                        ResponseStatus::NotFound
+                    );
+                }
+                assert!(
+                    e.verify_integrity().is_clean(),
+                    "{case}: {:?}",
+                    e.verify_integrity()
+                );
+                assert_eq!(e.store.live_objects(), 4, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -39,10 +39,10 @@
 //! topology that has been retired.
 
 use crate::batch::Batch;
-use crate::engine::{EngineConfig, KvEngine, OpCounts};
+use crate::engine::{EngineConfig, KvEngine, OpCounts, UNMETERED};
 use crate::shardmap::{route_of, MapState, ShardMap, MAX_SHARDS};
 use crate::tasks;
-use dido_kvstore::{ClassStats, ExpiryStats};
+use dido_kvstore::{ClassStats, ExpiryStats, MIN_STORE_BYTES};
 use dido_model::{PipelineConfig, Query, QueryOp, Response, SharedClock, SystemClock};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +112,8 @@ pub enum ResizeError {
     InProgress,
     /// The requested shard count equals the current one.
     NoChange,
-    /// The requested shard count is 0 or above [`MAX_SHARDS`].
+    /// The requested shard count is 0, above [`MAX_SHARDS`], or splits
+    /// the store into shards below [`MIN_STORE_BYTES`].
     BadCount,
     /// `settle_resize` was called with no resize in progress.
     NotMigrating,
@@ -406,7 +407,7 @@ impl ShardedEngine {
     /// out every in-flight batch, so no batch ever runs against the old
     /// `Settled` view after this returns. Returns the new map epoch.
     pub fn begin_resize(&self, n: usize, per_shard: EngineConfig) -> Result<u32, ResizeError> {
-        if n == 0 || n > MAX_SHARDS {
+        if n == 0 || n > MAX_SHARDS || per_shard.store_bytes < MIN_STORE_BYTES {
             return Err(ResizeError::BadCount);
         }
         let mut sets = self.sets.write();
@@ -490,13 +491,12 @@ impl ShardedEngine {
             // to move; the donor index is dropped wholesale at settle.
             return None;
         }
+        let kh = dido_hashtable::key_hash(&key);
         if d.store.is_expired(loc, d.now_secs()) {
             // Expired while awaiting its move: drop the donor copy here
             // instead of migrating it, so the data path's donor probe
             // can never resurrect a key that is already dead.
-            let kh = dido_hashtable::key_hash(&key);
-            let _ = d.index.delete(kh, loc);
-            d.store.free(loc);
+            d.remove(&UNMETERED, kh, loc);
             return None;
         }
         let target = primary.engine_of(&key);
@@ -515,9 +515,7 @@ impl ShardedEngine {
                 outcome = Some(false);
             }
         }
-        let kh = dido_hashtable::key_hash(&key);
-        let _ = d.index.delete(kh, loc);
-        d.store.free(loc);
+        d.remove(&UNMETERED, kh, loc);
         outcome
     }
 

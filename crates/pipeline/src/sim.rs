@@ -338,14 +338,7 @@ impl SimExecutor {
                             let items = match op {
                                 IndexOpKind::Search => n_get,
                                 IndexOpKind::Insert => n_set,
-                                IndexOpKind::Delete => {
-                                    n_del_q
-                                        + batch
-                                            .state
-                                            .iter()
-                                            .filter(|s| s.evicted.is_some())
-                                            .count()
-                                }
+                                IndexOpKind::Delete => n_del_q + batch.dead.len(),
                             };
                             tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
                             let u = machine.take_usage();

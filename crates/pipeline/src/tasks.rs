@@ -23,7 +23,7 @@ use std::ops::Range;
 
 /// Placeholder for initializing wavefront gather buffers (never probed:
 /// only the filled prefix of a gather array is handed to the batch ops).
-const KH_NONE: KeyHash = KeyHash { hash: 0, sig: 1 };
+pub(crate) const KH_NONE: KeyHash = KeyHash { hash: 0, sig: 1 };
 
 /// Iterate `range` in wavefront-sized sub-ranges. The wavefront width
 /// equals the work-stealing sub-batch size, so a stolen sub-batch runs
@@ -149,25 +149,20 @@ pub fn run_mm<M: Meter>(
             .allocate_with(&q.key, &q.value, deadline, q.flags, now, kh.hash)
         {
             Ok(out) => {
-                // Allocation pressure may have bulk-reclaimed expired
-                // segments; each freed slot is metered like an
-                // eviction's bookkeeping (the index unlink runs in
-                // IN-Delete).
-                let freed = u64::from(out.evicted.is_some()) + out.reclaimed.len() as u64;
-                M::mm_stored(&ctx, q.key.len() + q.value.len(), freed);
-                if let Some(ev) = &out.evicted {
-                    M::freed(&ctx, ev.loc);
+                // Whatever died to make room — the CLOCK victim, the
+                // members of reclaimed expired segments — is metered
+                // here as MM bookkeeping and joins the batch's dead
+                // list; the index unlinks run in IN-Delete.
+                let first = batch.dead.len();
+                batch
+                    .dead
+                    .extend(out.evicted.into_iter().chain(out.reclaimed));
+                let dead = &batch.dead[first..];
+                M::mm_stored(&ctx, q.key.len() + q.value.len(), dead.len() as u64);
+                for p in dead {
+                    M::freed(&ctx, p.loc);
                 }
-                // Segment-reclaim purges ride the engine's deferred
-                // queue (drained by the next IN-Delete pass) instead of
-                // per-query state, keeping QueryState lean for the
-                // batch-of-thousands case.
-                if !out.reclaimed.is_empty() {
-                    engine.pending_expired.push(out.reclaimed);
-                }
-                let st = &mut batch.state[i];
-                st.new_loc = Some(out.loc);
-                st.evicted = out.evicted;
+                batch.state[i].new_loc = Some(out.loc);
             }
             Err(_) => {
                 batch.state[i].response = Some(Response::error());
@@ -257,9 +252,8 @@ pub fn run_index_insert<M: Meter>(
     }
 }
 
-/// `IN`-Delete: remove index entries of objects evicted by `MM`, and
-/// process explicit DELETE queries end-to-end (search → compare →
-/// delete → free).
+/// `IN`-Delete: unlink the index entries of dead objects, and process
+/// explicit DELETE queries end-to-end (search → compare → remove).
 pub fn run_index_delete<M: Meter>(
     ctx: StageCtx<M>,
     engine: &KvEngine,
@@ -268,76 +262,20 @@ pub fn run_index_delete<M: Meter>(
 ) {
     let mut idx = [0usize; PROBE_WAVEFRONT];
     let mut keys = [KH_NONE; PROBE_WAVEFRONT];
-    let mut items = [(KH_NONE, 0u64); PROBE_WAVEFRONT];
-    let mut removed = [false; PROBE_WAVEFRONT];
     let mut cands = [Candidates::default(); PROBE_WAVEFRONT];
-    // Lazy-expiry purges deferred by KC (IN-Delete has already run by
-    // the time KC observes an expired hit, so requests queue on the
-    // engine and drain here on the next batch). The cookie rebuilds the
-    // exact index entry; `entry_refreshed` spares entries a recycled
-    // slot made fresh again (same key re-set into the same loc), and
-    // `expire_if_due` revalidates the deadline before freeing.
-    let deferred = engine.pending_expired.drain();
-    if !deferred.is_empty() {
-        let now = engine.clock.now_secs();
-        for chunk in deferred.chunks(PROBE_WAVEFRONT) {
-            let mut n = 0usize;
-            for p in chunk {
-                if !engine.entry_refreshed(p.loc, p.cookie, now) {
-                    items[n] = (KeyHash::from_hash(p.cookie), p.loc);
-                    n += 1;
-                }
-            }
-            if n == 0 {
-                continue;
-            }
-            engine.ops.index_deletes.add(n as u64);
-            M::index_op(
-                &ctx,
-                engine.index.delete_batch(&items[..n], &mut removed[..n]),
-            );
-            for &(_, loc) in &items[..n] {
-                // KC-deferred entries are freed here; bulk segment
-                // reclaims arrive already freed. Either way the object
-                // is gone.
-                if engine.store.expire_if_due(loc, now) || !engine.store.slot_live(loc) {
-                    M::freed(&ctx, loc);
-                }
-            }
-        }
+    // Dead objects first: the lazy expiries KC queued on the engine
+    // (IN-Delete has already run by the time KC observes an expired
+    // hit, so they cross to the next batch), then what this batch's MM
+    // displaced (paper: each memory-pressured SET yields one Insert for
+    // the new object and one Delete for the evicted one).
+    let unlinked = engine.unlink(&ctx, &engine.pending_expired.drain())
+        + engine.unlink(&ctx, &std::mem::take(&mut batch.dead));
+    if unlinked > 0 {
+        engine.ops.index_deletes.add(unlinked as u64);
     }
     for wf in wavefronts(range) {
-        // Eviction-generated deletes (paper: each memory-pressured SET
-        // yields one Insert for the new object and one Delete for the
-        // evicted object), batched per wavefront.
-        let mut n_ev = 0usize;
-        for i in wf.clone() {
-            if let Some(ev) = batch.state[i].evicted.take() {
-                // MM freed the slot; if an allocation recycled it for
-                // the *same key* already, the entry is fresh and must
-                // survive (recycling to another key leaves this entry
-                // dangling — deleting it is still right).
-                let now = engine.clock.now_secs();
-                if engine.store.key_matches(ev.loc, &ev.key)
-                    && !engine.store.is_expired(ev.loc, now)
-                {
-                    continue;
-                }
-                items[n_ev] = (key_hash(&ev.key), ev.loc);
-                n_ev += 1;
-            }
-        }
-        if n_ev > 0 {
-            engine.ops.index_deletes.add(n_ev as u64);
-            M::index_op(
-                &ctx,
-                engine
-                    .index
-                    .delete_batch(&items[..n_ev], &mut removed[..n_ev]),
-            );
-        }
         // Explicit DELETE queries: one batched search per wavefront, then
-        // the destructive compare→delete→free walk per candidate.
+        // the destructive compare→remove walk per candidate.
         let mut n = 0usize;
         for i in wf {
             if batch.queries[i].op != QueryOp::Delete {
@@ -360,11 +298,7 @@ pub fn run_index_delete<M: Meter>(
                 M::delete_compare(&ctx, key.len());
                 if engine.store.key_matches(loc, key) {
                     engine.ops.index_deletes.add(1);
-                    let (deleted, du) = engine.index.delete(keys[k], loc);
-                    M::index_op(&ctx, du);
-                    if deleted {
-                        engine.store.free(loc);
-                        M::freed(&ctx, loc);
+                    if engine.remove(&ctx, keys[k], loc) {
                         response = Response::ok();
                     }
                     break;
@@ -639,9 +573,7 @@ mod tests {
                 PipelineConfig::mega_kv(),
             );
             run_mm(all, &e, &mut batch, 0..1);
-            if batch.state[0].evicted.is_some() {
-                evictions += 1;
-            }
+            evictions += batch.dead.len();
             run_index_insert(all, &e, &mut batch, 0..1);
             run_index_delete(all, &e, &mut batch, 0..1);
         }

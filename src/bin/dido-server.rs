@@ -218,6 +218,15 @@ fn parse_args() -> Args {
             }
         }
     }
+    // Every shard gets its own store, and the store asserts on a slice
+    // it cannot carve one slot from.
+    if (args.store_mb << 20) / args.shards < dido_kv::kvstore::MIN_STORE_BYTES {
+        eprintln!(
+            "--store-mb {} cannot be split into {} shard(s)",
+            args.store_mb, args.shards
+        );
+        std::process::exit(2);
+    }
     args
 }
 

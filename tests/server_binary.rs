@@ -1,7 +1,8 @@
 //! The `dido-server` binary itself: spawn it, find its ready line,
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
-//! and the `--stats-every` block on stderr.
+//! the `--stats-every` block on stderr, and the refusal of a store the
+//! shards cannot split.
 
 #![cfg(target_os = "linux")]
 
@@ -140,6 +141,23 @@ fn binary_serves_on_the_reactor_planes_with_benchmark_and_default_flags() {
                 "{args:?}: no thread named {want} in {names:?}"
             );
         }
+    }
+}
+
+#[test]
+fn a_store_the_shards_cannot_split_exits_2_with_a_message() {
+    for args in [
+        &["--store-mb", "0"][..],
+        &["--store-mb", "1", "--shards", "40000"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dido-server"))
+            .args(args)
+            .args(["--addr", "127.0.0.1:0"])
+            .output()
+            .expect("spawn dido-server");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot be split"), "{args:?}: {stderr}");
     }
 }
 
