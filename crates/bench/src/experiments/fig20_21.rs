@@ -21,9 +21,7 @@ fn dual_preloaded_engine(
     b: WorkloadSpec,
 ) -> (KvEngine, u64, u64) {
     let hw = HwSpec::kaveri_apu();
-    let ratio = (ctx.store_bytes as f64 / hw.mem.shared_bytes as f64).min(1.0);
-    let cpu_cache = ((hw.cpu.cache_bytes as f64 * ratio) as u64).max(8 * 1024);
-    let gpu_cache = ((hw.gpu.cache_bytes as f64 * ratio) as u64).max(2 * 1024);
+    let (cpu_cache, gpu_cache) = ctx.testbed().scaled_caches(&hw, 1);
     let engine = KvEngine::new(EngineConfig::new(ctx.store_bytes, cpu_cache, gpu_cache));
     let half = (ctx.store_bytes / 2) as u64;
     let n_a = a.keyspace_size(half, dido_kvstore::HEADER_SIZE);

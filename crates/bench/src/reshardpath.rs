@@ -11,7 +11,7 @@
 //!   hammered by `dispatchers` threads for a fixed span: the q/s each
 //!   topology sustains when it isn't migrating.
 //! * **Resize run** — a 1-shard core under the same load;
-//!   [`ServingCore::resize_shards`]`(4)` fires mid-run and the worker
+//!   [`ServingCore::resize`]`(4)` fires mid-run and the harness thread
 //!   drains the donor while serving continues. Every batch completion
 //!   is timestamped, the run is tiled into `window_ms` windows, and
 //!   the worst window overlapping the migration is the dip.
@@ -133,7 +133,7 @@ pub struct ResizeRun {
     pub worst_window_qps: f64,
     /// Throughput after the migration settled, q/s.
     pub post_qps: f64,
-    /// Wall time from `resize_shards` to settle, ms.
+    /// Wall time of `ServingCore::resize` (begin to settle), ms.
     pub resize_ms: f64,
     /// Keys the migration worker dropped (must be 0).
     pub dropped: u64,
@@ -336,7 +336,7 @@ pub fn run_steady(opts: &ReshardOptions, shards: usize) -> ReshardCell {
     }
 }
 
-/// The live-resize run: 1-shard core under load, `resize_shards(4)`
+/// The live-resize run: 1-shard core under load, `resize(4)`
 /// mid-run, per-window throughput across the whole timeline.
 pub fn run_resize(opts: &ReshardOptions) -> ResizeRun {
     let (core, generator) =
@@ -351,10 +351,9 @@ pub fn run_resize(opts: &ReshardOptions) -> ResizeRun {
 
     std::thread::sleep(Duration::from_millis(opts.window_ms + opts.pre_ms));
     let resize_start = t0.elapsed();
-    core.resize_shards(4).expect("resize starts");
-    core.wait_resize();
+    core.resize(4).expect("resize settles");
     let settled = t0.elapsed();
-    assert!(!core.is_migrating(), "settled after wait_resize");
+    assert!(!core.is_migrating(), "settled when resize returns");
     std::thread::sleep(Duration::from_millis(opts.post_ms));
     stop.store(true, Ordering::Release);
     let run_end = t0.elapsed();

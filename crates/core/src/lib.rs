@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod metrics;
+mod planner;
 mod profiler;
 mod serving;
 mod striped;

@@ -49,12 +49,14 @@ pub(crate) struct SkewWindow {
 impl SkewWindow {
     /// Feed a batch's keys into the sampler. Returns the estimate of
     /// the last window the batch completed, if it completed one;
-    /// `n_keys` is the live key count the estimate is taken against.
+    /// `n_keys` is the live key count the estimate is taken against,
+    /// asked for only when a window completes (counting keys takes the
+    /// serving engine's shard-set lock, which no other batch needs to).
     pub(crate) fn observe(
         &mut self,
         cfg: &ProfilerConfig,
         queries: &[Query],
-        n_keys: u64,
+        n_keys: impl Fn() -> u64,
     ) -> Option<f64> {
         let mut completed = None;
         for q in queries {
@@ -66,7 +68,7 @@ impl SkewWindow {
             self.window_seen += 1;
             if self.window_seen >= cfg.skew_window {
                 let freqs: Vec<u32> = self.freqs.values().copied().collect();
-                completed = Some(estimate_skew(&freqs, n_keys.max(1)));
+                completed = Some(estimate_skew(&freqs, n_keys().max(1)));
                 self.freqs.clear();
                 self.window_seen = 0;
             }
@@ -117,7 +119,7 @@ impl WorkloadProfiler {
 
     /// Feed the queries of a batch into the frequency sampler.
     pub fn observe_queries(&mut self, queries: &[Query], n_keys: u64) {
-        if let Some(skew) = self.window.observe(&self.cfg, queries, n_keys) {
+        if let Some(skew) = self.window.observe(&self.cfg, queries, || n_keys) {
             self.current_skew = skew;
         }
     }

@@ -9,45 +9,46 @@
 //! * **Data plane** — N network dispatchers concurrently call
 //!   [`ServingCore::process_batch`]. Each call folds the batch and its
 //!   outcome into its lane's striped accumulators ([`StripedStats`] —
-//!   relaxed adds on cells no other lane writes), loads the owning
-//!   shard's active configuration wait-free from an epoch-stamped
+//!   relaxed adds on cells no other lane writes), loads the node's
+//!   active configuration wait-free from its epoch-stamped
 //!   [`ConfigCell`], and executes the batch inline on the calling thread
 //!   over the [`ShardedEngine`]. No global lock anywhere on this path.
-//! * **Control plane** — a background controller thread
-//!   ([`ServingCore::spawn_controller`] / [`ServingCore::controller_tick`])
-//!   periodically folds the stripes, diffs against the previous fold to
-//!   get an interval workload profile, and runs it through the *same*
-//!   [`WorkloadProfiler`] smoothing + 10 %-drift hysteresis as the
-//!   sequential system. On drift it runs the cost model once per shard
-//!   (per-shard key counts and index depths differ) and publishes any
-//!   changed configuration with an epoch bump, which dispatchers pick up
-//!   on their next batch.
+//! * **Control plane** — one background controller thread
+//!   ([`ServingCore::spawn_controller`]) and nothing else. Each loop it
+//!   takes a pending resize request (if no migration is draining),
+//!   runs [`ServingCore::controller_tick`] — fold the stripes, diff
+//!   against the previous fold for an interval profile, and hand it to
+//!   the same `Planner` the sequential system asks, which on >10 % drift
+//!   runs the cost model **once, on node totals** and publishes a changed
+//!   configuration with an epoch bump — then
+//!   [`ServingCore::sweep_tick`], then drains the migration in bounded
+//!   chunks for one period instead of sleeping through it.
 //!
 //! With one shard and one controller tick per batch, the decision
 //! sequence matches the sequential [`DidoSystem`](crate::DidoSystem)
-//! oracle on the same recorded workload (asserted by the
-//! `concurrent_system` test suite): the interval profile equals the
-//! batch profile, the skew sampler is the same windowed algorithm, and
-//! the hysteresis thresholds are shared.
+//! oracle on the same recorded workload, and the decisions do not depend
+//! on the shard count (both asserted by the `concurrent_system` test
+//! suite): the interval profile equals the batch profile, the skew
+//! sampler is the same windowed algorithm, and the decision is the same
+//! code.
 
 use crate::metrics::Metrics;
-use crate::profiler::WorkloadProfiler;
+use crate::planner::{IndexShape, Planner};
 use crate::striped::{MemoryFold, StatsFold, StripedStats};
 use crate::system::DidoOptions;
-use dido_cost_model::{CostModel, ModelInputs};
 use dido_kvstore::HEADER_SIZE;
 use dido_model::{ConfigCell, PipelineConfig, Query, QueryOp, Response, ResponseStatus};
-use dido_pipeline::{EngineConfig, ResizeError, RunOptions, ShardedEngine};
+use dido_pipeline::{EngineConfig, ResizeError, ShardedEngine};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Keys the background migration worker drains per
-/// [`ShardedEngine::migrate_chunk`] call. Small enough that the worker
-/// yields the donor write locks frequently; large enough to amortize
+/// Keys one migration step drains ([`ShardedEngine::migrate_chunk`]).
+/// Small enough that the controller yields the donor write locks (and
+/// gets back to its other steps) frequently; large enough to amortize
 /// the `sets` read-lock acquisition.
 const RESIZE_CHUNK_KEYS: usize = 512;
 
@@ -65,36 +66,28 @@ thread_local! {
     static GET_MASK: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Control-plane state: everything only the (single) controller and
-/// occasional administrative calls touch. (Its counters are lock-free
-/// cells in [`StripedStats`].)
-struct ControlState {
-    profiler: WorkloadProfiler,
-    /// The fold consumed by the previous tick; the next tick profiles
-    /// the delta against it.
-    last_fold: StatsFold,
+/// One shard's engine sizing when the node's store and caches are split
+/// `shards` ways (total capacity is the single-shard node's).
+fn shard_engine_config(options: &DidoOptions, shards: usize) -> EngineConfig {
+    let (cpu_cache, gpu_cache) = options.testbed.scaled_caches(&options.hw, shards);
+    EngineConfig::new(options.testbed.store_bytes / shards, cpu_cache, gpu_cache)
 }
 
 /// The concurrent adaptive serving core (data plane + control plane).
 pub struct ServingCore {
     engine: Arc<ShardedEngine>,
-    model: CostModel,
     options: DidoOptions,
-    /// Per-shard cache sizing for the *current* topology; recomputed on
-    /// resize. Guarded together with `configs` (same write sites).
-    caches: RwLock<(u64, u64)>,
+    planner: Planner,
     stripes: StripedStats,
-    /// One epoch-stamped active configuration per shard. The vector is
-    /// swapped wholesale on resize; dispatchers clone the `Arc` once
-    /// per batch and fall back to shard 0's cell for any shard index
-    /// beyond the vector (an in-flight batch racing a shrink).
-    configs: RwLock<Arc<Vec<ConfigCell>>>,
-    /// Pending shard-count request from the admin path, consumed by the
-    /// controller loop (0 = none).
+    /// The node's active configuration: every shard of every batch runs
+    /// the one the batch loaded.
+    config: ConfigCell,
+    /// Pending shard-count request from the admin path, taken by the
+    /// controller loop once no migration is draining (0 = none).
     resize_request: AtomicUsize,
-    /// The in-flight background migration worker, if any.
-    resize_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
-    control: Mutex<ControlState>,
+    /// The fold consumed by the previous controller tick; the next tick
+    /// profiles the delta against it. The lock serialises ticks.
+    last_fold: Mutex<StatsFold>,
 }
 
 impl ServingCore {
@@ -105,12 +98,7 @@ impl ServingCore {
     #[must_use]
     pub fn new(shards: usize, lanes: usize, options: DidoOptions) -> ServingCore {
         let shards = shards.max(1);
-        let (cpu_cache, gpu_cache) = Self::scaled_caches(&options, shards);
-        let per_shard = EngineConfig::new(
-            options.testbed.store_bytes / shards,
-            cpu_cache,
-            gpu_cache,
-        );
+        let per_shard = shard_engine_config(&options, shards);
         Self::from_engine(ShardedEngine::new(shards, per_shard), lanes, options)
     }
 
@@ -147,40 +135,15 @@ impl ServingCore {
     /// `preloaded_engine`, via [`ShardedEngine::from_engines`]).
     #[must_use]
     pub fn from_engine(engine: ShardedEngine, lanes: usize, options: DidoOptions) -> ServingCore {
-        let shards = engine.shard_count();
-        let (cpu_cache, gpu_cache) = Self::scaled_caches(&options, shards);
         ServingCore {
-            model: CostModel::new(options.hw),
-            caches: RwLock::new((cpu_cache, gpu_cache)),
-            stripes: StripedStats::new(lanes, options.profiler),
-            configs: RwLock::new(Arc::new(
-                (0..shards)
-                    .map(|_| ConfigCell::new(PipelineConfig::mega_kv()))
-                    .collect(),
-            )),
-            resize_request: AtomicUsize::new(0),
-            resize_worker: Mutex::new(None),
-            control: Mutex::new(ControlState {
-                profiler: WorkloadProfiler::new(options.profiler),
-                last_fold: StatsFold::default(),
-            }),
             engine: Arc::new(engine),
             options,
+            planner: Planner::new(options),
+            stripes: StripedStats::new(lanes, options.profiler),
+            config: ConfigCell::new(PipelineConfig::mega_kv()),
+            resize_request: AtomicUsize::new(0),
+            last_fold: Mutex::new(StatsFold::default()),
         }
-    }
-
-    /// Per-shard scaled cache sizing, mirroring
-    /// `DidoSystem::scaled_caches` (identical for one shard).
-    fn scaled_caches(options: &DidoOptions, shards: usize) -> (u64, u64) {
-        let ratio = if options.testbed.scale_caches {
-            (options.testbed.store_bytes as f64 / options.hw.mem.shared_bytes as f64).min(1.0)
-        } else {
-            1.0
-        };
-        (
-            ((options.hw.cpu.cache_bytes as f64 * ratio) as u64 / shards as u64).max(8 * 1024),
-            ((options.hw.gpu.cache_bytes as f64 * ratio) as u64 / shards as u64).max(2 * 1024),
-        )
     }
 
     /// The sharded functional engine.
@@ -207,36 +170,35 @@ impl ServingCore {
         self.stripes.lanes()
     }
 
-    /// The active configuration and epoch of `shard`.
+    /// The node's active configuration and its epoch; every shard runs it.
+    // The per-shard spelling (and `configs`) is kept only because the
+    // frozen `benchmark/` package uses it; the next benchmark PR
+    // renames both to one `config()`.
     #[must_use]
-    pub fn shard_config(&self, shard: usize) -> (PipelineConfig, u32) {
-        self.configs.read()[shard].load()
+    pub fn shard_config(&self, _shard: usize) -> (PipelineConfig, u32) {
+        self.config.load()
     }
 
-    /// Snapshot of every shard's active configuration.
+    /// The node's active configuration, once per shard.
     #[must_use]
     pub fn configs(&self) -> Vec<PipelineConfig> {
-        self.configs.read().iter().map(|c| c.load().0).collect()
+        vec![self.config.load().0; self.shard_count()]
     }
 
-    /// Pin every shard to `config` (the controller may re-adapt away on
+    /// Pin the node to `config` (the controller may re-adapt away on
     /// the next drift; combine with a paused controller to pin hard).
     pub fn set_config(&self, config: PipelineConfig) {
-        for cell in self.configs.read().iter() {
-            cell.publish(config);
-        }
+        self.config.publish(config);
     }
 
-    /// Configurations published by the control plane: one per shard
-    /// whose configuration changed (a tick that re-plans two shards
-    /// counts two).
+    /// Configurations the control plane published for the node.
     #[must_use]
     pub fn adaptions(&self) -> usize {
         self.stripes.control.adaptions.get() as usize
     }
 
-    /// Cost-model runs (each >10 %-drift tick runs the model once per
-    /// shard but counts as one run, matching the sequential system).
+    /// Cost-model runs: one per >10 %-drift tick, as in the sequential
+    /// system.
     #[must_use]
     pub fn model_runs(&self) -> usize {
         self.stripes.control.model_runs.get() as usize
@@ -244,7 +206,7 @@ impl ServingCore {
 
     /// Reset the profiler baseline so the next tick re-runs the model.
     pub fn force_readapt(&self) {
-        self.control.lock().profiler.force_readapt();
+        self.planner.force_readapt();
     }
 
     /// The node's operational metrics, assembled now from the lanes,
@@ -264,11 +226,7 @@ impl ServingCore {
     /// Per-stage interval implied by the latency budget.
     #[must_use]
     pub fn stage_interval_ns(&self) -> f64 {
-        RunOptions {
-            latency_budget_ns: self.options.latency_budget_ns,
-            ..RunOptions::default()
-        }
-        .stage_interval_ns()
+        self.planner.stage_interval_ns()
     }
 
     /// Direct single-query access (routes to the owning shard).
@@ -287,21 +245,13 @@ impl ServingCore {
             return Vec::new();
         }
         self.stripes
-            .observe(lane, &queries, self.engine.live_objects() as u64);
+            .observe(lane, &queries, || self.engine.live_objects() as u64);
         let mut is_get = GET_MASK.take();
         is_get.clear();
         is_get.extend(queries.iter().map(|q| q.op == QueryOp::Get));
-        // One Arc clone per batch: the cells themselves stay wait-free;
-        // the RwLock is only written when a resize swaps the topology.
-        let configs = Arc::clone(&self.configs.read());
-        let shard0_config = configs[0].load().0;
+        let config = self.config.load().0;
         let started = Instant::now();
-        let responses = self.engine.process_batch_inline(queries, |shard| {
-            // `get` fallback: a batch that raced a resize may ask for a
-            // shard index from the other topology; shard 0's config is
-            // always a valid answer.
-            configs.get(shard).unwrap_or(&configs[0]).load().0
-        });
+        let responses = self.engine.process_batch_inline(queries, |_| config);
         let busy_ns = started.elapsed().as_nanos() as u64;
         let mut hits = 0u64;
         let mut hit_bytes = 0u64;
@@ -313,63 +263,41 @@ impl ServingCore {
         }
         GET_MASK.set(is_get);
         self.stripes
-            .record_batch(lane, shard0_config, hits, hit_bytes, busy_ns);
+            .record_batch(lane, config, hits, hit_bytes, busy_ns);
         responses
     }
 
     /// One control-plane tick: fold the stripes, profile the interval
-    /// since the previous tick, and on >10 % drift run the cost model
-    /// and publish per-shard configurations. Returns `true` if any
-    /// shard's configuration changed.
+    /// since the previous tick, and let the planner decide — on >10 %
+    /// drift it runs the cost model once on node totals (every shard's
+    /// live objects, the node's caches, the primary shards' mean bucket
+    /// counts: the hot fraction depends on the cache-to-keys *ratio*, so
+    /// totals plan as any shard's slice would). Returns `true` if the
+    /// node's configuration changed.
     ///
     /// Called by the background controller thread; also callable
     /// directly (tests tick once per batch to replay the sequential
     /// oracle's cadence).
     pub fn controller_tick(&self) -> bool {
         let fold = self.stripes.fold();
-        let mut ctl = self.control.lock();
-        let delta = fold.delta(&ctl.last_fold);
+        let mut last_fold = self.last_fold.lock();
+        let delta = fold.delta(&last_fold);
         if delta.queries == 0 {
             return false;
         }
-        ctl.last_fold = fold;
-        ctl.profiler.note_skew(self.stripes.skew());
-        let raw = delta.workload_stats(self.stripes.skew());
-        let stats = ctl.profiler.finish_batch(raw);
-        if stats.batch_size == 0 || !ctl.profiler.should_readapt(stats) {
-            return false;
-        }
-        self.stripes.control.model_runs.add(1);
-        let interval_ns = self.stage_interval_ns();
-        let mut changed = false;
-        let configs = Arc::clone(&self.configs.read());
-        let engines = self.engine.primary_engines();
-        let (cpu_cache_bytes, gpu_cache_bytes) = *self.caches.read();
-        for (s, cell) in configs.iter().enumerate() {
-            // A resize between the two snapshots can shrink the engine
-            // list; surplus cells are about to be retired anyway.
-            let Some(shard) = engines.get(s) else { break };
-            let inputs = ModelInputs {
-                stats,
-                n_keys: shard.store.live_objects() as u64,
-                avg_insert_buckets: shard.index.avg_insert_buckets(),
-                avg_delete_buckets: shard.index.avg_delete_buckets(),
-                interval_ns,
-                cpu_cache_bytes,
-                gpu_cache_bytes,
-            };
-            let prediction = if self.options.greedy_search {
-                self.model.greedy_config(&inputs)
-            } else {
-                self.model.optimal_config(&inputs, self.options.enumerator)
-            };
-            if prediction.config != cell.load().0 {
-                cell.publish(prediction.config);
-                self.stripes.control.adaptions.add(1);
-                changed = true;
-            }
-        }
-        changed
+        *last_fold = fold;
+        let skew = self.stripes.skew();
+        let index = || {
+            let shards = self.engine.primary_engines();
+            IndexShape::of(self.engine.live_objects(), shards.iter().map(|s| &**s))
+        };
+        self.planner.replan(
+            delta.workload_stats(skew),
+            skew,
+            index,
+            &self.config,
+            &self.stripes.control,
+        )
     }
 
     /// One memory-plane tick: proactively reclaim up to
@@ -395,81 +323,76 @@ impl ServingCore {
         (purged, segments)
     }
 
-    /// Start a live resize to `n` shards: install the `Migrating` shard
-    /// map (new per-shard stores sized so total capacity is preserved),
-    /// swap in a fresh per-shard config vector seeded from shard 0's
-    /// active configuration, and spawn a background worker that drains
-    /// donor shards chunk by chunk and settles the map when done. The
-    /// data path serves throughout; returns as soon as the migration is
-    /// underway (use [`ServingCore::wait_resize`] to block on it). A
-    /// count the store cannot be split into is refused with
-    /// [`ResizeError::BadCount`] before anything is built or swapped.
-    pub fn resize_shards(self: &Arc<Self>, n: usize) -> Result<(), ResizeError> {
-        let (cpu_cache, gpu_cache) = Self::scaled_caches(&self.options, n.max(1));
-        let per_shard = EngineConfig::new(
-            self.options.testbed.store_bytes / n.max(1),
-            cpu_cache,
-            gpu_cache,
-        );
-        let seed_config = self.configs.read()[0].load().0;
-        self.engine.begin_resize(n, per_shard)?;
-        *self.configs.write() = Arc::new(
-            (0..n).map(|_| ConfigCell::new(seed_config)).collect(),
-        );
-        *self.caches.write() = (cpu_cache, gpu_cache);
-        let core = Arc::clone(self);
-        let worker = std::thread::Builder::new()
-            .name("dido-reshard".into())
-            .spawn(move || {
-                while !core.engine.migrate_chunk(RESIZE_CHUNK_KEYS).drained {}
-                core.engine
-                    .settle_resize()
-                    .expect("worker is the only settler");
-                core.stripes.control.resizes.add(1);
-                // The topology changed under the profiler's feet: force
-                // the next tick to re-run the cost model per new shard.
-                core.force_readapt();
-            })
-            .expect("spawn resize worker thread");
-        let mut slot = self.resize_worker.lock();
-        if let Some(prev) = slot.take() {
-            // A previous resize's worker has necessarily finished
-            // (begin_resize would have failed with InProgress
-            // otherwise); reap it.
-            let _ = prev.join();
-        }
-        *slot = Some(worker);
+    /// Resize to `n` shards on the calling thread: install the
+    /// `Migrating` shard map (new per-shard stores sized so total
+    /// capacity is preserved), drain the donor shards chunk by chunk,
+    /// settle. The data path serves throughout. A count the store cannot
+    /// be split into is refused with [`ResizeError::BadCount`] before
+    /// anything is built or swapped. This is the synchronous face (tests,
+    /// benches); a running node uses [`ServingCore::request_resize`].
+    pub fn resize(&self, n: usize) -> Result<(), ResizeError> {
+        self.begin_resize(n)?;
+        while !self.migrate_step() {}
         Ok(())
     }
 
-    /// Block until the in-flight resize (if any) has settled.
-    pub fn wait_resize(&self) {
-        let worker = self.resize_worker.lock().take();
-        if let Some(w) = worker {
-            let _ = w.join();
+    fn begin_resize(&self, n: usize) -> Result<(), ResizeError> {
+        let per_shard = shard_engine_config(&self.options, n.max(1));
+        self.engine.begin_resize(n, per_shard).map(drop)
+    }
+
+    /// Drain one bounded chunk of the migration and settle the map once
+    /// the donors are empty. Returns `true` when no migration is left.
+    fn migrate_step(&self) -> bool {
+        if !self.engine.migrate_chunk(RESIZE_CHUNK_KEYS).drained {
+            return false;
+        }
+        match self.engine.settle_resize() {
+            Ok(_) => {
+                self.stripes.control.resizes.add(1);
+                // The topology changed under the profiler's feet: the
+                // next tick re-runs the cost model.
+                self.force_readapt();
+                true
+            }
+            // `resize` on another thread settled this migration first.
+            Err(ResizeError::NotMigrating) => true,
+            // ... and a new one has begun since: keep draining.
+            Err(_) => false,
         }
     }
 
-    /// Ask the controller to resize to `n` shards on its next loop
-    /// iteration (the admin/wire-triggered path; `resize_shards` is the
-    /// direct one). Requests overwrite each other; the last wins.
+    /// Ask the controller to resize to `n` shards (the admin /
+    /// wire-triggered face; no caller ever blocks on the resharding
+    /// locks). Requests overwrite each other — the last wins — and one
+    /// made while a migration drains waits for the map to settle.
     pub fn request_resize(&self, n: usize) {
         self.resize_request.store(n.max(1), Ordering::Release);
     }
 
-    /// Consume a pending resize request (controller loop).
-    fn take_resize_request(&self) -> Option<usize> {
-        match self.resize_request.swap(0, Ordering::AcqRel) {
-            0 => None,
-            n => Some(n),
+    /// Begin the pending resize request, if there is one and no
+    /// migration is draining (controller loop).
+    fn serve_resize_request(&self) {
+        let n = self.resize_request.load(Ordering::Acquire);
+        if n == 0 || self.is_migrating() {
+            return;
+        }
+        // Begun, or refused for good (`NoChange`, `BadCount`): the
+        // request is spent unless a newer one overwrote it meanwhile.
+        if self.begin_resize(n) != Err(ResizeError::InProgress) {
+            let _ = self
+                .resize_request
+                .compare_exchange(n, 0, Ordering::AcqRel, Ordering::Acquire);
         }
     }
 
-    /// Spawn the background adaptation controller, ticking every
-    /// `period`. Beside config adaption, the controller is the consumer
-    /// of [`ServingCore::request_resize`] (shard scaling) and the
-    /// driver of the TTL sweeper ([`ServingCore::sweep_tick`]): memory
-    /// reclamation is its third actuator, not a thread of its own. The
+    /// Spawn the background controller — the node's only control
+    /// thread — stepping every `period`. Each loop is a sequence of
+    /// bounded steps: begin a requested resize
+    /// ([`ServingCore::request_resize`]), adapt
+    /// ([`ServingCore::controller_tick`]), sweep
+    /// ([`ServingCore::sweep_tick`]), then either sleep for `period` or,
+    /// while a migration is draining, spend it migrating chunks. The
     /// returned handle stops and joins the thread on
     /// [`ControllerHandle::stop`] or drop.
     #[must_use]
@@ -480,14 +403,15 @@ impl ServingCore {
             .name("dido-controller".into())
             .spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    if let Some(n) = core.take_resize_request() {
-                        // InProgress/NoChange are benign here: the admin
-                        // path re-requests if it really wants another.
-                        let _ = core.resize_shards(n);
-                    }
+                    core.serve_resize_request();
                     core.controller_tick();
                     core.sweep_tick();
-                    std::thread::sleep(period);
+                    if core.is_migrating() {
+                        let until = Instant::now() + period;
+                        while !core.migrate_step() && Instant::now() < until {}
+                    } else {
+                        std::thread::sleep(period);
+                    }
                 }
             })
             .expect("spawn controller thread");
@@ -562,7 +486,7 @@ mod tests {
         let batch = g.batch(4096);
         let responses = core.process_batch(0, batch);
         assert_eq!(responses.len(), 4096);
-        assert!(core.controller_tick(), "first tick must configure shards");
+        assert!(core.controller_tick(), "first tick must configure the node");
         assert!(core.adaptions() >= 1);
         assert_ne!(core.configs()[0], PipelineConfig::mega_kv());
         // Stable workload: further ticks must not thrash.
@@ -571,7 +495,10 @@ mod tests {
             let _ = core.process_batch(0, b);
             core.controller_tick();
         }
-        assert!(core.adaptions() <= core.shard_count() + 2);
+        assert!(
+            core.adaptions() <= 3,
+            "one publish per decision, not per shard"
+        );
     }
 
     #[test]
@@ -669,9 +596,9 @@ mod tests {
         // assert on the controller thread.
         let mut options = opts();
         options.testbed.store_bytes = 1 << 20;
-        let core = Arc::new(ServingCore::new(1, 1, options));
+        let core = ServingCore::new(1, 1, options);
         core.engine().load(b"kept", b"v").unwrap();
-        assert_eq!(core.resize_shards(40_000), Err(ResizeError::BadCount));
+        assert_eq!(core.resize(40_000), Err(ResizeError::BadCount));
         assert!(!core.is_migrating());
         assert_eq!(core.shard_count(), 1);
         let r = core.process_batch(0, vec![Query::get("kept")]);

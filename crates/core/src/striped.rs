@@ -84,17 +84,16 @@ metric_table! {
 }
 
 metric_table! {
-    /// Control-plane counters: bumped by the controller, the resize
-    /// worker and the sweeper, never by a dispatcher.
+    /// Control-plane counters: bumped by the planner and the
+    /// controller's resize and sweep steps, never by a dispatcher.
     pub(crate) struct ControlCounters;
     /// Snapshot of the control plane's counters.
     pub struct ControlFold;
 
-    /// Cost-model runs (one per >10 %-drift tick or batch, however many
-    /// shards it re-planned).
+    /// Cost-model runs (one per >10 %-drift tick or batch).
     model_runs: Counter,
-    /// Configurations published: one per shard whose configuration
-    /// changed, so a tick that re-plans two shards counts two.
+    /// Configurations the planner published for the node: runs whose
+    /// choice differed from the active one.
     adaptions: Counter,
     /// Completed live shard resizes (settled migrations).
     resizes: Counter,
@@ -185,8 +184,9 @@ impl StripedStats {
 
     /// Observe one batch on `lane` (wrapped into range): fold the batch
     /// counters in and advance the lane's frequency-sampling window.
-    /// `n_keys` is the live key count used when a window completes.
-    pub fn observe(&self, lane: usize, queries: &[Query], n_keys: u64) {
+    /// `n_keys` is asked for the live key count only when a window
+    /// completes.
+    pub fn observe(&self, lane: usize, queries: &[Query], n_keys: impl Fn() -> u64) {
         let lane = self.lane(lane);
         let mut gets = 0u64;
         let mut deletes = 0u64;
@@ -307,8 +307,8 @@ mod tests {
         let mut g = WorkloadGen::new(spec, 10_000, 1);
         let a = g.batch(1000);
         let b = g.batch(500);
-        s.observe(0, &a, 10_000);
-        s.observe(1, &b, 10_000);
+        s.observe(0, &a, || 10_000);
+        s.observe(1, &b, || 10_000);
         s.record_batch(1, PipelineConfig::mega_kv(), 42, 42 * 64, 7);
         let f = s.fold();
         assert_eq!(f.queries, 1500);
@@ -352,7 +352,7 @@ mod tests {
         let mut g = WorkloadGen::new(spec, 50_000, 7);
         for _ in 0..6 {
             let batch = g.batch(4_096);
-            s.observe(0, &batch, 50_000);
+            s.observe(0, &batch, || 50_000);
             p.observe_queries(&batch, 50_000);
             assert_eq!(s.skew().to_bits(), p.skew().to_bits());
         }
@@ -364,10 +364,10 @@ mod tests {
         let s = StripedStats::new(1, ProfilerConfig::default());
         let spec = WorkloadSpec::from_label("K16-G50-U").unwrap();
         let mut g = WorkloadGen::new(spec, 10_000, 3);
-        s.observe(0, &g.batch(2000), 10_000);
+        s.observe(0, &g.batch(2000), || 10_000);
         let before = s.fold();
         let batch = g.batch(1000);
-        s.observe(0, &batch, 10_000);
+        s.observe(0, &batch, || 10_000);
         let stats = s.fold().delta(&before).workload_stats(0.25);
         assert_eq!(stats.batch_size, 1000);
         let gets = batch.iter().filter(|q| q.op == QueryOp::Get).count();

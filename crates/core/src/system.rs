@@ -1,28 +1,25 @@
 //! The DIDO system: query processing pipeline + workload profiler +
 //! cost-model-guided dynamic adaption (paper Figure 7).
 //!
-//! Since the concurrent-serving refactor, [`DidoSystem::process_batch`]
-//! takes `&self` and is safe to call from many threads: workload
-//! profiling goes through striped per-lane accumulators
-//! ([`crate::StripedStats`]), the active configuration lives in an
-//! epoch-stamped [`ConfigCell`] that the hot path loads wait-free, and
-//! metrics are a view folded from those accumulators on read. The
-//! *virtual-time simulator* and the adaptation decision remain serial
-//! by nature (the clock is a fold over batches), so they share one
-//! internal mutex — concurrent callers interleave batches in lock order
-//! with exactly the sequential semantics. The truly parallel data plane
-//! over real (non-simulated) execution is [`crate::ServingCore`].
+//! [`DidoSystem::process_batch`] takes `&self` (a `KvServer` handler
+//! shares the node with its owner), but the *virtual-time simulator* is
+//! serial by nature — the clock is a fold over batches — so every batch
+//! runs under one internal mutex: concurrent callers interleave in lock
+//! order with exactly the sequential semantics. The adapt decision
+//! itself is the crate's one `Planner`'s; the parallel data plane over real
+//! (non-simulated) execution is [`crate::ServingCore`].
 
 use crate::metrics::Metrics;
-use crate::profiler::{ProfilerConfig, WorkloadProfiler};
+use crate::planner::{IndexShape, Planner};
+use crate::profiler::ProfilerConfig;
 use crate::striped::StripedStats;
 use dido_apu_sim::{HwSpec, Ns, TimingEngine};
-use dido_cost_model::{CostModel, ModelInputs};
+use dido_cost_model::ModelInputs;
 use dido_model::{
     ConfigCell, ConfigEnumerator, PipelineConfig, Query, Response, ResponseStatus, WorkloadStats,
 };
 use dido_pipeline::{
-    preloaded_engine, BatchReport, KvEngine, RunOptions, SimExecutor, TestbedOptions,
+    preloaded_engine, BatchReport, EngineConfig, KvEngine, RunOptions, SimExecutor, TestbedOptions,
     WorkloadReport,
 };
 use dido_workload::WorkloadSpec;
@@ -73,18 +70,13 @@ pub struct TraceSample {
     pub readapted: bool,
 }
 
-/// Profiler lanes a [`DidoSystem`] stripes its accumulators over.
-const SYSTEM_LANES: usize = 8;
-
-/// Serial state: the virtual-time executor plus the control plane
-/// (profiler baseline, clock, trace). One mutex —
-/// the simulator's virtual clock is a fold over batches, so batches
-/// through it are inherently ordered; keeping the adaptation decision
-/// under the same lock preserves the exact sequential semantics under
-/// concurrent callers.
+/// Serial state: the virtual-time executor, its clock and the trace.
+/// The clock is a fold over batches, so batches through the simulator
+/// are inherently ordered; the adapt decision runs under the same lock,
+/// which preserves the exact sequential semantics under concurrent
+/// callers.
 struct SerialState {
     sim: SimExecutor,
-    profiler: WorkloadProfiler,
     clock_ns: Ns,
     trace: Vec<TraceSample>,
 }
@@ -92,10 +84,8 @@ struct SerialState {
 /// The DIDO in-memory key-value store with dynamic pipeline execution.
 pub struct DidoSystem {
     engine: KvEngine,
-    model: CostModel,
-    options: DidoOptions,
-    cpu_cache_bytes: u64,
-    gpu_cache_bytes: u64,
+    planner: Planner,
+    /// One lane: every batch serialises on `serial` anyway.
     stripes: StripedStats,
     config: ConfigCell,
     serial: Mutex<SerialState>,
@@ -105,8 +95,8 @@ impl DidoSystem {
     /// Build an empty DIDO node (no preloaded data).
     #[must_use]
     pub fn new(options: DidoOptions) -> DidoSystem {
-        let (cpu_cache, gpu_cache) = Self::scaled_caches(&options);
-        let engine = KvEngine::new(dido_pipeline::EngineConfig::new(
+        let (cpu_cache, gpu_cache) = options.testbed.scaled_caches(&options.hw, 1);
+        let engine = KvEngine::new(EngineConfig::new(
             options.testbed.store_bytes,
             cpu_cache,
             gpu_cache,
@@ -122,37 +112,19 @@ impl DidoSystem {
         Self::from_engine(engine, options)
     }
 
-    fn scaled_caches(options: &DidoOptions) -> (u64, u64) {
-        let ratio = if options.testbed.scale_caches {
-            (options.testbed.store_bytes as f64 / options.hw.mem.shared_bytes as f64).min(1.0)
-        } else {
-            1.0
-        };
-        (
-            ((options.hw.cpu.cache_bytes as f64 * ratio) as u64).max(8 * 1024),
-            ((options.hw.gpu.cache_bytes as f64 * ratio) as u64).max(2 * 1024),
-        )
-    }
-
     /// Build from an existing engine.
     #[must_use]
     pub fn from_engine(engine: KvEngine, options: DidoOptions) -> DidoSystem {
-        // Mirror the scaled cache sizing of `preloaded_engine`.
-        let (cpu_cache, gpu_cache) = Self::scaled_caches(&options);
         DidoSystem {
-            model: CostModel::new(options.hw),
-            cpu_cache_bytes: cpu_cache,
-            gpu_cache_bytes: gpu_cache,
-            stripes: StripedStats::new(SYSTEM_LANES, options.profiler),
+            planner: Planner::new(options),
+            stripes: StripedStats::new(1, options.profiler),
             config: ConfigCell::new(PipelineConfig::mega_kv()),
             serial: Mutex::new(SerialState {
                 sim: SimExecutor::new(TimingEngine::new(options.hw)),
-                profiler: WorkloadProfiler::new(options.profiler),
                 clock_ns: 0.0,
                 trace: Vec::new(),
             }),
             engine,
-            options,
         }
     }
 
@@ -212,14 +184,7 @@ impl DidoSystem {
     /// Per-stage interval implied by the latency budget.
     #[must_use]
     pub fn stage_interval_ns(&self) -> f64 {
-        self.run_options().stage_interval_ns()
-    }
-
-    fn run_options(&self) -> RunOptions {
-        RunOptions {
-            latency_budget_ns: self.options.latency_budget_ns,
-            ..RunOptions::default()
-        }
+        self.planner.stage_interval_ns()
     }
 
     /// Direct single-query access (convenience API outside the batch
@@ -237,42 +202,26 @@ impl DidoSystem {
     /// Reset the profiler baseline so the next batch re-runs the cost
     /// model regardless of drift.
     pub fn force_readapt(&self) {
-        self.serial.lock().profiler.force_readapt();
+        self.planner.force_readapt();
+    }
+
+    fn index_shape(&self) -> IndexShape {
+        IndexShape::of(self.engine.store.live_objects(), [&self.engine])
     }
 
     /// Model inputs for the current engine state and `stats`.
     #[must_use]
     pub fn model_inputs(&self, stats: WorkloadStats) -> ModelInputs {
-        ModelInputs {
-            stats,
-            n_keys: self.engine.store.live_objects() as u64,
-            avg_insert_buckets: self.engine.index.avg_insert_buckets(),
-            avg_delete_buckets: self.engine.index.avg_delete_buckets(),
-            interval_ns: self.stage_interval_ns(),
-            cpu_cache_bytes: self.cpu_cache_bytes,
-            gpu_cache_bytes: self.gpu_cache_bytes,
-        }
+        self.planner.model_inputs(stats, self.index_shape())
     }
 
     /// Process one batch under the current configuration, then profile
     /// it and — if the workload drifted past the 10 % threshold — run
     /// the cost model and adopt the new optimal configuration for the
-    /// *coming* batches (paper §III-A). Callable concurrently; equal to
-    /// [`DidoSystem::process_batch_on`] with lane 0.
+    /// *coming* batches (paper §III-A). Callable concurrently.
     pub fn process_batch(&self, queries: Vec<Query>) -> (BatchReport, Vec<Response>) {
-        self.process_batch_on(0, queries)
-    }
-
-    /// [`DidoSystem::process_batch`] with an explicit profiler lane
-    /// (dispatcher index); concurrent callers should use distinct lanes
-    /// so the striped accumulators stay contention-free.
-    pub fn process_batch_on(
-        &self,
-        lane: usize,
-        queries: Vec<Query>,
-    ) -> (BatchReport, Vec<Response>) {
-        let n_keys = self.engine.store.live_objects() as u64;
-        self.stripes.observe(lane, &queries, n_keys);
+        self.stripes
+            .observe(0, &queries, || self.engine.store.live_objects() as u64);
         let (active_config, _epoch) = self.config.load();
 
         let mut serial = self.serial.lock();
@@ -283,29 +232,18 @@ impl DidoSystem {
             .map(|r| r.value.len() as u64)
             .sum();
         self.stripes
-            .record_batch(lane, active_config, report.hits as u64, hit_bytes, 0);
+            .record_batch(0, active_config, report.hits as u64, hit_bytes, 0);
         if let Some(steal) = &report.steal {
-            self.stripes.record_sim_steal(lane, steal.items as u64);
+            self.stripes.record_sim_steal(0, steal.items as u64);
         }
 
-        serial.profiler.note_skew(self.stripes.skew());
-        let stats = serial.profiler.finish_batch(report.stats);
-        let mut readapted = false;
-        if stats.batch_size > 0 && serial.profiler.should_readapt(stats) {
-            self.stripes.control.model_runs.add(1);
-            let inputs = self.model_inputs(stats);
-            let prediction = if self.options.greedy_search {
-                self.model.greedy_config(&inputs)
-            } else {
-                self.model.optimal_config(&inputs, self.options.enumerator)
-            };
-            let (current, _) = self.config.load();
-            if prediction.config != current {
-                self.config.publish(prediction.config);
-                self.stripes.control.adaptions.add(1);
-                readapted = true;
-            }
-        }
+        let readapted = self.planner.replan(
+            report.stats,
+            self.stripes.skew(),
+            || self.index_shape(),
+            &self.config,
+            &self.stripes.control,
+        );
 
         serial.clock_ns += report.t_max_ns;
         let at_ns = serial.clock_ns;
@@ -326,10 +264,9 @@ impl DidoSystem {
     where
         F: FnMut(usize) -> Vec<Query>,
     {
-        let opts = self.run_options();
-        let interval = opts.stage_interval_ns();
+        let interval = self.stage_interval_ns();
         let round = |x: usize| x.clamp(64, 1 << 18).div_ceil(64) * 64;
-        let mut n = opts.initial_batch;
+        let mut n = RunOptions::default().initial_batch;
         for _ in 0..iterations.max(1) {
             let (report, _) = self.process_batch(next_batch(n));
             let t = report.t_max_ns.max(1.0);

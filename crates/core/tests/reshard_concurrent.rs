@@ -3,7 +3,8 @@
 //! the main thread runs a live 1→4 shard resize. Every thread owns a
 //! disjoint key range and checks read-your-writes on every round, so a
 //! single lost update, stale read, or wrong response fails the test.
-//! Runs under the nightly TSan job as well (see `.github/workflows`).
+//! The controller tests hold the control plane to one thread. Runs
+//! under the nightly TSan job as well (see `.github/workflows`).
 
 use dido::{DidoOptions, ServingCore};
 use dido_model::{Clock, MockClock, Query, ResponseStatus, SharedClock};
@@ -88,13 +89,12 @@ fn live_resize_loses_no_updates_under_concurrent_get_set() {
         }));
     }
 
-    // Let the dispatchers get going, then resize live and wait for the
-    // migration worker to settle while they keep hammering.
+    // Let the dispatchers get going, then resize live — draining and
+    // settling on this thread — while they keep hammering.
     std::thread::sleep(Duration::from_millis(30));
-    core.resize_shards(4).expect("resize starts");
-    core.wait_resize();
+    core.resize(4).expect("resize settles");
     assert_eq!(core.shard_count(), 4);
-    assert!(!core.is_migrating(), "settled after wait_resize");
+    assert!(!core.is_migrating(), "settled when resize returns");
     // A little more traffic against the settled 4-shard map.
     std::thread::sleep(Duration::from_millis(20));
     stop.store(true, Ordering::Release);
@@ -284,16 +284,23 @@ fn live_resize_under_ttl_churn_expires_neither_early_nor_late() {
         }));
     }
 
-    // Resize live, advancing the clock and running sweeps throughout —
-    // expiry churn lands mid-migration on purpose.
+    // Resize live on this thread while a second one advances the clock
+    // and runs sweeps throughout — expiry churn lands mid-migration on
+    // purpose, and sweep races migrate.
     std::thread::sleep(Duration::from_millis(10));
-    core.resize_shards(4).expect("resize starts");
-    while core.is_migrating() {
-        clock.advance(1);
-        core.sweep_tick();
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    core.wait_resize();
+    let resized = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !resized.load(Ordering::Acquire) {
+                clock.advance(1);
+                core.sweep_tick();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let outcome = core.resize(4);
+        resized.store(true, Ordering::Release);
+        outcome.expect("resize settles");
+    });
     assert_eq!(core.shard_count(), 4);
     for _ in 0..(SHORT_TTL * 3) {
         clock.advance(1);
@@ -377,8 +384,8 @@ fn resize_request_is_served_by_the_controller_loop() {
     }
     let handle = ServingCore::spawn_controller(Arc::clone(&core), Duration::from_millis(1));
     core.request_resize(3);
-    // The controller consumes the request on its next tick; wait for
-    // the resize to finish (bounded).
+    // The controller takes the request on its next loop and drains the
+    // migration itself; wait for the map to settle (bounded).
     for _ in 0..500 {
         if core.shard_count() == 3 && !core.is_migrating() {
             break;
@@ -386,7 +393,6 @@ fn resize_request_is_served_by_the_controller_loop() {
         std::thread::sleep(Duration::from_millis(2));
     }
     handle.stop();
-    core.wait_resize();
     assert_eq!(core.shard_count(), 3);
     assert!(!core.is_migrating());
     for i in 0..200 {
@@ -396,4 +402,88 @@ fn resize_request_is_served_by_the_controller_loop() {
             "ctl-{i} lost in controller-driven resize"
         );
     }
+}
+
+/// Names of this process's live threads (`/proc/self/task/*/comm`).
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn the_controller_is_the_only_control_thread() {
+    // Enough keys that a drain spans many controller periods, so the
+    // second request lands (and sweeps run) while the first migrates.
+    const KEYS: usize = 100_000;
+    let core = Arc::new(ServingCore::new(2, 1, options()));
+    let key = |i: usize| format!("ctl-{i}");
+    let readable = |i: &usize| core.execute(&Query::get(key(*i))).status == ResponseStatus::Ok;
+    for i in 0..KEYS {
+        core.engine()
+            .load(key(i).as_bytes(), b"v")
+            .expect("seed fits");
+    }
+    // The index matches on 16 signature bits, so among this many keys a
+    // few displace each other at load (cache semantics, and the hashes
+    // are fixed: the same few every run). The rest must all survive.
+    let seeded: Vec<usize> = (0..KEYS).filter(readable).collect();
+    assert!(seeded.len() + 8 > KEYS, "{} of {KEYS} seeded", seeded.len());
+    let sweeps = || core.metrics().control.sweeps;
+    let handle = ServingCore::spawn_controller(Arc::clone(&core), Duration::from_millis(1));
+
+    core.request_resize(3);
+    while !core.is_migrating() {
+        assert_eq!(
+            core.shard_count(),
+            2,
+            "2→3 settled before it was seen migrating"
+        );
+        std::thread::yield_now();
+    }
+    // A request made while a migration drains waits for the map to
+    // settle instead of being dropped: the last request wins.
+    core.request_resize(4);
+    let sweeps_at_request = sweeps();
+    let mut swept_while_migrating = false;
+    let mut names_while_migrating = Vec::new();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while core.is_migrating() || core.shard_count() != 4 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the second request was dropped: settled at {} shards",
+            core.shard_count()
+        );
+        if core.is_migrating() {
+            swept_while_migrating |= sweeps() > sweeps_at_request;
+            if names_while_migrating.is_empty() {
+                names_while_migrating = thread_names();
+            }
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    handle.stop();
+
+    assert_eq!(core.shard_count(), 4);
+    assert_eq!(core.metrics().control.resizes, 2, "2→3 settled, then 3→4");
+    assert_eq!(core.engine().migrate_dropped(), 0);
+    assert!(
+        swept_while_migrating,
+        "the controller keeps sweeping between migration chunks"
+    );
+    assert!(
+        names_while_migrating.iter().any(|n| n == "dido-controller"),
+        "{names_while_migrating:?}"
+    );
+    assert!(
+        !names_while_migrating.iter().any(|n| n == "dido-reshard"),
+        "migration runs on the controller, not a worker: {names_while_migrating:?}"
+    );
+    let lost: Vec<&usize> = seeded.iter().filter(|i| !readable(i)).collect();
+    assert!(
+        lost.is_empty(),
+        "lost in controller-driven resizes: {lost:?}"
+    );
 }

@@ -35,6 +35,28 @@ impl Default for TestbedOptions {
     }
 }
 
+impl TestbedOptions {
+    /// CPU and GPU cache-filter bytes for one of `shards` equal slices
+    /// of this testbed on `hw` (`shards == 1`: the whole node). The one
+    /// place the cache-to-store ratio is applied — engines are built
+    /// with it and the cost model plans against it.
+    #[must_use]
+    pub fn scaled_caches(&self, hw: &HwSpec, shards: usize) -> (u64, u64) {
+        let ratio = if self.scale_caches {
+            (self.store_bytes as f64 / hw.mem.shared_bytes as f64).min(1.0)
+        } else {
+            1.0
+        };
+        let slice = |bytes: u64, floor: u64| {
+            ((bytes as f64 * ratio) as u64 / shards.max(1) as u64).max(floor)
+        };
+        (
+            slice(hw.cpu.cache_bytes, 8 * 1024),
+            slice(hw.gpu.cache_bytes, 2 * 1024),
+        )
+    }
+}
+
 /// Build an engine sized from `hw`, preload the full key space of
 /// `spec`, and return it with a matching query generator.
 #[must_use]
@@ -43,15 +65,7 @@ pub fn preloaded_engine(
     hw: &HwSpec,
     opts: TestbedOptions,
 ) -> (KvEngine, WorkloadGen) {
-    let (cpu_cache, gpu_cache) = if opts.scale_caches {
-        let ratio = (opts.store_bytes as f64 / hw.mem.shared_bytes as f64).min(1.0);
-        (
-            ((hw.cpu.cache_bytes as f64 * ratio) as u64).max(8 * 1024),
-            ((hw.gpu.cache_bytes as f64 * ratio) as u64).max(2 * 1024),
-        )
-    } else {
-        (hw.cpu.cache_bytes, hw.gpu.cache_bytes)
-    };
+    let (cpu_cache, gpu_cache) = opts.scaled_caches(hw, 1);
     let engine = KvEngine::new(EngineConfig::new(opts.store_bytes, cpu_cache, gpu_cache));
     // Fill the store completely ("we store as many key-value objects as
     // possible", §V-A): every subsequent SET must evict, generating the

@@ -6,7 +6,6 @@
 //!             [--sd-writers N] [--trace FILE] [--stats-every N]
 //!             [--max-batch-delay-us N]
 //!             [--io-backend auto|uring|epoll]
-//!             [--resize-after BATCHES:SHARDS]
 //!             [--proto dido|memcached|resp] [--listen HOST:PORT]...
 //! ```
 //!
@@ -25,9 +24,9 @@
 //!
 //! The serving core is the concurrent `ServingCore`: every
 //! cross-connection dispatcher batch runs inline through the sharded
-//! engine under the shard's active pipeline configuration, which a
-//! background adaptation controller re-plans off the hot path as the
-//! profiled workload shifts. There is no global lock on the query path:
+//! engine under the node's active pipeline configuration, which the
+//! background controller re-plans off the hot path as the profiled
+//! workload shifts. There is no global lock on the query path:
 //! `--dispatchers N` dispatchers call the shared core concurrently, each
 //! striping its profiling into its own lane, and `--shards N` partitions
 //! the store by key hash. Connections are carried by a fixed pool of
@@ -46,19 +45,15 @@
 //! dropped and counted). `--stats-every` prints a stats block every N
 //! dispatcher batches: the core's counters (`core:`, `mem:`, batches
 //! per configuration), the front-end's (`net:`, `reactors:`, `sd:`,
-//! `io:`, `proto:`), the shard map and each shard's pipeline — all
+//! `io:`, `proto:`), the shard map and the node's pipeline — all
 //! cumulative, read lock-free and formatted off the data path's locks.
 //! Runs until killed.
 //!
-//! The shard topology can change live, in two ways. `--resize-after
-//! BATCHES:SHARDS` requests a resize to SHARDS shards once BATCHES
-//! dispatcher batches have been served (a scripted trigger for
-//! benchmarks).
-//! At runtime, any client can send a SET to the admin key
-//! `__dido/resize` with the desired shard count as the value; the
-//! request is handed to the background controller, which installs the
-//! migrating shard map and drains donor shards while serving continues
-//! (see `DESIGN.md` §12).
+//! The shard topology can change live: any client can send a SET to the
+//! admin key `__dido/resize` with the desired shard count as the value;
+//! the request is handed to the background controller, which installs
+//! the migrating shard map and drains donor shards between its other
+//! steps while serving continues (see `DESIGN.md` §12).
 
 use dido_kv::dido::{DidoOptions, ServingCore};
 use dido_kv::net::{
@@ -101,9 +96,6 @@ struct Args {
     /// Syscall backend for the I/O planes (`auto` probes, falling back
     /// to epoll).
     io_backend: IoBackendChoice,
-    /// `(batches, shards)`: request a live resize to `shards` once
-    /// `batches` dispatcher batches have been served.
-    resize_after: Option<(u64, usize)>,
 }
 
 fn parse_args() -> Args {
@@ -121,7 +113,6 @@ fn parse_args() -> Args {
         stats_every: 0,
         max_batch_delay_us: 200,
         io_backend: IoBackendChoice::Auto,
-        resize_after: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -182,19 +173,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--resize-after" => {
-                let v = value("--resize-after");
-                let parsed = v.split_once(':').and_then(|(batches, shards)| {
-                    Some((batches.parse().ok()?, shards.parse::<usize>().ok()?.max(1)))
-                });
-                match parsed {
-                    Some(pair) => args.resize_after = Some(pair),
-                    None => {
-                        eprintln!("--resize-after needs BATCHES:SHARDS (e.g. 10000:4)");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--max-batch-delay-us" => {
                 args.max_batch_delay_us =
                     parse_num("--max-batch-delay-us", value("--max-batch-delay-us")) as u64
@@ -207,7 +185,6 @@ fn parse_args() -> Args {
                      [--stats-every N] \
                      [--max-batch-delay-us N] \
                      [--io-backend auto|uring|epoll] \
-                     [--resize-after BATCHES:SHARDS] \
                      [--proto dido|memcached|resp] [--listen HOST:PORT]..."
                 );
                 std::process::exit(0);
@@ -308,7 +285,6 @@ fn main() -> std::io::Result<()> {
     let handler_core = Arc::clone(&core);
     let handler_net = Arc::clone(&net_stats);
     let stats_every = args.stats_every;
-    let resize_after = args.resize_after;
     let mode = DispatchMode::Batched(BatchConfig {
         max_batch_delay: std::time::Duration::from_micros(args.max_batch_delay_us),
         dispatchers: args.dispatchers,
@@ -351,25 +327,20 @@ fn main() -> std::io::Result<()> {
             }
         }
         let responses = handler_core.process_batch(lane, queries);
-        let n = batches_seen.fetch_add(1, Ordering::Relaxed) + 1;
-        // Scripted trigger: fires exactly once, on the batch whose
-        // unique counter value equals the threshold.
-        if let Some((batches, shards)) = resize_after {
-            if n == batches {
-                handler_core.request_resize(shards);
-            }
-        }
-        if stats_every > 0 && n.is_multiple_of(stats_every) {
-            // Both halves are cumulative snapshots of lock-free cells;
-            // formatting and the (possibly slow) stderr write happen on
-            // this dispatcher only.
-            let metrics = handler_core.metrics();
-            let net = handler_net.get().map(|s| s.snapshot()).unwrap_or_default();
-            eprint!("--- after {n} batches ---\n{metrics}{net}");
-            let (state, epoch) = handler_core.engine().shard_map().load();
-            eprintln!("shard map: {state:?} (epoch {epoch})");
-            for (s, c) in handler_core.configs().iter().enumerate() {
-                eprintln!("shard {s} pipeline: {c}");
+        // The batch count exists for the stats cadence alone: without
+        // `--stats-every` the dispatchers share no written cache line.
+        if stats_every > 0 {
+            let n = batches_seen.fetch_add(1, Ordering::Relaxed) + 1;
+            if n.is_multiple_of(stats_every) {
+                // Both halves are cumulative snapshots of lock-free
+                // cells; formatting and the (possibly slow) stderr write
+                // happen on this dispatcher only.
+                let metrics = handler_core.metrics();
+                let net = handler_net.get().map(|s| s.snapshot()).unwrap_or_default();
+                eprint!("--- after {n} batches ---\n{metrics}{net}");
+                let (state, epoch) = handler_core.engine().shard_map().load();
+                eprintln!("shard map: {state:?} (epoch {epoch})");
+                eprintln!("pipeline: {}", handler_core.shard_config(0).0);
             }
         }
         responses

@@ -161,6 +161,19 @@ fn a_store_the_shards_cannot_split_exits_2_with_a_message() {
     }
 }
 
+/// The scripted resize trigger is gone (the `__dido/resize` admin key
+/// is the way to resize a running node): its flag is now unknown.
+#[test]
+fn resize_after_is_an_unknown_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dido-server"))
+        .args(["--resize-after", "1:2", "--addr", "127.0.0.1:0"])
+        .output()
+        .expect("spawn dido-server");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --resize-after"), "{stderr}");
+}
+
 /// The value of `name=` in a stats block.
 fn metric<'a>(block: &'a str, name: &str) -> &'a str {
     let at = block
@@ -173,8 +186,8 @@ fn metric<'a>(block: &'a str, name: &str) -> &'a str {
 /// `--stats-every 1` on a two-shard, two-dispatcher node, driven one
 /// request at a time over dido-binary and memcached-text: every batch
 /// prints one block, and the last one carries the cumulative front-end
-/// counters, the core's, a single adaptions figure and one pipeline
-/// line per shard.
+/// counters, the core's, a single adaptions figure and the node's one
+/// pipeline line.
 #[test]
 fn stats_block_carries_cumulative_net_and_core_counters() {
     let args = "--stats-every 1 --shards 2 --dispatchers 2 --store-mb 16 \
@@ -209,7 +222,7 @@ fn stats_block_carries_cumulative_net_and_core_counters() {
     // The handler prints a batch's block before its reply leaves, so
     // the fifth block is already in the pipe. 5 frames, 7 queries.
     let mut blocks: Vec<String> = Vec::new();
-    while blocks.len() < 5 || !blocks[4].contains("shard 1 pipeline:") {
+    while blocks.len() < 5 || !blocks[4].contains("\npipeline: ") {
         let line = server
             .1
             .recv_timeout(Duration::from_secs(10))
@@ -237,12 +250,11 @@ fn stats_block_carries_cumulative_net_and_core_counters() {
         assert_eq!(metric(last, name), want, "{name} in:\n{last}");
     }
     assert!(!first.contains("proto("), "all-DIDO so far: {first}");
-    let lines = "net: |reactors: |sd: |io: |proto(dido/memcached/resp): |shard map: \
-                 |shard 0 pipeline: |shard 1 pipeline: ";
+    let lines = "net: |reactors: |sd: |io: |proto(dido/memcached/resp): |shard map: |pipeline: ";
     for line in lines.split('|') {
         let found = last.lines().filter(|l| l.starts_with(line)).count();
         assert_eq!(found, 1, "want exactly one {line:?} line in:\n{last}");
     }
     assert_eq!(last.matches("adaptions").count(), 1, "{last}");
-    assert_eq!(last.matches(" pipeline: ").count(), 2, "{last}");
+    assert_eq!(last.matches("pipeline: ").count(), 1, "{last}");
 }
