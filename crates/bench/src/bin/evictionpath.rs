@@ -92,9 +92,9 @@ fn main() {
             rep.baseline.throughput_qps,
             rep.ttl.throughput_qps,
             rep.throughput_ratio(),
-            rep.ttl.expired_lazy,
-            rep.ttl.expired_proactive,
-            rep.ttl.segments_reclaimed,
+            rep.ttl.memory.expired_lazy,
+            rep.ttl.memory.expired_proactive,
+            rep.ttl.memory.segments_reclaimed,
         );
     });
     println!(

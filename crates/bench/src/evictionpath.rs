@@ -25,8 +25,8 @@
 //! Results serialize via [`EvictionReport::to_json`] for
 //! `BENCH_evictionpath.json`.
 
-use dido::{DidoOptions, ServingCore};
-use dido_kvstore::{ClassStats, HEADER_SIZE};
+use dido::{DidoOptions, MemoryFold, ServingCore};
+use dido_kvstore::HEADER_SIZE;
 use dido_model::{MockClock, Query, SharedClock};
 use dido_pipeline::{EngineConfig, ShardedEngine, TestbedOptions};
 use dido_workload::{Dataset, TtlChurnGen, WorkloadSpec};
@@ -176,29 +176,24 @@ pub struct EvictionCell {
     pub ttl: bool,
     /// Sustained throughput, queries/sec.
     pub throughput_qps: f64,
-    /// Objects expired in-band by KC/RD.
-    pub expired_lazy: u64,
-    /// Objects reclaimed by the segment sweeper.
-    pub expired_proactive: u64,
-    /// Whole segments the sweeper reclaimed.
-    pub segments_reclaimed: u64,
+    /// End-of-run memory plane: expiry counters (lazy in-band by KC/RD,
+    /// proactive by the segment sweeper) and per-class gauges.
+    pub memory: MemoryFold,
     /// Peak RSS over the first half of the span, bytes.
     pub rss_first_half_peak: u64,
     /// Peak RSS over the second half of the span, bytes.
     pub rss_second_half_peak: u64,
-    /// End-of-run per-class gauges (occupancy + fragmentation).
-    pub classes: Vec<ClassStats>,
 }
 
 impl EvictionCell {
     /// Share of expirations the proactive sweeper claimed.
     #[must_use]
     pub fn proactive_share(&self) -> f64 {
-        let total = self.expired_lazy + self.expired_proactive;
+        let total = self.memory.expired_lazy + self.memory.expired_proactive;
         if total == 0 {
             0.0
         } else {
-            self.expired_proactive as f64 / total as f64
+            self.memory.expired_proactive as f64 / total as f64
         }
     }
 
@@ -258,8 +253,8 @@ impl EvictionReport {
     pub fn proactive_share(&self) -> f64 {
         let (mut lazy, mut proactive) = (0u64, 0u64);
         for r in &self.reps {
-            lazy += r.ttl.expired_lazy;
-            proactive += r.ttl.expired_proactive;
+            lazy += r.ttl.memory.expired_lazy;
+            proactive += r.ttl.memory.expired_proactive;
         }
         if lazy + proactive == 0 {
             0.0
@@ -273,7 +268,7 @@ impl EvictionReport {
     pub fn total_expirations(&self) -> u64 {
         self.reps
             .iter()
-            .map(|r| r.ttl.expired_lazy + r.ttl.expired_proactive)
+            .map(|r| r.ttl.memory.expired_lazy + r.ttl.memory.expired_proactive)
             .sum()
     }
 
@@ -352,14 +347,17 @@ fn push_cell_json(s: &mut String, name: &str, c: &EvictionCell, comma: bool) {
         "        \"throughput_qps\": {:.1},\n",
         c.throughput_qps
     ));
-    s.push_str(&format!("        \"expired_lazy\": {},\n", c.expired_lazy));
+    s.push_str(&format!(
+        "        \"expired_lazy\": {},\n",
+        c.memory.expired_lazy
+    ));
     s.push_str(&format!(
         "        \"expired_proactive\": {},\n",
-        c.expired_proactive
+        c.memory.expired_proactive
     ));
     s.push_str(&format!(
         "        \"segments_reclaimed\": {},\n",
-        c.segments_reclaimed
+        c.memory.segments_reclaimed
     ));
     s.push_str(&format!(
         "        \"rss_first_half_peak\": {},\n",
@@ -370,7 +368,7 @@ fn push_cell_json(s: &mut String, name: &str, c: &EvictionCell, comma: bool) {
         c.rss_second_half_peak
     ));
     s.push_str("        \"classes\": [\n");
-    for (i, cl) in c.classes.iter().enumerate() {
+    for (i, cl) in c.memory.classes.iter().enumerate() {
         s.push_str(&format!(
             "          {{\"class_bytes\": {}, \"live_objects\": {}, \
              \"free_slots\": {}, \"live_bytes\": {}, \"frag_bytes\": {}, \
@@ -381,7 +379,11 @@ fn push_cell_json(s: &mut String, name: &str, c: &EvictionCell, comma: bool) {
             cl.live_bytes,
             cl.frag_bytes,
             cl.open_segments,
-            if i + 1 < c.classes.len() { "," } else { "" }
+            if i + 1 < c.memory.classes.len() {
+                ","
+            } else {
+                ""
+            }
         ));
     }
     s.push_str("        ]\n");
@@ -502,16 +504,12 @@ pub fn run_cell(opts: &EvictionOptions, ttl: bool) -> EvictionCell {
         rss_first = rss_second;
     }
 
-    let expiry = core.engine().expiry_stats();
     EvictionCell {
         ttl,
         throughput_qps: queries as f64 / elapsed.as_secs_f64(),
-        expired_lazy: core.engine().op_counts().expired_lazy,
-        expired_proactive: expiry.expired_proactive,
-        segments_reclaimed: expiry.segments_reclaimed,
+        memory: core.metrics().memory,
         rss_first_half_peak: rss_first,
         rss_second_half_peak: rss_second,
-        classes: core.engine().class_stats(),
     }
 }
 
@@ -536,6 +534,7 @@ pub fn run_evictionpath(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dido_kvstore::ClassStats;
 
     fn tiny() -> EvictionOptions {
         EvictionOptions {
@@ -554,22 +553,28 @@ mod tests {
         let cell = run_cell(&tiny(), true);
         assert!(cell.throughput_qps > 0.0, "no traffic measured");
         assert!(
-            cell.expired_lazy + cell.expired_proactive > 0,
+            cell.memory.expired_lazy + cell.memory.expired_proactive > 0,
             "TTL churn must expire something"
         );
         assert!(
-            cell.expired_proactive > 0 && cell.segments_reclaimed > 0,
+            cell.memory.expired_proactive > 0 && cell.memory.segments_reclaimed > 0,
             "sweeper must reclaim whole segments: {cell:?}"
         );
-        assert!(!cell.classes.is_empty(), "class gauges must be populated");
+        assert!(
+            !cell.memory.classes.is_empty(),
+            "class gauges must be populated"
+        );
     }
 
     #[test]
     fn baseline_cell_never_expires() {
         let cell = run_cell(&tiny(), false);
         assert!(cell.throughput_qps > 0.0, "no traffic measured");
-        assert_eq!(cell.expired_lazy, 0, "immortal ladder must not expire");
-        assert_eq!(cell.expired_proactive, 0);
+        assert_eq!(
+            cell.memory.expired_lazy, 0,
+            "immortal ladder must not expire"
+        );
+        assert_eq!(cell.memory.expired_proactive, 0);
     }
 
     #[test]
@@ -577,19 +582,22 @@ mod tests {
         let cell = |ttl: bool, qps: f64| EvictionCell {
             ttl,
             throughput_qps: qps,
-            expired_lazy: if ttl { 100 } else { 0 },
-            expired_proactive: if ttl { 900 } else { 0 },
-            segments_reclaimed: if ttl { 40 } else { 0 },
+            memory: MemoryFold {
+                expired_lazy: if ttl { 100 } else { 0 },
+                expired_proactive: if ttl { 900 } else { 0 },
+                segments_reclaimed: if ttl { 40 } else { 0 },
+                sealed_segments: 0,
+                classes: vec![ClassStats {
+                    class_bytes: 128,
+                    live_objects: 10,
+                    free_slots: 6,
+                    live_bytes: 1_000,
+                    frag_bytes: 280,
+                    open_segments: 1,
+                }],
+            },
             rss_first_half_peak: 100 << 20,
             rss_second_half_peak: 101 << 20,
-            classes: vec![ClassStats {
-                class_bytes: 128,
-                live_objects: 10,
-                free_slots: 6,
-                live_bytes: 1_000,
-                frag_bytes: 280,
-                open_segments: 1,
-            }],
         };
         let report = EvictionReport {
             opts: EvictionOptions::quick(),
@@ -614,22 +622,21 @@ mod tests {
         let good = EvictionCell {
             ttl: true,
             throughput_qps: 1e5,
-            expired_lazy: 10,
-            expired_proactive: 90,
-            segments_reclaimed: 5,
+            memory: MemoryFold {
+                expired_lazy: 10,
+                expired_proactive: 90,
+                segments_reclaimed: 5,
+                ..MemoryFold::default()
+            },
             rss_first_half_peak: 100 << 20,
             rss_second_half_peak: 100 << 20,
-            classes: Vec::new(),
         };
         let base = EvictionCell {
             ttl: false,
             throughput_qps: 1e5,
-            expired_lazy: 0,
-            expired_proactive: 0,
-            segments_reclaimed: 0,
+            memory: MemoryFold::default(),
             rss_first_half_peak: 100 << 20,
             rss_second_half_peak: 100 << 20,
-            classes: Vec::new(),
         };
         let mk = |ttl: EvictionCell| EvictionReport {
             opts: EvictionOptions::quick(),
@@ -645,8 +652,8 @@ mod tests {
         assert!(!mk(slow).pass());
         // Lazy path doing the work.
         let mut lazy = good.clone();
-        lazy.expired_lazy = 90;
-        lazy.expired_proactive = 10;
+        lazy.memory.expired_lazy = 90;
+        lazy.memory.expired_proactive = 10;
         assert!(!mk(lazy).pass());
         // RSS growth.
         let mut leaky = good.clone();
@@ -654,8 +661,8 @@ mod tests {
         assert!(!mk(leaky).pass());
         // No expirations at all.
         let mut inert = good;
-        inert.expired_lazy = 0;
-        inert.expired_proactive = 0;
+        inert.memory.expired_lazy = 0;
+        inert.memory.expired_proactive = 0;
         assert!(!mk(inert).pass());
     }
 }

@@ -47,8 +47,8 @@ mod serving;
 mod striped;
 mod system;
 
-pub use metrics::Metrics;
+pub use metrics::{MemoryFold, Metrics};
 pub use profiler::{ProfilerConfig, WorkloadProfiler};
 pub use serving::{ControllerHandle, ServingCore};
-pub use striped::{ControlFold, MemoryFold, StatsFold, StripedStats};
+pub use striped::{ControlFold, StatsFold, StripedStats};
 pub use system::{DidoOptions, DidoSystem, TraceSample};

@@ -1,13 +1,47 @@
 //! Operational metrics for a running DIDO node: a read-side view.
 
-use crate::striped::{ControlFold, MemoryFold, StatsFold};
+use crate::striped::{ControlFold, StatsFold};
+use dido_kvstore::ClassStats;
 use dido_model::{write_metric, PipelineConfig};
+use dido_pipeline::ShardedEngine;
 use std::fmt;
 
-/// A point-in-time view of the node's counters, assembled on demand by
-/// [`crate::StripedStats`] from the lanes, the control plane and the
-/// memory plane. Nothing here is recorded into; the `Display` is the
-/// core half of `dido-server --stats-every`.
+/// The memory plane as it stands: cumulative expiry counters plus
+/// per-size-class occupancy gauges, read from the engine when someone
+/// asks ([`MemoryFold::of`]) — nothing publishes or caches it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoryFold {
+    /// Objects expired in-band on the lookup path (cumulative).
+    pub expired_lazy: u64,
+    /// Objects freed by whole-segment reclamation (cumulative).
+    pub expired_proactive: u64,
+    /// TTL segments reclaimed as a unit (cumulative).
+    pub segments_reclaimed: u64,
+    /// Sealed TTL segments awaiting expiry (gauge).
+    pub sealed_segments: u64,
+    /// Per-class occupancy / free-slot / fragmentation gauges.
+    pub classes: Vec<ClassStats>,
+}
+
+impl MemoryFold {
+    /// Read `engine`'s memory plane now. Takes every shard's class
+    /// locks, so this belongs on a reader's thread, not in a loop.
+    pub(crate) fn of(engine: &ShardedEngine) -> MemoryFold {
+        let expiry = engine.expiry_stats();
+        MemoryFold {
+            expired_lazy: engine.op_counts().expired_lazy,
+            expired_proactive: expiry.expired_proactive,
+            segments_reclaimed: expiry.segments_reclaimed,
+            sealed_segments: expiry.sealed_segments,
+            classes: engine.class_stats(),
+        }
+    }
+}
+
+/// A point-in-time view of the node's counters, assembled on demand:
+/// the lanes and the control plane by [`crate::StripedStats`], the
+/// memory plane from the engine. Nothing here is recorded into; the
+/// `Display` is the core half of `dido-server --stats-every`.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
     /// The data plane's counters, folded over every lane (batches,
@@ -20,7 +54,7 @@ pub struct Metrics {
     pub busy_ns: f64,
     /// The control plane's counters (model runs, adaptions, …).
     pub control: ControlFold,
-    /// The most recently published memory-plane snapshot.
+    /// The memory plane ([`crate::ServingCore`] only; empty otherwise).
     pub memory: MemoryFold,
     /// Batches executed per configuration, in first-seen order.
     pub configs: Vec<(PipelineConfig, u64)>,

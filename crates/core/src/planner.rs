@@ -88,7 +88,7 @@ impl Planner {
     }
 
     /// One adapt decision: fold `raw` (a batch's or an interval's
-    /// counters) and the skew estimate into the profile and, if the
+    /// tally, carrying the skew estimate) into the profile and, if the
     /// workload drifted past the 10 % threshold, search the configuration
     /// space over `index` (asked for only then) and publish the choice
     /// into `cell` when it differs from the active one. Returns whether
@@ -96,14 +96,12 @@ impl Planner {
     pub(crate) fn replan(
         &self,
         raw: WorkloadStats,
-        skew: f64,
         index: impl FnOnce() -> IndexShape,
         cell: &ConfigCell,
         control: &ControlCounters,
     ) -> bool {
         let stats = {
             let mut profiler = self.profiler.lock();
-            profiler.note_skew(skew);
             let stats = profiler.finish_batch(raw);
             if stats.batch_size == 0 || !profiler.should_readapt(stats) {
                 return false;

@@ -108,15 +108,6 @@ impl WorkloadProfiler {
         self.current_skew
     }
 
-    /// Adopt an externally computed skew estimate (the concurrent
-    /// serving path samples frequencies in striped per-lane windows —
-    /// see `StripedStats` — and feeds the published estimate back here
-    /// so `finish_batch`/`should_readapt` semantics stay identical to
-    /// the sequential profiler).
-    pub fn note_skew(&mut self, skew: f64) {
-        self.current_skew = skew;
-    }
-
     /// Feed the queries of a batch into the frequency sampler.
     pub fn observe_queries(&mut self, queries: &[Query], n_keys: u64) {
         if let Some(skew) = self.window.observe(&self.cfg, queries, || n_keys) {
@@ -125,9 +116,9 @@ impl WorkloadProfiler {
     }
 
     /// Fold a batch's raw counters into the smoothed profile and return
-    /// the stats (with the skew estimate filled in) for decision-making.
-    pub fn finish_batch(&mut self, mut stats: WorkloadStats) -> WorkloadStats {
-        stats.zipf_skew = self.current_skew;
+    /// the stats for decision-making. The skew estimate travels in
+    /// `stats.zipf_skew` and is not smoothed.
+    pub fn finish_batch(&mut self, stats: WorkloadStats) -> WorkloadStats {
         let blended = match self.smoothed {
             None => stats,
             Some(prev) => WorkloadStats {

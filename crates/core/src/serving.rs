@@ -7,12 +7,13 @@
 //! the same Figure-7 architecture:
 //!
 //! * **Data plane** — N network dispatchers concurrently call
-//!   [`ServingCore::process_batch`]. Each call folds the batch and its
-//!   outcome into its lane's striped accumulators ([`StripedStats`] —
-//!   relaxed adds on cells no other lane writes), loads the node's
-//!   active configuration wait-free from its epoch-stamped
-//!   [`ConfigCell`], and executes the batch inline on the calling thread
-//!   over the [`ShardedEngine`]. No global lock anywhere on this path.
+//!   [`ServingCore::process_batch`]. Each call samples the batch's keys
+//!   for skew, loads the node's active configuration wait-free from its
+//!   epoch-stamped [`ConfigCell`], executes the batch inline on the
+//!   calling thread over the [`ShardedEngine`], and folds the tally the
+//!   engine hands back into its lane's striped accumulators
+//!   ([`StripedStats`] — relaxed adds on cells no other lane writes).
+//!   No global lock anywhere on this path.
 //! * **Control plane** — one background controller thread
 //!   ([`ServingCore::spawn_controller`]) and nothing else. Each loop it
 //!   takes a pending resize request (if no migration is draining),
@@ -32,16 +33,15 @@
 //! sampler is the same windowed algorithm, and the decision is the same
 //! code.
 
-use crate::metrics::Metrics;
+use crate::metrics::{MemoryFold, Metrics};
 use crate::planner::{IndexShape, Planner};
-use crate::striped::{MemoryFold, StatsFold, StripedStats};
+use crate::striped::{StatsFold, StripedStats};
 use crate::system::DidoOptions;
 use dido_kvstore::HEADER_SIZE;
-use dido_model::{ConfigCell, PipelineConfig, Query, QueryOp, Response, ResponseStatus};
+use dido_model::{ConfigCell, PipelineConfig, Query, Response};
 use dido_pipeline::{EngineConfig, ResizeError, ShardedEngine};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,14 +57,6 @@ const RESIZE_CHUNK_KEYS: usize = 512;
 /// per-tick stall; an expiry storm drains over a few ticks instead of
 /// blocking one.
 const SWEEP_SEGMENTS_PER_TICK: usize = 32;
-
-thread_local! {
-    /// Which queries of the batch in flight on this dispatcher thread
-    /// are GETs. The batch moves into the engine, so the mask is what
-    /// pairs responses back to ops; it lives per thread so a warmed
-    /// dispatcher never allocates for it.
-    static GET_MASK: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
-}
 
 /// One shard's engine sizing when the node's store and caches are split
 /// `shards` ways (total capacity is the single-shard node's).
@@ -210,11 +202,15 @@ impl ServingCore {
     }
 
     /// The node's operational metrics, assembled now from the lanes,
-    /// the control counters and the memory snapshot. Busy time is the
-    /// busiest lane's, so the mean rate is the node's, not one lane's.
+    /// the control counters and the engine's memory plane. Busy time is
+    /// the busiest lane's, so the mean rate is the node's, not one
+    /// lane's.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        self.stripes.metrics(self.stripes.busiest_lane_ns() as f64)
+        Metrics {
+            memory: MemoryFold::of(&self.engine),
+            ..self.stripes.metrics(self.stripes.busiest_lane_ns() as f64)
+        }
     }
 
     /// Aggregate live objects across shards.
@@ -234,36 +230,23 @@ impl ServingCore {
         self.engine.execute(q)
     }
 
-    /// Process one batch on dispatcher lane `lane`. Lock-free profiling
-    /// and bookkeeping (nothing here is shared between lanes, and a
-    /// warmed dispatcher allocates nothing beyond what the engine
-    /// does), wait-free config load, inline execution on the calling
-    /// thread; safe and intended to be called concurrently from every
-    /// dispatcher.
+    /// Process one batch on dispatcher lane `lane`: sample its keys for
+    /// skew, load the config wait-free, run it inline on the calling
+    /// thread, record the tally the engine hands back. Nothing here is
+    /// shared between lanes and a warmed dispatcher allocates nothing
+    /// beyond what the engine does; safe and intended to be called
+    /// concurrently from every dispatcher.
     pub fn process_batch(&self, lane: usize, queries: Vec<Query>) -> Vec<Response> {
         if queries.is_empty() {
             return Vec::new();
         }
         self.stripes
             .observe(lane, &queries, || self.engine.live_objects() as u64);
-        let mut is_get = GET_MASK.take();
-        is_get.clear();
-        is_get.extend(queries.iter().map(|q| q.op == QueryOp::Get));
         let config = self.config.load().0;
         let started = Instant::now();
-        let responses = self.engine.process_batch_inline(queries, |_| config);
+        let (responses, tally) = self.engine.run_batch(queries, config);
         let busy_ns = started.elapsed().as_nanos() as u64;
-        let mut hits = 0u64;
-        let mut hit_bytes = 0u64;
-        for (r, g) in responses.iter().zip(&is_get) {
-            if *g && r.status == ResponseStatus::Ok {
-                hits += 1;
-                hit_bytes += r.value.len() as u64;
-            }
-        }
-        GET_MASK.set(is_get);
-        self.stripes
-            .record_batch(lane, config, hits, hit_bytes, busy_ns);
+        self.stripes.record(lane, config, &tally, busy_ns);
         responses
     }
 
@@ -286,14 +269,12 @@ impl ServingCore {
             return false;
         }
         *last_fold = fold;
-        let skew = self.stripes.skew();
         let index = || {
             let shards = self.engine.primary_engines();
             IndexShape::of(self.engine.live_objects(), shards.iter().map(|s| &**s))
         };
         self.planner.replan(
-            delta.workload_stats(skew),
-            skew,
+            delta.tally().workload_stats(self.stripes.skew()),
             index,
             &self.config,
             &self.stripes.control,
@@ -302,25 +283,15 @@ impl ServingCore {
 
     /// One memory-plane tick: proactively reclaim up to
     /// [`SWEEP_SEGMENTS_PER_TICK`] expired TTL segments per primary
-    /// shard, then publish a fresh memory snapshot (expiry counters +
-    /// per-class gauges) through the striped accumulators. Returns
-    /// `(objects purged, segments reclaimed)` for this tick.
+    /// shard. Returns `(objects purged, segments reclaimed)` for this
+    /// tick.
     ///
     /// Called by the background controller thread alongside
     /// [`ServingCore::controller_tick`]; also callable directly (the
     /// admin path and tests tick on demand).
     pub fn sweep_tick(&self) -> (usize, usize) {
-        let (purged, segments) = self.engine.sweep_expired(SWEEP_SEGMENTS_PER_TICK);
-        let expiry = self.engine.expiry_stats();
-        self.stripes.publish_memory(MemoryFold {
-            expired_lazy: self.engine.op_counts().expired_lazy,
-            expired_proactive: expiry.expired_proactive,
-            segments_reclaimed: expiry.segments_reclaimed,
-            sealed_segments: expiry.sealed_segments,
-            classes: self.engine.class_stats(),
-        });
         self.stripes.control.sweeps.add(1);
-        (purged, segments)
+        self.engine.sweep_expired(SWEEP_SEGMENTS_PER_TICK)
     }
 
     /// Resize to `n` shards on the calling thread: install the
@@ -462,6 +433,7 @@ impl Drop for ControllerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dido_model::ResponseStatus;
     use dido_pipeline::TestbedOptions;
 
     fn opts() -> DidoOptions {
@@ -527,7 +499,33 @@ mod tests {
     }
 
     #[test]
-    fn sweep_tick_reclaims_and_publishes_gauges() {
+    fn a_lanes_fold_is_the_sum_of_what_its_batches_did() {
+        use dido_model::{BatchTally, QueryOp};
+        let (core, mut g) = ServingCore::preloaded(spec("K16-G50-U"), 3, 2, opts());
+        let mut sum = BatchTally::default();
+        for n in [2048, 64, 1, 777] {
+            let batch = g.batch(n);
+            let ops: Vec<QueryOp> = batch.iter().map(|q| q.op).collect();
+            sum.queries += n as u64;
+            sum.gets += ops.iter().filter(|&&op| op == QueryOp::Get).count() as u64;
+            sum.key_bytes += batch.iter().map(|q| q.key.len() as u64).sum::<u64>();
+            sum.set_value_bytes += batch.iter().map(|q| q.value.len() as u64).sum::<u64>();
+            let responses = core.process_batch(1, batch);
+            for (op, r) in ops.iter().zip(&responses) {
+                if *op == QueryOp::Get && r.status == ResponseStatus::Ok {
+                    sum.hits += 1;
+                    sum.hit_value_bytes += r.value.len() as u64;
+                }
+            }
+        }
+        let work = core.metrics().work;
+        assert_eq!(work.tally(), sum);
+        assert_eq!(work.batches, 4);
+        assert!(sum.hits > 0 && sum.sets() > 0, "{sum:?}");
+    }
+
+    #[test]
+    fn sweep_tick_reclaims_and_metrics_read_the_gauges() {
         use dido_model::{MockClock, SharedClock};
         let clock = Arc::new(MockClock::at(1_000));
         let engine = ShardedEngine::with_clock(
@@ -543,7 +541,8 @@ mod tests {
         }
         let r = core.execute(&Query::set("keep", "stays"));
         assert_eq!(r.status, ResponseStatus::Ok);
-        // Nothing due yet: the tick publishes gauges but reclaims zero.
+        // Nothing due yet: the tick reclaims zero; the gauges are read
+        // from the engine whether or not anything ticked.
         assert_eq!(core.sweep_tick().0, 0);
         let gauges = core.metrics().memory;
         assert!(

@@ -1,14 +1,14 @@
 //! The node's recording substrate: striped (per-dispatcher) workload
-//! and batch counters, the control plane's counters, and the published
-//! memory-plane snapshot. [`crate::Metrics`] is a read-side view
-//! assembled from these on demand; nothing is kept twice.
+//! and batch counters and the control plane's counters.
+//! [`crate::Metrics`] is a read-side view assembled from these on
+//! demand; nothing is kept twice.
 //!
 //! The sequential profiler owns a `&mut WorkloadProfiler` and folds each
 //! batch in-line; with N dispatchers calling `process_batch(&self)`
 //! concurrently that would serialize the data plane on profiling. Instead
 //! each dispatcher lane owns a *stripe* of monotonic counters (one
-//! relaxed add per counter per batch — the per-query work stays in
-//! thread-local sums) and readers fold all stripes by kind. Folds are
+//! relaxed add per counter per batch, from the [`BatchTally`] the stage
+//! loop hands back) and readers fold all stripes by kind. Folds are
 //! cumulative, so the controller diffs consecutive folds to get an
 //! interval profile; nothing is ever reset, which is what makes the
 //! scheme lossless under concurrency (the stress tests assert exact
@@ -20,31 +20,11 @@
 //! last writer wins. With a single lane the published sequence is
 //! bit-identical to `WorkloadProfiler::observe_queries`.
 
-use crate::metrics::Metrics;
+use crate::metrics::{MemoryFold, Metrics};
 use crate::profiler::{ProfilerConfig, SkewWindow};
-use dido_kvstore::ClassStats;
-use dido_model::{metric_table, Counter, PipelineConfig, Query, QueryOp, WorkloadStats};
+use dido_model::{metric_table, BatchTally, Counter, PipelineConfig, Query};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Memory-plane snapshot published by the control plane: cumulative
-/// expiry counters plus per-size-class occupancy gauges. Like the skew
-/// cell this folds by last value — the controller publishes a fresh
-/// snapshot each sweep tick and readers see the most recent one; the
-/// data plane never touches it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemoryFold {
-    /// Objects expired in-band on the lookup path (cumulative).
-    pub expired_lazy: u64,
-    /// Objects freed by whole-segment reclamation (cumulative).
-    pub expired_proactive: u64,
-    /// TTL segments reclaimed as a unit (cumulative).
-    pub segments_reclaimed: u64,
-    /// Sealed TTL segments awaiting expiry (gauge).
-    pub sealed_segments: u64,
-    /// Per-class occupancy / free-slot / fragmentation gauges.
-    pub classes: Vec<ClassStats>,
-}
 
 metric_table! {
     /// One dispatcher lane's counters.
@@ -52,8 +32,7 @@ metric_table! {
     /// A cumulative fold of every lane, taken at one instant.
     ///
     /// Subtract two folds (`delta`) to profile the interval between
-    /// them; convert a delta to [`WorkloadStats`] with
-    /// [`StatsFold::workload_stats`].
+    /// them; [`StatsFold::tally`] is the delta's workload half.
     pub struct StatsFold;
 
     /// Batches processed.
@@ -121,41 +100,30 @@ fn bump_config(counts: &mut Vec<(PipelineConfig, u64)>, config: PipelineConfig, 
 }
 
 impl StatsFold {
-    /// The interval profile as [`WorkloadStats`], mirroring the
-    /// simulator's per-batch accounting: `avg_value_size` weights SET
-    /// payloads against resolved-GET payloads (the executor's GET-hit
-    /// correction), `zipf_skew` is supplied by the caller from the skew
-    /// cell, and `batch_size` is the interval's query count.
+    /// The fold's workload counters: the sum of every batch tally
+    /// recorded into it.
     #[must_use]
-    pub fn workload_stats(&self, zipf_skew: f64) -> WorkloadStats {
-        let n = self.queries as f64;
-        let sets = self.queries - self.gets - self.deletes;
-        let value_weight = sets + self.hits;
-        WorkloadStats {
-            get_ratio: if self.queries == 0 { 0.0 } else { self.gets as f64 / n },
-            delete_ratio: if self.queries == 0 { 0.0 } else { self.deletes as f64 / n },
-            avg_key_size: if self.queries == 0 { 0.0 } else { self.key_bytes as f64 / n },
-            avg_value_size: if value_weight == 0 {
-                0.0
-            } else {
-                (self.set_value_bytes + self.hit_value_bytes) as f64 / value_weight as f64
-            },
-            zipf_skew,
-            batch_size: self.queries as usize,
+    pub fn tally(&self) -> BatchTally {
+        BatchTally {
+            queries: self.queries,
+            gets: self.gets,
+            deletes: self.deletes,
+            key_bytes: self.key_bytes,
+            set_value_bytes: self.set_value_bytes,
+            hits: self.hits,
+            hit_value_bytes: self.hit_value_bytes,
         }
     }
 }
 
 /// Striped accumulators: one lane per dispatcher, one shared skew
-/// estimate, the control plane's counters and memory snapshot.
+/// estimate, the control plane's counters.
 #[derive(Debug)]
 pub struct StripedStats {
     cfg: ProfilerConfig,
     lanes: Vec<Lane>,
     /// Latest completed-window skew estimate, as `f64` bits.
     skew_bits: AtomicU64,
-    /// Latest memory-plane snapshot (last writer wins).
-    memory: Mutex<MemoryFold>,
     pub(crate) control: ControlCounters,
 }
 
@@ -167,7 +135,6 @@ impl StripedStats {
             cfg,
             lanes: (0..lanes.max(1)).map(|_| Lane::default()).collect(),
             skew_bits: AtomicU64::new(0f64.to_bits()),
-            memory: Mutex::new(MemoryFold::default()),
             control: ControlCounters::default(),
         }
     }
@@ -182,51 +149,34 @@ impl StripedStats {
         &self.lanes[lane % self.lanes.len()]
     }
 
-    /// Observe one batch on `lane` (wrapped into range): fold the batch
-    /// counters in and advance the lane's frequency-sampling window.
-    /// `n_keys` is asked for the live key count only when a window
-    /// completes.
+    /// Advance `lane`'s (wrapped into range) frequency-sampling window
+    /// over a batch's keys — before they move into the engine. `n_keys`
+    /// is asked for the live key count only when a window completes.
     pub fn observe(&self, lane: usize, queries: &[Query], n_keys: impl Fn() -> u64) {
-        let lane = self.lane(lane);
-        let mut gets = 0u64;
-        let mut deletes = 0u64;
-        let mut key_bytes = 0u64;
-        let mut set_value_bytes = 0u64;
-        for q in queries {
-            key_bytes += q.key.len() as u64;
-            match q.op {
-                QueryOp::Get => gets += 1,
-                QueryOp::Delete => deletes += 1,
-                QueryOp::Set => set_value_bytes += q.value.len() as u64,
-            }
-        }
-        lane.counters.queries.add(queries.len() as u64);
-        lane.counters.gets.add(gets);
-        lane.counters.deletes.add(deletes);
-        lane.counters.key_bytes.add(key_bytes);
-        lane.counters.set_value_bytes.add(set_value_bytes);
-
-        if let Some(skew) = lane.skew.lock().observe(&self.cfg, queries, n_keys) {
+        let mut window = self.lane(lane).skew.lock();
+        if let Some(skew) = window.observe(&self.cfg, queries, n_keys) {
             self.skew_bits.store(skew.to_bits(), Ordering::Relaxed);
         }
     }
 
-    /// Fold an executed batch's outcome into `lane`: the configuration
-    /// it ran under, its GET hits, and the wall time it took (0 where
-    /// time is virtual). Touches only the lane's own cells.
-    pub fn record_batch(
-        &self,
-        lane: usize,
-        config: PipelineConfig,
-        hits: u64,
-        hit_value_bytes: u64,
-        busy_ns: u64,
-    ) {
+    /// Fold one executed batch into `lane`: what it did, the
+    /// configuration it ran under, and the wall time it took (0 where
+    /// time is virtual). The whole tally lands in one step after the
+    /// batch, so a concurrent fold can split a batch's queries from its
+    /// hits only between these adjacent adds, never across the engine
+    /// call. Touches only the lane's own cells.
+    pub fn record(&self, lane: usize, config: PipelineConfig, tally: &BatchTally, busy_ns: u64) {
         let lane = self.lane(lane);
-        lane.counters.batches.add(1);
-        lane.counters.hits.add(hits);
-        lane.counters.hit_value_bytes.add(hit_value_bytes);
-        lane.counters.lane_busy_ns.add(busy_ns);
+        let c = &lane.counters;
+        c.batches.add(1);
+        c.queries.add(tally.queries);
+        c.gets.add(tally.gets);
+        c.deletes.add(tally.deletes);
+        c.key_bytes.add(tally.key_bytes);
+        c.set_value_bytes.add(tally.set_value_bytes);
+        c.hits.add(tally.hits);
+        c.hit_value_bytes.add(tally.hit_value_bytes);
+        c.lane_busy_ns.add(busy_ns);
         bump_config(&mut lane.configs.lock(), config, 1);
     }
 
@@ -242,17 +192,6 @@ impl StripedStats {
     #[must_use]
     pub fn skew(&self) -> f64 {
         f64::from_bits(self.skew_bits.load(Ordering::Relaxed))
-    }
-
-    /// Publish a fresh memory-plane snapshot (controller sweep tick).
-    pub fn publish_memory(&self, fold: MemoryFold) {
-        *self.memory.lock() = fold;
-    }
-
-    /// The most recently published memory-plane snapshot.
-    #[must_use]
-    pub fn memory(&self) -> MemoryFold {
-        self.memory.lock().clone()
     }
 
     /// Cumulative fold across all stripes.
@@ -274,9 +213,10 @@ impl StripedStats {
         self.lanes.iter().map(busy).max().unwrap_or(0)
     }
 
-    /// The node's metrics, assembled now from the lanes, the control
-    /// counters and the memory snapshot. `busy_ns` is the owner's
-    /// notion of node busy time (see [`Metrics::busy_ns`]).
+    /// The node's metrics, assembled now from the lanes and the control
+    /// counters; the memory plane is left empty for an owner that has
+    /// one to fill in. `busy_ns` is the owner's notion of node busy time
+    /// (see [`Metrics::busy_ns`]).
     pub(crate) fn metrics(&self, busy_ns: f64) -> Metrics {
         let mut configs = Vec::new();
         for lane in &self.lanes {
@@ -288,7 +228,7 @@ impl StripedStats {
             work: self.fold(),
             busy_ns,
             control: self.control.snapshot(),
-            memory: self.memory(),
+            memory: MemoryFold::default(),
             configs,
         }
     }
@@ -298,35 +238,57 @@ impl StripedStats {
 mod tests {
     use super::*;
     use crate::profiler::WorkloadProfiler;
+    use dido_model::QueryOp;
     use dido_workload::{WorkloadGen, WorkloadSpec};
 
+    /// What `run_batch` would hand back for `queries` if every GET hit
+    /// a `value_len`-byte value.
+    fn tally_of(queries: &[Query], value_len: u64) -> BatchTally {
+        let mut t = BatchTally::default();
+        for q in queries {
+            t.count_query(q);
+        }
+        t.hits = t.gets;
+        t.hit_value_bytes = t.gets * value_len;
+        t
+    }
+
     #[test]
-    fn fold_matches_batch_counters() {
+    fn a_lanes_fold_is_the_sum_of_its_batch_tallies() {
         let s = StripedStats::new(2, ProfilerConfig::default());
         let spec = WorkloadSpec::from_label("K16-G95-U").unwrap();
         let mut g = WorkloadGen::new(spec, 10_000, 1);
-        let a = g.batch(1000);
-        let b = g.batch(500);
-        s.observe(0, &a, || 10_000);
-        s.observe(1, &b, || 10_000);
-        s.record_batch(1, PipelineConfig::mega_kv(), 42, 42 * 64, 7);
+        let mut sum = [BatchTally::default(); 2];
+        for (i, n) in [1000, 500, 64, 1, 333].into_iter().enumerate() {
+            let t = tally_of(&g.batch(n), 64);
+            s.record(i % 2, PipelineConfig::mega_kv(), &t, 7);
+            sum[i % 2].merge(&t);
+        }
+        for (lane, sum) in s.lanes.iter().zip(sum) {
+            assert_eq!(lane.counters.snapshot().tally(), sum);
+        }
         let f = s.fold();
-        assert_eq!(f.queries, 1500);
-        let gets = a.iter().chain(&b).filter(|q| q.op == QueryOp::Get).count() as u64;
-        assert_eq!(f.gets, gets);
-        assert_eq!(f.hits, 42);
-        let d = f.delta(&f);
-        assert_eq!(d, StatsFold::default());
+        let mut total = sum[0];
+        total.merge(&sum[1]);
+        assert_eq!(f.tally(), total);
+        assert_eq!((f.batches, f.queries, f.lane_busy_ns), (5, 1898, 35));
+        assert!(f.hits > 0 && f.hits == f.gets);
+        assert_eq!(f.delta(&f), StatsFold::default());
     }
 
     #[test]
     fn metrics_view_folds_lanes_and_merges_config_counts() {
         let s = StripedStats::new(2, ProfilerConfig::default());
         let (mega, cpu) = (PipelineConfig::mega_kv(), PipelineConfig::cpu_only());
-        s.record_batch(0, mega, 1, 8, 100);
-        s.record_batch(0, cpu, 0, 0, 50);
-        s.record_batch(1, cpu, 2, 16, 400);
-        s.record_batch(3, cpu, 0, 0, 10); // lanes wrap: 3 is lane 1
+        let hits = |hits, hit_value_bytes| BatchTally {
+            hits,
+            hit_value_bytes,
+            ..BatchTally::default()
+        };
+        s.record(0, mega, &hits(1, 8), 100);
+        s.record(0, cpu, &hits(0, 0), 50);
+        s.record(1, cpu, &hits(2, 16), 400);
+        s.record(3, cpu, &hits(0, 0), 10); // lanes wrap: 3 is lane 1
         s.record_sim_steal(0, 128);
         s.control.adaptions.add(2);
         let m = s.metrics(s.busiest_lane_ns() as f64);
@@ -364,15 +326,17 @@ mod tests {
         let s = StripedStats::new(1, ProfilerConfig::default());
         let spec = WorkloadSpec::from_label("K16-G50-U").unwrap();
         let mut g = WorkloadGen::new(spec, 10_000, 3);
-        s.observe(0, &g.batch(2000), || 10_000);
+        let config = PipelineConfig::mega_kv();
+        s.record(0, config, &tally_of(&g.batch(2000), 64), 0);
         let before = s.fold();
         let batch = g.batch(1000);
-        s.observe(0, &batch, || 10_000);
-        let stats = s.fold().delta(&before).workload_stats(0.25);
+        s.record(0, config, &tally_of(&batch, 64), 0);
+        let stats = s.fold().delta(&before).tally().workload_stats(0.25);
         assert_eq!(stats.batch_size, 1000);
         let gets = batch.iter().filter(|q| q.op == QueryOp::Get).count();
         assert!((stats.get_ratio - gets as f64 / 1000.0).abs() < 1e-12);
         assert!((stats.zipf_skew - 0.25).abs() < 1e-12);
         assert!(stats.avg_key_size > 0.0);
+        assert!((stats.avg_value_size - 64.0).abs() < 1e-12);
     }
 }

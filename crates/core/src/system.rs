@@ -15,9 +15,7 @@ use crate::profiler::ProfilerConfig;
 use crate::striped::StripedStats;
 use dido_apu_sim::{HwSpec, Ns, TimingEngine};
 use dido_cost_model::ModelInputs;
-use dido_model::{
-    ConfigCell, ConfigEnumerator, PipelineConfig, Query, Response, ResponseStatus, WorkloadStats,
-};
+use dido_model::{ConfigCell, ConfigEnumerator, PipelineConfig, Query, Response, WorkloadStats};
 use dido_pipeline::{
     preloaded_engine, BatchReport, EngineConfig, KvEngine, RunOptions, SimExecutor, TestbedOptions,
     WorkloadReport,
@@ -226,20 +224,13 @@ impl DidoSystem {
 
         let mut serial = self.serial.lock();
         let (report, responses) = serial.sim.run_batch(&self.engine, queries, active_config);
-        let hit_bytes: u64 = responses
-            .iter()
-            .filter(|r| r.status == ResponseStatus::Ok)
-            .map(|r| r.value.len() as u64)
-            .sum();
-        self.stripes
-            .record_batch(0, active_config, report.hits as u64, hit_bytes, 0);
+        self.stripes.record(0, active_config, &report.tally, 0);
         if let Some(steal) = &report.steal {
             self.stripes.record_sim_steal(0, steal.items as u64);
         }
 
         let readapted = self.planner.replan(
-            report.stats,
-            self.stripes.skew(),
+            report.tally.workload_stats(self.stripes.skew()),
             || self.index_shape(),
             &self.config,
             &self.stripes.control,

@@ -153,6 +153,15 @@ pub struct ExpiryStats {
     pub sealed_segments: u64,
 }
 
+impl ExpiryStats {
+    /// Add another store's counters (shards of one node sum).
+    pub fn merge(&mut self, other: &ExpiryStats) {
+        self.expired_proactive += other.expired_proactive;
+        self.segments_reclaimed += other.segments_reclaimed;
+        self.sealed_segments += other.sealed_segments;
+    }
+}
+
 /// A batch of same-class allocations whose deadlines share a bucket
 /// window. Members may be stale (freed, evicted, or recycled since
 /// joining); reclamation revalidates each slot before freeing it.

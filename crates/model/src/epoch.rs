@@ -1,17 +1,18 @@
-//! Epoch-stamped wait-free publication of the active [`PipelineConfig`].
+//! Epoch-stamped wait-free publication of a small control value.
 //!
-//! The adaptation control plane (the background controller in
-//! `dido-core`) periodically re-runs the cost model and *publishes* a new
-//! pipeline configuration; data-plane dispatchers *load* the active
-//! configuration once per batch. A [`PipelineConfig`] packs into 12 bits
-//! (8-bit GPU segment bitset + one bit per index operation + the
-//! work-stealing flag), so config and a 32-bit epoch fit one `AtomicU64`:
-//! readers take a single `Acquire` load — no lock, no RCU, no deferred
-//! reclamation — and writers bump the epoch with a CAS so concurrent
-//! publishers never lose an update silently.
+//! A control plane *publishes* a value now and then — the adaptation
+//! controller a new [`PipelineConfig`], a resize a new shard-map state —
+//! and data-plane dispatchers *load* the active one once per batch. Both
+//! values pack into 32 bits (a [`PipelineConfig`] into 12: 8-bit GPU
+//! segment bitset + one bit per index operation + the work-stealing
+//! flag), so value and a 32-bit epoch fit one `AtomicU64`: readers take a
+//! single `Acquire` load — no lock, no RCU, no deferred reclamation — and
+//! writers bump the epoch with a CAS so concurrent publishers never lose
+//! an update silently. [`EpochCell`] is that mechanism, written once.
 
 use crate::config::{IndexOpAssignment, PipelineConfig};
 use crate::task::{Processor, TaskKind, TaskSet};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bit positions of the packed index-operation assignments (one bit per
@@ -21,12 +22,19 @@ const INSERT_BIT: u32 = 1 << 9;
 const DELETE_BIT: u32 = 1 << 10;
 const STEAL_BIT: u32 = 1 << 11;
 
-impl PipelineConfig {
+/// A value an [`EpochCell`] can carry: it round-trips through 32 bits.
+pub trait Packed: Copy {
+    /// The value as 32 bits.
+    fn pack(self) -> u32;
+    /// Inverse of [`Packed::pack`].
+    fn unpack(bits: u32) -> Self;
+}
+
+impl Packed for PipelineConfig {
     /// Pack into 12 bits: bits 0–7 are the GPU-segment bitset in
     /// canonical task order, bits 8–10 the Search/Insert/Delete
     /// processors (set = GPU), bit 11 the work-stealing flag.
-    #[must_use]
-    pub fn pack(self) -> u32 {
+    fn pack(self) -> u32 {
         let mut bits = 0u32;
         for t in self.gpu_segment.iter() {
             bits |= 1 << t.index();
@@ -46,9 +54,7 @@ impl PipelineConfig {
         bits
     }
 
-    /// Inverse of [`PipelineConfig::pack`].
-    #[must_use]
-    pub fn unpack(bits: u32) -> PipelineConfig {
+    fn unpack(bits: u32) -> PipelineConfig {
         let mut gpu_segment = TaskSet::EMPTY;
         for t in TaskKind::ALL {
             if bits & (1 << t.index()) != 0 {
@@ -74,47 +80,68 @@ impl PipelineConfig {
     }
 }
 
-/// The active pipeline configuration of one shard, stamped with a
-/// publication epoch.
+/// A [`Packed`] value stamped with a publication epoch.
 ///
-/// Layout: low 32 bits hold [`PipelineConfig::pack`], high 32 bits the
-/// epoch (starts at 0, +1 per publication). Both halves travel in one
-/// atomic word, so a reader can never observe a torn config/epoch pair.
-#[derive(Debug)]
-pub struct ConfigCell(AtomicU64);
+/// Layout: low 32 bits hold [`Packed::pack`], high 32 bits the epoch
+/// (starts at 0, +1 per publication). Both halves travel in one atomic
+/// word, so a reader can never observe a torn value/epoch pair, and a
+/// reader can tell "same value again" from "changed and changed back".
+///
+/// Ordering: the whole payload is in the word, so the cell needs no
+/// ordering for its own sake. `publish` succeeds with `Release` and
+/// `load` is `Acquire` so that whatever the publisher set up *before*
+/// publishing (the engine set a resize installs) is visible to a reader
+/// that sees the new epoch; a later publisher's CAS is a read-modify-write
+/// and so continues that release sequence. The CAS loop's own reads are
+/// `Relaxed`: a stale `cur` only fails the CAS, which hands back the
+/// current word.
+pub struct EpochCell<T>(AtomicU64, PhantomData<T>);
 
-impl ConfigCell {
-    /// Cell holding `config` at epoch 0.
+/// The node's active pipeline configuration.
+pub type ConfigCell = EpochCell<PipelineConfig>;
+
+impl<T: Packed> EpochCell<T> {
+    /// Cell holding `value` at epoch 0.
     #[must_use]
-    pub fn new(config: PipelineConfig) -> ConfigCell {
-        ConfigCell(AtomicU64::new(u64::from(config.pack())))
+    pub fn new(value: T) -> EpochCell<T> {
+        EpochCell(AtomicU64::new(u64::from(value.pack())), PhantomData)
     }
 
-    /// Wait-free snapshot of the active configuration and its epoch.
+    /// Wait-free snapshot of the active value and its epoch.
     #[must_use]
-    pub fn load(&self) -> (PipelineConfig, u32) {
+    pub fn load(&self) -> (T, u32) {
         let word = self.0.load(Ordering::Acquire);
-        (PipelineConfig::unpack(word as u32), (word >> 32) as u32)
+        (T::unpack(word as u32), (word >> 32) as u32)
     }
 
-    /// Publish `config`, bumping the epoch; returns the new epoch.
+    /// Publish `value`, bumping the epoch; returns the new epoch.
     ///
     /// Lock-free: concurrent publishers retry on CAS failure, so every
     /// publication gets a distinct epoch and none is silently dropped.
-    pub fn publish(&self, config: PipelineConfig) -> u32 {
-        let packed = u64::from(config.pack());
+    pub fn publish(&self, value: T) -> u32 {
+        let packed = u64::from(value.pack());
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
-            let epoch = (cur >> 32) as u32;
-            let next = (u64::from(epoch.wrapping_add(1)) << 32) | packed;
+            let epoch = ((cur >> 32) as u32).wrapping_add(1);
+            let next = (u64::from(epoch) << 32) | packed;
             match self
                 .0
                 .compare_exchange_weak(cur, next, Ordering::Release, Ordering::Relaxed)
             {
-                Ok(_) => return epoch.wrapping_add(1),
+                Ok(_) => return epoch,
                 Err(observed) => cur = observed,
             }
         }
+    }
+}
+
+impl<T: Packed + std::fmt::Debug> std::fmt::Debug for EpochCell<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (value, epoch) = self.load();
+        f.debug_struct("EpochCell")
+            .field("value", &value)
+            .field("epoch", &epoch)
+            .finish()
     }
 }
 

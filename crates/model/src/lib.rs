@@ -39,13 +39,13 @@ pub use clock::{
     deadline_expired, ttl_to_deadline, Clock, MockClock, SharedClock, SystemClock, TTL_IMMEDIATE,
 };
 pub use config::{ConfigEnumerator, IndexOpAssignment, PipelineConfig, PipelinePlan, StagePlan};
-pub use epoch::ConfigCell;
+pub use epoch::{ConfigCell, EpochCell, Packed};
 pub use metrics::{
     fold_slots, write_metric, Cell, Counter, Gauge, Hist, Max, MetricKind, HIST_BUCKETS,
 };
 pub use query::{Query, QueryOp, Response, ResponseStatus};
 pub use resources::ResourceUsage;
-pub use stats::WorkloadStats;
+pub use stats::{BatchTally, WorkloadStats};
 pub use task::{IndexOpKind, Processor, TaskKind, TaskSet};
 
 /// Width of a GPU wavefront on the simulated APU, and therefore the

@@ -1,5 +1,6 @@
 //! Per-batch workload statistics used by the profiler and cost model.
 
+use crate::query::{Query, QueryOp, Response, ResponseStatus};
 use serde::{Deserialize, Serialize};
 
 /// Workload characteristics of a batch of queries, as collected by the
@@ -70,6 +71,92 @@ impl WorkloadStats {
     }
 }
 
+/// What one batch (or, summed, any interval of batches) did: the
+/// profiler's "few counters", in plain integers. Counted once — the op
+/// mix as the batch is built, the hits as its responses are collected —
+/// and handed to every reader; [`BatchTally::workload_stats`] is the only
+/// conversion to [`WorkloadStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchTally {
+    /// Queries.
+    pub queries: u64,
+    /// GET queries.
+    pub gets: u64,
+    /// DELETE queries (the rest are SETs).
+    pub deletes: u64,
+    /// Key bytes across all queries.
+    pub key_bytes: u64,
+    /// Value bytes across SET queries.
+    pub set_value_bytes: u64,
+    /// GETs answered `Ok`.
+    pub hits: u64,
+    /// Value bytes those hits returned.
+    pub hit_value_bytes: u64,
+}
+
+impl BatchTally {
+    /// Count one query's share of the op mix.
+    pub fn count_query(&mut self, q: &Query) {
+        self.queries += 1;
+        self.key_bytes += q.key.len() as u64;
+        match q.op {
+            QueryOp::Get => self.gets += 1,
+            QueryOp::Delete => self.deletes += 1,
+            QueryOp::Set => self.set_value_bytes += q.value.len() as u64,
+        }
+    }
+
+    /// Count the answer to a query of kind `op`: a hit is a GET answered
+    /// `Ok`.
+    pub fn count_response(&mut self, op: QueryOp, r: &Response) {
+        if op == QueryOp::Get && r.status == ResponseStatus::Ok {
+            self.hits += 1;
+            self.hit_value_bytes += r.value.len() as u64;
+        }
+    }
+
+    /// SET queries.
+    #[must_use]
+    pub fn sets(&self) -> u64 {
+        self.queries - self.gets - self.deletes
+    }
+
+    /// Add another tally (a shard's share of a batch, the next batch of
+    /// an interval).
+    pub fn merge(&mut self, other: &BatchTally) {
+        self.queries += other.queries;
+        self.gets += other.gets;
+        self.deletes += other.deletes;
+        self.key_bytes += other.key_bytes;
+        self.set_value_bytes += other.set_value_bytes;
+        self.hits += other.hits;
+        self.hit_value_bytes += other.hit_value_bytes;
+    }
+
+    /// The counts as [`WorkloadStats`]. Value size is the mean over SET
+    /// payloads *and* hit payloads: on a 100 % GET workload SETs alone
+    /// would report zero and the cost model would misprice RD/WR/SD.
+    #[must_use]
+    pub fn workload_stats(&self, zipf_skew: f64) -> WorkloadStats {
+        let per_query = |count: u64| match self.queries {
+            0 => 0.0,
+            n => count as f64 / n as f64,
+        };
+        let values = self.sets() + self.hits;
+        WorkloadStats {
+            get_ratio: per_query(self.gets),
+            delete_ratio: per_query(self.deletes),
+            avg_key_size: per_query(self.key_bytes),
+            avg_value_size: match values {
+                0 => 0.0,
+                n => (self.set_value_bytes + self.hit_value_bytes) as f64 / n as f64,
+            },
+            zipf_skew,
+            batch_size: self.queries as usize,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,5 +224,77 @@ mod tests {
         let e = WorkloadStats::empty();
         assert_eq!(e.batch_size, 0);
         assert_eq!(e.set_ratio(), 1.0);
+    }
+
+    fn tally_of(queries: &[Query]) -> BatchTally {
+        let mut t = BatchTally::default();
+        for q in queries {
+            t.count_query(q);
+        }
+        t
+    }
+
+    #[test]
+    fn empty_tally_converts_to_empty_stats() {
+        let s = BatchTally::default().workload_stats(0.0);
+        assert_eq!(s, WorkloadStats::empty());
+    }
+
+    #[test]
+    fn tally_counts_ratios_and_sizes() {
+        let t = tally_of(&[
+            Query::get("0123456789abcdef"), // 16B key
+            Query::get("0123456789abcdef"),
+            Query::get("0123456789abcdef"),
+            Query::set("0123456789abcdef", vec![0u8; 64]),
+            Query::delete("0123456789abcdef"),
+        ]);
+        assert_eq!(t.sets(), 1);
+        let s = t.workload_stats(0.5);
+        assert!((s.get_ratio - 0.6).abs() < 1e-12);
+        assert!((s.delete_ratio - 0.2).abs() < 1e-12);
+        assert!((s.set_ratio() - 0.2).abs() < 1e-12);
+        assert!((s.avg_key_size - 16.0).abs() < 1e-12);
+        assert!((s.avg_value_size - 64.0).abs() < 1e-12);
+        assert_eq!((s.zipf_skew, s.batch_size), (0.5, 5));
+    }
+
+    #[test]
+    fn get_only_tallies_size_values_from_their_hits() {
+        let mut t = tally_of(&[Query::get("k"), Query::get("j")]);
+        let s = t.workload_stats(0.0);
+        assert_eq!(
+            s.avg_value_size, 0.0,
+            "no SETs, no hits: nothing to average"
+        );
+        assert_eq!(s.get_ratio, 1.0);
+        // One hits, one misses; a SET's `Ok` is not a hit.
+        t.count_response(QueryOp::Get, &Response::hit(vec![0u8; 48]));
+        t.count_response(QueryOp::Get, &Response::not_found());
+        t.count_response(QueryOp::Set, &Response::ok());
+        assert_eq!((t.hits, t.hit_value_bytes), (1, 48));
+        assert_eq!(
+            t.workload_stats(0.0).avg_value_size,
+            48.0,
+            "the hits' mean, not 0"
+        );
+    }
+
+    #[test]
+    fn merge_adds_every_counter() {
+        let mut a = tally_of(&[Query::get("ab"), Query::set("c", "xyz")]);
+        a.count_response(QueryOp::Get, &Response::hit("v"));
+        let mut sum = a;
+        sum.merge(&a);
+        let twice = BatchTally {
+            queries: 4,
+            gets: 2,
+            deletes: 0,
+            key_bytes: 6,
+            set_value_bytes: 6,
+            hits: 2,
+            hit_value_bytes: 2,
+        };
+        assert_eq!(sum, twice);
     }
 }

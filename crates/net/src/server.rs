@@ -32,7 +32,7 @@ use crate::protocol::ProtocolError;
 use crate::sd::{ResponseRun, RunBatch, SdPlane};
 use crate::stats::ServerStats;
 use bytes::{Bytes, BytesMut};
-use dido_model::{Query, Response, SharedClock, SystemClock};
+use dido_model::{Query, Response, SharedClock, SystemClock, WAVEFRONT_WIDTH};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
@@ -72,26 +72,27 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Knobs of the data path.
+/// Most frames one dispatch may aggregate.
+const FRAME_BUDGET: usize = 512;
+
+/// Quiescence close: while below a wavefront, if no new frame lands
+/// within this long the dispatcher ships what it has instead of waiting
+/// out the whole drain window. A lightly loaded link pays (at most) one
+/// quiet beat of extra latency, not `max_batch_delay`; a busy link keeps
+/// refilling the batch and never trips it.
+const QUIET_DELAY: Duration = Duration::from_micros(30);
+
+/// Knobs of the data path. A dispatcher ships immediately once one probe
+/// wavefront ([`WAVEFRONT_WIDTH`] queries, the vectorized hot path's
+/// unit) is pending.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Shared RX ring slots; a full ring drops frames (counted in
     /// [`ServerStats::dropped_frames`]) like real NIC hardware.
     pub ring_slots: usize,
-    /// Most frames one dispatch may aggregate.
-    pub frame_budget: usize,
-    /// Dispatch immediately once this many queries are pending (one
-    /// probe wavefront by default, matching the vectorized hot path).
-    pub wavefront_queries: usize,
     /// Longest a dispatcher waits below a wavefront before dispatching
     /// what it has — the batch-size/latency knob of Figures 9–10.
     pub max_batch_delay: Duration,
-    /// Quiescence close: while below a wavefront, if no new frame lands
-    /// within this long the dispatcher ships what it has instead of
-    /// waiting out the whole drain window. A lightly loaded link pays
-    /// (at most) one quiet beat of extra latency, not `max_batch_delay`;
-    /// a busy link keeps refilling the batch and never trips it.
-    pub quiet_delay: Duration,
     /// Dispatcher thread count. Per-connection response order is kept
     /// by sequence numbers, so >1 is safe, but on few cores one is
     /// usually right.
@@ -128,10 +129,7 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             ring_slots: 4096,
-            frame_budget: 512,
-            wavefront_queries: 64,
             max_batch_delay: Duration::from_micros(200),
-            quiet_delay: Duration::from_micros(30),
             dispatchers: 1,
             readers: 0,
             sd_writers: 0,
@@ -540,29 +538,28 @@ fn run_dispatcher<F>(
 ) where
     F: Fn(usize, Vec<Query>) -> Vec<Response>,
 {
-    let budget = cfg.frame_budget.max(1);
-    let mut frames: Vec<TaggedFrame> = Vec::with_capacity(budget);
+    let mut frames: Vec<TaggedFrame> = Vec::with_capacity(FRAME_BUDGET);
     let mut scatter = SdScatter::new(sd.n_shards());
     while !shutdown.load(Ordering::Acquire) {
         let seen = doorbell.observe();
         let depth = ring.len() as u64;
         frames.clear();
-        ring.pop_into(budget, &mut frames);
+        ring.pop_into(FRAME_BUDGET, &mut frames);
         if frames.is_empty() {
             doorbell.wait_past(seen, IDLE_WAIT);
             continue;
         }
         let mut queries: usize = frames.iter().map(|t| request_query_estimate(t.proto, &t.frame)).sum();
         let mut delayed = false;
-        if queries < cfg.wavefront_queries && frames.len() < budget {
+        if queries < WAVEFRONT_WIDTH && frames.len() < FRAME_BUDGET {
             // Below a wavefront: hold the batch open up to the drain
             // window, dispatching early the moment enough work arrives
             // — or as soon as the wire goes quiet (nothing new within
-            // `quiet_delay`), because an idle link will not fill the
+            // `QUIET_DELAY`), because an idle link will not fill the
             // wavefront no matter how long we hold.
             let deadline = Instant::now() + cfg.max_batch_delay;
-            while queries < cfg.wavefront_queries
-                && frames.len() < budget
+            while queries < WAVEFRONT_WIDTH
+                && frames.len() < FRAME_BUDGET
                 && !shutdown.load(Ordering::Acquire)
             {
                 let now = Instant::now();
@@ -572,9 +569,9 @@ fn run_dispatcher<F>(
                 }
                 let seen = doorbell.observe();
                 let before = frames.len();
-                if ring.pop_into(budget - frames.len(), &mut frames) == 0 {
-                    doorbell.wait_past(seen, (deadline - now).min(cfg.quiet_delay));
-                    if ring.pop_into(budget - frames.len(), &mut frames) == 0 {
+                if ring.pop_into(FRAME_BUDGET - frames.len(), &mut frames) == 0 {
+                    doorbell.wait_past(seen, (deadline - now).min(QUIET_DELAY));
+                    if ring.pop_into(FRAME_BUDGET - frames.len(), &mut frames) == 0 {
                         break; // quiescent: ship what we have
                     }
                 }
@@ -596,7 +593,7 @@ fn run_dispatcher<F>(
     // every response they are owed.
     loop {
         frames.clear();
-        if ring.pop_into(budget, &mut frames) == 0 {
+        if ring.pop_into(FRAME_BUDGET, &mut frames) == 0 {
             break;
         }
         stats.record_dispatch(
@@ -1256,7 +1253,6 @@ mod tests {
         // Hold the drain window wide open, fill the ring from two
         // connections, and check the dispatcher batched them together.
         let server = echo_store_server_batched(BatchConfig {
-            wavefront_queries: 64,
             max_batch_delay: Duration::from_millis(250),
             ..BatchConfig::default()
         });

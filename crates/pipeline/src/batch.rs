@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use dido_hashtable::Candidates;
 use dido_kvstore::PurgedEntry;
-use dido_model::{PipelineConfig, Query, Response, WorkloadStats, WAVEFRONT_WIDTH};
+use dido_model::{BatchTally, PipelineConfig, Query, Response, WAVEFRONT_WIDTH};
 use std::ops::Range;
 
 /// Per-query pipeline state, filled in task by task.
@@ -137,6 +137,9 @@ pub struct Batch {
     /// `MM` in query order; `IN`-Delete unlinks them from the index
     /// ahead of the explicit DELETEs.
     pub dead: Vec<PurgedEntry>,
+    /// What the batch did. [`Batch::new`] counts the op mix;
+    /// [`Batch::take_responses`] adds the hits.
+    pub tally: BatchTally,
 }
 
 impl Batch {
@@ -144,8 +147,13 @@ impl Batch {
     #[must_use]
     pub fn new(queries: Vec<Query>, config: PipelineConfig) -> Batch {
         let n = queries.len();
+        let mut tally = BatchTally::default();
+        for q in &queries {
+            tally.count_query(q);
+        }
         Batch {
             config,
+            tally,
             state: vec![QueryState::default(); n],
             arena: StagingArena::new(),
             wf_gens: vec![0; n.div_ceil(WAVEFRONT_WIDTH)],
@@ -166,57 +174,21 @@ impl Batch {
         self.queries.is_empty()
     }
 
-    /// Profile the batch into [`WorkloadStats`] (the Workload Profiler's
-    /// "few counters": GET/SET/DELETE ratios and mean key/value sizes;
-    /// skew is estimated separately and filled by the caller).
-    #[must_use]
-    pub fn profile(&self) -> WorkloadStats {
-        if self.queries.is_empty() {
-            return WorkloadStats::empty();
-        }
-        let n = self.queries.len() as f64;
-        let mut gets = 0usize;
-        let mut deletes = 0usize;
-        let mut key_bytes = 0usize;
-        let mut val_bytes = 0usize;
-        let mut sets = 0usize;
-        for q in &self.queries {
-            key_bytes += q.key.len();
-            match q.op {
-                dido_model::QueryOp::Get => gets += 1,
-                dido_model::QueryOp::Delete => deletes += 1,
-                dido_model::QueryOp::Set => {
-                    sets += 1;
-                    val_bytes += q.value.len();
-                }
-            }
-        }
-        WorkloadStats {
-            get_ratio: gets as f64 / n,
-            delete_ratio: deletes as f64 / n,
-            avg_key_size: key_bytes as f64 / n,
-            // Value size is only observable on SETs; GET responses will
-            // have the same distribution, so extrapolate from SETs (or
-            // 0 when the batch has none).
-            avg_value_size: if sets > 0 {
-                val_bytes as f64 / sets as f64
-            } else {
-                0.0
-            },
-            zipf_skew: 0.0,
-            batch_size: self.queries.len(),
-        }
-    }
-
-    /// Collect responses in query order.
+    /// Collect responses in query order, counting the hits into
+    /// [`Batch::tally`] on the way out.
     ///
     /// # Panics
     /// Panics if some query has no response yet (`WR` has not run).
     #[must_use]
     pub fn take_responses(&mut self) -> Vec<Response> {
-        self.state
-            .iter_mut()
-            .map(|s| s.response.take().expect("WR must have produced a response"))
+        let tally = &mut self.tally;
+        let answered = self.state.iter_mut().zip(&self.queries);
+        answered
+            .map(|(s, q)| {
+                let r = s.response.take().expect("WR must have produced a response");
+                tally.count_response(q.op, &r);
+                r
+            })
             .collect()
     }
 }
@@ -226,38 +198,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_batch_profiles_as_empty() {
+    fn new_counts_the_op_mix_and_take_responses_the_hits() {
         let b = Batch::new(Vec::new(), PipelineConfig::mega_kv());
         assert!(b.wf_gens.is_empty());
         assert!(b.is_empty());
-        assert_eq!(b.profile().batch_size, 0);
-    }
+        assert_eq!(b.tally, BatchTally::default());
 
-    #[test]
-    fn profile_counts_ratios_and_sizes() {
         let queries = vec![
-            Query::get("0123456789abcdef"), // 16B key
-            Query::get("0123456789abcdef"),
-            Query::get("0123456789abcdef"),
-            Query::set("0123456789abcdef", vec![0u8; 64]),
-            Query::delete("0123456789abcdef"),
+            Query::get("hit"),
+            Query::get("miss"),
+            Query::set("k", vec![0u8; 64]),
+            Query::delete("gone"),
         ];
-        let b = Batch::new(queries, PipelineConfig::mega_kv());
-        let s = b.profile();
-        assert!((s.get_ratio - 0.6).abs() < 1e-12);
-        assert!((s.delete_ratio - 0.2).abs() < 1e-12);
-        assert!((s.set_ratio() - 0.2).abs() < 1e-12);
-        assert!((s.avg_key_size - 16.0).abs() < 1e-12);
-        assert!((s.avg_value_size - 64.0).abs() < 1e-12);
-        assert_eq!(s.batch_size, 5);
-    }
-
-    #[test]
-    fn profile_handles_get_only_batches() {
-        let b = Batch::new(vec![Query::get("k")], PipelineConfig::mega_kv());
-        let s = b.profile();
-        assert_eq!(s.avg_value_size, 0.0);
-        assert_eq!(s.get_ratio, 1.0);
+        let mut b = Batch::new(queries, PipelineConfig::mega_kv());
+        let mix = BatchTally {
+            queries: 4,
+            gets: 2,
+            deletes: 1,
+            key_bytes: 3 + 4 + 1 + 4,
+            set_value_bytes: 64,
+            ..BatchTally::default()
+        };
+        assert_eq!(b.tally, mix);
+        let answers = [
+            Response::hit("value"),
+            Response::not_found(),
+            Response::ok(),
+            Response::ok(),
+        ];
+        for (s, r) in b.state.iter_mut().zip(answers) {
+            s.response = Some(r);
+        }
+        assert_eq!(b.take_responses().len(), 4);
+        // Only the GET answered `Ok` is a hit: not the SET's or the
+        // DELETE's `Ok`.
+        let with_hits = BatchTally {
+            hits: 1,
+            hit_value_bytes: 5,
+            ..mix
+        };
+        assert_eq!(b.tally, with_hits);
     }
 
     #[test]

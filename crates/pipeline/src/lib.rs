@@ -15,9 +15,10 @@
 //! * **Live demonstration** — [`ThreadedPipeline::run`]: the same
 //!   stages on real host threads wired by channels, with epoch-guarded
 //!   co-processing of the GPU stage when work stealing is on.
-//! * **Serving** — [`ShardedEngine::process_batch_inline`]: the plain
+//! * **Serving** — [`ShardedEngine::run_batch`]: the plain
 //!   stage loop, [`tasks::run_stage`] per stage of the plan on the
-//!   calling dispatcher thread, unmetered ([`tasks::NoMeter`]). No
+//!   calling dispatcher thread, unmetered ([`tasks::NoMeter`]), handing
+//!   back the responses and what the batch did (`BatchTally`). No
 //!   simulator state, claim protocol or `unsafe` is reachable from it.
 //!
 //! ```

@@ -43,7 +43,7 @@ use crate::engine::{EngineConfig, KvEngine, OpCounts, UNMETERED};
 use crate::shardmap::{route_of, MapState, ShardMap, MAX_SHARDS};
 use crate::tasks;
 use dido_kvstore::{ClassStats, ExpiryStats, MIN_STORE_BYTES};
-use dido_model::{PipelineConfig, Query, QueryOp, Response, SharedClock, SystemClock};
+use dido_model::{BatchTally, PipelineConfig, Query, QueryOp, Response, SharedClock, SystemClock};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -339,42 +339,52 @@ impl ShardedEngine {
     /// Scalar in-order execution for batches that land mid-migration:
     /// correctness (including intra-batch same-key read-after-write
     /// order) over vectorization, for the bounded migration window.
-    fn migrating_batch(sets: &EngineSets, queries: &[Query]) -> Vec<Response> {
+    fn migrating_batch(sets: &EngineSets, queries: &[Query]) -> (Vec<Response>, BatchTally) {
         let donor = sets.donor.as_ref().expect("migrating batch needs a donor set");
-        queries
+        let mut tally = BatchTally::default();
+        let responses = queries
             .iter()
-            .map(|q| Self::migrating_execute(&sets.primary, donor, q))
-            .collect()
+            .map(|q| {
+                let r = Self::migrating_execute(&sets.primary, donor, q);
+                tally.count_query(q);
+                tally.count_response(q.op, &r);
+                r
+            })
+            .collect();
+        (responses, tally)
     }
 
     /// The executor: one shard's queries through `config`'s stages, each
     /// stage's tasks in plan order over the whole batch.
-    fn run_shard(engine: &KvEngine, queries: Vec<Query>, config: PipelineConfig) -> Vec<Response> {
+    fn run_shard(
+        engine: &KvEngine,
+        queries: Vec<Query>,
+        config: PipelineConfig,
+    ) -> (Vec<Response>, BatchTally) {
         let mut batch = Batch::new(queries, config);
         for stage in &config.plan().stages {
             tasks::run_stage(engine, stage, &mut batch);
         }
-        batch.take_responses()
+        (batch.take_responses(), batch.tally)
     }
 
-    /// Process one batch across all shards *on the calling thread*, with
-    /// a per-shard pipeline configuration.
+    /// Process one batch across all shards *on the calling thread* under
+    /// `config`, and report what it did.
     ///
     /// This is the concurrent serving core's data path: parallelism
     /// lives across the N network dispatchers that each call this
     /// concurrently. Each shard's sub-batch runs the plain stage loop
-    /// ([`tasks::run_stage`] per stage of `config_for(shard)` — the
-    /// per-shard epoch cell the adaptation controller publishes into):
-    /// no thread, no claim protocol, no lock beyond the `sets` read
-    /// guard. A batch is a set of concurrent operations; each stage's
-    /// tasks and index ops apply in plan order over the whole shard
-    /// batch (DESIGN.md §9). Responses return in query order.
+    /// ([`tasks::run_stage`] per stage of `config`): no thread, no claim
+    /// protocol, no lock beyond the `sets` read guard. A batch is a set
+    /// of concurrent operations; each stage's tasks and index ops apply
+    /// in plan order over the whole shard batch (DESIGN.md §9).
+    /// Responses return in query order; the tally is the shards' sum.
     #[must_use]
-    pub fn process_batch_inline(
+    pub fn run_batch(
         &self,
         queries: Vec<Query>,
-        config_for: impl Fn(usize) -> PipelineConfig,
-    ) -> Vec<Response> {
+        config: PipelineConfig,
+    ) -> (Vec<Response>, BatchTally) {
         let sets = self.sets.read();
         if sets.donor.is_some() {
             return Self::migrating_batch(&sets, &queries);
@@ -382,23 +392,40 @@ impl ShardedEngine {
         let engines = &sets.primary.engines;
         if engines.len() == 1 {
             // Fast path: no partitioning, no order restoration.
-            return Self::run_shard(&engines[0], queries, config_for(0));
+            return Self::run_shard(&engines[0], queries, config);
         }
         let n = queries.len();
         let (per_shard, positions) = Self::partition(queries, engines.len());
         let mut out: Vec<Option<Response>> = vec![None; n];
+        let mut tally = BatchTally::default();
         for (s, queries) in per_shard.into_iter().enumerate() {
             if queries.is_empty() {
                 continue;
             }
-            let responses = Self::run_shard(&engines[s], queries, config_for(s));
+            let (responses, shard_tally) = Self::run_shard(&engines[s], queries, config);
+            tally.merge(&shard_tally);
             for (&pos, r) in positions[s].iter().zip(responses) {
                 out[pos as usize] = Some(r);
             }
         }
-        out.into_iter()
+        let responses = out
+            .into_iter()
             .map(|r| r.expect("every query answered by its shard"))
-            .collect()
+            .collect();
+        (responses, tally)
+    }
+
+    /// [`ShardedEngine::run_batch`] under `config_for(0)`, responses only.
+    // The per-shard closure has had one answer since the node got one
+    // configuration cell; this spelling is kept only because the frozen
+    // `benchmark/` package uses it.
+    #[must_use]
+    pub fn process_batch_inline(
+        &self,
+        queries: Vec<Query>,
+        config_for: impl Fn(usize) -> PipelineConfig,
+    ) -> Vec<Response> {
+        self.run_batch(queries, config_for(0)).0
     }
 
     /// Install a `Migrating{old, new}` map: the current primary set
@@ -563,38 +590,34 @@ impl ShardedEngine {
         self.migrate_dropped.load(Ordering::Relaxed)
     }
 
+    /// Fold `f` over every primary engine, then every donor engine
+    /// while a resize drains, starting from `init(sets)`.
+    fn fold_engines<T>(
+        &self,
+        init: impl FnOnce(&EngineSets) -> T,
+        mut f: impl FnMut(&mut T, &KvEngine),
+    ) -> T {
+        let sets = self.sets.read();
+        let mut acc = init(&sets);
+        let donors = sets.donor.iter().flat_map(|d| &d.engines);
+        for e in sets.primary.engines.iter().chain(donors) {
+            f(&mut acc, e);
+        }
+        acc
+    }
+
     /// Aggregate live objects across all current shards (donors
     /// included while migrating).
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        let sets = self.sets.read();
-        let mut n: usize = sets
-            .primary
-            .engines
-            .iter()
-            .map(|s| s.store.live_objects())
-            .sum();
-        if let Some(donor) = &sets.donor {
-            n += donor
-                .engines
-                .iter()
-                .map(|s| s.store.live_objects())
-                .sum::<usize>();
-        }
-        n
+        self.fold_engines(|_| 0, |n, e| *n += e.store.live_objects())
     }
 
     /// Aggregate pipeline op totals across current shards plus every
     /// retired donor set (so resizes never lose accounting).
     #[must_use]
     pub fn op_counts(&self) -> OpCounts {
-        let sets = self.sets.read();
-        let mut total = sets.retired;
-        let donors = sets.donor.iter().flat_map(|d| &d.engines);
-        for e in sets.primary.engines.iter().chain(donors) {
-            total.merge(&e.op_counts());
-        }
-        total
+        self.fold_engines(|sets| sets.retired, |total, e| total.merge(&e.op_counts()))
     }
 
     /// Proactive TTL expiry: sweep up to `max_segments_per_shard`
@@ -619,46 +642,35 @@ impl ShardedEngine {
     /// pre-migration reclaims still count).
     #[must_use]
     pub fn expiry_stats(&self) -> ExpiryStats {
-        let sets = self.sets.read();
-        let mut total = ExpiryStats::default();
-        let fold = |acc: &mut ExpiryStats, e: &KvEngine| {
-            let s = e.store.expiry_stats();
-            acc.expired_proactive += s.expired_proactive;
-            acc.segments_reclaimed += s.segments_reclaimed;
-            acc.sealed_segments += s.sealed_segments;
-        };
-        for e in &sets.primary.engines {
-            fold(&mut total, e);
-        }
-        if let Some(donor) = &sets.donor {
-            for e in &donor.engines {
-                fold(&mut total, e);
-            }
-        }
-        total
+        self.fold_engines(
+            |_| ExpiryStats::default(),
+            |total, e| total.merge(&e.store.expiry_stats()),
+        )
     }
 
-    /// Per-class memory gauges merged across primary shards: every
-    /// shard carves the same class ladder, so classes are matched by
-    /// slot size and summed.
+    /// Per-class memory gauges merged across every current shard
+    /// (donors included while a resize drains — their objects are
+    /// resident too): every shard carves the same class ladder, so
+    /// classes are matched by slot size and summed.
     #[must_use]
     pub fn class_stats(&self) -> Vec<ClassStats> {
-        let sets = self.sets.read();
-        let mut merged: Vec<ClassStats> = Vec::new();
-        for e in &sets.primary.engines {
-            for c in e.store.class_stats() {
-                match merged.iter_mut().find(|m| m.class_bytes == c.class_bytes) {
-                    Some(m) => {
-                        m.live_objects += c.live_objects;
-                        m.free_slots += c.free_slots;
-                        m.live_bytes += c.live_bytes;
-                        m.frag_bytes += c.frag_bytes;
-                        m.open_segments += c.open_segments;
+        let mut merged = self.fold_engines(
+            |_| Vec::<ClassStats>::new(),
+            |merged, e| {
+                for c in e.store.class_stats() {
+                    match merged.iter_mut().find(|m| m.class_bytes == c.class_bytes) {
+                        Some(m) => {
+                            m.live_objects += c.live_objects;
+                            m.free_slots += c.free_slots;
+                            m.live_bytes += c.live_bytes;
+                            m.frag_bytes += c.frag_bytes;
+                            m.open_segments += c.open_segments;
+                        }
+                        None => merged.push(c),
                     }
-                    None => merged.push(c),
                 }
-            }
-        }
+            },
+        );
         merged.sort_by_key(|c| c.class_bytes);
         merged
     }
@@ -741,20 +753,16 @@ mod tests {
     }
 
     #[test]
-    fn inline_batch_preserves_order_with_per_shard_configs() {
+    fn partitioned_batch_preserves_order_and_sums_the_shards_tallies() {
         let s = sharded(3);
         for i in 0..400 {
             s.execute(&Query::set(format!("inl-{i:03}"), format!("w{i:03}")));
         }
         let queries: Vec<Query> = (0..400).map(|i| Query::get(format!("inl-{i:03}"))).collect();
-        // Different configs per shard must not disturb routing or order.
-        let configs = [
-            PipelineConfig::mega_kv(),
-            PipelineConfig::cpu_only(),
-            PipelineConfig::mega_kv(),
-        ];
-        let responses = s.process_batch_inline(queries, |shard| configs[shard]);
+        let (responses, tally) = s.run_batch(queries, PipelineConfig::mega_kv());
         assert_eq!(responses.len(), 400);
+        assert_eq!((tally.queries, tally.gets, tally.hits), (400, 400, 400));
+        assert_eq!((tally.key_bytes, tally.hit_value_bytes), (400 * 7, 400 * 4));
         for (i, r) in responses.iter().enumerate() {
             assert_eq!(r.status, ResponseStatus::Ok, "inl-{i}");
             assert_eq!(r.value, format!("w{i:03}"), "order broken at {i}");

@@ -5,12 +5,12 @@
 //! re-derived at every layer (`ShardedEngine`, the serving core's
 //! preload path, bench harnesses). [`route_of`] is now the *only* shard
 //! selection in the workspace; everything else calls it. On top of it,
-//! [`ShardMap`] is the DIDO epoch-publish pattern (the `ConfigCell` from
-//! the adaptation control plane) applied to *data placement* instead of
-//! pipeline configuration: the map state — how many shards own the key
-//! space, and whether a resize is mid-flight — packs into one `AtomicU64`
-//! that the data path reads wait-free once per batch, while resize
-//! control flow publishes transitions with a CAS epoch bump.
+//! [`ShardMap`] is the DIDO epoch-publish cell ([`EpochCell`], the same
+//! one that carries the node's pipeline configuration) applied to *data
+//! placement*: the map state — how many shards own the key space, and
+//! whether a resize is mid-flight — packs into its 32-bit payload, which
+//! the data path reads wait-free once per batch, while resize control
+//! flow publishes transitions with a CAS epoch bump.
 //!
 //! Map states (see `DESIGN.md` §12):
 //!
@@ -23,7 +23,7 @@
 //!   depends on how far the migration worker has gotten.
 
 use dido_hashtable::hash64;
-use std::sync::atomic::{AtomicU64, Ordering};
+use dido_model::{EpochCell, Packed};
 
 /// Largest supported shard count (the packed word gives each count 16
 /// bits; real topologies are orders of magnitude smaller).
@@ -79,9 +79,14 @@ impl MapState {
             MapState::Migrating { old, .. } => Some(old),
         }
     }
+}
 
-    /// Pack into the low 32 bits: primary count in bits 0–15, donor
-    /// count in bits 16–31 (0 = settled; a real donor count is never 0).
+impl Packed for MapState {
+    /// Primary count in bits 0–15, donor count in bits 16–31 (0 =
+    /// settled; a real donor count is never 0).
+    ///
+    /// # Panics
+    /// Panics if a shard count is 0 or exceeds [`MAX_SHARDS`].
     fn pack(self) -> u32 {
         match self {
             MapState::Settled { shards } => {
@@ -107,30 +112,28 @@ impl MapState {
     }
 }
 
-/// An epoch-stamped [`MapState`] in one atomic word: state in the low
-/// 32 bits, a monotonically increasing epoch in the high 32. Readers
-/// [`ShardMap::load`] wait-free; every [`ShardMap::publish`] bumps the
-/// epoch, so a reader can tell "same state again" from "state changed
-/// and changed back" — the property the net dispatchers and serving
-/// core rely on to detect resizes between batches.
-pub struct ShardMap(AtomicU64);
+/// The epoch-stamped [`MapState`]. Readers [`ShardMap::load`]
+/// wait-free; every [`ShardMap::publish`] bumps the epoch, so a reader
+/// can tell "same state again" from "state changed and changed back" —
+/// the property the net dispatchers and serving core rely on to detect
+/// resizes between batches.
+#[derive(Debug)]
+pub struct ShardMap(EpochCell<MapState>);
 
 impl ShardMap {
-    /// A settled map over `shards` shards, at epoch 1.
+    /// A settled map over `shards` shards, at epoch 0.
     ///
     /// # Panics
     /// Panics if `shards` is 0 or exceeds [`MAX_SHARDS`].
     #[must_use]
     pub fn new(shards: usize) -> ShardMap {
-        let bits = MapState::Settled { shards }.pack();
-        ShardMap(AtomicU64::new((1u64 << 32) | u64::from(bits)))
+        ShardMap(EpochCell::new(MapState::Settled { shards }))
     }
 
     /// The current state and its epoch (wait-free).
     #[must_use]
     pub fn load(&self) -> (MapState, u32) {
-        let word = self.0.load(Ordering::Acquire);
-        (MapState::unpack(word as u32), (word >> 32) as u32)
+        self.0.load()
     }
 
     /// The current state (wait-free).
@@ -147,29 +150,7 @@ impl ShardMap {
 
     /// Publish `state` with an epoch bump; returns the new epoch.
     pub fn publish(&self, state: MapState) -> u32 {
-        let bits = u64::from(state.pack());
-        loop {
-            let cur = self.0.load(Ordering::Acquire);
-            let epoch = ((cur >> 32) as u32).wrapping_add(1);
-            let next = (u64::from(epoch) << 32) | bits;
-            if self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return epoch;
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (state, epoch) = self.load();
-        f.debug_struct("ShardMap")
-            .field("state", &state)
-            .field("epoch", &epoch)
-            .finish()
+        self.0.publish(state)
     }
 }
 
@@ -228,24 +209,5 @@ mod tests {
     #[should_panic(expected = "bad shard count")]
     fn zero_shards_is_rejected() {
         let _ = ShardMap::new(0);
-    }
-
-    #[test]
-    fn concurrent_publishers_never_lose_an_epoch() {
-        let map = std::sync::Arc::new(ShardMap::new(1));
-        let mut handles = Vec::new();
-        for t in 0..4usize {
-            let map = std::sync::Arc::clone(&map);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..500 {
-                    map.publish(MapState::Settled { shards: t + 1 });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // 4 threads x 500 publishes, each CAS bumps exactly once.
-        assert_eq!(map.load().1, 1 + 4 * 500);
     }
 }

@@ -22,7 +22,7 @@ use crate::tasks;
 use dido_apu_sim::{Ns, StageTiming, TimingEngine};
 use dido_model::costs::STEAL_TAG_INSNS;
 use dido_model::{
-    IndexOpKind, PipelineConfig, Processor, Query, QueryOp, ResourceUsage, Response, TaskKind,
+    BatchTally, IndexOpKind, PipelineConfig, Processor, Query, ResourceUsage, Response, TaskKind,
     WorkloadStats, WAVEFRONT_WIDTH,
 };
 use dido_net::parse_responses;
@@ -90,9 +90,12 @@ pub struct BatchReport {
     pub t_max_ns: Ns,
     /// Work stealing applied, if any.
     pub steal: Option<StealReport>,
-    /// Profiled workload statistics of the batch.
+    /// What the batch did, as the stage loop counted it.
+    pub tally: BatchTally,
+    /// `tally` as workload statistics (skew is not a per-batch figure
+    /// and reads 0).
     pub stats: WorkloadStats,
-    /// GET queries that resolved to an object.
+    /// GET queries that resolved to an object (`tally.hits`).
     pub hits: usize,
 }
 
@@ -291,7 +294,6 @@ impl SimExecutor {
         );
         let mut batch = Batch::new(parsed, config);
         let n = batch.len();
-        let stats = batch.profile();
 
         let plan = config.plan();
         let mut execs: Vec<StageExec> = plan
@@ -310,17 +312,9 @@ impl SimExecutor {
         execs[0].usage += rv_usage + pp_usage;
 
         // Item counts needed for GPU kernel sizing.
-        let n_get = batch
-            .queries
-            .iter()
-            .filter(|q| q.op == QueryOp::Get)
-            .count();
-        let n_set = batch
-            .queries
-            .iter()
-            .filter(|q| q.op == QueryOp::Set)
-            .count();
-        let n_del_q = n - n_get - n_set;
+        let mix = batch.tally;
+        let (n_get, n_set, n_del_q) =
+            (mix.gets as usize, mix.sets() as usize, mix.deletes as usize);
 
         // Functional execution, stage by stage, tasks in canonical order.
         for (si, stage) in plan.stages.iter().enumerate() {
@@ -360,19 +354,20 @@ impl SimExecutor {
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("KC".into(), n_get, u));
-                            execs[si].pcie_bytes_in +=
-                                batch.queries.iter().map(|q| q.key.len() as u64).sum::<u64>();
+                            execs[si].pcie_bytes_in += mix.key_bytes;
                             execs[si].pcie_bytes_out += n_get as u64;
                         }
                     }
                     TaskKind::Rd => {
-                        let hits =
-                            batch.state.iter().filter(|s| s.loc.is_some()).count();
+                        // RD's items are the objects KC located; the
+                        // tally's hits exist only once SD has collected
+                        // the responses.
+                        let located = batch.state.iter().filter(|s| s.loc.is_some()).count();
                         tasks::run_rd(ctx, engine, &mut batch, 0..n);
                         let u = machine.take_usage();
                         execs[si].usage += u;
                         if gpu {
-                            execs[si].kernels.push(self.kernel("RD".into(), hits, u));
+                            execs[si].kernels.push(self.kernel("RD".into(), located, u));
                             execs[si].pcie_bytes_out += u.bytes;
                         }
                     }
@@ -402,8 +397,6 @@ impl SimExecutor {
             }
         }
 
-        let hits = batch.state.iter().filter(|s| s.loc.is_some()).count();
-
         // Collect client-visible responses from the TX ring.
         let mut responses = Vec::with_capacity(n);
         while let Some(frame) = machine.tx.pop() {
@@ -412,19 +405,8 @@ impl SimExecutor {
             }
         }
 
-        // The profiler's "average value size" covers read values too
-        // (on a 100 % GET workload SETs alone would report zero and the
-        // cost model would misprice RD/WR/SD).
-        let mut stats = stats;
-        if hits > 0 {
-            let get_val_bytes: usize = responses.iter().map(|r| r.value.len()).sum();
-            let set_val_bytes = stats.avg_value_size * (stats.set_ratio() * n as f64);
-            stats.avg_value_size =
-                (set_val_bytes + get_val_bytes as f64) / (stats.set_ratio() * n as f64 + hits as f64);
-        }
-
         // ---- Timing ----
-        let report = self.price(execs, n, stats, hits, config);
+        let report = self.price(execs, batch.tally, config);
         (report, responses)
     }
 
@@ -445,11 +427,10 @@ impl SimExecutor {
     fn price(
         &self,
         execs: Vec<StageExec>,
-        n: usize,
-        stats: WorkloadStats,
-        hits: usize,
+        tally: BatchTally,
         config: PipelineConfig,
     ) -> BatchReport {
+        let n = tally.queries as usize;
         let hw = self.timing.hw();
         let total_cores = hw.cpu.cores;
 
@@ -540,8 +521,9 @@ impl SimExecutor {
             stages,
             t_max_ns,
             steal,
-            stats,
-            hits,
+            tally,
+            stats: tally.workload_stats(0.0),
+            hits: tally.hits as usize,
         }
     }
 

@@ -1,14 +1,19 @@
 //! Property tests over the full pipeline: arbitrary single-query
 //! sequences through the virtual-time executor must agree with a
-//! reference map under any valid configuration, and the timing report
-//! must satisfy its structural invariants.
+//! reference map under any valid configuration, the timing report must
+//! satisfy its structural invariants, and the tally the serving stage
+//! loop hands back must equal a recount.
 
 use dido_apu_sim::{HwSpec, TimingEngine};
-use dido_model::{PipelineConfig, Processor, Query, ResponseStatus, TaskKind, TaskSet};
+use dido_model::{
+    BatchTally, MockClock, PipelineConfig, Processor, Query, QueryOp, Response, ResponseStatus,
+    SharedClock, TaskKind, TaskSet, TTL_IMMEDIATE,
+};
 use dido_model::{IndexOpAssignment, WAVEFRONT_WIDTH};
-use dido_pipeline::{EngineConfig, KvEngine, SimExecutor};
+use dido_pipeline::{route_of, EngineConfig, KvEngine, ShardedEngine, SimExecutor};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -54,6 +59,39 @@ fn arb_config() -> impl Strategy<Value = PipelineConfig> {
 
 fn key(k: u8) -> String {
     format!("pp-{k:03}")
+}
+
+/// Batches of GET / SET-with-TTL / DELETE over a small key space, so
+/// batches hit, miss, overwrite and expire what earlier ones stored.
+fn ttl_batches() -> impl Strategy<Value = Vec<Vec<Query>>> {
+    let ttl = prop_oneof![Just(0u32), Just(1), Just(3), Just(TTL_IMMEDIATE)];
+    let set = |(k, len, ttl): (u8, usize, u32)| Query::set_with(key(k), vec![k; len], ttl, 0);
+    let query = prop_oneof![
+        (any::<u8>(), 0usize..200, ttl).prop_map(set),
+        any::<u8>().prop_map(|k| Query::get(key(k))),
+        any::<u8>().prop_map(|k| Query::delete(key(k))),
+    ];
+    proptest::collection::vec(proptest::collection::vec(query, 1..200), 2..5)
+}
+
+/// What a batch did, recounted from the outside — spelled out rather
+/// than through `BatchTally::count_*`, which is what is under test.
+fn recount<'a>(answered: impl Iterator<Item = (&'a Query, &'a Response)>) -> BatchTally {
+    let mut t = BatchTally::default();
+    for (q, r) in answered {
+        t.queries += 1;
+        t.key_bytes += q.key.len() as u64;
+        t.gets += u64::from(q.op == QueryOp::Get);
+        t.deletes += u64::from(q.op == QueryOp::Delete);
+        if q.op == QueryOp::Set {
+            t.set_value_bytes += q.value.len() as u64;
+        }
+        if q.op == QueryOp::Get && r.status == ResponseStatus::Ok {
+            t.hits += 1;
+            t.hit_value_bytes += r.value.len() as u64;
+        }
+    }
+    t
 }
 
 proptest! {
@@ -155,5 +193,48 @@ proptest! {
             prop_assert!(steal.items > 0);
             prop_assert!(steal.t_max_before_ns >= report.t_max_ns - 1e-6);
         }
+    }
+
+    /// `ShardedEngine::run_batch` on its three paths — settled 1-shard,
+    /// partitioned 3-shard, and scalar while a 1→3 resize drains under
+    /// it — hands back a tally equal to a recount from the queries and
+    /// the responses; and the partitioned tally is the shards' sum: a
+    /// twin engine fed each shard's share as a batch of its own (so each
+    /// tally is one shard's) adds up to the same record.
+    #[test]
+    fn run_batch_tally_equals_a_recount(batches in ttl_batches(), config in arb_config()) {
+        let per_shard = EngineConfig::new(1 << 20, 64 << 10, 16 << 10);
+        let clock = Arc::new(MockClock::at(1_000));
+        let engine = |n| ShardedEngine::with_clock(n, per_shard, Arc::clone(&clock) as SharedClock);
+        let (one, three, by_shard, migrating) = (engine(1), engine(3), engine(3), engine(1));
+        std::thread::scope(|scope| {
+            for (i, batch) in batches.iter().enumerate() {
+                if i == 1 {
+                    // The first batch's keys now sit in the donor; drain
+                    // them under the remaining batches, never settling.
+                    migrating.begin_resize(3, per_shard).unwrap();
+                    scope.spawn(|| {
+                        while !migrating.migrate_chunk(4).drained {
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                let mut whole = BatchTally::default();
+                for e in [&one, &migrating, &three] {
+                    let (responses, tally) = e.run_batch(batch.clone(), config);
+                    prop_assert_eq!(responses.len(), batch.len());
+                    prop_assert_eq!(tally, recount(batch.iter().zip(&responses)));
+                    whole = tally;
+                }
+                let mut shards = BatchTally::default();
+                for shard in 0..3 {
+                    let share = batch.iter().filter(|q| route_of(&q.key, 3) == shard);
+                    shards.merge(&by_shard.run_batch(share.cloned().collect(), config).1);
+                }
+                prop_assert_eq!(whole, shards);
+                clock.advance(2);
+            }
+        });
+        prop_assert!(migrating.is_migrating());
     }
 }
