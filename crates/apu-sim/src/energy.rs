@@ -8,10 +8,9 @@
 //! reports.
 
 use crate::spec::HwSpec;
-use serde::{Deserialize, Serialize};
 
 /// Utilization-aware power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Thermal design power, watts.
     pub tdp_watts: f64,

@@ -18,7 +18,6 @@
 
 use crate::spec::HwSpec;
 use dido_model::Processor;
-use serde::{Deserialize, Serialize};
 
 /// Continuous interference law.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +67,7 @@ impl InterferenceModel {
 ///
 /// Rates are quantized to `buckets` steps of the bus peak rate in each
 /// dimension; lookups round to the nearest grid point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterferenceTable {
     buckets: usize,
     bus_peak_rate: f64,

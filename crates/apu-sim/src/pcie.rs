@@ -6,10 +6,9 @@
 //! GPU execution" (paper §II-A). The coupled profile never pays this.
 
 use crate::Ns;
-use serde::{Deserialize, Serialize};
 
 /// PCIe link model: fixed per-transfer setup cost plus bytes/bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieModel {
     /// Effective bandwidth, bytes per nanosecond (GB/s numerically).
     pub bandwidth_gbps: f64,

@@ -1,10 +1,9 @@
 //! Hardware specifications: the Kaveri APU profile and the discrete
 //! Mega-KV testbed profile.
 
-use serde::{Deserialize, Serialize};
 
 /// CPU-side hardware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Number of cores available to pipeline stages.
     pub cores: usize,
@@ -27,7 +26,7 @@ pub struct CpuSpec {
 }
 
 /// GPU-side hardware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Compute units (Kaveri: 8).
     pub compute_units: usize,
@@ -82,7 +81,7 @@ impl GpuSpec {
 }
 
 /// Shared-memory parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySpec {
     /// Peak memory bus bandwidth, bytes per nanosecond (GB/s numerically).
     pub bandwidth_gbps: f64,
@@ -93,7 +92,7 @@ pub struct MemorySpec {
 }
 
 /// Price and power constants for the Figure 17/18 comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformCosts {
     /// Processor price in USD.
     pub price_usd: f64,
@@ -102,7 +101,7 @@ pub struct PlatformCosts {
 }
 
 /// A complete hardware profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwSpec {
     /// CPU parameters.
     pub cpu: CpuSpec,

@@ -1,90 +1,29 @@
-//! API-compatible subset of `crossbeam`, backed by locks from the
+//! API-compatible subset of `crossbeam`, backed by a lock from the
 //! `parking_lot` shim.
 //!
 //! Vendored because the build environment has no crates.io access (see
-//! `crates/compat-*`). Covers the two things the workspace uses: a
-//! bounded [`queue::ArrayQueue`] and the MPMC [`channel`] with
-//! disconnect-on-last-drop semantics. The real crate's lock-free
-//! algorithms are replaced by mutex + condvar — identical observable
-//! behavior, lower peak throughput, which no test depends on.
+//! `crates/compat-*`). Covers the one thing the workspace uses: the
+//! unbounded [`channel`] the reactor and SD planes take commands on —
+//! many cloned senders, one polling receiver, disconnect-on-last-drop
+//! semantics. The real crate's lock-free algorithm is replaced by a
+//! mutex — identical observable behavior, lower peak throughput, which
+//! no test depends on.
 
-pub mod queue {
-    //! Bounded MPMC queue (`crossbeam::queue::ArrayQueue` subset).
+pub mod channel {
+    //! Channels (`crossbeam::channel` subset): the [`unbounded`]
+    //! constructor, cloneable [`Sender`], polling [`Receiver`], and
+    //! disconnect when the other side drops.
 
     use parking_lot::Mutex;
     use std::collections::VecDeque;
-
-    /// A bounded multi-producer multi-consumer FIFO queue.
-    #[derive(Debug)]
-    pub struct ArrayQueue<T> {
-        items: Mutex<VecDeque<T>>,
-        cap: usize,
-    }
-
-    impl<T> ArrayQueue<T> {
-        /// Create a queue holding up to `cap` items.
-        ///
-        /// # Panics
-        /// Panics if `cap == 0`, matching the real crate.
-        pub fn new(cap: usize) -> ArrayQueue<T> {
-            assert!(cap > 0, "capacity must be non-zero");
-            ArrayQueue {
-                items: Mutex::new(VecDeque::with_capacity(cap)),
-                cap,
-            }
-        }
-
-        /// Attempt to enqueue; returns the item back when full.
-        pub fn push(&self, value: T) -> Result<(), T> {
-            let mut items = self.items.lock();
-            if items.len() == self.cap {
-                Err(value)
-            } else {
-                items.push_back(value);
-                Ok(())
-            }
-        }
-
-        /// Dequeue the oldest item, if any.
-        pub fn pop(&self) -> Option<T> {
-            self.items.lock().pop_front()
-        }
-
-        /// Items currently queued.
-        pub fn len(&self) -> usize {
-            self.items.lock().len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.items.lock().is_empty()
-        }
-
-        /// Maximum number of items the queue holds.
-        pub fn capacity(&self) -> usize {
-            self.cap
-        }
-    }
-}
-
-pub mod channel {
-    //! MPMC channels (`crossbeam::channel` subset): [`bounded`] /
-    //! [`unbounded`] constructors, cloneable [`Sender`] / [`Receiver`],
-    //! and disconnect when the last peer on the other side drops.
-
-    use parking_lot::{Condvar, Mutex};
-    use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     struct Shared<T> {
         items: Mutex<VecDeque<T>>,
-        not_empty: Condvar,
-        not_full: Condvar,
-        cap: Option<usize>,
         senders: AtomicUsize,
-        receivers: AtomicUsize,
+        receiver_gone: AtomicBool,
     }
 
     /// Sending half of a channel. Clone to add producers.
@@ -92,28 +31,15 @@ pub mod channel {
         shared: Arc<Shared<T>>,
     }
 
-    /// Receiving half of a channel. Clone to add consumers.
+    /// Receiving half of a channel.
     pub struct Receiver<T> {
         shared: Arc<Shared<T>>,
     }
 
-    /// Error on [`Sender::send`]: every receiver is gone. Returns the
+    /// Error on [`Sender::send`]: the receiver is gone. Returns the
     /// unsent value.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
-
-    /// Error on [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity.
-        Full(T),
-        /// Every receiver is gone.
-        Disconnected(T),
-    }
-
-    /// Error on [`Receiver::recv`]: channel empty and every sender gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
 
     /// Error on [`Receiver::try_recv`].
     #[derive(Debug, PartialEq, Eq)]
@@ -130,30 +56,12 @@ pub mod channel {
         }
     }
 
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on an empty and disconnected channel")
-        }
-    }
-
-    /// Create a channel buffering at most `cap` in-flight items.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_cap(Some(cap))
-    }
-
     /// Create a channel with unlimited buffering.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_cap(None)
-    }
-
-    fn with_cap<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             items: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap,
             senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
+            receiver_gone: AtomicBool::new(false),
         });
         (
             Sender {
@@ -163,134 +71,33 @@ pub mod channel {
         )
     }
 
-    impl<T> Shared<T> {
-        fn disconnected_tx(&self) -> bool {
-            self.receivers.load(Ordering::Acquire) == 0
-        }
-        fn disconnected_rx(&self) -> bool {
-            self.senders.load(Ordering::Acquire) == 0
-        }
-    }
-
     impl<T> Sender<T> {
-        /// Enqueue `value`, blocking while the channel is full.
+        /// Enqueue `value`; never blocks.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let shared = &*self.shared;
-            let mut items = shared.items.lock();
-            loop {
-                if shared.disconnected_tx() {
-                    return Err(SendError(value));
-                }
-                match shared.cap {
-                    Some(cap) if items.len() >= cap => {
-                        shared.not_full.wait(&mut items);
-                    }
-                    _ => break,
-                }
+            let mut items = self.shared.items.lock();
+            if self.shared.receiver_gone.load(Ordering::Acquire) {
+                return Err(SendError(value));
             }
             items.push_back(value);
-            drop(items);
-            shared.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Enqueue `value` only if there is room right now.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let shared = &*self.shared;
-            let mut items = shared.items.lock();
-            if shared.disconnected_tx() {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if let Some(cap) = shared.cap {
-                if items.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
-            }
-            items.push_back(value);
-            drop(items);
-            shared.not_empty.notify_one();
             Ok(())
         }
     }
 
     impl<T> Receiver<T> {
-        /// Dequeue the next item, blocking while the channel is empty.
-        /// Errors once the channel is empty and every sender is gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let shared = &*self.shared;
-            let mut items = shared.items.lock();
-            loop {
-                if let Some(v) = items.pop_front() {
-                    drop(items);
-                    shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if shared.disconnected_rx() {
-                    return Err(RecvError);
-                }
-                shared.not_empty.wait(&mut items);
-            }
-        }
-
         /// Dequeue the next item only if one is ready right now.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let shared = &*self.shared;
-            let mut items = shared.items.lock();
+            // The sender count is read under the queue lock: a sender
+            // pushes before it drops, so an empty queue plus a zero
+            // count means nothing more can arrive.
+            let mut items = self.shared.items.lock();
             if let Some(v) = items.pop_front() {
-                drop(items);
-                shared.not_full.notify_one();
                 return Ok(v);
             }
-            if shared.disconnected_rx() {
+            if self.shared.senders.load(Ordering::Acquire) == 0 {
                 Err(TryRecvError::Disconnected)
             } else {
                 Err(TryRecvError::Empty)
             }
-        }
-
-        /// Blocking iterator draining the channel until disconnect.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
-    }
-
-    /// Iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    impl<T> IntoIterator for Receiver<T> {
-        type Item = T;
-        type IntoIter = IntoIter<T>;
-        fn into_iter(self) -> IntoIter<T> {
-            IntoIter { receiver: self }
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
-        }
-    }
-
-    /// Iterator returned by [`Receiver::into_iter`].
-    pub struct IntoIter<T> {
-        receiver: Receiver<T>,
-    }
-
-    impl<T> Iterator for IntoIter<T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
         }
     }
 
@@ -303,92 +110,79 @@ pub mod channel {
         }
     }
 
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            self.shared.receivers.fetch_add(1, Ordering::AcqRel);
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last sender: wake blocked receivers so they observe
-                // the disconnect instead of sleeping forever.
-                self.shared.not_empty.notify_all();
-            }
+            self.shared.senders.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if self.shared.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.shared.not_full.notify_all();
-            }
+            self.shared.receiver_gone.store(true, Ordering::Release);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, TrySendError};
-    use super::queue::ArrayQueue;
-    use std::sync::Arc;
+    use super::channel::{unbounded, SendError, TryRecvError};
 
     #[test]
-    fn queue_bounded_fifo() {
-        let q = ArrayQueue::new(2);
-        assert!(q.push(1).is_ok());
-        assert!(q.push(2).is_ok());
-        assert_eq!(q.push(3), Err(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        assert_eq!(q.capacity(), 2);
-    }
-
-    #[test]
-    fn channel_try_send_full_then_disconnected() {
-        let (tx, rx) = bounded(1);
-        tx.try_send(10).unwrap();
-        assert_eq!(tx.try_send(11), Err(TrySendError::Full(11)));
-        assert_eq!(rx.recv(), Ok(10));
-        drop(rx);
-        assert_eq!(tx.try_send(12), Err(TrySendError::Disconnected(12)));
-    }
-
-    #[test]
-    fn channel_recv_errors_after_senders_gone() {
+    fn channel_is_fifo_and_reports_empty() {
         let (tx, rx) = unbounded();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    fn channel_drains_then_disconnects_after_the_last_sender_drops() {
+        let (tx, rx) = unbounded();
+        let tx2 = tx.clone();
         tx.send(1).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        drop(tx2);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn send_errors_once_the_receiver_is_gone() {
+        let (tx, rx) = unbounded();
+        drop(rx);
+        assert_eq!(tx.send(7), Err(SendError(7)));
     }
 
     #[test]
     fn channel_crosses_threads() {
-        let (tx, rx) = bounded(4);
-        let rx = Arc::new(rx);
-        let producer = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx.send(i).unwrap();
+        let (tx, rx) = unbounded();
+        let producers: Vec<_> = (0..2)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        tx.send(p * 50 + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut got: Vec<i32> = Vec::new();
+        loop {
+            match rx.try_recv() {
+                Ok(v) => got.push(v),
+                Err(TryRecvError::Empty) => std::thread::yield_now(),
+                Err(TryRecvError::Disconnected) => break,
             }
-        });
-        let mut got: Vec<i32> = rx.iter().collect();
-        producer.join().unwrap();
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn blocked_receiver_wakes_on_disconnect() {
-        let (tx, rx) = bounded::<i32>(1);
-        let waiter = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(tx);
-        assert_eq!(waiter.join().unwrap(), Err(RecvError));
     }
 }

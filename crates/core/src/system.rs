@@ -138,13 +138,6 @@ impl DidoSystem {
         self.config.load().0
     }
 
-    /// The active configuration's publication epoch (bumped on every
-    /// adaption or [`DidoSystem::set_config`]).
-    #[must_use]
-    pub fn config_epoch(&self) -> u32 {
-        self.config.load().1
-    }
-
     /// Number of pipeline re-adaptions (configuration changes) so far.
     #[must_use]
     pub fn adaptions(&self) -> usize {

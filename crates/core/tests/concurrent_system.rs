@@ -171,6 +171,13 @@ fn concurrent_serving_core_fold_is_exact() {
     assert!(m.configs.len() <= 2, "{:?}", m.configs);
     assert!(m.busy_ns > 0.0 && m.busy_ns <= fold.lane_busy_ns as f64);
 
+    // The shards took every lane's SETs, DELETEs and evictions at once:
+    // each index entry must still lead to an object with its key.
+    for shard in core.engine().primary_engines() {
+        let report = shard.verify_integrity();
+        assert_eq!(report.mismatched, 0, "{report:?}");
+    }
+
     // A controller tick over the settled stripes must drain the whole
     // interval; a second immediate tick sees an empty delta.
     core.controller_tick();

@@ -20,9 +20,9 @@ use dido_model::ResourceUsage;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Keys probed per prefetch wavefront by the `*_batch` operations.
-/// Matches the pipeline's work-stealing tag granularity
-/// ([`dido_model::WAVEFRONT_WIDTH`]) so a stolen sub-batch is exactly
-/// one probe wavefront.
+/// Matches the simulated pipeline's work-stealing tag granularity
+/// ([`dido_model::WAVEFRONT_WIDTH`]), so stolen items are whole probe
+/// wavefronts.
 pub const PROBE_WAVEFRONT: usize = dido_model::WAVEFRONT_WIDTH;
 
 /// Slots per bucket (4 × 8 B slots + padding = one 64 B cache line of

@@ -1,10 +1,10 @@
 //! The shared-memory arena.
 //!
 //! Models the 1,908 MB CPU/GPU shared region of the paper's APU: one
-//! flat byte range both processors read and write. Because the threaded
-//! executor lets stages on different (simulated) processors touch the
-//! arena concurrently — and eviction can recycle an object while a stale
-//! reader still holds its location — all accesses go through relaxed
+//! flat byte range both processors read and write. Because dispatcher
+//! threads and the controller's sweeper touch the arena concurrently —
+//! and eviction can recycle an object while a stale reader still holds
+//! its location — all accesses go through relaxed
 //! atomic bytes. Racy readers observe stale-but-initialized data (which
 //! the `KC` key-comparison step then rejects), never undefined behaviour.
 

@@ -1,12 +1,11 @@
 //! Pipeline configurations and their expansion into stage plans.
 
 use crate::task::{IndexOpKind, Processor, TaskKind, TaskSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where each of the three index operations executes
 /// (paper §III-B-2, flexible index operation assignment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndexOpAssignment {
     /// Processor for Search operations.
     pub search: Processor,
@@ -79,7 +78,7 @@ impl IndexOpAssignment {
 /// The derived [`PipelinePlan`] has up to three stages:
 /// `[pre-GPU tasks]_CPU → [gpu_segment]_GPU → [post-GPU tasks]_CPU`,
 /// or a single CPU stage when the segment is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Contiguous subset of `{IN, KC, RD, WR}` offloaded to the GPU.
     pub gpu_segment: TaskSet,
@@ -269,7 +268,7 @@ impl fmt::Display for PipelineConfig {
 
 /// One pipeline stage: a processor and the tasks (and index operations)
 /// it runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
     /// The processor in charge of this stage.
     pub processor: Processor,
@@ -282,7 +281,7 @@ pub struct StagePlan {
 }
 
 /// A pipeline configuration expanded into concrete stages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelinePlan {
     /// Stages in processing order (1–3 of them).
     pub stages: Vec<StagePlan>,

@@ -1,11 +1,10 @@
 //! Client-visible query and response types.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The three query types that form the IMKV client interface
 /// (paper §II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryOp {
     /// Look up the value stored under a key.
     Get,
@@ -116,7 +115,7 @@ impl Query {
 }
 
 /// Outcome of one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseStatus {
     /// GET hit / SET stored / DELETE removed.
     Ok,

@@ -1,6 +1,5 @@
 //! Resource-usage accounting shared by the simulator and the cost model.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Counted resources for executing some work (one query, one task over a
@@ -10,7 +9,7 @@ use std::ops::{Add, AddAssign};
 /// counts what really happened while processing a batch) and the timing
 /// layer (`dido-apu-sim`, which converts counts into virtual nanoseconds
 /// per paper Equation 1: `T = N · (I/IPC + N_M·L_M + N_C·L_C)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceUsage {
     /// Executed instructions (approximated by operation counts in the
     /// functional layer, mirroring the instruction-counting method the

@@ -1,14 +1,13 @@
 //! Per-batch workload statistics used by the profiler and cost model.
 
 use crate::query::{Query, QueryOp, Response, ResponseStatus};
-use serde::{Deserialize, Serialize};
 
 /// Workload characteristics of a batch of queries, as collected by the
 /// Workload Profiler (paper §III-A: "The Cost Model only requires the
 /// Workload Profiler to profile a few workload characteristics of each
 /// batch, including GET/SET ratio and average key-value size. They can be
 /// implemented with only a few counters.").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadStats {
     /// Fraction of GET queries in `[0, 1]`.
     pub get_ratio: f64,

@@ -1,10 +1,9 @@
 //! Tasks, processors, and task sets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compute unit of the coupled CPU-GPU chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Processor {
     /// The multicore CPU side of the APU.
     Cpu,
@@ -37,7 +36,7 @@ impl fmt::Display for Processor {
 ///
 /// The discriminant order is the canonical processing order of a query;
 /// `TaskKind::ALL` iterates in that order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum TaskKind {
     /// Receive packets from the network.
@@ -144,7 +143,7 @@ impl fmt::Display for TaskKind {
 /// The three index operations, independently assignable to either
 /// processor (paper §III-B-2: "we treat Search, Delete, and Insert
 /// operations as three independent tasks").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexOpKind {
     /// Locate the value of a GET query.
     Search,
@@ -174,7 +173,7 @@ impl fmt::Display for IndexOpKind {
 }
 
 /// A set of tasks, stored as a bitset over the canonical task order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TaskSet(u8);
 
 impl TaskSet {

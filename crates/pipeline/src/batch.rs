@@ -67,13 +67,6 @@ impl StagingArena {
         self.len() == 0
     }
 
-    /// Whether [`StagingArena::freeze`] has happened (i.e. `WR` started
-    /// reading; staging more after that is a pipeline-ordering bug).
-    #[must_use]
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
     /// Stage one value: `fill` appends bytes to the arena buffer (e.g.
     /// via `ObjectStore::read_value`) and the written extent is returned
     /// as an offset range for [`QueryState::staged`].

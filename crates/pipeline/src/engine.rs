@@ -118,10 +118,9 @@ metric_table! {
     /// Snapshot of the per-task operation totals applied through the
     /// pipeline tasks (`MM` allocations and the three `IN` operation
     /// kinds). Every count is driven by the *workload* — e.g. one index
-    /// search per GET, one allocation and one upsert per SET — so race
-    /// regression tests can compute the exact expected totals and
-    /// detect a duplicated task execution (a stolen sub-batch re-run)
-    /// as an inflated counter.
+    /// search per GET, one allocation and one upsert per SET — so a
+    /// test can compute the exact expected totals and detect a
+    /// duplicated task execution as an inflated counter.
     pub struct OpCounts;
 
     /// `MM` allocation attempts (one per SET processed).

@@ -2,7 +2,7 @@
 //!
 //! This crate implements the paper's fine-grained tasks
 //! (`RV, PP, MM, IN, KC, RD, WR, SD` — §III-A) as real functions over a
-//! [`KvEngine`] (cuckoo index + object store), and runs them in three
+//! [`KvEngine`] (cuckoo index + object store), and runs them in two
 //! roles:
 //!
 //! * **Reproduction** — [`SimExecutor`]: deterministic virtual-time
@@ -12,14 +12,11 @@
 //!   type, CPU↔GPU interference, wavefront-granular work stealing, and
 //!   batch-size calibration under the paper's periodical scheduling.
 //!   This is what every experiment in the evaluation uses.
-//! * **Live demonstration** — [`ThreadedPipeline::run`]: the same
-//!   stages on real host threads wired by channels, with epoch-guarded
-//!   co-processing of the GPU stage when work stealing is on.
 //! * **Serving** — [`ShardedEngine::run_batch`]: the plain
 //!   stage loop, [`tasks::run_stage`] per stage of the plan on the
 //!   calling dispatcher thread, unmetered ([`tasks::NoMeter`]), handing
 //!   back the responses and what the batch did (`BatchTally`). No
-//!   simulator state, claim protocol or `unsafe` is reachable from it.
+//!   simulator state is reachable from it.
 //!
 //! ```
 //! use dido_apu_sim::{HwSpec, TimingEngine};
@@ -48,9 +45,7 @@ mod sharded;
 pub mod shardmap;
 mod sim;
 mod sim_meter;
-pub mod sync;
 pub mod tasks;
-mod threaded;
 
 pub use batch::{Batch, QueryState, StagingArena};
 pub use engine::{EngineConfig, IntegrityReport, KvEngine, OpCounts};
@@ -60,6 +55,4 @@ pub use shardmap::{route_of, MapState, ShardMap};
 pub use sim::{
     BatchReport, KernelReport, RunOptions, SimExecutor, StageReport, StealReport, WorkloadReport,
 };
-pub use sync::{Backoff, Claim, ClaimCtrl};
 pub use tasks::StageCtx;
-pub use threaded::{ExecStats, ThreadedPipeline};

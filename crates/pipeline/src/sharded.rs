@@ -374,10 +374,10 @@ impl ShardedEngine {
     /// This is the concurrent serving core's data path: parallelism
     /// lives across the N network dispatchers that each call this
     /// concurrently. Each shard's sub-batch runs the plain stage loop
-    /// ([`tasks::run_stage`] per stage of `config`): no thread, no claim
-    /// protocol, no lock beyond the `sets` read guard. A batch is a set
-    /// of concurrent operations; each stage's tasks and index ops apply
-    /// in plan order over the whole shard batch (DESIGN.md §9).
+    /// ([`tasks::run_stage`] per stage of `config`): no thread and no
+    /// lock beyond the `sets` read guard. A batch is a set of concurrent
+    /// operations; each stage's tasks and index ops apply in plan order
+    /// over the whole shard batch (DESIGN.md §9).
     /// Responses return in query order; the tally is the shards' sum.
     #[must_use]
     pub fn run_batch(

@@ -25,9 +25,8 @@ use std::ops::Range;
 /// only the filled prefix of a gather array is handed to the batch ops).
 pub(crate) const KH_NONE: KeyHash = KeyHash { hash: 0, sig: 1 };
 
-/// Iterate `range` in wavefront-sized sub-ranges. The wavefront width
-/// equals the work-stealing sub-batch size, so a stolen sub-batch runs
-/// through exactly the same vectorized path as a whole serving batch.
+/// Iterate `range` in wavefront-sized sub-ranges: the unit the batched
+/// index and store operations gather over.
 fn wavefronts(range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
     let Range { start, end } = range;
     (start..end)
@@ -98,8 +97,7 @@ impl StageCtx {
 
 /// Run every task and index operation of `stage` over the whole of
 /// `batch`, in plan order. This is the executor: serving calls it once
-/// per stage on the dispatcher thread, the real-thread demonstration's
-/// workers once per claimed sub-batch.
+/// per stage on the dispatcher thread.
 pub fn run_stage(engine: &KvEngine, stage: &StagePlan, batch: &mut Batch) {
     let ctx = StageCtx::new(stage.processor, stage.tasks, 64);
     let all = 0..batch.len();

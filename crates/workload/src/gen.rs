@@ -186,16 +186,6 @@ impl AlternatingGen {
         (self.emitted / self.cycle) % 2 == 1
     }
 
-    /// Spec of the currently active workload.
-    #[must_use]
-    pub fn active_spec(&self) -> &WorkloadSpec {
-        if self.in_second_phase() {
-            self.b.spec()
-        } else {
-            self.a.spec()
-        }
-    }
-
     /// Next query from the active workload.
     pub fn next_query(&mut self) -> Query {
         let q = if self.in_second_phase() {

@@ -1,10 +1,9 @@
 //! Workload specifications: the paper's 24-workload benchmark matrix.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four key-value size datasets of §V-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// 8-byte keys, 8-byte values (e.g. counters / USR-like tiny data).
     K8,
@@ -61,7 +60,7 @@ impl fmt::Display for Dataset {
 }
 
 /// Key popularity distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDistribution {
     /// Every key equally likely.
     Uniform,
@@ -93,7 +92,7 @@ impl KeyDistribution {
 }
 
 /// One benchmark workload: dataset × GET ratio × key distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Key/value sizes.
     pub dataset: Dataset,

@@ -16,7 +16,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -41,7 +40,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -105,12 +103,6 @@ impl Zipfian {
         let k = k.min(self.n);
         Self::zeta(k.max(1), self.theta) / self.zetan * if k == 0 { 0.0 } else { 1.0 }
     }
-
-    /// ζ(2, θ), exposed for tests.
-    #[must_use]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
-    }
 }
 
 /// Scrambled Zipfian: Zipfian ranks pushed through a mix function so hot
@@ -136,12 +128,6 @@ impl ScrambledZipfian {
         // Salt before mixing: fnv_mix is a bijection with a fixed point
         // at 0, which would pin the hottest rank to key id 0.
         fnv_mix(rank.wrapping_add(0x9E37_79B9_7F4A_7C15)) % self.inner.n
-    }
-
-    /// Underlying (unscrambled) generator.
-    #[must_use]
-    pub fn zipfian(&self) -> &Zipfian {
-        &self.inner
     }
 }
 

@@ -1,16 +1,15 @@
 //! Cross-executor and model-vs-simulator consistency: the same queries
 //! must produce the same functional answers on the virtual-time
-//! executor, the real-thread executor and the serving path's stage
-//! loop, for every pipeline shape; and
-//! the analytic cost model must track the simulator within a sane error
-//! band (the paper's Figure 9 property).
+//! executor and the serving path's stage loop, for every pipeline
+//! shape; and the analytic cost model must track the simulator within a
+//! sane error band (the paper's Figure 9 property).
 
 use dido_kv::apu::{HwSpec, TimingEngine};
 use dido_kv::cost_model::CostModel;
 use dido_kv::model::{ConfigEnumerator, PipelineConfig, Query, Response, ResponseStatus};
 use dido_kv::pipeline::{
     preloaded_engine, EngineConfig, KvEngine, RunOptions, ShardedEngine, SimExecutor,
-    TestbedOptions, ThreadedPipeline,
+    TestbedOptions,
 };
 use dido_kv::workload::WorkloadSpec;
 
@@ -21,11 +20,10 @@ fn testbed() -> TestbedOptions {
     }
 }
 
-/// The three executors over one engine each.
+/// The two executors over one engine each.
 #[derive(Clone, Copy, Debug)]
 enum Executor {
     Sim,
-    Threaded,
     Serving,
 }
 
@@ -36,9 +34,6 @@ impl Executor {
                 let sim = SimExecutor::new(TimingEngine::new(HwSpec::kaveri_apu()));
                 sim.run_batch(&engine, batch, config).1
             }
-            Executor::Threaded => ThreadedPipeline::new(&engine, config)
-                .run(vec![batch])
-                .remove(0),
             Executor::Serving => {
                 ShardedEngine::from_engines(vec![engine]).process_batch_inline(batch, |_| config)
             }
@@ -56,7 +51,7 @@ fn roomy_engine(keys: usize) -> KvEngine {
 }
 
 #[test]
-fn sim_and_threaded_agree_on_every_config_shape() {
+fn sim_and_serving_agree_on_every_config_shape() {
     let hw = HwSpec::kaveri_apu();
     // 100% GET: no evictions, so responses are fully deterministic and
     // the two executors must agree exactly.
@@ -75,12 +70,11 @@ fn sim_and_threaded_agree_on_every_config_shape() {
         };
         let a = run(Executor::Sim);
         assert_eq!(a.len(), 2_048, "config {config}");
-        assert_eq!(a, run(Executor::Threaded), "sim vs threaded under {config}");
         assert_eq!(a, run(Executor::Serving), "sim vs serving under {config}");
 
         // Mixed SET/GET/DELETE over four wavefronts, every key touched
-        // once: no order between wavefronts can change a reply, so all
-        // three executors must match the scalar oracle byte for byte.
+        // once: no order between wavefronts can change a reply, so both
+        // executors must match the scalar oracle byte for byte.
         let mixed: Vec<Query> = (0..250)
             .map(|i| match i % 3 {
                 0 => Query::set(format!("pre-{i:04}"), format!("new-{i:04}")),
@@ -90,7 +84,7 @@ fn sim_and_threaded_agree_on_every_config_shape() {
             .collect();
         let oracle = roomy_engine(200); // keys 200.. miss
         let expected: Vec<Response> = mixed.iter().map(|q| oracle.execute(q)).collect();
-        for executor in [Executor::Sim, Executor::Threaded, Executor::Serving] {
+        for executor in [Executor::Sim, Executor::Serving] {
             let got = executor.run(roomy_engine(200), mixed.clone(), config);
             assert_eq!(got, expected, "{executor:?}, mixed batch, {config}");
         }
@@ -112,11 +106,11 @@ fn sim_and_threaded_agree_on_every_config_shape() {
 }
 
 #[test]
-fn sim_and_threaded_agree_statistically_under_writes() {
+fn sim_and_serving_agree_statistically_under_writes() {
     // With SETs in the mix, eviction victims may differ between the two
-    // executors (CLOCK order depends on interleaving), so individual
-    // misses can move — but the overall hit counts must stay within a
-    // small band.
+    // executors (CLOCK order depends on the order each touches
+    // objects in), so individual misses can move — but the overall hit
+    // counts must stay within a small band.
     let hw = HwSpec::kaveri_apu();
     let spec = WorkloadSpec::from_label("K16-G95-U").unwrap();
     let config = PipelineConfig::mega_kv();
@@ -132,14 +126,14 @@ fn sim_and_threaded_agree_statistically_under_writes() {
     let sim_ok = count_ok(responses.iter().map(|r| r.status).collect());
 
     let (engine, mut generator) = preloaded_engine(spec, &hw, testbed());
-    let tp = ThreadedPipeline::new(&engine, config);
-    let out = tp.run(vec![generator.batch(4_096)]);
-    let thr_ok = count_ok(out[0].iter().map(|r| r.status).collect());
+    let serving = ShardedEngine::from_engines(vec![engine]);
+    let (responses, _) = serving.run_batch(generator.batch(4_096), config);
+    let serving_ok = count_ok(responses.iter().map(|r| r.status).collect());
 
-    let diff = sim_ok.abs_diff(thr_ok);
+    let diff = sim_ok.abs_diff(serving_ok);
     assert!(
         diff <= 4_096 / 100,
-        "executors diverge too much: {sim_ok} vs {thr_ok} ok of 4096"
+        "executors diverge too much: {sim_ok} vs {serving_ok} ok of 4096"
     );
 }
 

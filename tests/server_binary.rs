@@ -1,13 +1,14 @@
 //! The `dido-server` binary itself: spawn it, find its ready line,
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
-//! the `--stats-every` block on stderr, and the refusal of a store the
-//! shards cannot split.
+//! the `--stats-every` block on stderr, the refusal of a store the
+//! shards cannot split, and the README's flag list against `--help`.
 
 #![cfg(target_os = "linux")]
 
 use dido_kv::model::Query;
 use dido_kv::net::KvClient;
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -172,6 +173,54 @@ fn resize_after_is_an_unknown_flag() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --resize-after"), "{stderr}");
+}
+
+/// Every `--flag` spelled in `text`.
+fn flags(text: &str) -> BTreeSet<&str> {
+    let is_flag_char = |c: char| c.is_ascii_lowercase() || c == '-';
+    text.split(|c: char| !is_flag_char(c))
+        .filter(|word| {
+            word.strip_prefix("--")
+                .is_some_and(|name| name.starts_with(|c: char| c.is_ascii_lowercase()))
+        })
+        .collect()
+}
+
+/// README.md and `dido-server --help` name the same flags: every flag
+/// the usage line prints appears in the README, and the README's server
+/// section (lines about `dido-cli` and cargo's own flags aside) names
+/// no flag the usage line does not print.
+#[test]
+fn readme_and_help_name_the_same_server_flags() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dido-server"))
+        .arg("--help")
+        .output()
+        .expect("spawn dido-server");
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8(out.stdout).expect("usage is UTF-8");
+    let helped = flags(&help);
+    assert!(helped.contains("--store-mb"), "no flags found in: {help}");
+
+    let readme = include_str!("../README.md");
+    let named = flags(readme);
+    for flag in &helped {
+        assert!(named.contains(flag), "README.md never names {flag}");
+    }
+
+    let (_, rest) = readme
+        .split_once("Or run it as a standalone service")
+        .expect("README.md has a server section");
+    let (section, _) = rest
+        .split_once("\nLibrary use:")
+        .expect("the server section ends at the library example");
+    for line in section.lines().filter(|line| !line.contains("dido-cli")) {
+        for flag in flags(line) {
+            assert!(
+                helped.contains(flag) || ["--release", "--bin"].contains(&flag),
+                "README.md's server section names {flag}, which `dido-server --help` does not print"
+            );
+        }
+    }
 }
 
 /// The value of `name=` in a stats block.
