@@ -8,13 +8,8 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptpath;
-pub mod connpath;
-pub mod evictionpath;
 pub mod experiments;
 mod harness;
-pub mod hotpath;
-pub mod reshardpath;
 mod table;
 
 pub use harness::{ExperimentCtx, Measurement};

@@ -1100,17 +1100,6 @@ impl KvClient {
         write_frame(&mut self.stream, &b.finish())
     }
 
-    /// Send pre-encoded wire frames (4-byte length prefixes included,
-    /// e.g. from [`crate::protocol::encode_queries_wire_into`]) in one
-    /// vectored write. Pipelined load generators use this to amortize
-    /// the send syscall across a window of in-flight frames. The caller
-    /// is responsible for keeping each frame within `MAX_FRAME_BYTES`.
-    pub fn send_wire(&mut self, frames: &[Bytes]) -> std::io::Result<()> {
-        let bufs: Vec<&[u8]> = frames.iter().map(|f| &f[..]).collect();
-        write_all_vectored(&mut self.stream, &bufs)?;
-        self.stream.flush()
-    }
-
     /// Receive the next response frame without decoding its records —
     /// framing only. Load generators use this to keep per-frame client
     /// CPU out of the measurement; callers that need the records decode

@@ -82,7 +82,7 @@ struct Args {
     /// Protocol stamped on `--addr` when no `--listen` is given (the
     /// last `--proto`, or DIDO by default).
     proto: ProtocolKind,
-    store_mb: usize,
+    store_bytes: usize,
     latency_us: f64,
     shards: usize,
     dispatchers: usize,
@@ -103,7 +103,7 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:7878".to_string(),
         listeners: Vec::new(),
         proto: ProtocolKind::Dido,
-        store_mb: 64,
+        store_bytes: 64 << 20,
         latency_us: 1_000.0,
         shards: 1,
         dispatchers: 1,
@@ -141,12 +141,22 @@ fn parse_args() -> Args {
                 let addr = value("--listen");
                 args.listeners.push((addr, args.proto));
             }
-            "--store-mb" => args.store_mb = parse_num("--store-mb", value("--store-mb")),
-            "--latency-us" => {
-                args.latency_us = value("--latency-us").parse().unwrap_or_else(|_| {
-                    eprintln!("--latency-us needs a number");
+            "--store-mb" => {
+                let mb = parse_num("--store-mb", value("--store-mb"));
+                args.store_bytes = mb.checked_mul(1 << 20).unwrap_or_else(|| {
+                    eprintln!("--store-mb {mb} does not fit a byte count");
                     std::process::exit(2);
                 })
+            }
+            "--latency-us" => {
+                let v = value("--latency-us");
+                args.latency_us = match v.parse::<f64>() {
+                    Ok(us) if us.is_finite() && us > 0.0 => us,
+                    _ => {
+                        eprintln!("--latency-us needs a finite number above 0 (got {v})");
+                        std::process::exit(2);
+                    }
+                }
             }
             "--shards" => args.shards = parse_num("--shards", value("--shards")).max(1),
             "--dispatchers" => {
@@ -197,10 +207,11 @@ fn parse_args() -> Args {
     }
     // Every shard gets its own store, and the store asserts on a slice
     // it cannot carve one slot from.
-    if (args.store_mb << 20) / args.shards < dido_kv::kvstore::MIN_STORE_BYTES {
+    if args.store_bytes / args.shards < dido_kv::kvstore::MIN_STORE_BYTES {
         eprintln!(
             "--store-mb {} cannot be split into {} shard(s)",
-            args.store_mb, args.shards
+            args.store_bytes >> 20,
+            args.shards
         );
         std::process::exit(2);
     }
@@ -261,7 +272,7 @@ fn main() -> std::io::Result<()> {
         args.dispatchers.max(1),
         DidoOptions {
             testbed: TestbedOptions {
-                store_bytes: args.store_mb << 20,
+                store_bytes: args.store_bytes,
                 ..TestbedOptions::default()
             },
             latency_budget_ns: args.latency_us * 1_000.0,
@@ -352,7 +363,7 @@ fn main() -> std::io::Result<()> {
     println!(
         "store {} MB across {} shard(s), latency budget {:.0} us, \
          dispatch x{}, {} reader(s), {} sd writer(s), io backend {}{}",
-        args.store_mb,
+        args.store_bytes >> 20,
         args.shards,
         args.latency_us,
         args.dispatchers,

@@ -1,8 +1,9 @@
 //! The `dido-server` binary itself: spawn it, find its ready line,
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
-//! the `--stats-every` block on stderr, the refusal of a store the
-//! shards cannot split, and the README's flag list against `--help`.
+//! the `--stats-every` block on stderr, the refusal of a store size or
+//! latency budget no node can serve, and the README's flag list against
+//! `--help`.
 
 #![cfg(target_os = "linux")]
 
@@ -145,20 +146,48 @@ fn binary_serves_on_the_reactor_planes_with_benchmark_and_default_flags() {
     }
 }
 
+/// Flag values no node can serve are refused at start-up: exit 2, the
+/// flag named on stderr. A server that starts instead is killed at the
+/// deadline and fails the row.
 #[test]
-fn a_store_the_shards_cannot_split_exits_2_with_a_message() {
-    for args in [
-        &["--store-mb", "0"][..],
-        &["--store-mb", "1", "--shards", "40000"][..],
+fn unservable_store_sizes_and_latency_budgets_exit_2_naming_the_flag() {
+    for (args, message) in [
+        (&["--store-mb", "0"][..], "cannot be split"),
+        (&["--store-mb", "1", "--shards", "40000"][..], "cannot be split"),
+        (&["--store-mb", "17592186044417"][..], "--store-mb"),
+        (&["--latency-us", "nan"][..], "--latency-us"),
+        (&["--latency-us", "inf"][..], "--latency-us"),
+        (&["--latency-us", "0"][..], "--latency-us"),
+        (&["--latency-us", "-5"][..], "--latency-us"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_dido-server"))
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dido-server"))
             .args(args)
             .args(["--addr", "127.0.0.1:0"])
-            .output()
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
             .expect("spawn dido-server");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("cannot be split"), "{args:?}: {stderr}");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait for dido-server") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{args:?}: still running, so it started instead of refusing");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        let _ = child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr);
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }
 
