@@ -3,12 +3,10 @@
 //! strategy (exhaustive vs greedy).
 
 use crate::harness::{measure_fixed_config, spec};
-use crate::{ExperimentCtx, Table};
-use dido::DidoSystem;
+use crate::{preloaded_engine, DidoSystem, ExperimentCtx, SimExecutor, Table};
 use dido_apu_sim::{HwSpec, TimingEngine};
 use dido_cost_model::CostModel;
 use dido_model::{ConfigEnumerator, IndexOpAssignment, PipelineConfig, TaskKind, TaskSet};
-use dido_pipeline::{preloaded_engine, SimExecutor};
 use dido_workload::WorkloadGen;
 
 /// Task affinity: splitting KC from RD (segment `[IN,KC]`) must be worse

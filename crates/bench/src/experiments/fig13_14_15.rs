@@ -7,8 +7,7 @@
 //! * Fig 15 — work stealing on top of the chosen configuration.
 
 use crate::harness::measure_fixed_config;
-use crate::{ExperimentCtx, Table};
-use dido::DidoSystem;
+use crate::{DidoSystem, ExperimentCtx, Table};
 use dido_cost_model::CostModel;
 use dido_model::{ConfigEnumerator, PipelineConfig, TaskKind, TaskSet};
 use dido_workload::{WorkloadGen, WorkloadSpec};

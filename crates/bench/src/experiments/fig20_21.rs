@@ -6,11 +6,11 @@
 //! reports DIDO's speedup over Mega-KV (Coupled) on the same stream.
 
 use crate::harness::spec;
-use crate::{ExperimentCtx, Table};
-use dido::{DidoOptions, DidoSystem};
+use crate::{DidoSystem, ExperimentCtx, SimExecutor, Table};
+use dido::{scaled_caches, DidoOptions};
 use dido_apu_sim::{HwSpec, TimingEngine};
 use dido_model::{PipelineConfig, Query};
-use dido_pipeline::{EngineConfig, KvEngine, SimExecutor};
+use dido_pipeline::{EngineConfig, KvEngine};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
 
 /// Build an engine preloaded with *both* workloads' key spaces (half the
@@ -21,7 +21,7 @@ fn dual_preloaded_engine(
     b: WorkloadSpec,
 ) -> (KvEngine, u64, u64) {
     let hw = HwSpec::kaveri_apu();
-    let (cpu_cache, gpu_cache) = ctx.testbed().scaled_caches(&hw, 1);
+    let (cpu_cache, gpu_cache) = scaled_caches(&ctx.testbed(), &hw, 1);
     let engine = KvEngine::new(EngineConfig::new(ctx.store_bytes, cpu_cache, gpu_cache));
     let half = (ctx.store_bytes / 2) as u64;
     let n_a = a.keyspace_size(half, dido_kvstore::HEADER_SIZE);

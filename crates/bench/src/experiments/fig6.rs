@@ -3,10 +3,9 @@
 //! Searches, and at steady state one eviction Delete per Insert).
 
 use crate::harness::spec;
-use crate::{ExperimentCtx, Table};
+use crate::{preloaded_engine, ExperimentCtx, SimExecutor, Table};
 use dido_apu_sim::{HwSpec, TimingEngine};
 use dido_model::{IndexOpKind, PipelineConfig};
-use dido_pipeline::{preloaded_engine, SimExecutor};
 
 /// Run the Figure 6 sweep.
 pub fn run(ctx: &ExperimentCtx) {

@@ -4,8 +4,7 @@
 //! same configuration.
 
 use crate::harness::measure_dido;
-use crate::{ExperimentCtx, Table};
-use dido::DidoSystem;
+use crate::{DidoSystem, ExperimentCtx, Table};
 use dido_cost_model::CostModel;
 use dido_workload::WorkloadSpec;
 

@@ -1,10 +1,10 @@
 //! Shared measurement harness for all experiments.
 
-use dido::{DidoOptions, DidoSystem};
+use crate::{preloaded_engine, DidoSystem, MegaKv, RunOptions, SimExecutor, WorkloadReport};
+use dido::DidoOptions;
 use dido_apu_sim::TimingEngine;
-use dido_megakv::MegaKv;
 use dido_model::PipelineConfig;
-use dido_pipeline::{preloaded_engine, RunOptions, SimExecutor, TestbedOptions, WorkloadReport};
+use dido_pipeline::TestbedOptions;
 use dido_workload::{WorkloadGen, WorkloadSpec};
 
 /// Global knobs for a run of the experiment suite.

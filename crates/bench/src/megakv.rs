@@ -15,13 +15,11 @@
 //! Both reuse the exact same functional pipeline as DIDO — only the
 //! configuration is pinned, which is precisely the paper's point.
 
-#![warn(missing_docs)]
-
+use crate::setup::preloaded_engine;
+use crate::sim::{RunOptions, SimExecutor, WorkloadReport};
 use dido_apu_sim::{HwSpec, TimingEngine};
 use dido_model::PipelineConfig;
-use dido_pipeline::{
-    preloaded_engine, KvEngine, RunOptions, SimExecutor, TestbedOptions, WorkloadReport,
-};
+use dido_pipeline::{KvEngine, TestbedOptions};
 use dido_workload::{WorkloadGen, WorkloadSpec};
 
 /// Which testbed a Mega-KV instance models.

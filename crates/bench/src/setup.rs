@@ -4,58 +4,11 @@
 //! as many key-value objects as possible", §V-A), so every experiment
 //! starts from a full store where SETs evict.
 
-use crate::engine::{EngineConfig, KvEngine};
+use dido::scaled_caches;
 use dido_apu_sim::HwSpec;
 use dido_kvstore::HEADER_SIZE;
+use dido_pipeline::{EngineConfig, KvEngine, TestbedOptions};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
-
-/// Options for building a preloaded testbed.
-#[derive(Debug, Clone, Copy)]
-pub struct TestbedOptions {
-    /// Object-store bytes. Experiments default to a scaled-down region
-    /// (the paper's 1,908 MB shared area, shrunk while keeping the
-    /// cache:store ratio dynamics); tests use a few MB.
-    pub store_bytes: usize,
-    /// RNG seed for the workload generator.
-    pub seed: u64,
-    /// Scale the cache filters by `store_bytes / hw.mem.shared_bytes`
-    /// so the cache-to-store ratio (and therefore the Zipf hot-set
-    /// fraction `P`) matches the paper's full-size testbed. On by
-    /// default; turn off to use the raw hardware cache sizes.
-    pub scale_caches: bool,
-}
-
-impl Default for TestbedOptions {
-    fn default() -> TestbedOptions {
-        TestbedOptions {
-            store_bytes: 64 << 20,
-            seed: 0xD1D0,
-            scale_caches: true,
-        }
-    }
-}
-
-impl TestbedOptions {
-    /// CPU and GPU cache-filter bytes for one of `shards` equal slices
-    /// of this testbed on `hw` (`shards == 1`: the whole node). The one
-    /// place the cache-to-store ratio is applied — engines are built
-    /// with it and the cost model plans against it.
-    #[must_use]
-    pub fn scaled_caches(&self, hw: &HwSpec, shards: usize) -> (u64, u64) {
-        let ratio = if self.scale_caches {
-            (self.store_bytes as f64 / hw.mem.shared_bytes as f64).min(1.0)
-        } else {
-            1.0
-        };
-        let slice = |bytes: u64, floor: u64| {
-            ((bytes as f64 * ratio) as u64 / shards.max(1) as u64).max(floor)
-        };
-        (
-            slice(hw.cpu.cache_bytes, 8 * 1024),
-            slice(hw.gpu.cache_bytes, 2 * 1024),
-        )
-    }
-}
 
 /// Build an engine sized from `hw`, preload the full key space of
 /// `spec`, and return it with a matching query generator.
@@ -65,7 +18,7 @@ pub fn preloaded_engine(
     hw: &HwSpec,
     opts: TestbedOptions,
 ) -> (KvEngine, WorkloadGen) {
-    let (cpu_cache, gpu_cache) = opts.scaled_caches(hw, 1);
+    let (cpu_cache, gpu_cache) = scaled_caches(&opts, hw, 1);
     let engine = KvEngine::new(EngineConfig::new(opts.store_bytes, cpu_cache, gpu_cache));
     // Fill the store completely ("we store as many key-value objects as
     // possible", §V-A): every subsequent SET must evict, generating the

@@ -15,10 +15,7 @@
 //!    scheduling: the batch size is calibrated so `T_max` fits the
 //!    per-stage interval implied by the latency budget.
 
-use crate::batch::Batch;
-use crate::engine::KvEngine;
 use crate::sim_meter::{self, SimMachine};
-use crate::tasks;
 use dido_apu_sim::{Ns, StageTiming, TimingEngine};
 use dido_model::costs::STEAL_TAG_INSNS;
 use dido_model::{
@@ -26,6 +23,7 @@ use dido_model::{
     WorkloadStats, WAVEFRONT_WIDTH,
 };
 use dido_net::parse_responses;
+use dido_pipeline::{tasks, Batch, KvEngine};
 use std::cell::RefCell;
 
 /// A GPU kernel launched within a stage (per task / per index op).
@@ -184,14 +182,10 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Per-stage interval implied by the latency budget. With the
-    /// paper's periodical scheduling a query crosses up to three
-    /// pipeline stages plus queueing, so the per-stage cap is ~30 % of
-    /// the end-to-end budget (1,000 µs budget → the 300 µs per-stage cap
-    /// used in the paper's Figure 4).
+    /// Per-stage interval implied by the latency budget.
     #[must_use]
     pub fn stage_interval_ns(&self) -> f64 {
-        self.latency_budget_ns * 0.3
+        dido::stage_interval_ns(self.latency_budget_ns)
     }
 }
 
@@ -240,7 +234,7 @@ struct StageExec {
 ///
 /// The executor owns the simulated machine around the engine it is
 /// driving: cache filters and NIC rings sized from that engine's
-/// [`crate::EngineConfig`], warm across its batches, and rebuilt cold
+/// [`dido_pipeline::EngineConfig`], warm across its batches, and rebuilt cold
 /// when a batch arrives for a different engine.
 #[derive(Debug)]
 pub struct SimExecutor {
@@ -760,9 +754,9 @@ impl SimExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, KvEngine};
     use dido_apu_sim::HwSpec;
     use dido_model::ResponseStatus;
+    use dido_pipeline::EngineConfig;
 
     fn setup() -> (SimExecutor, KvEngine) {
         let hw = HwSpec::kaveri_apu();

@@ -1,6 +1,6 @@
 //! The simulated chip's instruments: everything the reproduction needs
-//! beside a [`KvEngine`](crate::KvEngine) to price a batch, and nothing
-//! the serving path ever builds.
+//! beside a [`KvEngine`](dido_pipeline::KvEngine) to price a batch, and
+//! nothing the serving path ever builds or links.
 //!
 //! * [`SimMachine`] — the simulated Kaveri's per-processor hot-set
 //!   filters and its 82599 NIC rings, owned by a
@@ -13,13 +13,13 @@
 //! * `RV` / `PP` / `SD` — the frame-moving tasks over the simulated NIC.
 
 use crate::cache::LruFilter;
-use crate::engine::EngineConfig;
-use crate::tasks::{Meter, StageCtx};
 use bytes::Bytes;
 use dido_kvstore::{ObjectStore, HEADER_SIZE};
 use dido_model::costs::{self, lines_for};
 use dido_model::{Processor, Query, ResourceUsage, Response, TaskKind, TaskSet};
 use dido_net::{encode_responses, frame_query_count, parse_frame, FrameBuilder, FrameRing};
+use dido_pipeline::tasks::{Meter, StageCtx};
+use dido_pipeline::EngineConfig;
 use std::cell::{Cell, RefCell};
 
 /// NIC ring slots per direction: large enough that the biggest
@@ -269,10 +269,9 @@ pub(crate) fn run_sd(tx: &FrameRing, responses: &[Response]) -> ResourceUsage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Batch;
-    use crate::engine::KvEngine;
-    use crate::tasks::{run_index_search, run_kc, run_rd, run_wr};
     use dido_model::PipelineConfig;
+    use dido_pipeline::tasks::{run_index_search, run_kc, run_rd, run_wr};
+    use dido_pipeline::{Batch, KvEngine};
 
     fn engine_cfg() -> EngineConfig {
         EngineConfig::new(1 << 20, 64 * 1024, 16 * 1024)

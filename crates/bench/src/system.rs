@@ -1,58 +1,24 @@
 //! The DIDO system: query processing pipeline + workload profiler +
-//! cost-model-guided dynamic adaption (paper Figure 7).
+//! cost-model-guided dynamic adaption (paper Figure 7), evaluated in
+//! virtual time.
 //!
 //! [`DidoSystem::process_batch`] takes `&self` (a `KvServer` handler
 //! shares the node with its owner), but the *virtual-time simulator* is
 //! serial by nature — the clock is a fold over batches — so every batch
 //! runs under one internal mutex: concurrent callers interleave in lock
 //! order with exactly the sequential semantics. The adapt decision
-//! itself is the crate's one `Planner`'s; the parallel data plane over real
-//! (non-simulated) execution is [`crate::ServingCore`].
+//! itself is `dido`'s one [`Planner`]'s; the parallel data plane over real
+//! (non-simulated) execution is [`dido::ServingCore`].
 
-use crate::metrics::Metrics;
-use crate::planner::{IndexShape, Planner};
-use crate::profiler::ProfilerConfig;
-use crate::striped::StripedStats;
-use dido_apu_sim::{HwSpec, Ns, TimingEngine};
+use crate::setup::preloaded_engine;
+use crate::sim::{BatchReport, RunOptions, SimExecutor, WorkloadReport};
+use dido::{scaled_caches, ControlFold, DidoOptions, IndexShape, Metrics, Planner, StripedStats};
+use dido_apu_sim::{Ns, TimingEngine};
 use dido_cost_model::ModelInputs;
-use dido_model::{ConfigCell, ConfigEnumerator, PipelineConfig, Query, Response, WorkloadStats};
-use dido_pipeline::{
-    preloaded_engine, BatchReport, EngineConfig, KvEngine, RunOptions, SimExecutor, TestbedOptions,
-    WorkloadReport,
-};
+use dido_model::{ConfigCell, PipelineConfig, Query, Response, WorkloadStats};
+use dido_pipeline::{EngineConfig, KvEngine};
 use dido_workload::WorkloadSpec;
 use parking_lot::Mutex;
-
-/// Construction options for a [`DidoSystem`].
-#[derive(Debug, Clone, Copy)]
-pub struct DidoOptions {
-    /// Hardware profile (defaults to the Kaveri APU).
-    pub hw: HwSpec,
-    /// Testbed sizing (store bytes, seed, cache scaling).
-    pub testbed: TestbedOptions,
-    /// End-to-end latency budget, ns (paper default 1,000 µs).
-    pub latency_budget_ns: f64,
-    /// Profiler thresholds.
-    pub profiler: ProfilerConfig,
-    /// Constrain the configuration search space (ablations).
-    pub enumerator: ConfigEnumerator,
-    /// Use the greedy search instead of the exhaustive sweep
-    /// (extension; the paper searches exhaustively).
-    pub greedy_search: bool,
-}
-
-impl Default for DidoOptions {
-    fn default() -> DidoOptions {
-        DidoOptions {
-            hw: HwSpec::kaveri_apu(),
-            testbed: TestbedOptions::default(),
-            latency_budget_ns: 1_000_000.0,
-            profiler: ProfilerConfig::default(),
-            enumerator: ConfigEnumerator::default(),
-            greedy_search: false,
-        }
-    }
-}
 
 /// One entry of the virtual-time throughput trace (drives the paper's
 /// Figure 20).
@@ -93,7 +59,7 @@ impl DidoSystem {
     /// Build an empty DIDO node (no preloaded data).
     #[must_use]
     pub fn new(options: DidoOptions) -> DidoSystem {
-        let (cpu_cache, gpu_cache) = options.testbed.scaled_caches(&options.hw, 1);
+        let (cpu_cache, gpu_cache) = scaled_caches(&options.testbed, &options.hw, 1);
         let engine = KvEngine::new(EngineConfig::new(
             options.testbed.store_bytes,
             cpu_cache,
@@ -138,10 +104,15 @@ impl DidoSystem {
         self.config.load().0
     }
 
+    /// The control-plane counters. Does not take the serial lock.
+    fn control(&self) -> ControlFold {
+        self.stripes.metrics(0.0).control
+    }
+
     /// Number of pipeline re-adaptions (configuration changes) so far.
     #[must_use]
     pub fn adaptions(&self) -> usize {
-        self.stripes.control.adaptions.get() as usize
+        self.control().adaptions as usize
     }
 
     /// Number of times the cost model was (re)run — every >10 % workload
@@ -149,7 +120,7 @@ impl DidoSystem {
     /// changed.
     #[must_use]
     pub fn model_runs(&self) -> usize {
-        self.stripes.control.model_runs.get() as usize
+        self.control().model_runs as usize
     }
 
     /// Virtual time elapsed, ns.
@@ -226,7 +197,7 @@ impl DidoSystem {
             report.tally.workload_stats(self.stripes.skew()),
             || self.index_shape(),
             &self.config,
-            &self.stripes.control,
+            &self.stripes,
         );
 
         serial.clock_ns += report.t_max_ns;
@@ -285,6 +256,7 @@ impl std::fmt::Debug for DidoSystem {
 mod tests {
     use super::*;
     use dido_model::ResponseStatus;
+    use dido_pipeline::TestbedOptions;
     use dido_workload::WorkloadGen;
 
     fn opts() -> DidoOptions {

@@ -3,11 +3,12 @@
 //! utilization, Insert/Delete dominating GPU time at a 5 % share).
 
 use dido_apu_sim::{ns_to_us, HwSpec, TimingEngine};
+use dido_bench::{preloaded_engine, RunOptions, SimExecutor};
 use dido_model::{IndexOpKind, PipelineConfig, Processor};
-use dido_pipeline::{preloaded_engine, RunOptions, SimExecutor, TestbedOptions};
+use dido_pipeline::TestbedOptions;
 use dido_workload::WorkloadSpec;
 
-fn run(label: &str) -> (dido_pipeline::WorkloadReport, usize) {
+fn run(label: &str) -> (dido_bench::WorkloadReport, usize) {
     let hw = HwSpec::kaveri_apu();
     let spec = WorkloadSpec::from_label(label).unwrap();
     let (engine, mut generator) = preloaded_engine(

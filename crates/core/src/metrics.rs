@@ -47,10 +47,10 @@ pub struct Metrics {
     /// The data plane's counters, folded over every lane (batches,
     /// queries, GETs, hits, …).
     pub work: StatsFold,
-    /// How long the node was busy, ns. [`crate::DidoSystem`]: virtual
-    /// time, the simulator's clock. [`crate::ServingCore`]: wall time of
-    /// the busiest lane — lanes run concurrently, so their sum
-    /// (`work.lane_busy_ns`) would overstate it.
+    /// How long the node was busy, ns. [`crate::ServingCore`]: wall time
+    /// of the busiest lane — lanes run concurrently, so their sum
+    /// (`work.lane_busy_ns`) would overstate it. The reproduction's
+    /// sequential system: virtual time, its simulator's clock.
     pub busy_ns: f64,
     /// The control plane's counters (model runs, adaptions, …).
     pub control: ControlFold,

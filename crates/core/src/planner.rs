@@ -1,21 +1,21 @@
 //! The node's adapt decision (paper §III-A, Figure 7), written once:
 //! one Workload Profiler feeding one cost model that picks one pipeline
-//! configuration for the node. [`crate::DidoSystem`] asks per batch under
-//! its serial mutex, [`crate::ServingCore`] per controller tick; each
-//! keeps only what is its own (the simulator and its clock; the stripe
-//! fold and its delta).
+//! configuration for the node. [`crate::ServingCore`] asks per controller
+//! tick, the reproduction's sequential system per batch under its serial
+//! mutex; each keeps only what is its own (the stripe fold and its
+//! delta; the simulator and its clock).
 
+use crate::options::{scaled_caches, stage_interval_ns, DidoOptions};
 use crate::profiler::WorkloadProfiler;
-use crate::striped::ControlCounters;
-use crate::system::DidoOptions;
+use crate::striped::StripedStats;
 use dido_cost_model::{CostModel, ModelInputs};
 use dido_model::{ConfigCell, WorkloadStats};
-use dido_pipeline::{KvEngine, RunOptions};
+use dido_pipeline::KvEngine;
 use parking_lot::Mutex;
 
 /// What the cost model is told about the index and store it plans for.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct IndexShape {
+pub struct IndexShape {
     n_keys: u64,
     avg_insert_buckets: f64,
     avg_delete_buckets: f64,
@@ -24,7 +24,8 @@ pub(crate) struct IndexShape {
 impl IndexShape {
     /// `n_keys` live objects indexed by `engines`, whose measured bucket
     /// averages are taken as their mean (exact for one engine).
-    pub(crate) fn of<'a>(n_keys: usize, engines: impl IntoIterator<Item = &'a KvEngine>) -> Self {
+    #[must_use]
+    pub fn of<'a>(n_keys: usize, engines: impl IntoIterator<Item = &'a KvEngine>) -> Self {
         let (mut n, mut insert, mut delete) = (0.0, 0.0, 0.0);
         for e in engines {
             n += 1.0;
@@ -40,7 +41,7 @@ impl IndexShape {
 }
 
 /// Who chooses the node's pipeline configuration, and from which inputs.
-pub(crate) struct Planner {
+pub struct Planner {
     model: CostModel,
     options: DidoOptions,
     /// The node's scaled CPU and GPU cache bytes.
@@ -49,26 +50,26 @@ pub(crate) struct Planner {
 }
 
 impl Planner {
-    pub(crate) fn new(options: DidoOptions) -> Planner {
+    /// A planner for a node built from `options`.
+    #[must_use]
+    pub fn new(options: DidoOptions) -> Planner {
         Planner {
             model: CostModel::new(options.hw),
-            caches: options.testbed.scaled_caches(&options.hw, 1),
+            caches: scaled_caches(&options.testbed, &options.hw, 1),
             profiler: Mutex::new(WorkloadProfiler::new(options.profiler)),
             options,
         }
     }
 
     /// Per-stage interval implied by the latency budget.
-    pub(crate) fn stage_interval_ns(&self) -> f64 {
-        RunOptions {
-            latency_budget_ns: self.options.latency_budget_ns,
-            ..RunOptions::default()
-        }
-        .stage_interval_ns()
+    #[must_use]
+    pub fn stage_interval_ns(&self) -> f64 {
+        stage_interval_ns(self.options.latency_budget_ns)
     }
 
     /// The cost model's inputs for `stats` over `index`.
-    pub(crate) fn model_inputs(&self, stats: WorkloadStats, index: IndexShape) -> ModelInputs {
+    #[must_use]
+    pub fn model_inputs(&self, stats: WorkloadStats, index: IndexShape) -> ModelInputs {
         let (cpu_cache_bytes, gpu_cache_bytes) = self.caches;
         ModelInputs {
             stats,
@@ -83,7 +84,7 @@ impl Planner {
 
     /// Reset the profiler baseline so the next [`Planner::replan`] runs
     /// the cost model regardless of drift.
-    pub(crate) fn force_readapt(&self) {
+    pub fn force_readapt(&self) {
         self.profiler.lock().force_readapt();
     }
 
@@ -91,14 +92,15 @@ impl Planner {
     /// tally, carrying the skew estimate) into the profile and, if the
     /// workload drifted past the 10 % threshold, search the configuration
     /// space over `index` (asked for only then) and publish the choice
-    /// into `cell` when it differs from the active one. Returns whether
-    /// it published. Callers serialise their calls.
-    pub(crate) fn replan(
+    /// into `cell` when it differs from the active one, counting the run
+    /// and the publish on `stripes`' control counters. Returns whether it
+    /// published. Callers serialise their calls.
+    pub fn replan(
         &self,
         raw: WorkloadStats,
         index: impl FnOnce() -> IndexShape,
         cell: &ConfigCell,
-        control: &ControlCounters,
+        stripes: &StripedStats,
     ) -> bool {
         let stats = {
             let mut profiler = self.profiler.lock();
@@ -108,7 +110,7 @@ impl Planner {
             }
             stats
         };
-        control.model_runs.add(1);
+        stripes.control.model_runs.add(1);
         let inputs = self.model_inputs(stats, index());
         let prediction = if self.options.greedy_search {
             self.model.greedy_config(&inputs)
@@ -119,7 +121,7 @@ impl Planner {
             return false;
         }
         cell.publish(prediction.config);
-        control.adaptions.add(1);
+        stripes.control.adaptions.add(1);
         true
     }
 }

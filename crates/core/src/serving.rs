@@ -1,10 +1,10 @@
 //! The concurrent serving core: a shared-state data plane over sharded
 //! engines with a background adaptation control plane.
 //!
-//! [`DidoSystem`](crate::DidoSystem) keeps the paper's *virtual-time*
-//! evaluation loop; a real server cannot put a simulator (or a cost-model
-//! sweep) on its query path. [`ServingCore`] is the serving-side split of
-//! the same Figure-7 architecture:
+//! The reproduction's `dido_bench::DidoSystem` keeps the paper's
+//! *virtual-time* evaluation loop; a real server cannot put a simulator
+//! (or a cost-model sweep) on its query path. [`ServingCore`] is the
+//! serving-side split of the same Figure-7 architecture:
 //!
 //! * **Data plane** — N network dispatchers concurrently call
 //!   [`ServingCore::process_batch`]. Each call samples the batch's keys
@@ -26,17 +26,17 @@
 //!   chunks for one period instead of sleeping through it.
 //!
 //! With one shard and one controller tick per batch, the decision
-//! sequence matches the sequential [`DidoSystem`](crate::DidoSystem)
-//! oracle on the same recorded workload, and the decisions do not depend
-//! on the shard count (both asserted by the `concurrent_system` test
-//! suite): the interval profile equals the batch profile, the skew
+//! sequence matches the sequential `DidoSystem` oracle on the same
+//! recorded workload, and the decisions do not depend on the shard count
+//! (asserted by the `concurrent_system` test suites of `dido-bench` and
+//! of this crate): the interval profile equals the batch profile, the skew
 //! sampler is the same windowed algorithm, and the decision is the same
 //! code.
 
 use crate::metrics::{MemoryFold, Metrics};
+use crate::options::{scaled_caches, DidoOptions};
 use crate::planner::{IndexShape, Planner};
 use crate::striped::{StatsFold, StripedStats};
-use crate::system::DidoOptions;
 use dido_kvstore::HEADER_SIZE;
 use dido_model::{ConfigCell, PipelineConfig, Query, Response};
 use dido_pipeline::{EngineConfig, ResizeError, ShardedEngine};
@@ -61,7 +61,7 @@ const SWEEP_SEGMENTS_PER_TICK: usize = 32;
 /// One shard's engine sizing when the node's store and caches are split
 /// `shards` ways (total capacity is the single-shard node's).
 fn shard_engine_config(options: &DidoOptions, shards: usize) -> EngineConfig {
-    let (cpu_cache, gpu_cache) = options.testbed.scaled_caches(&options.hw, shards);
+    let (cpu_cache, gpu_cache) = scaled_caches(&options.testbed, &options.hw, shards);
     EngineConfig::new(options.testbed.store_bytes / shards, cpu_cache, gpu_cache)
 }
 
@@ -86,7 +86,7 @@ impl ServingCore {
     /// An empty core with `shards` engine shards and `lanes` dispatcher
     /// stripes. Store and cache bytes from `options.testbed` are split
     /// evenly across shards (so total capacity matches a single-shard
-    /// [`DidoSystem`](crate::DidoSystem) of the same options).
+    /// node of the same options).
     #[must_use]
     pub fn new(shards: usize, lanes: usize, options: DidoOptions) -> ServingCore {
         let shards = shards.max(1);
@@ -123,8 +123,8 @@ impl ServingCore {
         (core, generator)
     }
 
-    /// Wrap an existing [`ShardedEngine`] (e.g. a single engine from
-    /// `preloaded_engine`, via [`ShardedEngine::from_engines`]).
+    /// Wrap an existing [`ShardedEngine`] (e.g. a single preloaded
+    /// engine, via [`ShardedEngine::from_engines`]).
     #[must_use]
     pub fn from_engine(engine: ShardedEngine, lanes: usize, options: DidoOptions) -> ServingCore {
         ServingCore {
@@ -277,7 +277,7 @@ impl ServingCore {
             delta.tally().workload_stats(self.stripes.skew()),
             index,
             &self.config,
-            &self.stripes.control,
+            &self.stripes,
         )
     }
 

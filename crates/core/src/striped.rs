@@ -55,8 +55,8 @@ metric_table! {
     /// only). Lanes run concurrently, so a fold's sum is lane-time, not
     /// node time; see [`Metrics::busy_ns`].
     lane_busy_ns: Counter,
-    /// Batches the simulated executor applied work stealing to
-    /// ([`crate::DidoSystem`] only).
+    /// Batches the simulated executor applied work stealing to (the
+    /// reproduction's sequential system only).
     sim_steals: Counter,
     /// Wavefront items the simulated executor moved between processors.
     sim_stolen_items: Counter,
@@ -182,7 +182,7 @@ impl StripedStats {
 
     /// Record a simulated-executor steal outcome (`items` wavefront
     /// items moved between processors in one batch).
-    pub(crate) fn record_sim_steal(&self, lane: usize, items: u64) {
+    pub fn record_sim_steal(&self, lane: usize, items: u64) {
         let lane = self.lane(lane);
         lane.counters.sim_steals.add(1);
         lane.counters.sim_stolen_items.add(items);
@@ -217,7 +217,8 @@ impl StripedStats {
     /// counters; the memory plane is left empty for an owner that has
     /// one to fill in. `busy_ns` is the owner's notion of node busy time
     /// (see [`Metrics::busy_ns`]).
-    pub(crate) fn metrics(&self, busy_ns: f64) -> Metrics {
+    #[must_use]
+    pub fn metrics(&self, busy_ns: f64) -> Metrics {
         let mut configs = Vec::new();
         for lane in &self.lanes {
             for &(config, n) in lane.configs.lock().iter() {

@@ -1,15 +1,15 @@
-//! Network substrate for DIDO: the binary query protocol and bounded
-//! frame rings.
+//! Network substrate for DIDO: the wire protocols, bounded frame rings
+//! and the server's I/O planes.
 //!
 //! The paper's `RV` (receive) and `SD` (send) tasks operate on frames
 //! from the RX/TX rings of a 10 GbE NIC; `PP` parses queries out of
 //! those frames. This crate provides the functional pieces:
 //! [`FrameRing`] for the rings, [`FrameBuilder`]/[`parse_frame`]
-//! for encoding and zero-copy decoding, and the response-side
-//! equivalents. The simulated NIC itself — two rings, and the
-//! per-frame/per-query *time* costs of RV/PP/SD (the paper estimates
-//! them from microbenchmarked unit costs, §IV-B) — belongs to the
-//! pipeline crate's simulator.
+//! for encoding and zero-copy decoding, the response-side equivalents,
+//! and the trace file format ([`write_trace`]/[`read_trace`]). The
+//! simulated NIC — two rings, and the per-frame/per-query *time* costs
+//! of RV/PP/SD (the paper estimates them from microbenchmarked unit
+//! costs, §IV-B) — belongs to the reproduction crate (`dido-bench`).
 //!
 //! [`KvServer`] is the real TCP front-end: the paper's
 //! RV-ring/dispatcher/SD-writer topology, where frames from every

@@ -4,9 +4,9 @@
 //! hardware under overload. The ring is generic over its payload: the
 //! batched TCP server moves connection-tagged frames so one shared RX
 //! ring can aggregate traffic across every client (the server's `RV`
-//! stage), while the simulator builds the paper's Intel 82599 from two
-//! rings of raw [`Bytes`] frames (`dido-pipeline`'s `SimMachine`). Producers and
-//! consumers move frames in bursts — [`FrameRing::push_burst`] and
+//! stage), while the reproduction's simulator (`dido-bench`) builds the
+//! paper's Intel 82599 from two rings of raw [`Bytes`] frames. Producers
+//! and consumers move frames in bursts — [`FrameRing::push_burst`] and
 //! [`FrameRing::pop_into`] take the ring lock once per burst, not once
 //! per frame, which is what makes the shared ring cheaper than the
 //! per-frame syscalls it replaces.

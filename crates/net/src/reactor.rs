@@ -32,11 +32,11 @@ use crate::nic::FrameRing;
 use crate::sd::SdPlane;
 use crate::server::{Doorbell, FrameReader, ReadReady, TaggedFrame};
 use crate::stats::ServerStats;
-use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -190,7 +190,7 @@ pub(crate) fn build_reactor_scaffold<D: IoDriver>(
     let mut cmd_rxs = Vec::with_capacity(n);
     for _ in 0..n {
         let driver = D::new()?;
-        let (tx, rx) = crossbeam::channel::unbounded::<ReactorCmd>();
+        let (tx, rx) = channel::<ReactorCmd>();
         wakers.push(driver.waker());
         drivers.push(driver);
         cmd_txs.push(tx);

@@ -45,12 +45,12 @@ use crate::reactor::ReactorHandles;
 use crate::server::TaggedFrame;
 use crate::stats::ServerStats;
 use bytes::BytesMut;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -424,7 +424,7 @@ pub(crate) fn build_sd_plane<D: IoDriver>(
     let mut parts = Vec::with_capacity(n);
     for _ in 0..n {
         let driver = D::new()?;
-        let (tx, rx) = channel::unbounded::<SdMsg>();
+        let (tx, rx) = channel::<SdMsg>();
         let bufs = Arc::new(BufRing::new(BUF_RING_SLOTS, BUF_MAX_RECYCLE));
         let msgs = Arc::new(Mutex::new(Vec::with_capacity(MSG_POOL_SLOTS)));
         shards.push(SdShardHandle {

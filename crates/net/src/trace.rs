@@ -45,14 +45,9 @@ impl std::error::Error for TraceError {}
 
 /// Write `queries` as a replayable trace file.
 pub fn write_trace(path: &Path, queries: &[Query]) -> Result<(), TraceError> {
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    out.write_all(MAGIC)?;
-    for frame in pack_frames(queries, crate::protocol::DEFAULT_FRAME_CAPACITY) {
-        out.write_all(&(frame.len() as u32).to_le_bytes())?;
-        out.write_all(&frame)?;
-    }
-    out.flush()?;
-    Ok(())
+    let mut writer = TraceWriter::create(path)?;
+    writer.append(queries)?;
+    writer.flush()
 }
 
 /// Streaming trace appender: the magic goes out once at creation and

@@ -1,7 +1,7 @@
 //! The shared functional state of a key-value node: index + object
 //! store + op counters + clock + deferred purges. Nothing here is
-//! simulated; the reproduction's cache filters and NIC live beside it in
-//! `sim_meter.rs`.
+//! simulated; the reproduction keeps its cache filters and NIC beside an
+//! engine, in its own crate.
 
 use crate::tasks::{Meter, NoMeter, StageCtx, KH_NONE};
 use dido_hashtable::{key_hash, IndexTable, KeyHash, PROBE_WAVEFRONT};
@@ -86,6 +86,35 @@ impl EngineConfig {
             store_bytes,
             cpu_cache_bytes,
             gpu_cache_bytes,
+        }
+    }
+}
+
+/// Sizing of a whole node, before it is split into shards.
+// Defined here rather than beside `dido::DidoOptions`, which carries it,
+// only because the frozen `benchmark/` package spells it
+// `dido_pipeline::TestbedOptions`.
+#[derive(Debug, Clone, Copy)]
+pub struct TestbedOptions {
+    /// Object-store bytes. Experiments default to a scaled-down region
+    /// (the paper's 1,908 MB shared area, shrunk while keeping the
+    /// cache:store ratio dynamics); tests use a few MB.
+    pub store_bytes: usize,
+    /// RNG seed for the workload generator.
+    pub seed: u64,
+    /// Scale the cache filters by `store_bytes / hw.mem.shared_bytes`
+    /// so the cache-to-store ratio (and therefore the Zipf hot-set
+    /// fraction `P`) matches the paper's full-size testbed. On by
+    /// default; turn off to use the raw hardware cache sizes.
+    pub scale_caches: bool,
+}
+
+impl Default for TestbedOptions {
+    fn default() -> TestbedOptions {
+        TestbedOptions {
+            store_bytes: 64 << 20,
+            seed: 0xD1D0,
+            scale_caches: true,
         }
     }
 }
@@ -187,13 +216,15 @@ impl KvEngine {
 
     /// The sizing this engine was built from (a simulator sizes its
     /// cache filters from it).
-    pub(crate) fn config(&self) -> EngineConfig {
+    #[must_use]
+    pub fn config(&self) -> EngineConfig {
         self.cfg
     }
 
     /// Process-unique identity: a simulator keeps its cache filters per
     /// engine, and an address can be reused by a later engine.
-    pub(crate) fn id(&self) -> u64 {
+    #[must_use]
+    pub fn id(&self) -> u64 {
         self.id
     }
 
@@ -336,10 +367,12 @@ impl KvEngine {
         report
     }
 
-    /// Snapshot every live key-value pair to a replayable trace file of
-    /// SET queries (same wire format as `dido_net::write_trace`), so a
-    /// node's contents survive restarts or move between systems.
-    pub fn snapshot_to(&self, path: &std::path::Path) -> Result<usize, dido_net::TraceError> {
+    /// Every live key-value pair as a replayable sequence of SET
+    /// queries, so a node's contents survive restarts or move between
+    /// systems: written out with `dido_net::write_trace`, a restore is
+    /// `read_trace` plus [`KvEngine::execute`] per query.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<Query> {
         let now = self.clock.now_secs();
         let mut sets = Vec::with_capacity(self.index.len());
         self.index.for_each_entry(|_sig, loc| {
@@ -358,19 +391,7 @@ impl KvEngine {
             let ttl = if deadline == 0 { 0 } else { deadline - now };
             sets.push(Query::set_with(key, value, ttl, cflags));
         });
-        let n = sets.len();
-        dido_net::write_trace(path, &sets)?;
-        Ok(n)
-    }
-
-    /// Load a snapshot (or any trace) by executing its queries.
-    /// Returns the number of queries applied.
-    pub fn restore_from(&self, path: &std::path::Path) -> Result<usize, dido_net::TraceError> {
-        let queries = dido_net::read_trace(path)?;
-        for q in &queries {
-            let _ = self.execute(q);
-        }
-        Ok(queries.len())
+        sets
     }
 
     /// Store `key = value` through the canonical SET sequence: slab
@@ -577,13 +598,13 @@ mod tests {
             a.execute(&Query::set(format!("snap-{i}"), format!("val-{i}")));
         }
         a.execute(&Query::delete("snap-7"));
-        let path = std::env::temp_dir().join(format!("dido-snap-{}", std::process::id()));
-        let written = a.snapshot_to(&path).unwrap();
-        assert_eq!(written, 299);
+        let snapshot = a.snapshot();
+        assert_eq!(snapshot.len(), 299);
 
         let b = engine();
-        let restored = b.restore_from(&path).unwrap();
-        assert_eq!(restored, 299);
+        for q in &snapshot {
+            b.execute(q);
+        }
         for i in 0..300u32 {
             let r = b.execute(&Query::get(format!("snap-{i}")));
             if i == 7 {
@@ -593,7 +614,6 @@ mod tests {
                 assert_eq!(r.value, format!("val-{i}"));
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -682,12 +702,14 @@ mod tests {
         a.execute(&Query::set_with("fresh", "v", 1_000, 7));
         a.execute(&Query::set("forever", "v"));
         clock.advance(100); // "stale" is now past its deadline
-        let path = std::env::temp_dir().join(format!("dido-ttl-snap-{}", std::process::id()));
-        assert_eq!(a.snapshot_to(&path).unwrap(), 2);
+        let snapshot = a.snapshot();
+        assert_eq!(snapshot.len(), 2);
 
         let restore_clock = Arc::new(MockClock::at(50_000));
         let b = KvEngine::with_clock(cfg, restore_clock.clone());
-        assert_eq!(b.restore_from(&path).unwrap(), 2);
+        for q in &snapshot {
+            b.execute(q);
+        }
         assert_eq!(b.execute(&Query::get("stale")).status, ResponseStatus::NotFound);
         assert_eq!(b.execute(&Query::get("fresh")).status, ResponseStatus::Ok);
         // The remaining lifetime (900 s) was re-based, not the absolute
@@ -697,7 +719,6 @@ mod tests {
         restore_clock.advance(2);
         assert_eq!(b.execute(&Query::get("fresh")).status, ResponseStatus::NotFound);
         assert_eq!(b.execute(&Query::get("forever")).status, ResponseStatus::Ok);
-        std::fs::remove_file(&path).ok();
     }
 
     /// Where a death record comes from.

@@ -1,58 +1,42 @@
-//! Query-processing pipelines for DIDO.
+//! The query-processing engine of DIDO.
 //!
 //! This crate implements the paper's fine-grained tasks
 //! (`RV, PP, MM, IN, KC, RD, WR, SD` — §III-A) as real functions over a
-//! [`KvEngine`] (cuckoo index + object store), and runs them in two
-//! roles:
+//! [`KvEngine`] (cuckoo index + object store), and the serving executor
+//! over them: [`ShardedEngine::run_batch`] is the plain stage loop,
+//! [`tasks::run_stage`] per stage of the plan on the calling dispatcher
+//! thread, unmetered ([`tasks::NoMeter`]), handing back the responses
+//! and what the batch did (`BatchTally`).
 //!
-//! * **Reproduction** — [`SimExecutor`]: deterministic virtual-time
-//!   execution on the simulated coupled CPU-GPU chip. It meters every
-//!   task ([`tasks::Meter`]) on its own cache filters and NIC rings,
-//!   then prices stages, GPU kernels per task and per index-operation
-//!   type, CPU↔GPU interference, wavefront-granular work stealing, and
-//!   batch-size calibration under the paper's periodical scheduling.
-//!   This is what every experiment in the evaluation uses.
-//! * **Serving** — [`ShardedEngine::run_batch`]: the plain
-//!   stage loop, [`tasks::run_stage`] per stage of the plan on the
-//!   calling dispatcher thread, unmetered ([`tasks::NoMeter`]), handing
-//!   back the responses and what the batch did (`BatchTally`). No
-//!   simulator state is reachable from it.
+//! What a task costs on the paper's coupled CPU-GPU chip is priced
+//! elsewhere: a task reports the events a cost depends on to the
+//! [`tasks::Meter`] of its stage, and the reproduction (`dido-bench`)
+//! supplies a meter over its simulated machine. Nothing simulated is
+//! defined in, or linked into, this crate.
 //!
 //! ```
-//! use dido_apu_sim::{HwSpec, TimingEngine};
 //! use dido_model::{PipelineConfig, Query};
-//! use dido_pipeline::{EngineConfig, KvEngine, SimExecutor};
+//! use dido_pipeline::{EngineConfig, ShardedEngine};
 //!
-//! let hw = HwSpec::kaveri_apu();
-//! let engine = KvEngine::new(EngineConfig::new(1 << 20, hw.cpu.cache_bytes, hw.gpu.cache_bytes));
-//! let sim = SimExecutor::new(TimingEngine::new(hw));
-//! let (report, responses) = sim.run_batch(
-//!     &engine,
+//! let engine = ShardedEngine::new(1, EngineConfig::new(1 << 20, 64 << 10, 16 << 10));
+//! let (responses, tally) = engine.run_batch(
 //!     vec![Query::set("k", "v"), Query::get("k")],
 //!     PipelineConfig::mega_kv(),
 //! );
 //! assert_eq!(&responses[1].value[..], b"v");
-//! assert!(report.t_max_ns > 0.0);
+//! assert_eq!((tally.queries, tally.hits), (2, 1));
 //! ```
 
 #![warn(missing_docs)]
 
 mod batch;
-mod cache;
 mod engine;
-mod setup;
 mod sharded;
 pub mod shardmap;
-mod sim;
-mod sim_meter;
 pub mod tasks;
 
 pub use batch::{Batch, QueryState, StagingArena};
-pub use engine::{EngineConfig, IntegrityReport, KvEngine, OpCounts};
-pub use setup::{preloaded_engine, TestbedOptions};
+pub use engine::{EngineConfig, IntegrityReport, KvEngine, OpCounts, TestbedOptions};
 pub use sharded::{MigrateProgress, ResizeError, ShardedEngine};
 pub use shardmap::{route_of, MapState, ShardMap};
-pub use sim::{
-    BatchReport, KernelReport, RunOptions, SimExecutor, StageReport, StealReport, WorkloadReport,
-};
 pub use tasks::StageCtx;

@@ -6,10 +6,10 @@
 //! task costs on the simulated chip is not its business: it reports the
 //! events a cost depends on (an allocation, a key compare, a value read)
 //! to the [`Meter`] of its [`StageCtx`]. Serving runs with [`NoMeter`],
-//! whose hooks are empty and compile away; the simulator prices the same
-//! events on its own cache filters (`sim_meter.rs`, paper §III-B-1,
-//! §IV-B). `RV`, `PP` and `SD` move frames on the simulated NIC and live
-//! there too.
+//! whose hooks are empty and compile away; the reproduction's simulator
+//! prices the same events on its own cache filters (`dido-bench`'s
+//! `sim_meter.rs`, paper §III-B-1, §IV-B). `RV`, `PP` and `SD` move
+//! frames on the simulated NIC and live there too.
 
 use crate::batch::Batch;
 use crate::engine::KvEngine;

@@ -7,7 +7,8 @@
 //! cargo run --release --example adaptive_pipeline
 //! ```
 
-use dido_kv::dido::{DidoOptions, DidoSystem};
+use dido_bench::DidoSystem;
+use dido_kv::dido::DidoOptions;
 use dido_kv::pipeline::TestbedOptions;
 use dido_kv::workload::{WorkloadGen, WorkloadSpec};
 

@@ -6,7 +6,8 @@
 //! cargo run --release --example network_server
 //! ```
 
-use dido_kv::dido::{DidoOptions, DidoSystem};
+use dido_bench::DidoSystem;
+use dido_kv::dido::DidoOptions;
 use dido_kv::model::{Query, ResponseStatus};
 use dido_kv::net::{KvClient, KvServer};
 use dido_kv::pipeline::TestbedOptions;

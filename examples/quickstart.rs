@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dido_kv::dido::{DidoOptions, DidoSystem};
+use dido_bench::DidoSystem;
+use dido_kv::dido::DidoOptions;
 use dido_kv::model::{Query, ResponseStatus};
 use dido_kv::pipeline::TestbedOptions;
 

@@ -205,6 +205,12 @@ fn parse_args() -> Args {
             }
         }
     }
+    // The shard map holds at most MAX_SHARDS routes and asserts on more.
+    let max_shards = dido_kv::pipeline::shardmap::MAX_SHARDS;
+    if args.shards > max_shards {
+        eprintln!("--shards {} is above the maximum {max_shards}", args.shards);
+        std::process::exit(2);
+    }
     // Every shard gets its own store, and the store asserts on a slice
     // it cannot carve one slot from.
     if args.store_bytes / args.shards < dido_kv::kvstore::MIN_STORE_BYTES {

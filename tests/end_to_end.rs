@@ -2,7 +2,8 @@
 //! generation → network framing → pipeline execution → index/store →
 //! responses, under dynamic adaption.
 
-use dido_kv::dido::{DidoOptions, DidoSystem};
+use dido_bench::DidoSystem;
+use dido_kv::dido::DidoOptions;
 use dido_kv::model::{PipelineConfig, Query, QueryOp, ResponseStatus};
 use dido_kv::pipeline::TestbedOptions;
 use dido_kv::workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
@@ -95,13 +96,13 @@ fn dido_outperforms_static_pipeline_on_read_heavy_small_kv() {
     let mut g1 = WorkloadGen::new(spec, spec.keyspace_size(8 << 20, dido_kv::kvstore::HEADER_SIZE), 5);
     let dd = dido.measure(|n| g1.batch(n), 5);
 
-    let mk = dido_kv::megakv::MegaKv::coupled().measure(
+    let mk = dido_bench::MegaKv::coupled().measure(
         spec,
         TestbedOptions {
             store_bytes: 8 << 20,
             ..TestbedOptions::default()
         },
-        dido_kv::pipeline::RunOptions::default(),
+        dido_bench::RunOptions::default(),
     );
 
     let speedup = dd.throughput_mops() / mk.throughput_mops();

@@ -4,13 +4,11 @@
 //! shape; and the analytic cost model must track the simulator within a
 //! sane error band (the paper's Figure 9 property).
 
+use dido_bench::{preloaded_engine, RunOptions, SimExecutor};
 use dido_kv::apu::{HwSpec, TimingEngine};
 use dido_kv::cost_model::CostModel;
 use dido_kv::model::{ConfigEnumerator, PipelineConfig, Query, Response, ResponseStatus};
-use dido_kv::pipeline::{
-    preloaded_engine, EngineConfig, KvEngine, RunOptions, ShardedEngine, SimExecutor,
-    TestbedOptions,
-};
+use dido_kv::pipeline::{EngineConfig, KvEngine, ShardedEngine, TestbedOptions};
 use dido_kv::workload::WorkloadSpec;
 
 fn testbed() -> TestbedOptions {

@@ -2,8 +2,8 @@
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
 //! the `--stats-every` block on stderr, the refusal of a store size or
-//! latency budget no node can serve, and the README's flag list against
-//! `--help`.
+//! latency budget no node can serve, the README's flag list against
+//! `--help`, and what the binary links: no simulator executor.
 
 #![cfg(target_os = "linux")]
 
@@ -154,6 +154,7 @@ fn unservable_store_sizes_and_latency_budgets_exit_2_naming_the_flag() {
     for (args, message) in [
         (&["--store-mb", "0"][..], "cannot be split"),
         (&["--store-mb", "1", "--shards", "40000"][..], "cannot be split"),
+        (&["--store-mb", "8", "--shards", "70000"][..], "--shards"),
         (&["--store-mb", "17592186044417"][..], "--store-mb"),
         (&["--latency-us", "nan"][..], "--latency-us"),
         (&["--latency-us", "inf"][..], "--latency-us"),
@@ -202,6 +203,62 @@ fn resize_after_is_an_unknown_flag() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --resize-after"), "{stderr}");
+}
+
+/// Package names in `cargo tree -e normal -p package`: what `package`
+/// links outside tests.
+fn linked_by(package: &str) -> BTreeSet<String> {
+    let out = Command::new(env!("CARGO"))
+        .args(["tree", "--offline", "-e", "normal", "--prefix", "none", "-p", package])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("run cargo tree");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let tree = String::from_utf8(out.stdout).expect("cargo tree prints UTF-8");
+    let names = tree.lines().filter_map(|line| line.split(' ').next());
+    names.map(str::to_owned).collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, into: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_sources(&path, into);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            into.push(path);
+        }
+    }
+}
+
+/// The reproduction/serving line is the crate graph: the server's
+/// package links neither the reproduction crate nor a simulator
+/// executor, the engine crate links no simulator, sockets or workload
+/// generator, and no serving crate's source spells a simulator type.
+#[test]
+fn the_server_links_no_simulator() {
+    let server = linked_by("dido-kv");
+    assert!(server.contains("dido-pipeline"), "{server:?}");
+    for reproduction in ["dido-bench", "dido-megakv"] {
+        assert!(!server.contains(reproduction), "dido-kv links {reproduction}");
+    }
+    let engine = linked_by("dido-pipeline");
+    for above in ["dido-apu-sim", "dido-net", "dido-workload"] {
+        assert!(!engine.contains(above), "dido-pipeline links {above}");
+    }
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("src"), &mut sources);
+    for serving in ["model", "hashtable", "kvstore", "net", "pipeline", "cost-model", "core"] {
+        rust_sources(&root.join("crates").join(serving).join("src"), &mut sources);
+    }
+    for path in sources {
+        let text = std::fs::read_to_string(&path).expect("read source");
+        for simulator in ["SimExecutor", "SimMachine", "LruFilter"] {
+            assert!(!text.contains(simulator), "{} spells {simulator}", path.display());
+        }
+    }
 }
 
 /// Every `--flag` spelled in `text`.

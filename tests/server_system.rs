@@ -2,7 +2,8 @@
 //! clients over real sockets, the dynamically adapted pipeline behind
 //! the handler, trace capture, and snapshot/restore across "restarts".
 
-use dido_kv::dido::{DidoOptions, DidoSystem};
+use dido_bench::DidoSystem;
+use dido_kv::dido::DidoOptions;
 use dido_kv::model::{Query, ResponseStatus};
 use dido_kv::net::{read_trace, write_trace, KvClient, KvServer};
 use dido_kv::pipeline::TestbedOptions;
@@ -71,15 +72,18 @@ fn snapshot_survives_a_simulated_restart_behind_tcp() {
             .map(|i| Query::set(format!("persist-{i}"), format!("gen1-{i}")))
             .collect();
         c.request(&sets).unwrap();
-        dido.engine().snapshot_to(&trace_path).unwrap();
+        write_trace(&trace_path, &dido.engine().snapshot()).unwrap();
         server.shutdown();
     }
 
     // Second incarnation: restore, serve the same data.
     {
         let dido = dido_node(4 << 20);
-        let restored = dido.engine().restore_from(&trace_path).unwrap();
-        assert_eq!(restored, 256);
+        let restored = read_trace(&trace_path).unwrap();
+        assert_eq!(restored.len(), 256);
+        for q in &restored {
+            dido.execute(q);
+        }
         let dido = Arc::new(dido);
         let handler = Arc::clone(&dido);
         let server = KvServer::start("127.0.0.1:0", move |_lane, queries| {
