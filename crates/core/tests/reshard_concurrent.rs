@@ -194,11 +194,9 @@ fn live_resize_under_ttl_churn_expires_neither_early_nor_late() {
                 let mut batch = Vec::with_capacity(KEYS * per_key);
                 for i in 0..KEYS {
                     if writing {
-                        // SET first in program order: the scalar path
-                        // (taken while migrating) executes in order,
-                        // and the vectorized path applies inserts
-                        // before searches anyway, so in both modes the
-                        // GET below observes this round's value.
+                        // Inserts apply before searches wherever in
+                        // the batch either sits, settled or migrating,
+                        // so the GET below observes this round's value.
                         batch.push(Query::set_with(mortal(t, i), val(t, i, round), SHORT_TTL, 0));
                     }
                     batch.push(Query::get(mortal(t, i)));

@@ -107,7 +107,10 @@ impl TraceWriter {
     }
 }
 
-/// Read a trace file back into queries (in recorded order).
+/// Read a trace file back into queries (in recorded order). A final
+/// frame whose length prefix or body is cut off by EOF — the tail a
+/// writer had not flushed when its process died — ends the trace; a
+/// complete frame that does not decode is an error.
 pub fn read_trace(path: &Path) -> Result<Vec<Query>, TraceError> {
     let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
     let mut magic = [0u8; 8];
@@ -124,8 +127,11 @@ pub fn read_trace(path: &Path) -> Result<Vec<Query>, TraceError> {
             Err(e) => return Err(e.into()),
         }
         let len = u32::from_le_bytes(len_buf) as usize;
-        let mut buf = vec![0u8; len];
-        input.read_exact(&mut buf)?;
+        let mut buf = Vec::new();
+        (&mut input).take(len as u64).read_to_end(&mut buf)?;
+        if buf.len() < len {
+            break;
+        }
         let frame = Bytes::from(buf);
         queries.extend(parse_frame(&frame).map_err(TraceError::BadFrame)?);
     }
@@ -203,12 +209,37 @@ mod tests {
 
     #[test]
     fn detects_truncation() {
+        // Truncation inside a complete frame — its length prefix intact —
+        // is corruption, not an unflushed tail.
         let queries: Vec<Query> = (0..50).map(|i| Query::get(format!("k{i}"))).collect();
         let path = tmp("trunc");
         write_trace(&path, &queries).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let frame_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        bytes[8..12].copy_from_slice(&(frame_len - 3).to_le_bytes());
+        bytes.truncate(bytes.len() - 3);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_trace(&path), Err(TraceError::BadFrame(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_trace_cut_mid_frame_reads_back_its_complete_frames() {
+        let path = tmp("cut");
+        let mut w = TraceWriter::create(&path).unwrap();
+        let first = [Query::set("a", "1"), Query::set("b", "2")];
+        w.append(&first).unwrap();
+        w.flush().unwrap();
+        let whole = w.bytes_written() as usize;
+        w.append(&[Query::set("c", "3")]).unwrap();
+        w.flush().unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(read_trace(&path).is_err());
+        // Cut inside the second frame's length prefix, then inside its
+        // body: either way the trace is the first frame.
+        for cut in [whole + 2, bytes.len() - 1] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert_eq!(read_trace(&path).unwrap(), first, "cut at {cut}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

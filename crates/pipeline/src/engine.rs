@@ -3,20 +3,21 @@
 //! simulated; the reproduction keeps its cache filters and NIC beside an
 //! engine, in its own crate.
 
-use crate::tasks::{Meter, NoMeter, StageCtx, KH_NONE};
+use crate::batch::Batch;
+use crate::tasks::{self, Meter, NoMeter, StageCtx, KH_NONE};
 use dido_hashtable::{key_hash, IndexTable, KeyHash, PROBE_WAVEFRONT};
-use dido_kvstore::{ObjectStore, ProbeOutcome, PurgedEntry};
+use dido_kvstore::{ObjectStore, PurgedEntry};
 use dido_model::{
-    metric_table, ttl_to_deadline, Counter, Processor, Query, QueryOp, Response, SharedClock,
-    SystemClock, TaskSet,
+    metric_table, ttl_to_deadline, BatchTally, Counter, PipelineConfig, Processor, Query,
+    Response, SharedClock, SystemClock, TaskSet,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Context for a [`KvEngine::unlink`] or [`KvEngine::remove`] made
-/// outside any stage (the scalar paths, the controller's sweep, the
-/// migration walk): nothing is priced.
+/// outside any stage (single-object loads, `purge_key`, the
+/// controller's sweep, the migration walk): nothing is priced.
 pub(crate) const UNMETERED: StageCtx = StageCtx {
     processor: Processor::Cpu,
     stage_tasks: TaskSet::EMPTY,
@@ -161,8 +162,8 @@ metric_table! {
     /// `IN`-Delete removals applied (eviction cleanups + explicit
     /// DELETEs that matched).
     index_deletes: Counter,
-    /// Objects discovered expired on access (`KC` or the scalar GET
-    /// path) and purged lazily.
+    /// Objects `KC` found expired on access and queued for a lazy
+    /// purge.
     expired_lazy: Counter,
 }
 
@@ -242,7 +243,7 @@ impl KvEngine {
     }
 
     /// Totals of `MM`/`IN` operations applied through the pipeline tasks
-    /// (not the [`KvEngine::execute`] convenience path). See
+    /// (not the single-object loads of preload and migration). See
     /// [`OpCounts`] for what race tests derive from these.
     #[must_use]
     pub fn op_counts(&self) -> OpCounts {
@@ -394,15 +395,12 @@ impl KvEngine {
         sets
     }
 
-    /// Store `key = value` through the canonical SET sequence: slab
-    /// allocation, `unlink` for whatever died to make room, then index
-    /// upsert. Returns the new object's location, or `None` if the store
-    /// or index rejected it (the allocation is rolled back).
-    ///
-    /// This is the *one* implementation of that sequence — the
-    /// [`KvEngine::execute`] SET arm, the serving core's preload path,
-    /// and shard migration all call it, so eviction bookkeeping can
-    /// never diverge between them.
+    /// Store one object outside any batch — preload, and shard
+    /// migration through [`KvEngine::load_object_at`]: slab allocation,
+    /// `unlink` for whatever died to make room, then index upsert.
+    /// Returns the new object's location, or `None` if the store or
+    /// index rejected it (the allocation is rolled back). Served SETs
+    /// run the `MM` and `IN` tasks instead.
     pub fn load_object(&self, key: &[u8], value: &[u8]) -> Option<u64> {
         self.load_object_with(key, value, 0, 0)
     }
@@ -456,9 +454,8 @@ impl KvEngine {
     }
 
     /// Remove `key` from this engine (search, compare, then `remove`);
-    /// `true` if a live entry was removed. The canonical DELETE
-    /// sequence, shared by [`KvEngine::execute`] and shard migration's
-    /// donor-side cleanup.
+    /// `true` if a live entry was removed. `ShardedEngine::load`'s
+    /// donor-side cleanup while a resize drains.
     pub fn purge_key(&self, key: &[u8]) -> bool {
         let kh = key_hash(key);
         let (cands, _) = self.index.search(kh);
@@ -468,59 +465,27 @@ impl KvEngine {
             .any(|&loc| self.store.key_matches(loc, key) && self.remove(&UNMETERED, kh, loc))
     }
 
-    /// Convenience single-query execution outside any pipeline (used by
-    /// examples, tests, and the quickstart API). Functionally identical
-    /// to what the staged tasks do.
-    pub fn execute(&self, q: &Query) -> Response {
-        match q.op {
-            QueryOp::Get => {
-                let kh = key_hash(&q.key);
-                let now = self.clock.now_secs();
-                let gen = self.store.recycle_gen();
-                let (cands, _) = self.index.search(kh);
-                for &loc in cands.as_slice() {
-                    match self.store.probe(loc, &q.key, now) {
-                        ProbeOutcome::Miss => continue,
-                        ProbeOutcome::Expired => {
-                            // Lazy expiry: the read observes the miss
-                            // in-band and purges entry + slot.
-                            let cookie = kh.hash;
-                            self.unlink(&UNMETERED, &[PurgedEntry { loc, cookie }]);
-                            self.ops.expired_lazy.add(1);
-                            return Response::not_found();
-                        }
-                        ProbeOutcome::Hit => {
-                            self.store.touch(loc, self.sample_epoch());
-                            let mut v = Vec::with_capacity(self.store.object_lens(loc).1);
-                            self.store.read_value(loc, &mut v);
-                            // Revalidate after copying: a concurrent
-                            // sweep can free the slot (and an allocation
-                            // recycle it) mid-read; an unchanged recycle
-                            // generation proves the copy untorn, else
-                            // recompare — a miss, never torn bytes.
-                            if self.store.recycle_gen_validate() != gen
-                                && !self.store.key_matches(loc, &q.key)
-                            {
-                                return Response::not_found();
-                            }
-                            return Response::hit(v);
-                        }
-                    }
-                }
-                Response::not_found()
-            }
-            QueryOp::Set => match self.load_object_with(&q.key, &q.value, q.ttl, q.flags) {
-                Some(_) => Response::ok(),
-                None => Response::error(),
-            },
-            QueryOp::Delete => {
-                if self.purge_key(&q.key) {
-                    Response::ok()
-                } else {
-                    Response::not_found()
-                }
-            }
+    /// The executor: `queries` through `config`'s stages, each stage's
+    /// tasks in plan order over the whole batch (DESIGN.md §9).
+    /// Responses return in query order, with what the batch did.
+    #[must_use]
+    pub fn run_batch(
+        &self,
+        queries: Vec<Query>,
+        config: PipelineConfig,
+    ) -> (Vec<Response>, BatchTally) {
+        let mut batch = Batch::new(queries, config);
+        for stage in &config.plan().stages {
+            tasks::run_stage(self, stage, &mut batch);
         }
+        (batch.take_responses(), batch.tally)
+    }
+
+    /// One query as a one-query [`KvEngine::run_batch`] under
+    /// [`PipelineConfig::cpu_only`] (examples, tests, restores).
+    pub fn execute(&self, q: &Query) -> Response {
+        let (mut responses, _) = self.run_batch(vec![q.clone()], PipelineConfig::cpu_only());
+        responses.pop().expect("one query, one response")
     }
 }
 
@@ -646,14 +611,16 @@ mod tests {
         clock.advance(29);
         assert_eq!(e.execute(&Query::get("ttl-k")).status, ResponseStatus::Ok);
         clock.advance(1);
-        // now == deadline: expired, purged lazily, and the slot freed.
+        // now == deadline: expired, a miss in-band, and queued for a
+        // lazy purge ...
         assert_eq!(
             e.execute(&Query::get("ttl-k")).status,
             ResponseStatus::NotFound
         );
         assert_eq!(e.op_counts().expired_lazy, 1);
-        assert!(!e.has_key(b"ttl-k"));
+        // ... which the next batch's IN-Delete runs.
         assert_eq!(e.execute(&Query::get("forever")).status, ResponseStatus::Ok);
+        assert!(!e.has_key(b"ttl-k"));
         // A second GET is a plain miss, not another lazy purge.
         assert_eq!(
             e.execute(&Query::get("ttl-k")).status,
@@ -727,7 +694,6 @@ mod tests {
         ClockEviction,
         SegmentReclaim,
         KcLazyExpiry,
-        ScalarGetLazyExpiry,
     }
 
     /// The recycle race, once per source of a death record, through the
@@ -735,13 +701,11 @@ mod tests {
     /// takes the slot back off the LIFO free list, and only then does
     /// the unlink run. Re-SET of the *same* key makes the stale entry
     /// fresh — it must survive (every such row fails with `unlink`'s
-    /// guard removed; the scalar-GET row is the sequence `execute` ran
-    /// unguarded before it called `unlink`). Re-SET of *another* key
-    /// leaves the stale entry dangling — it must go.
+    /// guard removed). Re-SET of *another* key leaves the stale entry
+    /// dangling — it must go.
     #[test]
     fn unlink_spares_a_slot_recycled_to_the_same_key_whatever_reported_the_death() {
-        use crate::batch::Batch;
-        use dido_model::{MockClock, PipelineConfig};
+        use dido_model::MockClock;
         const VICTIM: &[u8] = b"victim";
         const OTHER: &[u8] = b"other!";
         let loc_of = |e: &KvEngine, key: &[u8]| {
@@ -756,7 +720,6 @@ mod tests {
             Death::ClockEviction,
             Death::SegmentReclaim,
             Death::KcLazyExpiry,
-            Death::ScalarGetLazyExpiry,
         ];
         for source in sources {
             for same_key in [true, false] {
@@ -801,12 +764,9 @@ mod tests {
                         purged[0]
                     }
                     Death::KcLazyExpiry => {
-                        let config = PipelineConfig::mega_kv();
-                        let mut batch = Batch::new(vec![Query::get(VICTIM)], config);
-                        for stage in &config.plan().stages {
-                            crate::tasks::run_stage(&e, stage, &mut batch);
-                        }
-                        assert_eq!(batch.take_responses()[0].status, ResponseStatus::NotFound);
+                        let (responses, _) =
+                            e.run_batch(vec![Query::get(VICTIM)], PipelineConfig::mega_kv());
+                        assert_eq!(responses[0].status, ResponseStatus::NotFound);
                         let queued = e.pending_expired.drain();
                         assert_eq!(queued.len(), 1, "{case}");
                         assert!(
@@ -814,19 +774,6 @@ mod tests {
                             "the sweeper frees the slot"
                         );
                         queued[0]
-                    }
-                    Death::ScalarGetLazyExpiry => {
-                        // What `execute`'s GET holds between its probe
-                        // and its unlink.
-                        assert_eq!(e.store.probe(loc, VICTIM, now), ProbeOutcome::Expired);
-                        assert!(
-                            e.store.expire_if_due(loc, now),
-                            "the sweeper frees the slot"
-                        );
-                        PurgedEntry {
-                            loc,
-                            cookie: key_hash(VICTIM).hash,
-                        }
                     }
                 };
                 assert_eq!(

@@ -8,7 +8,7 @@
 //! topology *change at runtime*. All routing flows through the versioned
 //! [`ShardMap`] plane (see [`crate::shardmap`]); a resize installs a
 //! `Migrating{old, new}` map, a migration worker drains donor shards in
-//! wavefront-sized chunks, and the data path double-probes so
+//! wavefront-sized chunks, and the data path triple-probes so
 //! correctness never depends on migration progress.
 //!
 //! ## Migration protocol (DESIGN.md §12)
@@ -17,34 +17,39 @@
 //! (new topology, authoritative for writes) and the **donor** (old
 //! topology, draining). Every mutation of a possibly-migrating key
 //! serializes on the owning donor shard's write lock; GETs stay
-//! lock-free:
+//! lock-free. A batch runs the same stage loop as a settled one, in
+//! passes:
 //!
-//! * **GET** — probe primary, then donor, then primary again. The third
-//!   probe closes the race where the worker moves the key between the
-//!   first two probes (a move inserts into primary *before* deleting
-//!   from donor, and moves only travel donor→primary, so a key that is
-//!   live somewhere is always found).
-//! * **SET** — lock the donor shard, store into primary, purge the key
-//!   from the donor (so a stale donor copy can never shadow the new
-//!   value after the worker has passed it by).
-//! * **DELETE** — lock the donor shard, purge from both sets.
-//! * **Worker** — per chunk: lock the donor shard, walk a bounded
-//!   bucket range of its index, and for each live key not already in
-//!   primary, copy it over (carrying CLOCK frequency/epoch via
-//!   `restore_clock`) and delete the donor copy.
+//! * lock the donor shards its SETs and DELETEs route to (ascending);
+//! * run the whole batch over the primary set;
+//! * still locked, one pass over the donor set: a DELETE for every SET
+//!   that stored (so a stale donor copy can never shadow the new value
+//!   after the worker has passed it by) and for every DELETE of a key
+//!   the batch did not store, a GET for every GET that missed;
+//! * unlocked, re-run the GETs still missing over the primary. This
+//!   third probe closes the race where the worker moves a key between
+//!   the first two (a move inserts into primary *before* deleting from
+//!   donor, and moves only travel donor→primary, so a key that is live
+//!   somewhere is always found).
+//!
+//! The worker, per chunk, locks one donor shard, walks a bounded bucket
+//! range of its index, and for each live key not already in primary,
+//! copies it over (carrying CLOCK frequency/epoch via `restore_clock`)
+//! and deletes the donor copy.
 //!
 //! Batches hold the `sets` read lock for their whole run, so the two
 //! map transitions (install, settle) take the write lock and thereby
 //! wait out every in-flight batch: no batch ever runs against a set
 //! topology that has been retired.
 
-use crate::batch::Batch;
 use crate::engine::{EngineConfig, KvEngine, OpCounts, UNMETERED};
 use crate::shardmap::{route_of, MapState, ShardMap, MAX_SHARDS};
-use crate::tasks;
 use dido_kvstore::{ClassStats, ExpiryStats, MIN_STORE_BYTES};
-use dido_model::{BatchTally, PipelineConfig, Query, QueryOp, Response, SharedClock, SystemClock};
+use dido_model::{
+    BatchTally, PipelineConfig, Query, QueryOp, Response, ResponseStatus, SharedClock, SystemClock,
+};
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,6 +90,71 @@ impl ShardSet {
     /// The engine owning `key` under this set's topology.
     fn engine_of(&self, key: &[u8]) -> &KvEngine {
         &self.engines[route_of(key, self.engines.len())]
+    }
+
+    /// Run a batch over this set: each shard's share through its
+    /// engine's stage loop, responses back in query order, the tally the
+    /// shards' sum.
+    fn run_batch(&self, queries: Vec<Query>, config: PipelineConfig) -> (Vec<Response>, BatchTally) {
+        let n = self.engines.len();
+        if n == 1 {
+            // Fast path: no partitioning, no order restoration.
+            return self.engines[0].run_batch(queries, config);
+        }
+        let total = queries.len();
+        let mut per_shard: Vec<Vec<Query>> = (0..n).map(|_| Vec::new()).collect();
+        let mut positions: Vec<Vec<u32>> = (0..n).map(|_| Vec::new()).collect();
+        for (pos, q) in queries.into_iter().enumerate() {
+            let s = route_of(&q.key, n);
+            positions[s].push(pos as u32);
+            per_shard[s].push(q);
+        }
+        let mut out: Vec<Option<Response>> = vec![None; total];
+        let mut tally = BatchTally::default();
+        for (s, queries) in per_shard.into_iter().enumerate() {
+            if queries.is_empty() {
+                continue;
+            }
+            let (responses, shard_tally) = self.engines[s].run_batch(queries, config);
+            tally.merge(&shard_tally);
+            for (&pos, r) in positions[s].iter().zip(responses) {
+                out[pos as usize] = Some(r);
+            }
+        }
+        let responses = out
+            .into_iter()
+            .map(|r| r.expect("every query answered by its shard"))
+            .collect();
+        (responses, tally)
+    }
+
+    /// One follow-up pass of a migrating batch: each query `follow` maps
+    /// (given whether it is answered `Ok` so far) runs over this set,
+    /// and its answer replaces one that is not `Ok`, counting a
+    /// recovered hit into `tally`.
+    fn follow_up(
+        &self,
+        queries: &[Query],
+        responses: &mut [Response],
+        tally: &mut BatchTally,
+        config: PipelineConfig,
+        follow: impl Fn(&Query, bool) -> Option<Query>,
+    ) {
+        let (positions, pass): (Vec<usize>, Vec<Query>) = queries
+            .iter()
+            .zip(responses.iter())
+            .enumerate()
+            .filter_map(|(i, (q, r))| Some((i, follow(q, r.status == ResponseStatus::Ok)?)))
+            .unzip();
+        if pass.is_empty() {
+            return;
+        }
+        for (i, r) in positions.into_iter().zip(self.run_batch(pass, config).0) {
+            if responses[i].status != ResponseStatus::Ok {
+                tally.count_response(queries[i].op, &r);
+                responses[i] = r;
+            }
+        }
     }
 }
 
@@ -249,20 +319,17 @@ impl ShardedEngine {
         self.sets.read().primary.engines.iter().map(Arc::clone).collect()
     }
 
-    /// Single-query convenience API (routes, then executes; honors any
-    /// in-flight migration).
+    /// One query as a one-query [`ShardedEngine::run_batch`] under
+    /// [`PipelineConfig::cpu_only`] (examples, tests, restores).
     pub fn execute(&self, q: &Query) -> Response {
-        let sets = self.sets.read();
-        match &sets.donor {
-            None => sets.primary.engine_of(&q.key).execute(q),
-            Some(donor) => Self::migrating_execute(&sets.primary, donor, q),
-        }
+        let (mut responses, _) = self.run_batch(vec![q.clone()], PipelineConfig::cpu_only());
+        responses.pop().expect("one query, one response")
     }
 
-    /// Store `key = value` directly (the preload path): the same
-    /// canonical [`KvEngine::load_object`] sequence live SETs use,
-    /// routed through the shard map. Returns the object's location in
-    /// its owning shard, or `None` if the store rejected it.
+    /// Store `key = value` directly (the preload path):
+    /// [`KvEngine::load_object`] routed through the shard map. Returns
+    /// the object's location in its owning shard, or `None` if the store
+    /// rejected it.
     pub fn load(&self, key: &[u8], value: &[u8]) -> Option<u64> {
         let sets = self.sets.read();
         match &sets.donor {
@@ -277,108 +344,18 @@ impl ShardedEngine {
         }
     }
 
-    /// The migrating-path scalar execution (see the module docs for the
-    /// probe/lock protocol).
-    fn migrating_execute(primary: &ShardSet, donor: &ShardSet, q: &Query) -> Response {
-        match q.op {
-            QueryOp::Get => {
-                let p = primary.engine_of(&q.key);
-                let r = p.execute(q);
-                if r.status == dido_model::ResponseStatus::Ok {
-                    return r;
-                }
-                let r = donor.engine_of(&q.key).execute(q);
-                if r.status == dido_model::ResponseStatus::Ok {
-                    return r;
-                }
-                // Third probe: the worker may have moved the key between
-                // the primary miss and the donor miss.
-                p.execute(q)
-            }
-            QueryOp::Set => {
-                let d = route_of(&q.key, donor.len());
-                let _wl = donor.write_locks[d].lock();
-                match primary
-                    .engine_of(&q.key)
-                    .load_object_with(&q.key, &q.value, q.ttl, q.flags)
-                {
-                    Some(_) => {
-                        donor.engines[d].purge_key(&q.key);
-                        Response::ok()
-                    }
-                    None => Response::error(),
-                }
-            }
-            QueryOp::Delete => {
-                let d = route_of(&q.key, donor.len());
-                let _wl = donor.write_locks[d].lock();
-                let in_new = primary.engine_of(&q.key).purge_key(&q.key);
-                let in_old = donor.engines[d].purge_key(&q.key);
-                if in_new || in_old {
-                    Response::ok()
-                } else {
-                    Response::not_found()
-                }
-            }
-        }
-    }
-
-    /// Partition a batch by primary routing into owned per-shard query
-    /// vectors plus a parallel position index (no per-query clone).
-    fn partition(queries: Vec<Query>, n: usize) -> (Vec<Vec<Query>>, Vec<Vec<u32>>) {
-        let mut per_shard: Vec<Vec<Query>> = (0..n).map(|_| Vec::new()).collect();
-        let mut positions: Vec<Vec<u32>> = (0..n).map(|_| Vec::new()).collect();
-        for (pos, q) in queries.into_iter().enumerate() {
-            let s = route_of(&q.key, n);
-            positions[s].push(pos as u32);
-            per_shard[s].push(q);
-        }
-        (per_shard, positions)
-    }
-
-    /// Scalar in-order execution for batches that land mid-migration:
-    /// correctness (including intra-batch same-key read-after-write
-    /// order) over vectorization, for the bounded migration window.
-    fn migrating_batch(sets: &EngineSets, queries: &[Query]) -> (Vec<Response>, BatchTally) {
-        let donor = sets.donor.as_ref().expect("migrating batch needs a donor set");
-        let mut tally = BatchTally::default();
-        let responses = queries
-            .iter()
-            .map(|q| {
-                let r = Self::migrating_execute(&sets.primary, donor, q);
-                tally.count_query(q);
-                tally.count_response(q.op, &r);
-                r
-            })
-            .collect();
-        (responses, tally)
-    }
-
-    /// The executor: one shard's queries through `config`'s stages, each
-    /// stage's tasks in plan order over the whole batch.
-    fn run_shard(
-        engine: &KvEngine,
-        queries: Vec<Query>,
-        config: PipelineConfig,
-    ) -> (Vec<Response>, BatchTally) {
-        let mut batch = Batch::new(queries, config);
-        for stage in &config.plan().stages {
-            tasks::run_stage(engine, stage, &mut batch);
-        }
-        (batch.take_responses(), batch.tally)
-    }
-
     /// Process one batch across all shards *on the calling thread* under
     /// `config`, and report what it did.
     ///
     /// This is the concurrent serving core's data path: parallelism
     /// lives across the N network dispatchers that each call this
-    /// concurrently. Each shard's sub-batch runs the plain stage loop
-    /// ([`tasks::run_stage`] per stage of `config`): no thread and no
-    /// lock beyond the `sets` read guard. A batch is a set of concurrent
-    /// operations; each stage's tasks and index ops apply in plan order
-    /// over the whole shard batch (DESIGN.md §9).
-    /// Responses return in query order; the tally is the shards' sum.
+    /// concurrently. Each shard's sub-batch runs [`KvEngine::run_batch`]:
+    /// no thread and no lock beyond the `sets` read guard (and, while a
+    /// resize drains, the donor write locks its SETs and DELETEs need).
+    /// A batch is a set of concurrent operations; each stage's tasks and
+    /// index ops apply in plan order over the whole shard batch
+    /// (DESIGN.md §9). Responses return in query order; the tally is the
+    /// shards' sum.
     #[must_use]
     pub fn run_batch(
         &self,
@@ -386,32 +363,53 @@ impl ShardedEngine {
         config: PipelineConfig,
     ) -> (Vec<Response>, BatchTally) {
         let sets = self.sets.read();
-        if sets.donor.is_some() {
-            return Self::migrating_batch(&sets, &queries);
+        match &sets.donor {
+            None => sets.primary.run_batch(queries, config),
+            Some(donor) => Self::run_migrating(&sets.primary, donor, queries, config),
         }
-        let engines = &sets.primary.engines;
-        if engines.len() == 1 {
-            // Fast path: no partitioning, no order restoration.
-            return Self::run_shard(&engines[0], queries, config);
-        }
-        let n = queries.len();
-        let (per_shard, positions) = Self::partition(queries, engines.len());
-        let mut out: Vec<Option<Response>> = vec![None; n];
-        let mut tally = BatchTally::default();
-        for (s, queries) in per_shard.into_iter().enumerate() {
-            if queries.is_empty() {
-                continue;
-            }
-            let (responses, shard_tally) = Self::run_shard(&engines[s], queries, config);
-            tally.merge(&shard_tally);
-            for (&pos, r) in positions[s].iter().zip(responses) {
-                out[pos as usize] = Some(r);
-            }
-        }
-        let responses = out
-            .into_iter()
-            .map(|r| r.expect("every query answered by its shard"))
+    }
+
+    /// A batch that lands while a resize drains (DESIGN.md §12): the
+    /// settled run over the primary set, then — under the write locks of
+    /// the donor shards its SETs and DELETEs route to — one pass over the
+    /// donor set, then, with the locks released, a third probe of the
+    /// GETs still missing. The tally is the primary run's plus the hits
+    /// the two follow-up passes recover.
+    fn run_migrating(
+        primary: &ShardSet,
+        donor: &ShardSet,
+        queries: Vec<Query>,
+        config: PipelineConfig,
+    ) -> (Vec<Response>, BatchTally) {
+        let mut locked: Vec<usize> = queries
+            .iter()
+            .filter(|q| q.op != QueryOp::Get)
+            .map(|q| route_of(&q.key, donor.len()))
             .collect();
+        locked.sort_unstable();
+        locked.dedup();
+        let guards: Vec<_> = locked.iter().map(|&d| donor.write_locks[d].lock()).collect();
+        let (mut responses, mut tally) = primary.run_batch(queries.clone(), config);
+        // A stored SET purges the donor copy. So does a DELETE, and
+        // answers from it — unless the batch stored the key, which the
+        // DELETE then met in the primary (Insert runs before Delete). A
+        // GET that missed probes the donor.
+        let stored: HashSet<&[u8]> = queries
+            .iter()
+            .zip(&responses)
+            .filter(|(q, r)| q.op == QueryOp::Set && r.status == ResponseStatus::Ok)
+            .map(|(q, _)| &q.key[..])
+            .collect();
+        donor.follow_up(&queries, &mut responses, &mut tally, config, |q, ok| match q.op {
+            QueryOp::Set => ok.then(|| Query::delete(q.key.clone())),
+            QueryOp::Delete => (!stored.contains(&q.key[..])).then(|| q.clone()),
+            QueryOp::Get => (!ok).then(|| q.clone()),
+        });
+        drop(guards);
+        // The worker may have moved a key between the first two probes.
+        primary.follow_up(&queries, &mut responses, &mut tally, config, |q, ok| {
+            (q.op == QueryOp::Get && !ok).then(|| q.clone())
+        });
         (responses, tally)
     }
 

@@ -96,8 +96,8 @@ impl StageCtx {
 }
 
 /// Run every task and index operation of `stage` over the whole of
-/// `batch`, in plan order. This is the executor: serving calls it once
-/// per stage on the dispatcher thread.
+/// `batch`, in plan order. [`KvEngine::run_batch`], the executor, calls
+/// it once per stage.
 pub fn run_stage(engine: &KvEngine, stage: &StagePlan, batch: &mut Batch) {
     let ctx = StageCtx::new(stage.processor, stage.tasks, 64);
     let all = 0..batch.len();
@@ -287,6 +287,7 @@ pub fn run_index_delete<M: Meter>(
             continue;
         }
         M::index_op(&ctx, engine.index.search_batch(&keys[..n], &mut cands[..n]));
+        let now = engine.clock.now_secs();
         for k in 0..n {
             let i = idx[k];
             let key = &batch.queries[i].key;
@@ -294,13 +295,17 @@ pub fn run_index_delete<M: Meter>(
             for &loc in cands[k].as_slice() {
                 // Key comparison before destructive ops.
                 M::delete_compare(&ctx, key.len());
-                if engine.store.key_matches(loc, key) {
-                    engine.ops.index_deletes.add(1);
-                    if engine.remove(&ctx, keys[k], loc) {
-                        response = Response::ok();
-                    }
-                    break;
+                let outcome = engine.store.probe(loc, key, now);
+                if outcome == ProbeOutcome::Miss {
+                    continue;
                 }
+                engine.ops.index_deletes.add(1);
+                // An expired object goes too, but was already absent:
+                // the DELETE misses, as a GET would.
+                if engine.remove(&ctx, keys[k], loc) && outcome == ProbeOutcome::Hit {
+                    response = Response::ok();
+                }
+                break;
             }
             batch.state[i].response = Some(response);
         }
@@ -509,12 +514,7 @@ mod tests {
     }
 
     fn run_full_pipeline(engine: &KvEngine, queries: Vec<Query>) -> Vec<Response> {
-        let config = PipelineConfig::mega_kv();
-        let mut batch = Batch::new(queries, config);
-        for stage in &config.plan().stages {
-            run_stage(engine, stage, &mut batch);
-        }
-        batch.take_responses()
+        engine.run_batch(queries, PipelineConfig::mega_kv()).0
     }
 
     #[test]
@@ -607,5 +607,24 @@ mod tests {
         assert!(!e.has_key(b"ttl-wf"));
         assert_eq!(e.store.live_objects(), 0);
         assert!(e.verify_integrity().is_clean());
+    }
+
+    #[test]
+    fn a_delete_of_an_expired_key_misses_and_purges_it() {
+        use dido_model::MockClock;
+        use std::sync::Arc;
+        let clock = Arc::new(MockClock::at(1_000));
+        let e = KvEngine::with_clock(
+            EngineConfig::new(1 << 20, 64 * 1024, 16 * 1024),
+            clock.clone(),
+        );
+        run_full_pipeline(&e, vec![Query::set_with("ttl-del", "v", 10, 0)]);
+        clock.advance(10);
+        // Whether or not a GET or a sweep purged it first, an expired
+        // key is absent: the DELETE misses, and takes entry and slot.
+        let r = run_full_pipeline(&e, vec![Query::delete("ttl-del")]);
+        assert_eq!(r[0].status, ResponseStatus::NotFound);
+        assert!(!e.has_key(b"ttl-del"));
+        assert_eq!(e.store.live_objects(), 0);
     }
 }

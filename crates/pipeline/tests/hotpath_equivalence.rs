@@ -1,16 +1,15 @@
-//! The wavefront-vectorized task pipeline must be observationally
-//! identical to the scalar reference path on a recorded workload.
+//! The wavefront-vectorized stage loop must answer a recorded workload
+//! exactly as a `HashMap` does.
 //!
-//! The oracle is [`KvEngine::execute`], which still walks the original
-//! per-query path (scalar `IndexTable::search`, per-query
-//! `Vec`-allocated value read) — exactly the hot path the batched
-//! arena-staged tasks replaced. Running the same recorded query
-//! sequence through both and comparing responses byte-for-byte proves
-//! the staging arena and the batched probes changed the memory layout,
-//! not the semantics.
+//! The model shares no engine code: a SET stores, a GET reads, a DELETE
+//! removes and reports whether the key was there. The store is sized so
+//! nothing evicts and every batch carries distinct keys, so no order
+//! inside a batch can change an answer; any difference is the staging
+//! arena, the batched probes or the task order getting a reply wrong.
 
-use dido_model::{PipelineConfig, Processor, Query, Response, TaskKind, TaskSet};
-use dido_pipeline::{tasks, Batch, EngineConfig, KvEngine, StageCtx};
+use dido_model::{PipelineConfig, Query, QueryOp, Response};
+use dido_pipeline::{EngineConfig, KvEngine};
+use std::collections::HashMap;
 
 /// Deterministic splitmix64 stream so the "recorded" workload is
 /// reproducible without a file.
@@ -33,26 +32,28 @@ fn engine() -> KvEngine {
     KvEngine::new(EngineConfig::new(8 << 20, 64 * 1024, 16 * 1024))
 }
 
-/// Run a batch through the staged tasks in canonical stage order and
-/// collect its responses.
-fn run_tasks(engine: &KvEngine, queries: Vec<Query>) -> Vec<Response> {
-    let mut batch = Batch::new(queries, PipelineConfig::mega_kv());
-    let n = batch.len();
-    let all = StageCtx::new(Processor::Cpu, TaskSet::from_tasks(&TaskKind::ALL), 64);
-    tasks::run_mm(all, engine, &mut batch, 0..n);
-    tasks::run_index_insert(all, engine, &mut batch, 0..n);
-    tasks::run_index_delete(all, engine, &mut batch, 0..n);
-    tasks::run_index_search(all, engine, &mut batch, 0..n);
-    tasks::run_kc(all, engine, &mut batch, 0..n);
-    tasks::run_rd(all, engine, &mut batch, 0..n);
-    tasks::run_wr(all, &mut batch, 0..n);
-    batch.take_responses()
+/// What the `HashMap` model answers to `q`, applying it.
+fn model_answer(model: &mut HashMap<Vec<u8>, Vec<u8>>, q: &Query) -> Response {
+    match q.op {
+        QueryOp::Set => {
+            model.insert(q.key.to_vec(), q.value.to_vec());
+            Response::ok()
+        }
+        QueryOp::Get => match model.get(&q.key[..]) {
+            Some(v) => Response::hit(v.clone()),
+            None => Response::not_found(),
+        },
+        QueryOp::Delete => match model.remove(&q.key[..]) {
+            Some(_) => Response::ok(),
+            None => Response::not_found(),
+        },
+    }
 }
 
 #[test]
-fn vectorized_tasks_match_scalar_execute_on_recorded_workload() {
+fn vectorized_tasks_match_a_hashmap_model_on_recorded_workload() {
     let vectorized = engine();
-    let oracle = engine();
+    let mut model = HashMap::new();
     let mut rng = Rng(0xD1D0_2024);
 
     let keyspace = 1500u64;
@@ -89,24 +90,22 @@ fn vectorized_tasks_match_scalar_execute_on_recorded_workload() {
             })
             .collect();
 
-        let vec_responses = run_tasks(&vectorized, queries.clone());
-        let oracle_responses: Vec<Response> = queries.iter().map(|q| oracle.execute(q)).collect();
-        for (i, (v, o)) in vec_responses.iter().zip(&oracle_responses).enumerate() {
+        let (vec_responses, _) = vectorized.run_batch(queries.clone(), PipelineConfig::mega_kv());
+        let model_responses: Vec<Response> =
+            queries.iter().map(|q| model_answer(&mut model, q)).collect();
+        for (i, (v, m)) in vec_responses.iter().zip(&model_responses).enumerate() {
             assert_eq!(
-                v, o,
-                "round {round} query {i} diverged: vectorized {v:?} vs scalar {o:?}"
+                v, m,
+                "round {round} query {i} diverged: vectorized {v:?} vs model {m:?}"
             );
         }
     }
 
-    // Both engines must also agree on final contents and stay clean.
+    // The engine indexes exactly the model's keys and stays clean; the
+    // store also holds the overwritten versions CLOCK has yet to reach.
     assert!(vectorized.verify_integrity().is_clean());
-    assert!(oracle.verify_integrity().is_clean());
-    assert_eq!(vectorized.index.len(), oracle.index.len());
-    assert_eq!(
-        vectorized.store.live_objects(),
-        oracle.store.live_objects()
-    );
+    assert_eq!(vectorized.index.len(), model.len());
+    assert!(vectorized.store.live_objects() >= model.len());
 }
 
 #[test]
@@ -117,7 +116,7 @@ fn responses_are_zero_copy_slices_of_one_arena() {
         e.execute(&Query::set(format!("z-{i:03}"), vec![b'v'; 100]));
     }
     let gets: Vec<Query> = (0..n).map(|i| Query::get(format!("z-{i:03}"))).collect();
-    let responses = run_tasks(&e, gets);
+    let (responses, _) = e.run_batch(gets, PipelineConfig::mega_kv());
 
     // RD stages values in query order into one buffer; after WR freezes
     // it, every response value must be a back-to-back window of the same

@@ -1,6 +1,7 @@
-//! Property test over the serving stage loop: the tally
+//! Property tests over the serving stage loop: the tally
 //! `ShardedEngine::run_batch` hands back must equal a recount, on every
-//! path and under any valid configuration.
+//! path and under any valid configuration, and a batch must answer the
+//! same whether or not a resize is draining under it.
 
 use dido_model::IndexOpAssignment;
 use dido_model::{
@@ -76,10 +77,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `ShardedEngine::run_batch` on its three paths — settled 1-shard,
-    /// partitioned 3-shard, and scalar while a 1→3 resize drains under
-    /// it — hands back a tally equal to a recount from the queries and
-    /// the responses; and the partitioned tally is the shards' sum: a
-    /// twin engine fed each shard's share as a batch of its own (so each
+    /// partitioned 3-shard, and while a 1→3 resize drains under it —
+    /// hands back a tally equal to a recount from the queries and the
+    /// responses; and the partitioned tally is the shards' sum: a twin
+    /// engine fed each shard's share as a batch of its own (so each
     /// tally is one shard's) adds up to the same record.
     #[test]
     fn run_batch_tally_equals_a_recount(batches in ttl_batches(), config in arb_config()) {
@@ -117,4 +118,60 @@ proptest! {
         });
         prop_assert!(migrating.is_migrating());
     }
+
+    /// A batch answers the same whether or not a resize is draining
+    /// under it.
+    #[test]
+    fn a_draining_resize_changes_no_answer(batches in ttl_batches(), config in arb_config()) {
+        draining_answers(&batches, config);
+    }
+}
+
+/// Run `batches` through a settled 1-shard engine and through a twin
+/// that a 1→3 resize drains under from the second batch on, never
+/// settling, and return the twin's answers. The store is roomy (nothing
+/// evicts) and the clock is shared and stands still within a batch, so
+/// every answer must be the settled twin's, and the draining engine's
+/// `MM` must count every SET it was given.
+fn draining_answers(batches: &[Vec<Query>], config: PipelineConfig) -> Vec<Vec<Response>> {
+    let per_shard = EngineConfig::new(1 << 20, 64 << 10, 16 << 10);
+    let clock = Arc::new(MockClock::at(1_000));
+    let engine = |n| ShardedEngine::with_clock(n, per_shard, Arc::clone(&clock) as SharedClock);
+    let (one, migrating) = (engine(1), engine(1));
+    let mut sets_given = 0;
+    let mut answers = Vec::new();
+    std::thread::scope(|scope| {
+        for (i, batch) in batches.iter().enumerate() {
+            if i == 1 {
+                migrating.begin_resize(3, per_shard).unwrap();
+                scope.spawn(|| {
+                    while !migrating.migrate_chunk(4).drained {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            let (settled, _) = one.run_batch(batch.clone(), config);
+            let (draining, _) = migrating.run_batch(batch.clone(), config);
+            assert_eq!(draining, settled, "batch {i} under {config}");
+            sets_given += batch.iter().filter(|q| q.op == QueryOp::Set).count() as u64;
+            assert_eq!(migrating.op_counts().mm_allocs, sets_given, "batch {i}");
+            answers.push(draining);
+            clock.advance(2);
+        }
+    });
+    assert!(migrating.is_migrating());
+    answers
+}
+
+/// The fixed case: a GET of an absent key with its SET behind it in one
+/// batch reads the SET (`IN`-Insert runs before `IN`-Search), mid-resize
+/// as on a settled engine.
+#[test]
+fn a_get_before_its_set_reads_it_while_a_resize_drains() {
+    let batches = [
+        vec![Query::set("seed", "s")],
+        vec![Query::get("k"), Query::set("k", "v")],
+    ];
+    let answers = draining_answers(&batches, PipelineConfig::mega_kv());
+    assert_eq!(answers[1], [Response::hit("v"), Response::ok()]);
 }

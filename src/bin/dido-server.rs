@@ -40,9 +40,10 @@
 //! to epoll when io_uring is unusable — see `DESIGN.md` §15.
 //!
 //! `--trace` tees accepted queries to a replayable trace file through a
-//! bounded queue and a background writer (append-only, size-rotated;
-//! recording never blocks the data path — bursts beyond the queue are
-//! dropped and counted). `--stats-every` prints a stats block every N
+//! bounded queue and a background writer (append-only, size-rotated,
+//! flushed whenever the queue drains; recording never blocks the data
+//! path — bursts beyond the queue are dropped and counted on the stats
+//! block's `trace:` line). `--stats-every` prints a stats block every N
 //! dispatcher batches: the core's counters (`core:`, `mem:`, batches
 //! per configuration), the front-end's (`net:`, `reactors:`, `sd:`,
 //! `io:`, `proto:`), the shard map and the node's pipeline — all
@@ -241,32 +242,32 @@ fn spawn_trace_recorder(path: std::path::PathBuf) -> std::io::Result<TraceRecord
     std::thread::Builder::new()
         .name("dido-trace".into())
         .spawn(move || {
-            let mut since_flush = 0u32;
-            while let Ok(batch) = rx.recv() {
-                if let Err(e) = writer.append(&batch) {
-                    eprintln!("trace write failed: {e}");
-                    return;
-                }
-                since_flush += 1;
-                if since_flush >= 64 {
-                    since_flush = 0;
-                    let _ = writer.flush();
-                }
-                if writer.bytes_written() >= TRACE_ROTATE_BYTES {
-                    let _ = writer.flush();
-                    let mut rotated = path.clone().into_os_string();
-                    rotated.push(".1");
-                    let _ = std::fs::rename(&path, std::path::Path::new(&rotated));
-                    match TraceWriter::create(&path) {
-                        Ok(w) => writer = w,
-                        Err(e) => {
-                            eprintln!("trace rotation failed: {e}");
-                            return;
+            // The server only stops when it is killed, so the file is
+            // flushed whenever the queue drains: what was recorded before
+            // the last quiet moment is on disk.
+            while let Ok(first) = rx.recv() {
+                let queued = std::iter::from_fn(|| rx.try_recv().ok());
+                for batch in std::iter::once(first).chain(queued) {
+                    if let Err(e) = writer.append(&batch) {
+                        eprintln!("trace write failed: {e}");
+                        return;
+                    }
+                    if writer.bytes_written() >= TRACE_ROTATE_BYTES {
+                        let _ = writer.flush();
+                        let mut rotated = path.clone().into_os_string();
+                        rotated.push(".1");
+                        let _ = std::fs::rename(&path, std::path::Path::new(&rotated));
+                        match TraceWriter::create(&path) {
+                            Ok(w) => writer = w,
+                            Err(e) => {
+                                eprintln!("trace rotation failed: {e}");
+                                return;
+                            }
                         }
                     }
                 }
+                let _ = writer.flush();
             }
-            let _ = writer.flush();
         })?;
     Ok(TraceRecorder { tx, dropped })
 }
@@ -358,6 +359,10 @@ fn main() -> std::io::Result<()> {
                 let (state, epoch) = handler_core.engine().shard_map().load();
                 eprintln!("shard map: {state:?} (epoch {epoch})");
                 eprintln!("pipeline: {}", handler_core.shard_config(0).0);
+                if let Some(rec) = &recorder {
+                    let dropped = rec.dropped.load(Ordering::Relaxed);
+                    eprintln!("trace: dropped_batches={dropped}");
+                }
             }
         }
         responses

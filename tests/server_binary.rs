@@ -1,14 +1,15 @@
 //! The `dido-server` binary itself: spawn it, find its ready line,
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
-//! the `--stats-every` block on stderr, the refusal of a store size or
-//! latency budget no node can serve, the README's flag list against
-//! `--help`, and what the binary links: no simulator executor.
+//! the `--stats-every` block on stderr, the `--trace` recording, the
+//! refusal of a store size or latency budget no node can serve, the
+//! README's flag list against `--help`, and what the binary links: no
+//! simulator executor.
 
 #![cfg(target_os = "linux")]
 
 use dido_kv::model::Query;
-use dido_kv::net::KvClient;
+use dido_kv::net::{read_trace, KvClient};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -392,4 +393,46 @@ fn stats_block_carries_cumulative_net_and_core_counters() {
     }
     assert_eq!(last.matches("adaptions").count(), 1, "{last}");
     assert_eq!(last.matches("pipeline: ").count(), 1, "{last}");
+}
+
+/// `--trace` under `--stats-every 1`: each block reports the batches a
+/// full recording queue dropped, and the writer flushes whenever its
+/// queue drains, so every SET the server answered is in the file while
+/// it still runs — the only way it stops is a kill.
+#[test]
+fn a_traced_server_has_every_answered_set_on_disk_before_it_is_killed() {
+    const N: usize = 5;
+    let path = std::env::temp_dir().join(format!("dido-server-trace-{}", std::process::id()));
+    let trace = path.to_str().expect("UTF-8 temp path");
+    let args = ["--trace", trace, "--stats-every", "1", "--store-mb", "16", "--addr", "127.0.0.1:0"];
+    let (server, addrs) = start(&args, 1);
+    let mut client = KvClient::connect(addrs[0]).expect("connect");
+    let sets: Vec<Query> = (0..N).map(|i| Query::set(format!("tr-{i}"), "v")).collect();
+    for q in &sets {
+        client.request(std::slice::from_ref(q)).expect("round trip");
+    }
+    // The handler prints a batch's block before its reply leaves.
+    let mut trace_lines = Vec::new();
+    while trace_lines.len() < N {
+        let line = server
+            .1
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("stats blocks stopped short: {trace_lines:?}"));
+        if line.starts_with("trace: ") {
+            trace_lines.push(line);
+        }
+    }
+    assert_eq!(trace_lines[N - 1], "trace: dropped_batches=0");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let recorded = read_trace(&path);
+        if recorded.as_ref().is_ok_and(|r| *r == sets) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "trace still {recorded:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(server);
+    let _ = std::fs::remove_file(&path);
 }
