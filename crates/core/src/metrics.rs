@@ -6,11 +6,16 @@ use dido_model::{write_metric, PipelineConfig};
 use dido_pipeline::ShardedEngine;
 use std::fmt;
 
-/// The memory plane as it stands: cumulative expiry counters plus
-/// per-size-class occupancy gauges, read from the engine when someone
-/// asks ([`MemoryFold::of`]) — nothing publishes or caches it.
+/// The memory plane as it stands: who holds the resident bytes,
+/// cumulative expiry counters and per-size-class occupancy gauges, read
+/// from the engine when someone asks ([`MemoryFold::of`]) — nothing
+/// publishes or caches it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryFold {
+    /// Bytes of the cuckoo index bucket arrays, summed over shards.
+    pub index_bytes: usize,
+    /// Slab-arena bytes carved into slots, summed over shards.
+    pub store_carved_bytes: usize,
     /// Objects expired in-band on the lookup path (cumulative).
     pub expired_lazy: u64,
     /// Objects freed by whole-segment reclamation (cumulative).
@@ -29,6 +34,8 @@ impl MemoryFold {
     pub(crate) fn of(engine: &ShardedEngine) -> MemoryFold {
         let expiry = engine.expiry_stats();
         MemoryFold {
+            index_bytes: engine.index_bytes(),
+            store_carved_bytes: engine.store_carved_bytes(),
             expired_lazy: engine.op_counts().expired_lazy,
             expired_proactive: expiry.expired_proactive,
             segments_reclaimed: expiry.segments_reclaimed,
@@ -102,15 +109,22 @@ impl fmt::Display for Metrics {
             self.busy_ns / 1e6,
             self.mean_throughput_mops()
         )?;
-        // Memory plane: only once TTL/eviction machinery has moved (an
-        // expiry-free node keeps its block short).
+        // Memory plane: whenever it was read from an engine (which always
+        // has an index) or TTL/eviction machinery has moved; a view with
+        // neither keeps its block short.
         let m = &self.memory;
-        if m.expired_lazy + m.expired_proactive + self.control.sweeps > 0 {
+        if m.index_bytes > 0 || m.expired_lazy + m.expired_proactive + self.control.sweeps > 0 {
             writeln!(
                 f,
                 "mem: {} lazy / {} proactive expirations, \
-                 {} segments reclaimed, {} sealed pending",
-                m.expired_lazy, m.expired_proactive, m.segments_reclaimed, m.sealed_segments
+                 {} segments reclaimed, {} sealed pending, \
+                 index_bytes={} store_carved_bytes={}",
+                m.expired_lazy,
+                m.expired_proactive,
+                m.segments_reclaimed,
+                m.sealed_segments,
+                m.index_bytes,
+                m.store_carved_bytes
             )?;
         }
         for c in &m.classes {

@@ -2,9 +2,9 @@
 //!
 //! Mega-KV-style systems store a short, fixed-length *signature* of each
 //! key in the index instead of the key itself (paper §II-B), which keeps
-//! buckets cache-line sized; a separate key-comparison step (`KC`)
-//! resolves signature collisions against the full key. We derive both
-//! the bucket hash and the signature from one 64-bit hash.
+//! a bucket at 32 B, two to a cache line; a separate key-comparison step
+//! (`KC`) resolves signature collisions against the full key. We derive
+//! both the bucket hash and the signature from one 64-bit hash.
 
 /// A key's hash material: the 64-bit hash and the 16-bit signature
 /// stored in index slots.

@@ -2,7 +2,9 @@
 //!
 //! Layout follows the Mega-KV / MemC3 lineage the paper builds on:
 //!
-//! * buckets of [`SLOTS_PER_BUCKET`] slots, one cache line per bucket;
+//! * buckets of [`SLOTS_PER_BUCKET`] slots, 32 B each, two buckets per
+//!   64 B cache line (a bucket never straddles a line, so a probe
+//!   touches exactly one);
 //! * each slot is a single `AtomicU64` packing
 //!   `occupied(1) | spare(7) | signature(16) | location(40)`;
 //! * two candidate buckets per key, with the alternate bucket computed
@@ -17,6 +19,7 @@
 use crate::hash::KeyHash;
 use crate::prefetch::prefetch_read;
 use dido_model::ResourceUsage;
+use std::alloc::{self, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Keys probed per prefetch wavefront by the `*_batch` operations.
@@ -25,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// wavefronts.
 pub const PROBE_WAVEFRONT: usize = dido_model::WAVEFRONT_WIDTH;
 
-/// Slots per bucket (4 × 8 B slots + padding = one 64 B cache line of
-/// useful data).
+/// Slots per bucket (4 × 8 B slots = one 32 B bucket, half a 64 B cache
+/// line).
 pub const SLOTS_PER_BUCKET: usize = 4;
 
 const OCCUPIED: u64 = 1 << 63;
@@ -63,16 +66,62 @@ fn slot_occupied(word: u64) -> bool {
     word & OCCUPIED != 0
 }
 
-#[repr(align(64))]
+#[repr(C, align(32))]
 struct Bucket {
     slots: [AtomicU64; SLOTS_PER_BUCKET],
 }
 
-impl Bucket {
-    fn new() -> Bucket {
-        Bucket {
-            slots: [const { AtomicU64::new(0) }; SLOTS_PER_BUCKET],
-        }
+// Packed densely, two to a cache line; 32 B alignment keeps every
+// bucket inside one line.
+const _: () = assert!(size_of::<Bucket>() == 32 && 64 % align_of::<Bucket>() == 0);
+
+/// The bucket array, in words the allocator zeroed: a bucket costs
+/// resident memory only once a probe touches it.
+///
+/// The words are allocated at `AtomicU64`'s own alignment, which the
+/// system allocator serves as calloc (fresh zero pages, left untouched);
+/// asked for a 32 B-aligned zeroed block it would write every byte
+/// instead. So one spare bucket's worth of words is allocated and the
+/// array starts at the first 32 B boundary.
+struct Buckets {
+    words: Box<[AtomicU64]>,
+    /// Word index of bucket 0 (below `SLOTS_PER_BUCKET`).
+    first: usize,
+    len: usize,
+}
+
+impl Buckets {
+    fn zeroed(len: usize) -> Buckets {
+        let n_words = (len + 1) * SLOTS_PER_BUCKET;
+        let layout = Layout::array::<AtomicU64>(n_words).expect("bucket array exceeds isize::MAX");
+        // SAFETY: `layout` is non-zero-sized (at least one spare bucket),
+        // as `alloc_zeroed` requires. A non-null result is a fresh block
+        // with exactly the layout of `[AtomicU64; n_words]` (same length,
+        // same alignment), the one `Box<[AtomicU64]>` frees with, and
+        // all-zero bits are a valid `AtomicU64`: an empty slot.
+        let words = unsafe {
+            let ptr = alloc::alloc_zeroed(layout).cast::<AtomicU64>();
+            if ptr.is_null() {
+                alloc::handle_alloc_error(layout);
+            }
+            Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, n_words))
+        };
+        let addr = words.as_ptr() as usize;
+        let first = (addr.next_multiple_of(align_of::<Bucket>()) - addr) / size_of::<AtomicU64>();
+        Buckets { words, first, len }
+    }
+}
+
+impl std::ops::Deref for Buckets {
+    type Target = [Bucket];
+
+    fn deref(&self) -> &[Bucket] {
+        // SAFETY: word `first` is 32 B-aligned (`zeroed` chose it so),
+        // and `first < SLOTS_PER_BUCKET` leaves at least `len` buckets'
+        // words after it in the block. `Bucket` is `repr(C)` over exactly
+        // `SLOTS_PER_BUCKET` words with no padding, so those words are
+        // valid buckets; they live, shared, as long as `self.words`.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().add(self.first).cast(), self.len) }
     }
 }
 
@@ -125,13 +174,13 @@ impl Candidates {
 
 /// A concurrent partial-key cuckoo hash index.
 pub struct IndexTable {
-    buckets: Box<[Bucket]>,
+    buckets: Buckets,
     bucket_mask: u64,
     kick_limit: usize,
     entries: AtomicU64,
     // Runtime statistics for the cost model: the paper computes "the
     // average number of accessed buckets for an Insert operation at
-    // runtime" (§IV-B). Packed as (count<<24 tracked separately).
+    // runtime" (§IV-B).
     insert_ops: AtomicU64,
     insert_buckets: AtomicU64,
     delete_ops: AtomicU64,
@@ -149,9 +198,8 @@ impl IndexTable {
         assert!(capacity > 0, "capacity must be positive");
         let needed_buckets = (capacity as f64 / SLOTS_PER_BUCKET as f64 / 0.75).ceil() as usize;
         let n = needed_buckets.next_power_of_two().max(2);
-        let buckets = (0..n).map(|_| Bucket::new()).collect::<Vec<_>>();
         IndexTable {
-            buckets: buckets.into_boxed_slice(),
+            buckets: Buckets::zeroed(n),
             bucket_mask: (n - 1) as u64,
             kick_limit: 128,
             entries: AtomicU64::new(0),
@@ -166,6 +214,12 @@ impl IndexTable {
     #[must_use]
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
+    }
+
+    /// Bytes the bucket array occupies.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.bucket_count() * size_of::<Bucket>()
     }
 
     /// Total slot capacity.
@@ -811,6 +865,12 @@ mod tests {
         assert_eq!(bu, su);
         assert_eq!(batched.len(), 0);
         assert_eq!(scalar.len(), 0);
+    }
+
+    #[test]
+    fn buckets_are_32_bytes_two_per_line() {
+        // 32 Ki entries at 75 % load → 16 Ki buckets × 32 B.
+        assert_eq!(IndexTable::with_capacity(32 << 10).bytes(), 512 << 10);
     }
 
     #[test]

@@ -16,14 +16,18 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// Allocate a zeroed arena of `capacity` bytes.
+    /// Allocate a zeroed arena of `capacity` bytes. The allocator does
+    /// the zeroing (`vec![0u8; n]` asks it for zeroed memory), so a page
+    /// costs resident memory only once an object is written there.
     #[must_use]
     pub fn new(capacity: usize) -> Arena {
-        let mut v = Vec::with_capacity(capacity);
-        v.resize_with(capacity, || AtomicU8::new(0));
-        Arena {
-            bytes: v.into_boxed_slice(),
-        }
+        let zeroed = Box::into_raw(vec![0u8; capacity].into_boxed_slice());
+        // SAFETY: `AtomicU8` has the size, alignment and bit validity of
+        // `u8`, so the block holds `capacity` valid atomics (zero is a
+        // valid value) under exactly the layout `Box<[AtomicU8]>` frees
+        // with: same length, same alignment.
+        let bytes = unsafe { Box::from_raw(zeroed as *mut [AtomicU8]) };
+        Arena { bytes }
     }
 
     /// Arena capacity in bytes.

@@ -2,7 +2,7 @@
 //! against every available adapter over real loopback sockets. The
 //! planes exercise the adapters only through whole servers; this is the
 //! seam's own spec — what a completion means, op by op — and what any
-//! further adapter (ROADMAP item 5's sim driver) has to pass.
+//! further adapter (e.g. a seed-driven in-memory sim driver) has to pass.
 
 use dido_net::backend_matrix;
 use dido_net::driver::{Completion, EpollDriver, IoDriver, IoVec, UringDriver, ECANCELED, WAKE};

@@ -611,6 +611,20 @@ impl ShardedEngine {
         self.fold_engines(|_| 0, |n, e| *n += e.store.live_objects())
     }
 
+    /// Bytes of every current shard's index bucket array (donors
+    /// included while migrating).
+    #[must_use]
+    pub fn index_bytes(&self) -> usize {
+        self.fold_engines(|_| 0, |n, e| *n += e.index.bytes())
+    }
+
+    /// Arena bytes every current shard's store has carved into slots
+    /// (donors included while migrating).
+    #[must_use]
+    pub fn store_carved_bytes(&self) -> usize {
+        self.fold_engines(|_| 0, |n, e| *n += e.store.bytes_carved())
+    }
+
     /// Aggregate pipeline op totals across current shards plus every
     /// retired donor set (so resizes never lose accounting).
     #[must_use]

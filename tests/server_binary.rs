@@ -1,10 +1,10 @@
 //! The `dido-server` binary itself: spawn it, find its ready line,
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
-//! the `--stats-every` block on stderr, the `--trace` recording, the
-//! refusal of a store size or latency budget no node can serve, the
-//! README's flag list against `--help`, and what the binary links: no
-//! simulator executor.
+//! the `--stats-every` block on stderr, the `--trace` recording, an idle
+//! server's resident set, the refusal of a store size or latency budget
+//! no node can serve, the README's flag list against `--help`, and what
+//! the binary links: no simulator executor.
 
 #![cfg(target_os = "linux")]
 
@@ -393,6 +393,31 @@ fn stats_block_carries_cumulative_net_and_core_counters() {
     }
     assert_eq!(last.matches("adaptions").count(), 1, "{last}");
     assert_eq!(last.matches("pipeline: ").count(), 1, "{last}");
+    // Two 8 MB shards, each indexed for 256 Ki objects: 128 Ki buckets
+    // of 32 B apiece.
+    assert_eq!(metric(last, "index_bytes"), (8 << 20).to_string(), "{last}");
+    assert_ne!(metric(last, "store_carved_bytes"), "0", "{last}");
+}
+
+/// The resident set of a server that has served nothing: the slab arena
+/// and the index are zeroed by the allocator, not written at start-up,
+/// so neither is resident until a request touches it.
+#[test]
+fn an_idle_server_holds_little_of_its_store_resident() {
+    let store_mb = 256;
+    let store = store_mb.to_string();
+    let (server, _) = start(&["--store-mb", &store, "--addr", "127.0.0.1:0"], 1);
+    let status = std::fs::read_to_string(format!("/proc/{}/status", server.0.id()))
+        .expect("read /proc/<pid>/status");
+    let rss_kb: usize = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no VmRSS in:\n{status}"));
+    assert!(
+        rss_kb < (store_mb << 10) / 4,
+        "idle VmRSS {rss_kb} kB is not below a quarter of a {store_mb} MB store"
+    );
 }
 
 /// `--trace` under `--stats-every 1`: each block reports the batches a
