@@ -16,6 +16,9 @@ pub struct MemoryFold {
     pub index_bytes: usize,
     /// Slab-arena bytes carved into slots, summed over shards.
     pub store_carved_bytes: usize,
+    /// Versions SETs replaced and freed at their batch's end
+    /// (cumulative).
+    pub replaced_freed: u64,
     /// Objects expired in-band on the lookup path (cumulative).
     pub expired_lazy: u64,
     /// Objects freed by whole-segment reclamation (cumulative).
@@ -33,10 +36,12 @@ impl MemoryFold {
     /// locks, so this belongs on a reader's thread, not in a loop.
     pub(crate) fn of(engine: &ShardedEngine) -> MemoryFold {
         let expiry = engine.expiry_stats();
+        let ops = engine.op_counts();
         MemoryFold {
             index_bytes: engine.index_bytes(),
             store_carved_bytes: engine.store_carved_bytes(),
-            expired_lazy: engine.op_counts().expired_lazy,
+            replaced_freed: ops.replaced_freed,
+            expired_lazy: ops.expired_lazy,
             expired_proactive: expiry.expired_proactive,
             segments_reclaimed: expiry.segments_reclaimed,
             sealed_segments: expiry.sealed_segments,
@@ -118,11 +123,12 @@ impl fmt::Display for Metrics {
                 f,
                 "mem: {} lazy / {} proactive expirations, \
                  {} segments reclaimed, {} sealed pending, \
-                 index_bytes={} store_carved_bytes={}",
+                 replaced_freed={} index_bytes={} store_carved_bytes={}",
                 m.expired_lazy,
                 m.expired_proactive,
                 m.segments_reclaimed,
                 m.sealed_segments,
+                m.replaced_freed,
                 m.index_bytes,
                 m.store_carved_bytes
             )?;

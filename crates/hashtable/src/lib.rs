@@ -34,5 +34,6 @@ mod table;
 pub use hash::{hash64, hash64_bytes, key_hash, KeyHash};
 pub use prefetch::prefetch_read;
 pub use table::{
-    Candidates, IndexTable, InsertError, MAX_LOCATION, PROBE_WAVEFRONT, SLOTS_PER_BUCKET,
+    tagged, untagged, Candidates, IndexTable, InsertError, MAX_LOCATION, PROBE_WAVEFRONT,
+    SLOTS_PER_BUCKET, TAG_BITS,
 };

@@ -6,7 +6,10 @@
 //!   64 B cache line (a bucket never straddles a line, so a probe
 //!   touches exactly one);
 //! * each slot is a single `AtomicU64` packing
-//!   `occupied(1) | spare(7) | signature(16) | location(40)`;
+//!   `occupied(1) | spare(1) | tag(6) | signature(16) | location(40)`,
+//!   where `tag` is the incarnation of the object at `location` when the
+//!   entry was written (see [`tagged`]): the one fact that tells the
+//!   version an upsert replaced from a later occupant of the same slot;
 //! * two candidate buckets per key, with the alternate bucket computed
 //!   from the *signature only* (partial-key cuckoo hashing), so a kicked
 //!   entry can be rehomed without access to its key;
@@ -36,19 +39,53 @@ const OCCUPIED: u64 = 1 << 63;
 const SIG_SHIFT: u32 = 40;
 const SIG_MASK: u64 = 0xffff << SIG_SHIFT;
 const LOC_MASK: u64 = (1 << SIG_SHIFT) - 1;
+const TAG_SHIFT: u32 = 56;
+const TAG_MASK: u64 = ((1 << TAG_BITS) - 1) << TAG_SHIFT;
 
 /// Maximum encodable location value (40 bits).
 pub const MAX_LOCATION: u64 = LOC_MASK;
+
+/// Width of an entry's incarnation tag.
+pub const TAG_BITS: u32 = 6;
+
+/// The value an entry holds: `loc` plus the incarnation `tag` (its low
+/// [`TAG_BITS`] bits) of the object stored there, placed where the slot
+/// word keeps them. [`IndexTable::insert`] and [`IndexTable::upsert`]
+/// take one, `upsert` returns the one it replaced, and a plain location
+/// is the value with tag 0. Searches and deletes deal in locations only.
+#[must_use]
+pub const fn tagged(loc: u64, tag: u8) -> u64 {
+    loc | (((tag as u64) << TAG_SHIFT) & TAG_MASK)
+}
+
+/// `(location, tag)` of a [`tagged`] value.
+#[must_use]
+pub const fn untagged(value: u64) -> (u64, u8) {
+    (value & LOC_MASK, ((value & TAG_MASK) >> TAG_SHIFT) as u8)
+}
 
 /// Instruction-cost constants charged per probe step; kept coarse on
 /// purpose (the paper counts instructions the same way).
 const INSNS_PER_BUCKET_PROBE: u64 = 24;
 const INSNS_PER_CAS: u64 = 12;
 
+/// The slot word for a [`tagged`] value under `sig`.
 #[inline]
-fn encode(sig: u16, loc: u64) -> u64 {
-    debug_assert!(loc <= LOC_MASK, "location exceeds 40 bits");
-    OCCUPIED | (u64::from(sig) << SIG_SHIFT) | (loc & LOC_MASK)
+fn encode(sig: u16, value: u64) -> u64 {
+    debug_assert!(fits(value), "location exceeds 40 bits");
+    OCCUPIED | (u64::from(sig) << SIG_SHIFT) | (value & (LOC_MASK | TAG_MASK))
+}
+
+/// Whether a [`tagged`] value carries nothing but a 40-bit location and
+/// a tag.
+#[inline]
+fn fits(value: u64) -> bool {
+    value & !(LOC_MASK | TAG_MASK) == 0
+}
+
+#[inline]
+fn slot_value(word: u64) -> u64 {
+    word & (LOC_MASK | TAG_MASK)
 }
 
 #[inline]
@@ -319,13 +356,13 @@ impl IndexTable {
         }
     }
 
-    /// Insert `(signature, location)`. Returns the probe's resource
-    /// usage alongside the outcome.
-    pub fn insert(&self, kh: KeyHash, loc: u64) -> (Result<(), InsertError>, ResourceUsage) {
-        if loc > LOC_MASK {
+    /// Insert `(signature, value)`, `value` a location or a [`tagged`]
+    /// one. Returns the probe's resource usage alongside the outcome.
+    pub fn insert(&self, kh: KeyHash, value: u64) -> (Result<(), InsertError>, ResourceUsage) {
+        if !fits(value) {
             return (Err(InsertError::LocationTooLarge), ResourceUsage::ZERO);
         }
-        let entry = encode(kh.sig, loc);
+        let entry = encode(kh.sig, value);
         let mut buckets_touched = 0u64;
         let mut cas_ops = 0u64;
         let result = self.insert_inner(kh, entry, &mut buckets_touched, &mut cas_ops);
@@ -488,8 +525,10 @@ impl IndexTable {
     /// Insert with Mega-KV SET semantics: if an entry with the same
     /// signature already exists in a candidate bucket, *replace* its
     /// location in place (two versions of one key never coexist in the
-    /// index); otherwise insert fresh. Returns the replaced location,
-    /// if any.
+    /// index); otherwise insert fresh. `value` is a location or a
+    /// [`tagged`] one; returns the replaced value, tag included, if any.
+    /// The caller that gets it back is the only one the index handed
+    /// that version to.
     ///
     /// Signature collisions between distinct keys make `upsert` evict
     /// the colliding key from the index — the standard
@@ -497,12 +536,12 @@ impl IndexTable {
     pub fn upsert(
         &self,
         kh: KeyHash,
-        loc: u64,
+        value: u64,
     ) -> (Result<Option<u64>, InsertError>, ResourceUsage) {
-        if loc > LOC_MASK {
+        if !fits(value) {
             return (Err(InsertError::LocationTooLarge), ResourceUsage::ZERO);
         }
-        let entry = encode(kh.sig, loc);
+        let entry = encode(kh.sig, value);
         let b1 = self.primary_bucket(kh);
         let b2 = self.alt_bucket(b1, kh.sig);
         let mut buckets = 0u64;
@@ -516,25 +555,27 @@ impl IndexTable {
             buckets += 1;
             let bucket = &self.buckets[b as usize];
             for (i, slot) in bucket.slots.iter().enumerate() {
-                let word = slot.load(Ordering::Acquire);
+                let mut word = slot.load(Ordering::Acquire);
+                while slot_occupied(word) && slot_sig(word) == kh.sig {
+                    cas_ops += 1;
+                    match slot.compare_exchange(word, entry, Ordering::AcqRel, Ordering::Acquire) {
+                        Ok(_) => {
+                            let usage = ResourceUsage::new(
+                                buckets * INSNS_PER_BUCKET_PROBE + cas_ops * INSNS_PER_CAS,
+                                buckets,
+                                0,
+                            );
+                            return (Ok(Some(slot_value(word))), usage);
+                        }
+                        // A racing upsert of the same key swapped the
+                        // entry first: replace what it put there, or the
+                        // key would end up with two entries.
+                        Err(now) => word = now,
+                    }
+                }
                 if !slot_occupied(word) {
                     empties[n_empty] = (b, i);
                     n_empty += 1;
-                    continue;
-                }
-                if slot_sig(word) == kh.sig {
-                    cas_ops += 1;
-                    if slot
-                        .compare_exchange(word, entry, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        let usage = ResourceUsage::new(
-                            buckets * INSNS_PER_BUCKET_PROBE + cas_ops * INSNS_PER_CAS,
-                            buckets,
-                            0,
-                        );
-                        return (Ok(Some(slot_loc(word))), usage);
-                    }
                 }
             }
         }
@@ -557,17 +598,17 @@ impl IndexTable {
             }
         }
         // Both buckets full: fall back to the kicking insert.
-        let (result, mut usage) = self.insert(kh, loc);
+        let (result, mut usage) = self.insert(kh, value);
         usage.instructions += cas_ops * INSNS_PER_CAS;
         (result.map(|()| None), usage)
     }
 
-    /// Delete the entry matching `(signature, location)`. Returns
-    /// whether an entry was removed, plus resource usage.
+    /// Delete the entry matching `(signature, location)`, whatever its
+    /// tag. Returns whether an entry was removed, plus resource usage.
     pub fn delete(&self, kh: KeyHash, loc: u64) -> (bool, ResourceUsage) {
         let b1 = self.primary_bucket(kh);
         let b2 = self.alt_bucket(b1, kh.sig);
-        let target = encode(kh.sig, loc);
+        let target = encode(kh.sig, loc & LOC_MASK);
         let mut buckets = 0u64;
         let mut cas_ops = 0u64;
         let mut removed = false;
@@ -576,7 +617,7 @@ impl IndexTable {
             let bucket = &self.buckets[b as usize];
             for slot in &bucket.slots {
                 let word = slot.load(Ordering::Acquire);
-                if word == target {
+                if word & !TAG_MASK == target {
                     cas_ops += 1;
                     if slot
                         .compare_exchange(word, 0, Ordering::AcqRel, Ordering::Acquire)
@@ -1000,6 +1041,33 @@ mod tests {
         assert_eq!(t.len(), 1, "replacement must not grow the table");
         let (c, _) = t.search(kh);
         assert_eq!(c.as_slice(), &[20], "only the new location remains");
+    }
+
+    #[test]
+    fn tags_ride_with_their_entry_and_deletes_ignore_them() {
+        let t = IndexTable::with_capacity(64);
+        let kh = key_hash(b"tagged");
+        assert_eq!(t.upsert(kh, tagged(10, 63)).0, Ok(None));
+        let (r, _) = t.upsert(kh, tagged(20, 5));
+        assert_eq!(r.map(|old| old.map(untagged)), Ok(Some((10, 63))));
+        let (c, _) = t.search(kh);
+        assert_eq!(c.as_slice(), &[20], "searches see locations only");
+        assert!(t.delete(kh, 20).0, "a delete matches whatever the tag");
+        assert!(t.is_empty());
+
+        // Kicks move whole words: fill 8 buckets to ~90 %, so inserts
+        // displace earlier entries, and every entry still answers with
+        // its own tag.
+        let t = IndexTable::with_capacity(16);
+        let stored: Vec<(usize, KeyHash)> = (0u64..29)
+            .map(|i| (i as usize, key_hash(&i.to_le_bytes())))
+            .filter(|&(i, kh)| t.insert(kh, tagged(i as u64, i as u8)).0.is_ok())
+            .collect();
+        assert!(stored.len() > 24, "only {} of 29 placed", stored.len());
+        for (i, kh) in stored {
+            let (r, _) = t.upsert(kh, 1000);
+            assert_eq!(r.unwrap().map(untagged), Some((i as u64, i as u8)), "key {i}");
+        }
     }
 
     #[test]

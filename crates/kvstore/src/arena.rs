@@ -129,6 +129,23 @@ impl Arena {
         self.bytes[offset].store(v, Ordering::Relaxed);
     }
 
+    /// Read one byte with Acquire ordering.
+    #[must_use]
+    pub fn load_u8_acquire(&self, offset: usize) -> u8 {
+        self.bytes[offset].load(Ordering::Acquire)
+    }
+
+    /// Write one byte with Release ordering.
+    pub fn store_u8_release(&self, offset: usize, v: u8) {
+        self.bytes[offset].store(v, Ordering::Release);
+    }
+
+    /// Replace the byte at `offset` with `new` if it is `current`
+    /// (Release on success); `Err` carries the byte found instead.
+    pub fn compare_exchange_u8_release(&self, offset: usize, current: u8, new: u8) -> Result<u8, u8> {
+        self.bytes[offset].compare_exchange(current, new, Ordering::Release, Ordering::Relaxed)
+    }
+
     /// Raw address of the byte at `offset`, for software-prefetch hints
     /// ahead of a batched probe pass. Out-of-range offsets return the
     /// arena base — the caller only ever feeds the result to a prefetch

@@ -38,7 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `deadline` is the absolute unix-seconds expiry (0 = never expires),
 /// already converted from the protocol-relative TTL by the engine;
 /// `client_flags` is the opaque memcached `flags` word, echoed back by
-/// codecs that carry it.
+/// codecs that carry it. `flags` is `incarnation(6) | referenced(1) |
+/// live(1)`: the incarnation is the slot's 6-bit reuse count, bumped by
+/// every allocation into the slot and kept when the object dies, so
+/// `(loc, incarnation)` names one object for as long as the slot is not
+/// reused 64 times. The index stores it beside the location
+/// (`dido_hashtable::tagged`).
 pub const HEADER_SIZE: usize = 24;
 
 const OFF_KEY_LEN: usize = 0;
@@ -52,6 +57,16 @@ const OFF_CLIENT_FLAGS: usize = 20;
 
 const FLAG_LIVE: u8 = 1;
 const FLAG_REFERENCED: u8 = 2;
+const INCARNATION_SHIFT: u32 = 2;
+
+// The index holds every bit of an incarnation.
+const _: () = assert!(u8::BITS - INCARNATION_SHIFT == dido_hashtable::TAG_BITS);
+
+/// The incarnation in a flags byte.
+#[inline]
+fn incarnation(flags: u8) -> u8 {
+    flags >> INCARNATION_SHIFT
+}
 
 /// Smallest size class in bytes.
 const MIN_CLASS_BYTES: usize = 32;
@@ -79,8 +94,9 @@ const MAX_OPEN_SEGMENTS: usize = 4;
 pub enum ProbeOutcome {
     /// Dead slot, stale location, or a different key.
     Miss,
-    /// The queried key, live and unexpired.
-    Hit,
+    /// The queried key, live and unexpired, in the object of this
+    /// incarnation.
+    Hit(u8),
     /// The queried key, but past its deadline.
     Expired,
 }
@@ -116,6 +132,8 @@ pub struct PurgedEntry {
 pub struct AllocOutcome {
     /// Location of the stored object (index this under the key).
     pub loc: u64,
+    /// The object's incarnation (index it beside `loc`).
+    pub tag: u8,
     /// Object evicted to make room, if any (its slot is `loc`).
     pub evicted: Option<PurgedEntry>,
     /// Expired objects purged wholesale from reclaimed segments while
@@ -174,9 +192,9 @@ struct Segment {
 #[derive(Default)]
 struct ClassLists {
     free: Vec<u64>,
-    /// CLOCK ring of allocation events. May contain dead or duplicate
-    /// entries (skipped/compacted lazily); every live object has at
-    /// least one entry.
+    /// CLOCK ring: one entry per slot carved for this class, pushed when
+    /// the slot is carved and only ever rotated after that. The hand
+    /// passes over entries whose slot is free.
     ring: VecDeque<u64>,
     live: usize,
     live_bytes: usize,
@@ -195,10 +213,12 @@ pub struct ObjectStore {
     expired_proactive: AtomicU64,
     segments_reclaimed: AtomicU64,
     /// Bumped (before the new bytes are written) every time an
-    /// allocation reuses a previously-occupied slot. Readers snapshot it
-    /// before validating a location and recheck after copying: an
-    /// unchanged generation proves no recycle overlapped the read, so
-    /// the per-query key recompare can be skipped (seqlock-style).
+    /// allocation reuses a previously-occupied slot, and before
+    /// [`ObjectStore::free_incarnation`] frees a replaced version.
+    /// Readers snapshot it before resolving a location and recheck after
+    /// copying: an unchanged generation proves no recycle overlapped the
+    /// read, so the per-query incarnation recheck can be skipped
+    /// (seqlock-style).
     recycle_gen: AtomicU64,
 }
 
@@ -360,25 +380,36 @@ impl ObjectStore {
             // generation after its copy cannot have read the new bytes.
             self.recycle_gen.fetch_add(1, Ordering::AcqRel);
         }
+        // The next incarnation goes first, still dead (the shift drops
+        // the carry out of the top bit: incarnations wrap at 64), so a
+        // reader whose copy overlaps the bytes below finds it when it
+        // rechecks.
+        let flags_at = loc as usize + OFF_FLAGS;
+        let dead = (incarnation(self.arena.read_u8(flags_at)) + 1) << INCARNATION_SHIFT;
+        self.arena.write_u8(flags_at, dead);
         self.write_object(loc, key, value, slot_class as u8, deadline, client_flags);
 
         let mut lists = self.classes[slot_class].lock();
-        // Publish the object (and its ring entry and accounting) under
-        // the class lock: a concurrent sweep of a stale segment member
-        // pointing at this slot either sees the dead flags and skips, or
-        // claims a fully-accounted object — never a half-counted one.
-        self.arena.write_u8(loc as usize + OFF_FLAGS, FLAG_LIVE);
-        lists.ring.push_back(loc);
+        // A carved or evicted slot's ring entry is at the back, behind
+        // the hand. A slot off a free list keeps its entry wherever it
+        // is, so its object starts referenced: the hand then passes it
+        // once, moving it to the back, before it can be a victim — which
+        // also keeps a SET's object from being evicted before the SET's
+        // upsert indexes it.
+        let referenced = if fresh_carve || evicted.is_some() { 0 } else { FLAG_REFERENCED };
+        // Publish the object (and its accounting) under the class lock:
+        // a concurrent sweep of a stale segment member pointing at this
+        // slot either sees the dead flags and skips, or claims a
+        // fully-accounted object — never a half-counted one. Release: a
+        // reader that sees this occupant also sees whatever freed the
+        // slot before it (`free_incarnation`).
+        self.arena.store_u8_release(flags_at, dead | FLAG_LIVE | referenced);
+        if fresh_carve {
+            lists.ring.push_back(loc);
+        }
         lists.live += 1;
         lists.live_bytes += total;
         lists.frag_bytes += slot_size - total;
-        // Bound ring growth from free/reuse churn.
-        if lists.ring.len() > 4 * lists.live.max(16) {
-            let arena = &self.arena;
-            lists
-                .ring
-                .retain(|&l| arena.read_u8(l as usize + OFF_FLAGS) & FLAG_LIVE != 0);
-        }
         if deadline != 0 {
             self.join_segment(&mut lists, loc, cookie, deadline);
         }
@@ -386,6 +417,7 @@ impl ObjectStore {
 
         Ok(AllocOutcome {
             loc,
+            tag: incarnation(dead),
             evicted,
             reclaimed,
         })
@@ -427,9 +459,11 @@ impl ObjectStore {
         None
     }
 
-    /// CLOCK sweep: skip dead entries, give referenced objects a second
-    /// chance (unless they are expired, which forfeits it), evict the
-    /// first eligible live object. Decrements the class's live
+    /// CLOCK sweep: pass over free slots, give referenced objects a
+    /// second chance (unless they are expired, which forfeits it), evict
+    /// the first eligible live object. Every entry the hand passes —
+    /// free, referenced, the victim — rotates to the back, so the ring
+    /// keeps one entry per carved slot. Decrements the class's live
     /// accounting for the victim and hashes its key before the caller
     /// overwrites the slot.
     fn evict_one(
@@ -441,15 +475,15 @@ impl ObjectStore {
         let budget = lists.ring.len() * 2;
         for _ in 0..budget {
             let loc = lists.ring.pop_front()?;
+            lists.ring.push_back(loc);
             let off = loc as usize;
             let flags = self.arena.read_u8(off + OFF_FLAGS);
             if flags & FLAG_LIVE == 0 {
-                continue; // dead entry: drop it
+                continue;
             }
             let expired = deadline_expired(self.arena.read_u32(off + OFF_DEADLINE), now);
             if flags & FLAG_REFERENCED != 0 && !expired {
                 self.arena.fetch_and_u8(off + OFF_FLAGS, !FLAG_REFERENCED);
-                lists.ring.push_back(loc);
                 continue;
             }
             // Claim the slot atomically so a racing free() cannot also
@@ -628,6 +662,7 @@ impl ObjectStore {
             .collect()
     }
 
+    /// Everything of the header but the flags byte, then key and value.
     fn write_object(&self, loc: u64, key: &[u8], value: &[u8], class: u8, deadline: u32, cflags: u32) {
         let off = loc as usize;
         self.arena.write_u16(off + OFF_KEY_LEN, key.len() as u16);
@@ -635,9 +670,6 @@ impl ObjectStore {
         self.arena.write_u32(off + OFF_FREQ, 0);
         self.arena.write_u32(off + OFF_EPOCH, 0);
         self.arena.write_u8(off + OFF_CLASS, class);
-        // Written dead; the caller flips FLAG_LIVE under the class lock
-        // once the ring entry and accounting are in place.
-        self.arena.write_u8(off + OFF_FLAGS, 0);
         self.arena.write_u32(off + OFF_DEADLINE, deadline);
         self.arena.write_u32(off + OFF_CLIENT_FLAGS, cflags);
         self.arena.write(off + HEADER_SIZE, key);
@@ -701,6 +733,39 @@ impl ObjectStore {
         true
     }
 
+    /// Free the object at `loc` if it is still the live object of
+    /// incarnation `tag`: the version an index upsert replaced, which
+    /// only the caller can still name. Returns false, leaving the slot
+    /// to CLOCK, when the slot has died or been reused since — a CLOCK
+    /// victim keeps its index entry until `IN`-Delete, so by the time an
+    /// upsert replaces that entry the slot may hold another key's object
+    /// or a pending SET of the same key.
+    ///
+    /// The recycle generation is bumped first, and the freeing CAS is a
+    /// Release: a reader that finds this slot dead (or reoccupied) after
+    /// an Acquire sees both the bump, which tells it to resolve again,
+    /// and the upsert, which its next search then finds.
+    pub fn free_incarnation(&self, loc: u64, tag: u8) -> bool {
+        let off = loc as usize + OFF_FLAGS;
+        let dead = tag << INCARNATION_SHIFT;
+        let live = dead | FLAG_LIVE;
+        let mut flags = self.arena.read_u8(off);
+        if flags & !FLAG_REFERENCED != live {
+            return false;
+        }
+        self.recycle_gen.fetch_add(1, Ordering::AcqRel);
+        // Only the referenced bit may change under us and still leave
+        // this incarnation ours to free.
+        while let Err(now) = self.arena.compare_exchange_u8_release(off, flags, dead) {
+            if now & !FLAG_REFERENCED != live {
+                return false;
+            }
+            flags = now;
+        }
+        self.release_slot(loc);
+        true
+    }
+
     /// Return a just-claimed (flags already cleared) slot to its class
     /// free list and settle the accounting.
     fn release_slot(&self, loc: u64) {
@@ -737,13 +802,18 @@ impl ObjectStore {
 
     /// Key compare and expiry check in one header visit (the `KC` hot
     /// path): `Miss` for dead/stale/other-key slots, otherwise `Hit` or
-    /// `Expired` by the recorded deadline.
+    /// `Expired` by the recorded deadline. A `Hit` names the incarnation
+    /// read before the key was compared: [`ObjectStore::holds`] after a
+    /// copy proves the copy read that object.
     #[must_use]
     #[inline]
     pub fn probe(&self, loc: u64, key: &[u8], now: u32) -> ProbeOutcome {
         let off = loc as usize;
-        if off + HEADER_SIZE > self.arena.capacity()
-            || self.arena.read_u8(off + OFF_FLAGS) & FLAG_LIVE == 0
+        if off + HEADER_SIZE > self.arena.capacity() {
+            return ProbeOutcome::Miss;
+        }
+        let flags = self.arena.read_u8(off + OFF_FLAGS);
+        if flags & FLAG_LIVE == 0
             || self.arena.read_u16(off + OFF_KEY_LEN) as usize != key.len()
             || !self.arena.bytes_equal(off + HEADER_SIZE, key)
         {
@@ -752,8 +822,22 @@ impl ObjectStore {
         if deadline_expired(self.arena.read_u32(off + OFF_DEADLINE), now) {
             ProbeOutcome::Expired
         } else {
-            ProbeOutcome::Hit
+            ProbeOutcome::Hit(incarnation(flags))
         }
+    }
+
+    /// Whether the slot at `loc` still holds the live object of
+    /// incarnation `tag`. Fenced (Acquire) ahead of its load, so a
+    /// caller that copied the object's bytes and then gets `true` read
+    /// that object, untorn; and its load is Acquire, so a caller that
+    /// gets `false` because the object was freed by
+    /// [`ObjectStore::free_incarnation`] sees the upsert that preceded
+    /// the free.
+    #[must_use]
+    pub fn holds(&self, loc: u64, tag: u8) -> bool {
+        std::sync::atomic::fence(Ordering::Acquire);
+        let flags = self.arena.load_u8_acquire(loc as usize + OFF_FLAGS);
+        flags & !FLAG_REFERENCED == (tag << INCARNATION_SHIFT) | FLAG_LIVE
     }
 
     /// Raw address of the object header at `loc`, for issuing a
@@ -953,6 +1037,117 @@ mod tests {
         let out = s.allocate(b"k4", b"v").unwrap();
         assert_eq!(out.evicted.unwrap().cookie, hash64(b"k1"));
         assert!(s.key_matches(0, b"k0"), "referenced object survived");
+    }
+
+    #[test]
+    fn a_replaced_version_is_freed_only_while_its_slot_holds_it() {
+        let s = ObjectStore::new(4096);
+        let x = s.allocate(b"x", b"1").unwrap();
+        s.touch(x.loc, 1); // the referenced bit is not part of the match
+        assert!(s.holds(x.loc, x.tag));
+        assert!(!s.free_incarnation(x.loc, x.tag.wrapping_add(1) & 63));
+        assert!(s.free_incarnation(x.loc, x.tag));
+        assert!(!s.holds(x.loc, x.tag));
+        assert!(!s.free_incarnation(x.loc, x.tag), "freed once");
+        // The slot's next occupant is a new incarnation: the old name
+        // no longer frees anything.
+        let y = s.allocate(b"y", b"2").unwrap();
+        assert_eq!(y.loc, x.loc);
+        assert_ne!(y.tag, x.tag);
+        assert!(!s.free_incarnation(x.loc, x.tag));
+        assert!(s.key_matches(y.loc, b"y"));
+        // Incarnations count reuses modulo 64.
+        let mut last = (y.loc, y.tag);
+        for i in 0..64 {
+            assert!(s.free(last.0));
+            let next = s.allocate(format!("z{i}").as_bytes(), b"3").unwrap();
+            assert_eq!((next.loc, next.tag), (last.0, (last.1 + 1) % 64));
+            last = (next.loc, next.tag);
+        }
+        assert_eq!(last, (y.loc, y.tag));
+    }
+
+    #[test]
+    fn an_object_in_a_freed_slot_is_not_the_next_victim() {
+        // Four 32-byte slots; freeing the first leaves its ring entry
+        // at the hand, and the next allocation reuses that slot.
+        let s = ObjectStore::new(128);
+        let first = s.allocate(b"k0", b"v").unwrap();
+        for i in 1..4 {
+            s.allocate(format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        assert!(s.free(first.loc));
+        let x = s.allocate(b"x", b"v").unwrap();
+        assert_eq!(x.loc, first.loc);
+        let y = s.allocate(b"y", b"v").unwrap();
+        assert_eq!(y.evicted.map(|e| e.cookie), Some(hash64(b"k1")));
+        assert!(s.key_matches(x.loc, b"x"), "the newest object survived");
+    }
+
+    /// `(ring entries, carved slots)` per class; at rest every carved
+    /// slot is live or on its class's free list.
+    fn ring_and_carved(s: &ObjectStore) -> Vec<(usize, usize)> {
+        s.classes
+            .iter()
+            .map(|c| {
+                let lists = c.lock();
+                (lists.ring.len(), lists.live + lists.free.len())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_ring_holds_one_entry_per_carved_slot() {
+        let s = ObjectStore::new(512);
+        let check = |step: &str| {
+            let rings = ring_and_carved(&s);
+            for (class, &(ring, carved)) in rings.iter().enumerate() {
+                assert_eq!(ring, carved, "{step}: class {}", ObjectStore::class_size(class));
+            }
+            let carved_bytes: usize = rings
+                .iter()
+                .enumerate()
+                .map(|(class, &(ring, _))| ring * ObjectStore::class_size(class))
+                .sum();
+            assert_eq!(carved_bytes, s.bytes_carved(), "{step}");
+        };
+        let big = vec![b'c'; 80]; // 24 + 2 + 80 = 106 → class 128
+        let mid = vec![b'b'; 20]; // 24 + 2 + 20 = 46 → class 64
+        let small: Vec<AllocOutcome> = (0..4)
+            .map(|i| {
+                let deadline = if i % 2 == 0 { 10 } else { 0 };
+                s.allocate_with(format!("a{i}").as_bytes(), b"v", deadline, 0, 0, i)
+                    .unwrap()
+            })
+            .collect();
+        let c0 = s.allocate(b"c0", &big).unwrap();
+        let c1 = s.allocate(b"c1", &big).unwrap();
+        check("carved");
+
+        assert!(s.free_incarnation(small[1].loc, small[1].tag));
+        assert!(s.free(c1.loc));
+        s.allocate(b"a4", b"v").unwrap();
+        check("frees and a free-list reuse");
+
+        let mut purged = Vec::new();
+        s.sweep_expired(100, usize::MAX, &mut purged);
+        assert_eq!(purged.len(), 2);
+        check("expiry sweep");
+
+        for i in 5..13 {
+            s.allocate_with(format!("a{i}").as_bytes(), b"v", 0, 0, 100, 0).unwrap();
+        }
+        assert_eq!(s.bytes_carved(), 512);
+        check("carved full, then CLOCK evictions");
+
+        // Class 64 owns no slot: both borrow a 128-byte one, the first
+        // from the free list, the second by evicting.
+        let b0 = s.allocate(b"b0", &mid).unwrap();
+        assert!(b0.evicted.is_none());
+        let b1 = s.allocate(b"b1", &mid).unwrap();
+        assert_eq!(b1.evicted.map(|e| e.loc), Some(c0.loc));
+        assert!(s.free(b0.loc));
+        check("cross-class borrows");
     }
 
     #[test]

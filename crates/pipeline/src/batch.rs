@@ -18,10 +18,10 @@ use std::ops::Range;
 pub struct QueryState {
     /// Index-search candidates (after `IN`-Search).
     pub candidates: Candidates,
-    /// Resolved object location (after `KC`).
-    pub loc: Option<u64>,
-    /// Newly allocated location for a SET (after `MM`).
-    pub new_loc: Option<u64>,
+    /// Resolved object location and the incarnation `KC` found there.
+    pub loc: Option<(u64, u8)>,
+    /// Newly allocated location and incarnation for a SET (after `MM`).
+    pub new_loc: Option<(u64, u8)>,
     /// Where the query's value landed in the batch's [`StagingArena`]
     /// (after `RD`). Modelled as the sequential staging buffer of the
     /// paper (§III-A); an offset range instead of an owned buffer so the
@@ -117,19 +117,24 @@ pub struct Batch {
     /// The staging buffer `RD` writes values into (see [`StagingArena`]).
     pub arena: StagingArena,
     /// Per-wavefront slot-recycle generation snapshots, indexed by
-    /// `query_index / 64`. `KC`
-    /// records the store's generation before validating a wavefront's
-    /// locations; `RD` rechecks it after copying the wavefront's
-    /// values — unchanged means no slot anywhere was recycled in
-    /// between, so the copies are untorn and the per-query key
-    /// recompare is skipped. Truncated to `u32`: wrapping 2^32
-    /// recycles while one batch is in flight is impossible.
+    /// `query_index / 64`. `IN`-Search records the store's generation
+    /// before it probes a wavefront's GETs; `KC` and `RD` recheck it —
+    /// unchanged means no slot anywhere was recycled and no replaced
+    /// version freed since, so a miss is final and the copies are
+    /// untorn without a per-query recheck. Truncated to `u32`: wrapping
+    /// 2^32 recycles while one batch is in flight is impossible.
     pub wf_gens: Vec<u32>,
     /// Objects that died making room for this batch's SETs — CLOCK
     /// victims and members of reclaimed expired segments — appended by
     /// `MM` in query order; `IN`-Delete unlinks them from the index
     /// ahead of the explicit DELETEs.
     pub dead: Vec<PurgedEntry>,
+    /// The versions this batch's upserts took out of the index, as
+    /// `(location, incarnation)`, appended by `IN`-Insert.
+    /// [`crate::KvEngine::run_batch`], the serving executor, frees them
+    /// once the batch's last stage has run; the reproduction's simulator
+    /// leaves them to CLOCK (DESIGN.md §17).
+    pub replaced: Vec<(u64, u8)>,
     /// What the batch did. [`Batch::new`] counts the op mix;
     /// [`Batch::take_responses`] adds the hits.
     pub tally: BatchTally,
@@ -151,6 +156,7 @@ impl Batch {
             arena: StagingArena::new(),
             wf_gens: vec![0; n.div_ceil(WAVEFRONT_WIDTH)],
             dead: Vec::new(),
+            replaced: Vec::new(),
             queries,
         }
     }

@@ -5,7 +5,7 @@
 
 use crate::batch::Batch;
 use crate::tasks::{self, Meter, NoMeter, StageCtx, KH_NONE};
-use dido_hashtable::{key_hash, IndexTable, KeyHash, PROBE_WAVEFRONT};
+use dido_hashtable::{key_hash, tagged, IndexTable, KeyHash, PROBE_WAVEFRONT};
 use dido_kvstore::{ObjectStore, PurgedEntry};
 use dido_model::{
     metric_table, ttl_to_deadline, BatchTally, Counter, PipelineConfig, Processor, Query,
@@ -165,6 +165,10 @@ metric_table! {
     /// Objects `KC` found expired on access and queued for a lazy
     /// purge.
     expired_lazy: Counter,
+    /// Versions a SET replaced that [`KvEngine::run_batch`] freed at the
+    /// end of the batch (one per overwrite whose slot still held the
+    /// replaced object).
+    replaced_freed: Counter,
 }
 
 /// The functional key-value node shared by every pipeline configuration:
@@ -428,11 +432,12 @@ impl KvEngine {
         // anything can re-probe them.
         self.unlink(&UNMETERED, &out.reclaimed);
         self.unlink(&UNMETERED, out.evicted.as_slice());
-        match self.index.upsert(kh, out.loc).0 {
+        match self.index.upsert(kh, tagged(out.loc, out.tag)).0 {
             Ok(_replaced) => {
-                // A replaced old version lingers as garbage until CLOCK
-                // evicts it (memcached semantics; see
-                // `tasks::run_index_insert`).
+                // A replaced version is left to CLOCK here, as the
+                // reproduction's preloaded full store assumes (paper
+                // §V-A). Served SETs free theirs when their batch ends
+                // (`run_batch`).
                 Some(out.loc)
             }
             Err(_) => {
@@ -466,8 +471,11 @@ impl KvEngine {
     }
 
     /// The executor: `queries` through `config`'s stages, each stage's
-    /// tasks in plan order over the whole batch (DESIGN.md §9).
-    /// Responses return in query order, with what the batch did.
+    /// tasks in plan order over the whole batch (DESIGN.md §9), then the
+    /// versions its SETs replaced are freed — each only if its slot
+    /// still holds the incarnation the index named, else CLOCK gets it
+    /// (DESIGN.md §17). Responses return in query order, with what the
+    /// batch did.
     #[must_use]
     pub fn run_batch(
         &self,
@@ -477,6 +485,14 @@ impl KvEngine {
         let mut batch = Batch::new(queries, config);
         for stage in &config.plan().stages {
             tasks::run_stage(self, stage, &mut batch);
+        }
+        let freed = batch
+            .replaced
+            .iter()
+            .filter(|&&(loc, tag)| self.store.free_incarnation(loc, tag))
+            .count();
+        if freed > 0 {
+            self.ops.replaced_freed.add(freed as u64);
         }
         (batch.take_responses(), batch.tally)
     }
@@ -542,10 +558,12 @@ mod tests {
             let v = format!("value-{i}");
             assert_eq!(e.execute(&Query::set("same", v)).status, ResponseStatus::Ok);
         }
-        // Memcached semantics: stale versions linger as garbage until
-        // CLOCK reclaims them, but reads always see the latest.
+        // Memcached semantics: `item_replace` unlinks the old item when
+        // the new one is linked, so each overwrite frees the version it
+        // replaced; reads always see the latest.
         assert_eq!(&e.execute(&Query::get("same")).value[..], b"value-99");
-        assert!(e.store.live_objects() >= 1);
+        assert_eq!(e.store.live_objects(), 1);
+        assert_eq!(e.op_counts().replaced_freed, 99);
         // Keep overwriting in a tiny store: eviction must bound growth.
         let tiny = KvEngine::new(EngineConfig::new(4096, 1 << 20, 1 << 16));
         for i in 0..500 {

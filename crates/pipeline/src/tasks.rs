@@ -11,15 +11,18 @@
 //! `sim_meter.rs`, paper §III-B-1, §IV-B). `RV`, `PP` and `SD` move
 //! frames on the simulated NIC and live there too.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, StagingArena};
 use crate::engine::KvEngine;
-use dido_hashtable::{key_hash, prefetch_read, Candidates, InsertError, KeyHash, PROBE_WAVEFRONT};
+use dido_hashtable::{
+    key_hash, prefetch_read, tagged, untagged, Candidates, InsertError, KeyHash, PROBE_WAVEFRONT,
+};
 use dido_kvstore::{ObjectStore, ProbeOutcome, PurgedEntry};
 use dido_model::{
     ttl_to_deadline, IndexOpKind, Processor, QueryOp, ResourceUsage, Response, StagePlan, TaskKind,
     TaskSet,
 };
 use std::ops::Range;
+use std::sync::atomic::{fence, Ordering};
 
 /// Placeholder for initializing wavefront gather buffers (never probed:
 /// only the filled prefix of a gather array is handed to the batch ops).
@@ -160,7 +163,7 @@ pub fn run_mm<M: Meter>(
                 for p in dead {
                     M::freed(&ctx, p.loc);
                 }
-                batch.state[i].new_loc = Some(out.loc);
+                batch.state[i].new_loc = Some((out.loc, out.tag));
             }
             Err(_) => {
                 batch.state[i].response = Some(Response::error());
@@ -172,7 +175,8 @@ pub fn run_mm<M: Meter>(
 /// `IN`-Search: index lookups for every GET in `range`, one prefetched
 /// probe wavefront at a time ([`dido_hashtable::IndexTable::search_batch`]).
 /// GETs are gathered into stack buffers, probed together, and the
-/// candidates scattered back — no heap traffic.
+/// candidates scattered back — no heap traffic. Each wavefront's
+/// recycle generation is recorded first, for `KC` and `RD`.
 pub fn run_index_search<M: Meter>(
     ctx: StageCtx<M>,
     engine: &KvEngine,
@@ -183,6 +187,7 @@ pub fn run_index_search<M: Meter>(
     let mut keys = [KH_NONE; PROBE_WAVEFRONT];
     let mut cands = [Candidates::default(); PROBE_WAVEFRONT];
     for wf in wavefronts(range) {
+        let gen_slot = wf.start / PROBE_WAVEFRONT;
         let mut n = 0usize;
         for i in wf {
             if batch.queries[i].op != QueryOp::Get {
@@ -195,6 +200,7 @@ pub fn run_index_search<M: Meter>(
         if n == 0 {
             continue;
         }
+        batch.wf_gens[gen_slot] = engine.store.recycle_gen() as u32;
         engine.ops.index_searches.add(n as u64);
         M::index_op(&ctx, engine.index.search_batch(&keys[..n], &mut cands[..n]));
         for k in 0..n {
@@ -219,11 +225,11 @@ pub fn run_index_insert<M: Meter>(
             if batch.queries[i].op != QueryOp::Set {
                 continue;
             }
-            let Some(new_loc) = batch.state[i].new_loc else {
+            let Some((loc, tag)) = batch.state[i].new_loc else {
                 continue; // MM failed; response already set
             };
             idx[n] = i;
-            items[n] = (key_hash(&batch.queries[i].key), new_loc);
+            items[n] = (key_hash(&batch.queries[i].key), tagged(loc, tag));
             n += 1;
         }
         if n == 0 {
@@ -232,18 +238,24 @@ pub fn run_index_insert<M: Meter>(
         engine.ops.index_inserts.add(n as u64);
         M::index_op(&ctx, engine.index.upsert_batch(&items[..n], &mut outs[..n]));
         for k in 0..n {
+            let st = &mut batch.state[idx[k]];
             match outs[k] {
-                Ok(_replaced) => {
-                    // A replaced old version is NOT freed eagerly: like
-                    // memcached/Mega-KV, it lingers as unreachable garbage
-                    // until the CLOCK sweep evicts it. That keeps the store
-                    // full, so every SET's allocation evicts — producing the
-                    // paper's one-Insert-plus-one-Delete per SET (Fig. 6).
-                    batch.state[idx[k]].response = Some(Response::ok());
+                Ok(replaced) => {
+                    // The replaced version is not freed here: a GET of
+                    // this batch may still be reading it, and its slot
+                    // may already hold another object (a CLOCK victim's
+                    // entry stays until IN-Delete). Serving frees it, if
+                    // the slot still holds that incarnation, when the
+                    // batch ends (`KvEngine::run_batch`); the simulator
+                    // leaves it to CLOCK, which keeps the reproduction's
+                    // store full — one Insert plus one Delete per SET
+                    // (paper Fig. 6).
+                    batch.replaced.extend(replaced.map(untagged));
+                    st.response = Some(Response::ok());
                 }
                 Err(_) => {
-                    engine.store.free(items[k].1);
-                    batch.state[idx[k]].response = Some(Response::error());
+                    engine.store.free(untagged(items[k].1).0);
+                    st.response = Some(Response::error());
                 }
             }
         }
@@ -302,7 +314,7 @@ pub fn run_index_delete<M: Meter>(
                 engine.ops.index_deletes.add(1);
                 // An expired object goes too, but was already absent:
                 // the DELETE misses, as a GET would.
-                if engine.remove(&ctx, keys[k], loc) && outcome == ProbeOutcome::Hit {
+                if engine.remove(&ctx, keys[k], loc) && matches!(outcome, ProbeOutcome::Hit(_)) {
                     response = Response::ok();
                 }
                 break;
@@ -323,54 +335,69 @@ pub fn run_kc<M: Meter>(
 ) {
     let epoch = engine.sample_epoch();
     let now = engine.clock.now_secs();
-    // Snapshot the recycle generation before any key validation: RD
-    // compares against it after copying each value (see `run_rd`).
-    let gen = engine.store.recycle_gen() as u32;
+    // Split borrows: the queries are read, the state and arena mutated.
+    let Batch {
+        ref queries,
+        ref mut state,
+        ref mut arena,
+        ref wf_gens,
+        ..
+    } = *batch;
     // Expired hits are rare; they collect here (first push allocates,
     // nothing on the no-TTL path) instead of widening per-query state.
     let mut expired_hits: Vec<(usize, u64)> = Vec::new();
     for wf in wavefronts(range) {
-        // Record the snapshot for RD's post-copy recheck (one slot per
-        // wavefront instead of per query).
-        batch.wf_gens[wf.start / PROBE_WAVEFRONT] = gen;
+        let searched_at = wf_gens[wf.start / PROBE_WAVEFRONT];
         // Prefetch pass: pull every candidate object header of the
         // wavefront toward the cache before any key comparison runs, so
         // the compares don't serialize one miss per query.
         for i in wf.clone() {
-            if batch.queries[i].op != QueryOp::Get {
+            if queries[i].op != QueryOp::Get {
                 continue;
             }
-            for &loc in batch.state[i].candidates.as_slice() {
+            for &loc in state[i].candidates.as_slice() {
                 prefetch_read(engine.store.object_ptr(loc));
             }
         }
         for i in wf {
-            if batch.queries[i].op != QueryOp::Get {
+            if queries[i].op != QueryOp::Get {
                 continue;
             }
-            let key = &batch.queries[i].key;
-            let mut resolved = None;
-            for &loc in batch.state[i].candidates.as_slice() {
+            let key = &queries[i].key;
+            let st = &mut state[i];
+            let mut found = None;
+            for &loc in st.candidates.as_slice() {
                 M::kc_compare(&ctx, &engine.store, loc, key.len());
                 match engine.store.probe(loc, key, now) {
                     ProbeOutcome::Miss => continue,
-                    ProbeOutcome::Expired => {
-                        // Past its deadline: the GET observes the miss
-                        // in-band; the purge runs batched, off the
-                        // response path (see below).
-                        expired_hits.push((i, loc));
-                    }
-                    ProbeOutcome::Hit => {
-                        resolved = Some(loc);
-                        engine.store.touch(loc, epoch);
-                    }
+                    outcome => found = Some((loc, outcome)),
                 }
                 break;
             }
-            let st = &mut batch.state[i];
-            st.loc = resolved;
-            if resolved.is_none() {
-                st.response = Some(Response::not_found());
+            match found {
+                Some((loc, ProbeOutcome::Hit(tag))) => {
+                    st.loc = Some((loc, tag));
+                    engine.store.touch(loc, epoch);
+                }
+                Some((loc, _expired)) => {
+                    // Past its deadline: the GET observes the miss
+                    // in-band; the purge runs batched, off the response
+                    // path (see below).
+                    expired_hits.push((i, loc));
+                    st.response = Some(Response::not_found());
+                }
+                None => {
+                    // Every candidate missed. That is the answer unless a
+                    // slot was freed or recycled since the search: a
+                    // concurrent SET may have replaced the version this
+                    // search found and freed it.
+                    let stale = !st.candidates.is_empty()
+                        && engine.store.recycle_gen_validate() as u32 != searched_at;
+                    st.staged = if stale { reresolve(engine, key, arena) } else { None };
+                    if st.staged.is_none() {
+                        st.response = Some(Response::not_found());
+                    }
+                }
             }
         }
     }
@@ -383,7 +410,7 @@ pub fn run_kc<M: Meter>(
             .pending_expired
             .push(expired_hits.into_iter().map(|(i, loc)| PurgedEntry {
                 loc,
-                cookie: key_hash(&batch.queries[i].key).hash,
+                cookie: key_hash(&queries[i].key).hash,
             }));
     }
 }
@@ -411,13 +438,13 @@ pub fn run_rd<M: Meter>(
             if queries[i].op != QueryOp::Get {
                 continue;
             }
-            if let Some(loc) = state[i].loc {
+            if let Some((loc, _)) = state[i].loc {
                 prefetch_read(engine.store.value_ptr(loc));
             }
         }
         let mut saw_get = false;
         for i in wf.clone() {
-            let Some(loc) = state[i].loc else {
+            let Some((loc, _)) = state[i].loc else {
                 continue;
             };
             if queries[i].op != QueryOp::Get {
@@ -435,31 +462,75 @@ pub fn run_rd<M: Meter>(
                 engine.store.read_value(loc, buf);
             }));
         }
-        // A slot can be freed (expiry sweep on the controller thread,
-        // allocation-pressure reclaim on a peer dispatcher) and
-        // reallocated between KC's validation and the copies above. One
-        // fenced generation read per wavefront, against the snapshot KC
-        // recorded before validating, proves the common case untorn;
-        // only a wavefront that overlapped an actual slot recycle pays
-        // the per-query key recompare, which turns a recycled slot's
-        // bytes into a miss, never a torn value.
+        // A slot can be freed (a peer's overwrite at its batch end, an
+        // expiry sweep on the controller thread, allocation-pressure
+        // reclaim on a peer dispatcher) and reallocated between KC's
+        // validation and the copies above. One fenced generation read
+        // per wavefront, against the snapshot IN-Search recorded, proves
+        // the common case untorn; only a wavefront that overlapped an
+        // actual free or recycle pays the per-query incarnation recheck,
+        // and a GET whose object went is resolved again, never answered
+        // with torn bytes or a spurious miss.
         if saw_get
             && engine.store.recycle_gen_validate() as u32 != wf_gens[wf.start / PROBE_WAVEFRONT]
         {
             for i in wf {
-                let Some(loc) = state[i].loc else {
+                let Some((loc, tag)) = state[i].loc else {
                     continue;
                 };
-                if queries[i].op != QueryOp::Get {
+                if queries[i].op != QueryOp::Get || engine.store.holds(loc, tag) {
                     continue;
                 }
-                if !engine.store.key_matches(loc, &queries[i].key) {
-                    state[i].staged = None;
+                state[i].staged = reresolve(engine, &queries[i].key, arena);
+                if state[i].staged.is_none() {
                     state[i].response = Some(Response::not_found());
                 }
             }
         }
     }
+}
+
+/// Searches a GET makes in [`reresolve`] before it answers a miss.
+const RESOLVE_ATTEMPTS: usize = 8;
+
+/// Resolve a GET from scratch — search, probe, copy, validate — after
+/// the object its batch found was freed or recycled under it: a
+/// concurrent SET may have replaced that version, and the GET must then
+/// read the new one, not miss (DESIGN.md §17). Stages the value and
+/// returns its range; `None` is a miss. Gives up after
+/// [`RESOLVE_ATTEMPTS`] searches that each lost their object again.
+/// Unmetered: the simulator runs a batch with nothing freed or recycled
+/// between its search and its copies, so it never comes here.
+fn reresolve(engine: &KvEngine, key: &[u8], arena: &mut StagingArena) -> Option<Range<u32>> {
+    let kh = key_hash(key);
+    let now = engine.clock.now_secs();
+    for _ in 0..RESOLVE_ATTEMPTS {
+        // Acquire: the load that saw the object gone happens before this
+        // search, so the search sees the upsert that preceded the free.
+        fence(Ordering::Acquire);
+        let gen = engine.store.recycle_gen();
+        let (cands, _) = engine.index.search(kh);
+        let hit = cands.as_slice().iter().find_map(|&loc| match engine.store.probe(loc, key, now) {
+            ProbeOutcome::Hit(tag) => Some((loc, tag)),
+            _ => None,
+        });
+        match hit {
+            Some((loc, tag)) => {
+                let (_, vlen) = engine.store.object_lens(loc);
+                let staged = arena.stage_with(vlen, |buf| {
+                    engine.store.read_value(loc, buf);
+                });
+                if engine.store.holds(loc, tag) {
+                    engine.store.touch(loc, engine.sample_epoch());
+                    return Some(staged);
+                }
+            }
+            // Nothing freed or recycled since this search: a real miss.
+            None if engine.store.recycle_gen_validate() == gen => return None,
+            None => {}
+        }
+    }
+    None
 }
 
 /// `WR`: construct each query's response. Freezes the staging arena

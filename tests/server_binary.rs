@@ -2,13 +2,14 @@
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
 //! the `--stats-every` block on stderr, the `--trace` recording, an idle
-//! server's resident set, the refusal of a store size or latency budget
+//! server's resident set, the arena that overwriting the same keys
+//! carves, the refusal of a store size or latency budget
 //! no node can serve, the README's flag list against `--help`, and what
 //! the binary links: no simulator executor.
 
 #![cfg(target_os = "linux")]
 
-use dido_kv::model::Query;
+use dido_kv::model::{Query, ResponseStatus};
 use dido_kv::net::{read_trace, KvClient};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -418,6 +419,56 @@ fn an_idle_server_holds_little_of_its_store_resident() {
         rss_kb < (store_mb << 10) / 4,
         "idle VmRSS {rss_kb} kB is not below a quarter of a {store_mb} MB store"
     );
+}
+
+/// Overwrites free the versions they replace: SET the same 1 000 keys
+/// until more SETs were sent than a 16 MB store has slots in their
+/// 128-byte class, and the arena carved stays at the live keys plus one
+/// batch's worth — not the whole class, as when each replaced version
+/// waited for CLOCK.
+#[test]
+fn overwriting_the_same_keys_carves_room_for_them_and_one_batch() {
+    const KEYS: usize = 1_000;
+    const CLASS_BYTES: usize = 128;
+    const CLASS_SLOTS: usize = (16 << 20) / CLASS_BYTES;
+    const MAX_BATCH: usize = 4_096;
+    let args = ["--store-mb", "16", "--stats-every", "1", "--addr", "127.0.0.1:0"];
+    let (server, addrs) = start(&args, 1);
+    let mut client = KvClient::connect(addrs[0]).expect("connect");
+    let mut sent = 0;
+    while sent <= CLASS_SLOTS {
+        // 24 B header + 16 B key + 64 B value: the 128-byte class.
+        let sets: Vec<Query> = (0..KEYS)
+            .map(|k| Query::set(format!("overwrite-{k:06}"), format!("{sent:064}")))
+            .collect();
+        let rs = client.request(&sets).expect("round trip");
+        assert!(rs.iter().all(|r| r.status == ResponseStatus::Ok));
+        sent += KEYS;
+    }
+    // The handler prints a batch's block, which ends with its
+    // `pipeline:` line, before its reply leaves: the block that has
+    // counted every SET is already in the pipe.
+    let mut block = String::new();
+    let last = loop {
+        let line = server
+            .1
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("no block counted {sent} queries; last:\n{block}"));
+        block.push_str(&line);
+        block.push('\n');
+        if line.starts_with("pipeline: ") {
+            if block.contains(&format!(" queries={sent} ")) {
+                break block;
+            }
+            block.clear();
+        }
+    };
+    let carved: usize = metric(&last, "store_carved_bytes").parse().expect("a byte count");
+    assert!(
+        carved <= (KEYS + MAX_BATCH) * CLASS_BYTES,
+        "{sent} SETs of {KEYS} keys carved {carved} bytes:\n{last}"
+    );
+    assert_eq!(metric(&last, "replaced_freed"), (sent - KEYS).to_string(), "{last}");
 }
 
 /// `--trace` under `--stats-every 1`: each block reports the batches a
