@@ -22,7 +22,7 @@ fn dual_preloaded_engine(
 ) -> (KvEngine, u64, u64) {
     let hw = HwSpec::kaveri_apu();
     let (cpu_cache, gpu_cache) = scaled_caches(&ctx.testbed(), &hw, 1);
-    let engine = KvEngine::new(EngineConfig::new(ctx.store_bytes, cpu_cache, gpu_cache));
+    let engine = KvEngine::mega_kv(EngineConfig::new(ctx.store_bytes, cpu_cache, gpu_cache));
     let half = (ctx.store_bytes / 2) as u64;
     let n_a = a.keyspace_size(half, dido_kvstore::HEADER_SIZE);
     let n_b = b.keyspace_size(half, dido_kvstore::HEADER_SIZE);

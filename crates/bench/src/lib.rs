@@ -19,7 +19,7 @@
 //! use dido_pipeline::{EngineConfig, KvEngine};
 //!
 //! let hw = HwSpec::kaveri_apu();
-//! let engine = KvEngine::new(EngineConfig::new(1 << 20, hw.cpu.cache_bytes, hw.gpu.cache_bytes));
+//! let engine = KvEngine::mega_kv(EngineConfig::new(1 << 20, hw.cpu.cache_bytes, hw.gpu.cache_bytes));
 //! let sim = SimExecutor::new(TimingEngine::new(hw));
 //! let (report, responses) = sim.run_batch(
 //!     &engine,

@@ -19,7 +19,7 @@ pub fn preloaded_engine(
     opts: TestbedOptions,
 ) -> (KvEngine, WorkloadGen) {
     let (cpu_cache, gpu_cache) = scaled_caches(&opts, hw, 1);
-    let engine = KvEngine::new(EngineConfig::new(opts.store_bytes, cpu_cache, gpu_cache));
+    let engine = KvEngine::mega_kv(EngineConfig::new(opts.store_bytes, cpu_cache, gpu_cache));
     // Fill the store completely ("we store as many key-value objects as
     // possible", §V-A): every subsequent SET must evict, generating the
     // paper's one-Delete-per-SET steady state.
@@ -55,10 +55,25 @@ mod tests {
         let expected = generator.keyspace();
         assert!(expected > 1000, "K16 keyspace in 1MB should be >1k");
         assert_eq!(engine.store.live_objects() as u64, expected);
+        assert_eq!(
+            engine.op_counts().index_grows,
+            0,
+            "a full store fits the fixed index"
+        );
         // Index may be slightly smaller than the store if signatures
-        // collided during preload (upsert replaces).
+        // collided during preload (Mega-KV's upsert replaces).
         assert!(engine.index.len() as u64 <= expected);
         assert!(engine.index.len() as u64 >= expected * 95 / 100);
+    }
+
+    /// The experiments' index is Mega-KV's fixed one at the default
+    /// 48 MB store: 2^19 buckets, the geometry `experiments_full.log`
+    /// was recorded with.
+    #[test]
+    fn the_experiments_index_has_the_mega_kv_geometry() {
+        let store_bytes = crate::ExperimentCtx::default().store_bytes;
+        let engine = KvEngine::mega_kv(EngineConfig::new(store_bytes, 0, 0));
+        assert_eq!(engine.index.bucket_count(), 1 << 19);
     }
 
     #[test]

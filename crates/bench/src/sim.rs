@@ -390,6 +390,13 @@ impl SimExecutor {
                 }
             }
         }
+        // The priced probes are Mega-KV's fixed index's: a growth would
+        // change the geometry under them.
+        assert_eq!(
+            engine.op_counts().index_grows,
+            0,
+            "an index grew under the simulator: build its engines with `KvEngine::mega_kv`"
+        );
 
         // Collect client-visible responses from the TX ring.
         let mut responses = Vec::with_capacity(n);
@@ -760,7 +767,7 @@ mod tests {
 
     fn setup() -> (SimExecutor, KvEngine) {
         let hw = HwSpec::kaveri_apu();
-        let engine = KvEngine::new(EngineConfig::new(
+        let engine = KvEngine::mega_kv(EngineConfig::new(
             4 << 20,
             hw.cpu.cache_bytes,
             hw.gpu.cache_bytes,
@@ -947,7 +954,7 @@ mod tests {
     #[test]
     fn discrete_profile_charges_pcie() {
         let hw = HwSpec::discrete_gtx780();
-        let engine = KvEngine::new(EngineConfig::new(
+        let engine = KvEngine::mega_kv(EngineConfig::new(
             4 << 20,
             hw.cpu.cache_bytes,
             hw.gpu.cache_bytes,

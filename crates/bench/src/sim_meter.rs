@@ -310,7 +310,7 @@ mod tests {
         // processor rides the warm cache while an RD on the other
         // processor pays a random memory access.
         let run = |kc_proc: Processor| {
-            let e = KvEngine::new(engine_cfg());
+            let e = KvEngine::mega_kv(engine_cfg());
             e.execute(&Query::set("key-x", vec![b'v'; 200]));
             let machine = SimMachine::new(engine_cfg());
             let mut batch = get_batch(["key-x".to_string()]);
@@ -331,7 +331,7 @@ mod tests {
         // A working set far beyond the cache must come back cold in RD
         // even with KC in the same stage (the filter ages entries out).
         let cfg = EngineConfig::new(4 << 20, 4 * 1024, 1024);
-        let e = KvEngine::new(cfg);
+        let e = KvEngine::mega_kv(cfg);
         let n = 512usize;
         for i in 0..n {
             e.execute(&Query::set(format!("big-{i:04}"), vec![b'v'; 160]));
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn hot_keys_become_cache_hits_in_kc() {
-        let e = KvEngine::new(engine_cfg());
+        let e = KvEngine::mega_kv(engine_cfg());
         e.execute(&Query::set("hot", vec![b'h'; 64]));
         let machine = SimMachine::new(engine_cfg());
         let probe = || {
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn wr_in_separate_stage_costs_an_extra_pass() {
-        let e = KvEngine::new(engine_cfg());
+        let e = KvEngine::mega_kv(engine_cfg());
         e.execute(&Query::set("key-y", vec![b'v'; 512]));
         let machine = SimMachine::new(engine_cfg());
         let wr_usage = |wr_tasks: &[TaskKind]| {

@@ -60,7 +60,7 @@ impl DidoSystem {
     #[must_use]
     pub fn new(options: DidoOptions) -> DidoSystem {
         let (cpu_cache, gpu_cache) = scaled_caches(&options.testbed, &options.hw, 1);
-        let engine = KvEngine::new(EngineConfig::new(
+        let engine = KvEngine::mega_kv(EngineConfig::new(
             options.testbed.store_bytes,
             cpu_cache,
             gpu_cache,

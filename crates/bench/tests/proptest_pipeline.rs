@@ -64,7 +64,7 @@ proptest! {
     fn pipeline_agrees_with_reference_map(ops in ops(), config in arb_config()) {
         prop_assert!(config.is_valid());
         let hw = HwSpec::kaveri_apu();
-        let engine = KvEngine::new(EngineConfig::new(
+        let engine = KvEngine::mega_kv(EngineConfig::new(
             1 << 20,
             hw.cpu.cache_bytes,
             hw.gpu.cache_bytes,
@@ -112,7 +112,7 @@ proptest! {
         get_pct in 0u8..=100,
     ) {
         let hw = HwSpec::kaveri_apu();
-        let engine = KvEngine::new(EngineConfig::new(
+        let engine = KvEngine::mega_kv(EngineConfig::new(
             2 << 20,
             hw.cpu.cache_bytes,
             hw.gpu.cache_bytes,

@@ -14,6 +14,8 @@ use std::fmt;
 pub struct MemoryFold {
     /// Bytes of the cuckoo index bucket arrays, summed over shards.
     pub index_bytes: usize,
+    /// Doublings of those arrays since the node started (cumulative).
+    pub index_grows: u64,
     /// Slab-arena bytes carved into slots, summed over shards.
     pub store_carved_bytes: usize,
     /// Versions SETs replaced and freed at their batch's end
@@ -39,6 +41,7 @@ impl MemoryFold {
         let ops = engine.op_counts();
         MemoryFold {
             index_bytes: engine.index_bytes(),
+            index_grows: ops.index_grows,
             store_carved_bytes: engine.store_carved_bytes(),
             replaced_freed: ops.replaced_freed,
             expired_lazy: ops.expired_lazy,
@@ -123,13 +126,14 @@ impl fmt::Display for Metrics {
                 f,
                 "mem: {} lazy / {} proactive expirations, \
                  {} segments reclaimed, {} sealed pending, \
-                 replaced_freed={} index_bytes={} store_carved_bytes={}",
+                 replaced_freed={} index_bytes={} index_grows={} store_carved_bytes={}",
                 m.expired_lazy,
                 m.expired_proactive,
                 m.segments_reclaimed,
                 m.sealed_segments,
                 m.replaced_freed,
                 m.index_bytes,
+                m.index_grows,
                 m.store_carved_bytes
             )?;
         }

@@ -14,6 +14,11 @@
 //! functions; Insert's mean probe count is tracked at runtime via
 //! [`IndexTable::avg_insert_buckets`]).
 //!
+//! A table keeps the size it was built with until its owner asks it to
+//! grow ([`IndexTable::reserve`], [`IndexTable::grow`]): the serving
+//! engine starts small and doubles ahead of its inserts, the
+//! reproduction builds it once at Mega-KV's store-sized geometry.
+//!
 //! ```
 //! use dido_hashtable::{key_hash, IndexTable};
 //!

@@ -6,10 +6,12 @@
 //!   64 B cache line (a bucket never straddles a line, so a probe
 //!   touches exactly one);
 //! * each slot is a single `AtomicU64` packing
-//!   `occupied(1) | spare(1) | tag(6) | signature(16) | location(40)`,
+//!   `occupied(1) | shared(1) | tag(6) | signature(16) | location(40)`,
 //!   where `tag` is the incarnation of the object at `location` when the
 //!   entry was written (see [`tagged`]): the one fact that tells the
 //!   version an upsert replaced from a later occupant of the same slot;
+//!   and `shared` marks an entry whose bucket pair also holds another
+//!   key's entry of the same signature (see [`IndexTable::upsert_batch_with`]);
 //! * two candidate buckets per key, with the alternate bucket computed
 //!   from the *signature only* (partial-key cuckoo hashing), so a kicked
 //!   entry can be rehomed without access to its key;
@@ -18,12 +20,23 @@
 //! * every operation reports [`ResourceUsage`] — one memory access per
 //!   bucket touched — feeding the timing layer and the cost model's
 //!   `(Σ_{i=1..n} i)/n` bucket-probe estimate.
+//!
+//! The table can grow. Its bucket array and mask sit behind a
+//! reader-writer lock: every operation holds it shared (a batch
+//! operation once per probe wavefront), and [`IndexTable::reserve`] /
+//! [`IndexTable::grow`] hold it exclusive while they replace the array
+//! with one a power of two larger. A slot keeps a 16-bit signature, not
+//! the key's hash, so growth cannot place an entry by itself: the caller
+//! supplies each entry's full hash, or refuses the entry, which is then
+//! dropped. A table no caller grows keeps its geometry for life — the
+//! reproduction's fixed Mega-KV index is one.
 
 use crate::hash::KeyHash;
 use crate::prefetch::prefetch_read;
 use dido_model::ResourceUsage;
 use std::alloc::{self, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Keys probed per prefetch wavefront by the `*_batch` operations.
 /// Matches the simulated pipeline's work-stealing tag granularity
@@ -36,6 +49,11 @@ pub const PROBE_WAVEFRONT: usize = dido_model::WAVEFRONT_WIDTH;
 pub const SLOTS_PER_BUCKET: usize = 4;
 
 const OCCUPIED: u64 = 1 << 63;
+/// Another key's entry of this signature may sit in this entry's bucket
+/// pair, so a search that matches this entry in its first bucket scans
+/// the second as well. Set by a checked upsert, never cleared; it moves
+/// with its word.
+const SHARED: u64 = 1 << 62;
 const SIG_SHIFT: u32 = 40;
 const SIG_MASK: u64 = 0xffff << SIG_SHIFT;
 const LOC_MASK: u64 = (1 << SIG_SHIFT) - 1;
@@ -68,6 +86,14 @@ pub const fn untagged(value: u64) -> (u64, u8) {
 /// purpose (the paper counts instructions the same way).
 const INSNS_PER_BUCKET_PROBE: u64 = 24;
 const INSNS_PER_CAS: u64 = 12;
+
+/// Victims a displacement walk visits before an insert gives up.
+const KICK_LIMIT: usize = 128;
+
+/// Entries `buckets` buckets hold at the load target: ¾ of their slots.
+const fn max_entries(buckets: usize) -> usize {
+    buckets * SLOTS_PER_BUCKET * 3 / 4
+}
 
 /// The slot word for a [`tagged`] value under `sig`.
 #[inline]
@@ -166,7 +192,7 @@ impl std::ops::Deref for Buckets {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertError {
     /// The bounded cuckoo kick walk could not free a slot (table too
-    /// full / pathological cycle).
+    /// full / pathological cycle). [`IndexTable::grow`] makes room.
     TableFull,
     /// The location value does not fit in 40 bits.
     LocationTooLarge,
@@ -209,109 +235,48 @@ impl Candidates {
     }
 }
 
-/// A concurrent partial-key cuckoo hash index.
-pub struct IndexTable {
+/// An `AtomicU64` alone on its 64 B cache line.
+#[repr(align(64))]
+struct OwnLine(AtomicU64);
+
+/// The bucket array and the mask that maps a hash into it: all that
+/// growth replaces. Every probe runs against one `Geometry`, under the
+/// table's lock.
+struct Geometry {
     buckets: Buckets,
-    bucket_mask: u64,
-    kick_limit: usize,
-    entries: AtomicU64,
-    // Runtime statistics for the cost model: the paper computes "the
-    // average number of accessed buckets for an Insert operation at
-    // runtime" (§IV-B).
-    insert_ops: AtomicU64,
-    insert_buckets: AtomicU64,
-    delete_ops: AtomicU64,
-    delete_buckets: AtomicU64,
+    mask: u64,
+    /// Entries displacement walks have moved, bumped (Release) between a
+    /// move's copy into its new slot and the clear of its old one. A
+    /// probe that scans an entry's two buckets while it moves from the
+    /// second to the first can find it in neither; any probe that saw the
+    /// clear also sees the bump. So a probe that found nothing rereads
+    /// this count, and scans again if it changed. Every kick writes it
+    /// and every probe reads it, so it keeps a line of its own, apart
+    /// from the lock word and from `buckets` and `mask`.
+    moves: OwnLine,
 }
 
-impl IndexTable {
-    /// Create a table able to index at least `capacity` entries at a
-    /// ~75 % target load factor.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is 0.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> IndexTable {
-        assert!(capacity > 0, "capacity must be positive");
-        let needed_buckets = (capacity as f64 / SLOTS_PER_BUCKET as f64 / 0.75).ceil() as usize;
-        let n = needed_buckets.next_power_of_two().max(2);
-        IndexTable {
+impl Geometry {
+    /// `n` empty buckets (`n` a power of two).
+    fn zeroed(n: usize) -> Geometry {
+        debug_assert!(n.is_power_of_two());
+        Geometry {
             buckets: Buckets::zeroed(n),
-            bucket_mask: (n - 1) as u64,
-            kick_limit: 128,
-            entries: AtomicU64::new(0),
-            insert_ops: AtomicU64::new(0),
-            insert_buckets: AtomicU64::new(0),
-            delete_ops: AtomicU64::new(0),
-            delete_buckets: AtomicU64::new(0),
+            mask: (n - 1) as u64,
+            moves: OwnLine(AtomicU64::new(0)),
         }
     }
 
-    /// Number of buckets (a power of two).
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Bytes the bucket array occupies.
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.bucket_count() * size_of::<Bucket>()
-    }
-
-    /// Total slot capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.buckets.len() * SLOTS_PER_BUCKET
-    }
-
-    /// Approximate number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed) as usize
-    }
-
-    /// Whether the table holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current load factor.
-    #[must_use]
-    pub fn load_factor(&self) -> f64 {
-        self.len() as f64 / self.capacity() as f64
-    }
-
-    /// Observed mean number of buckets an insert touches (for the cost
-    /// model). Defaults to 2.0 before any insert has been recorded.
-    #[must_use]
-    pub fn avg_insert_buckets(&self) -> f64 {
-        let ops = self.insert_ops.load(Ordering::Relaxed);
-        if ops == 0 {
-            2.0
-        } else {
-            self.insert_buckets.load(Ordering::Relaxed) as f64 / ops as f64
-        }
-    }
-
-    /// Observed mean number of buckets a delete touches. The analytic
-    /// default is the paper's `(Σ_{i=1..n} i)/n = 1.5`, but deletes of
-    /// already-replaced (garbage) entries probe both buckets, so the
-    /// runtime average drifts toward 2 under overwrite-heavy load.
-    #[must_use]
-    pub fn avg_delete_buckets(&self) -> f64 {
-        let ops = self.delete_ops.load(Ordering::Relaxed);
-        if ops == 0 {
-            1.5
-        } else {
-            self.delete_buckets.load(Ordering::Relaxed) as f64 / ops as f64
-        }
+    /// The move count, read ahead of a probe (Acquire: a probe that sees
+    /// a move's bump also sees its copy).
+    #[inline]
+    fn moves(&self) -> u64 {
+        self.moves.0.load(Ordering::Acquire)
     }
 
     #[inline]
     fn primary_bucket(&self, kh: KeyHash) -> u64 {
-        kh.hash & self.bucket_mask
+        kh.hash & self.mask
     }
 
     /// The alternate bucket is derived from the current bucket and the
@@ -320,67 +285,63 @@ impl IndexTable {
     /// without the key.
     #[inline]
     fn alt_bucket(&self, bucket: u64, sig: u16) -> u64 {
-        let tag = (u64::from(sig).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1) & self.bucket_mask;
+        let tag = (u64::from(sig).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1) & self.mask;
         bucket ^ tag
     }
 
-    /// Search for entries whose signature matches. Returns the matching
-    /// candidate locations and the resource usage of the probe.
-    ///
-    /// Probing checks the primary bucket first and only then the
-    /// alternate, so a hit in the primary bucket costs one bucket read —
-    /// giving the `(1+2)/2` average the paper's cost model assumes for a
-    /// 2-function cuckoo table.
-    #[must_use]
-    pub fn search(&self, kh: KeyHash) -> (Candidates, ResourceUsage) {
-        let mut cands = Candidates::default();
-        let b1 = self.primary_bucket(kh);
-        let mut buckets_read = 1u64;
-        self.scan_bucket(b1, kh.sig, &mut cands);
-        if cands.is_empty() {
-            let b2 = self.alt_bucket(b1, kh.sig);
+    /// The first bucket's matches, and the second's too when the first
+    /// had none or a [`SHARED`] one. A scan that may have missed the key's
+    /// entry while one moved — it found nothing, or only entries marked
+    /// shared — runs again.
+    fn search(&self, kh: KeyHash) -> (Candidates, ResourceUsage) {
+        let mut buckets_read = 0u64;
+        loop {
+            let moves = self.moves();
+            let mut cands = Candidates::default();
+            let b1 = self.primary_bucket(kh);
             buckets_read += 1;
-            self.scan_bucket(b2, kh.sig, &mut cands);
-        }
-        let usage = ResourceUsage::new(buckets_read * INSNS_PER_BUCKET_PROBE, buckets_read, 0);
-        (cands, usage)
-    }
-
-    fn scan_bucket(&self, bucket: u64, sig: u16, out: &mut Candidates) {
-        let b = &self.buckets[bucket as usize];
-        for slot in &b.slots {
-            let word = slot.load(Ordering::Acquire);
-            if slot_occupied(word) && slot_sig(word) == sig {
-                out.push(slot_loc(word));
+            let mut shared = self.scan_bucket(b1, kh.sig, &mut cands);
+            if cands.is_empty() || shared {
+                let b2 = self.alt_bucket(b1, kh.sig);
+                buckets_read += 1;
+                shared |= self.scan_bucket(b2, kh.sig, &mut cands);
+            }
+            if (!cands.is_empty() && !shared) || self.moves() == moves {
+                let usage =
+                    ResourceUsage::new(buckets_read * INSNS_PER_BUCKET_PROBE, buckets_read, 0);
+                return (cands, usage);
             }
         }
     }
 
-    /// Insert `(signature, value)`, `value` a location or a [`tagged`]
-    /// one. Returns the probe's resource usage alongside the outcome.
-    pub fn insert(&self, kh: KeyHash, value: u64) -> (Result<(), InsertError>, ResourceUsage) {
-        if !fits(value) {
-            return (Err(InsertError::LocationTooLarge), ResourceUsage::ZERO);
+    /// Push `bucket`'s locations under `sig`, in slot order; returns
+    /// whether one of them is marked [`SHARED`]. The four slots are
+    /// compared first and only the matches branched on: in a well-filled
+    /// table whether a slot is occupied is a coin toss, and a branch per
+    /// slot on it mispredicts.
+    fn scan_bucket(&self, bucket: u64, sig: u16, out: &mut Candidates) -> bool {
+        let want = OCCUPIED | (u64::from(sig) << SIG_SHIFT);
+        let words = self.buckets[bucket as usize]
+            .slots
+            .each_ref()
+            .map(|slot| slot.load(Ordering::Acquire));
+        let mut matches = 0u32;
+        for (i, &word) in words.iter().enumerate() {
+            matches |= u32::from(word & (OCCUPIED | SIG_MASK) == want) << i;
         }
-        let entry = encode(kh.sig, value);
-        let mut buckets_touched = 0u64;
-        let mut cas_ops = 0u64;
-        let result = self.insert_inner(kh, entry, &mut buckets_touched, &mut cas_ops);
-        self.insert_ops.fetch_add(1, Ordering::Relaxed);
-        self.insert_buckets
-            .fetch_add(buckets_touched, Ordering::Relaxed);
-        if result.is_ok() {
-            self.entries.fetch_add(1, Ordering::Relaxed);
+        let mut shared = false;
+        while matches != 0 {
+            let word = words[matches.trailing_zeros() as usize];
+            out.push(slot_loc(word));
+            shared |= word & SHARED != 0;
+            matches &= matches - 1;
         }
-        let usage = ResourceUsage::new(
-            buckets_touched * INSNS_PER_BUCKET_PROBE + cas_ops * INSNS_PER_CAS,
-            buckets_touched,
-            0,
-        );
-        (result, usage)
+        shared
     }
 
-    fn insert_inner(
+    /// Place the slot word `entry` in one of `kh`'s candidate buckets,
+    /// displacing other entries if both are full.
+    fn insert_word(
         &self,
         kh: KeyHash,
         entry: u64,
@@ -406,9 +367,7 @@ impl IndexTable {
             // can always find it and an aborted shift never strands an
             // entry.
             let start = if rng_state & (1 << 62) == 0 { b1 } else { b2 };
-            if let Some(path) =
-                self.find_kick_path(start, &mut rng_state, buckets_touched)
-            {
+            if let Some(path) = self.find_kick_path(start, &mut rng_state, buckets_touched) {
                 if self.shift_along_path(&path, cas_ops) {
                     // path[0]'s slot is now empty; claim it.
                     let (bucket0, slot0) = path[0];
@@ -437,7 +396,7 @@ impl IndexTable {
     ) -> Option<Vec<(u64, usize)>> {
         let mut path: Vec<(u64, usize)> = Vec::with_capacity(8);
         let mut bucket = start;
-        for _ in 0..self.kick_limit {
+        for _ in 0..KICK_LIMIT {
             *buckets_touched += 1;
             let b = &self.buckets[bucket as usize];
             // An empty slot here terminates the path.
@@ -491,6 +450,7 @@ impl IndexTable {
             {
                 return false;
             }
+            self.moves.0.fetch_add(1, Ordering::AcqRel);
             if from
                 .compare_exchange(word, 0, Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
@@ -522,6 +482,353 @@ impl IndexTable {
         false
     }
 
+    /// One wavefront of the batched search; returns buckets read. Keys
+    /// whose scan may have missed their entry while one moved (as in
+    /// [`Geometry::search`]) are searched again, one by one.
+    fn search_wavefront(&self, keys: &[KeyHash], out: &mut [Candidates]) -> u64 {
+        let n = keys.len();
+        debug_assert!(n <= PROBE_WAVEFRONT);
+        let moves = self.moves();
+        // Pass 1: bucket indices + prefetch. Bucket indices are kept so
+        // pass 2 never recomputes the hash mapping.
+        let mut b1 = [0u64; PROBE_WAVEFRONT];
+        for (slot, kh) in b1.iter_mut().zip(keys) {
+            let b = self.primary_bucket(*kh);
+            *slot = b;
+            prefetch_read(&raw const self.buckets[b as usize]);
+        }
+        // Pass 2: scan the warm primary buckets; misses (and matches
+        // marked shared) queue their alternate bucket for the next
+        // prefetch round.
+        let mut miss = [(0usize, 0u64, false); PROBE_WAVEFRONT];
+        let mut n_miss = 0usize;
+        for i in 0..n {
+            out[i] = Candidates::default();
+            let shared = self.scan_bucket(b1[i], keys[i].sig, &mut out[i]);
+            if out[i].is_empty() || shared {
+                let alt = self.alt_bucket(b1[i], keys[i].sig);
+                miss[n_miss] = (i, alt, shared);
+                n_miss += 1;
+                prefetch_read(&raw const self.buckets[alt as usize]);
+            }
+        }
+        // Pass 3: scan the warm alternate buckets of the misses.
+        for (i, alt, shared) in &mut miss[..n_miss] {
+            *shared |= self.scan_bucket(*alt, keys[*i].sig, &mut out[*i]);
+        }
+        let mut buckets_read = (n + n_miss) as u64;
+        if n_miss > 0 && self.moves() != moves {
+            for &(i, _, shared) in &miss[..n_miss] {
+                if out[i].is_empty() || shared {
+                    let (cands, usage) = self.search(keys[i]);
+                    out[i] = cands;
+                    buckets_read += usage.mem_accesses;
+                }
+            }
+        }
+        buckets_read
+    }
+
+    /// Prefetch both candidate buckets of every key in a wavefront, so
+    /// the mutating probe that follows starts against warm lines.
+    fn prefetch_wavefront(&self, keys: impl Iterator<Item = KeyHash>) {
+        for kh in keys {
+            let b1 = self.primary_bucket(kh);
+            let b2 = self.alt_bucket(b1, kh.sig);
+            prefetch_read(&raw const self.buckets[b1 as usize]);
+            prefetch_read(&raw const self.buckets[b2 as usize]);
+        }
+    }
+
+    /// The occupied slot words.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.buckets
+            .iter()
+            .flat_map(|b| &b.slots)
+            .map(|slot| slot.load(Ordering::Acquire))
+            .filter(|&word| slot_occupied(word))
+    }
+
+    /// `self`'s entries in a fresh array of `n` buckets — or of the next
+    /// power of two that takes them all, should one not fit — with every
+    /// entry `rehash` refuses, or gives a hash of another signature,
+    /// left behind. `rehash` is asked a wavefront of entries at a time.
+    /// Returns the array and the entries it holds.
+    fn rehashed(
+        &self,
+        mut n: usize,
+        rehash: &mut impl FnMut(&[u64], &mut [Option<u64>]),
+    ) -> (Geometry, u64) {
+        let mut words = [0u64; PROBE_WAVEFRONT];
+        let mut values = [0u64; PROBE_WAVEFRONT];
+        let mut hashes = [None; PROBE_WAVEFRONT];
+        'size: loop {
+            let fresh = Geometry::zeroed(n);
+            let mut carried = 0;
+            let mut occupied = self.words();
+            loop {
+                let mut len = 0;
+                for word in occupied.by_ref().take(PROBE_WAVEFRONT) {
+                    (words[len], values[len]) = (word, slot_value(word));
+                    len += 1;
+                }
+                if len == 0 {
+                    return (fresh, carried);
+                }
+                rehash(&values[..len], &mut hashes[..len]);
+                for (&word, hash) in words[..len].iter().zip(&hashes[..len]) {
+                    let Some(kh) = hash.map(KeyHash::from_hash) else {
+                        continue;
+                    };
+                    if kh.sig != slot_sig(word) {
+                        continue;
+                    }
+                    if fresh.insert_word(kh, word, &mut 0, &mut 0).is_err() {
+                        n *= 2;
+                        continue 'size;
+                    }
+                    carried += 1;
+                }
+            }
+        }
+    }
+}
+
+/// A concurrent partial-key cuckoo hash index.
+pub struct IndexTable {
+    geometry: RwLock<Geometry>,
+    /// `geometry`'s bucket count, readable without the lock; growth
+    /// writes it under the exclusive lock.
+    bucket_count: AtomicUsize,
+    entries: AtomicU64,
+    // Runtime statistics for the cost model: the paper computes "the
+    // average number of accessed buckets for an Insert operation at
+    // runtime" (§IV-B).
+    insert_ops: AtomicU64,
+    insert_buckets: AtomicU64,
+    delete_ops: AtomicU64,
+    delete_buckets: AtomicU64,
+}
+
+impl IndexTable {
+    /// Create a table with room for `capacity` entries under its load
+    /// target of ¾ of its slots. The bucket count is rounded up to a
+    /// power of two (at least 2), so `capacity` entries fill between
+    /// 37.5 % and 75 % of the slots. The table keeps this size until
+    /// [`IndexTable::reserve`] or [`IndexTable::grow`] enlarges it.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is 0.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> IndexTable {
+        assert!(capacity > 0, "capacity must be positive");
+        let n = capacity.div_ceil(max_entries(1)).next_power_of_two().max(2);
+        IndexTable {
+            geometry: RwLock::new(Geometry::zeroed(n)),
+            bucket_count: AtomicUsize::new(n),
+            entries: AtomicU64::new(0),
+            insert_ops: AtomicU64::new(0),
+            insert_buckets: AtomicU64::new(0),
+            delete_ops: AtomicU64::new(0),
+            delete_buckets: AtomicU64::new(0),
+        }
+    }
+
+    /// The current geometry, held shared. Growth swaps in the new array
+    /// only once it is complete, so a panic under the exclusive lock (in
+    /// a caller's rehash) leaves the old table whole: a poisoned lock
+    /// still guards a valid one.
+    fn geometry(&self) -> RwLockReadGuard<'_, Geometry> {
+        self.geometry.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Number of buckets (a power of two).
+    #[must_use]
+    pub fn bucket_count(&self) -> usize {
+        self.bucket_count.load(Ordering::Relaxed)
+    }
+
+    /// Bytes the bucket array occupies.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.bucket_count() * size_of::<Bucket>()
+    }
+
+    /// Total slot capacity.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.bucket_count() * SLOTS_PER_BUCKET
+    }
+
+    /// Approximate number of live entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.load(Ordering::Relaxed) as usize
+    }
+
+    /// Whether the table holds no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current load factor.
+    #[must_use]
+    pub fn load_factor(&self) -> f64 {
+        self.len() as f64 / self.capacity() as f64
+    }
+
+    /// Observed mean number of buckets an insert touches (for the cost
+    /// model). Defaults to 2.0 before any insert has been recorded.
+    #[must_use]
+    pub fn avg_insert_buckets(&self) -> f64 {
+        let ops = self.insert_ops.load(Ordering::Relaxed);
+        if ops == 0 {
+            2.0
+        } else {
+            self.insert_buckets.load(Ordering::Relaxed) as f64 / ops as f64
+        }
+    }
+
+    /// Observed mean number of buckets a delete touches. The analytic
+    /// default is the paper's `(Σ_{i=1..n} i)/n = 1.5`, but deletes of
+    /// already-replaced (garbage) entries probe both buckets, so the
+    /// runtime average drifts toward 2 under overwrite-heavy load.
+    #[must_use]
+    pub fn avg_delete_buckets(&self) -> f64 {
+        let ops = self.delete_ops.load(Ordering::Relaxed);
+        if ops == 0 {
+            1.5
+        } else {
+            self.delete_buckets.load(Ordering::Relaxed) as f64 / ops as f64
+        }
+    }
+
+    /// Make room for `additional` more entries: if they would take the
+    /// table past its load target, grow it by doubling to the first size
+    /// that holds them, as [`IndexTable::grow`] does. Racing callers
+    /// re-check under the lock, so they grow the table once. Returns how
+    /// many doublings it took: 0 when there was room, which costs two
+    /// relaxed loads.
+    pub fn reserve(
+        &self,
+        additional: usize,
+        rehash: impl FnMut(&[u64], &mut [Option<u64>]),
+    ) -> u32 {
+        let short = |buckets| self.len() + additional > max_entries(buckets);
+        if !short(self.bucket_count()) {
+            return 0;
+        }
+        self.grow_while(short, rehash)
+    }
+
+    /// Double the table after an insert into `seen` buckets found no
+    /// room ([`InsertError::TableFull`]) — unless a racing caller has
+    /// grown it since. Holds the lock exclusive while it moves every
+    /// entry `rehash` accepts, with its tag, into an allocator-zeroed
+    /// array twice the size, then frees the old one. `rehash` is handed
+    /// the [`tagged`] values of up to [`PROBE_WAVEFRONT`] entries at a
+    /// time and names each one's full key hash, or refuses it (`None`);
+    /// an entry refused, or given a hash of another signature, is
+    /// dropped. Returns how many doublings it took (more than one only if
+    /// an entry did not fit the doubled array).
+    pub fn grow(&self, seen: usize, rehash: impl FnMut(&[u64], &mut [Option<u64>])) -> u32 {
+        self.grow_while(|buckets| buckets <= seen, rehash)
+    }
+
+    /// Double the bucket count while `short` holds for it, decided under
+    /// the exclusive lock, and move the entries over once.
+    fn grow_while(
+        &self,
+        short: impl Fn(usize) -> bool,
+        mut rehash: impl FnMut(&[u64], &mut [Option<u64>]),
+    ) -> u32 {
+        let mut geometry = self
+            .geometry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let old = geometry.buckets.len();
+        let mut n = old;
+        while short(n) {
+            n *= 2;
+        }
+        if n == old {
+            return 0;
+        }
+        let (fresh, carried) = geometry.rehashed(n, &mut rehash);
+        let n = fresh.buckets.len();
+        *geometry = fresh;
+        self.bucket_count.store(n, Ordering::Relaxed);
+        self.entries.store(carried, Ordering::Relaxed);
+        // The probe averages describe the table probes run against: what
+        // the smaller, fuller one measured no longer holds.
+        let stats = [
+            &self.insert_ops,
+            &self.insert_buckets,
+            &self.delete_ops,
+            &self.delete_buckets,
+        ];
+        for stat in stats {
+            stat.store(0, Ordering::Relaxed);
+        }
+        (n / old).ilog2()
+    }
+
+    /// Search for entries whose signature matches. Returns the matching
+    /// candidate locations and the resource usage of the probe.
+    ///
+    /// Probing checks the primary bucket first and only then the
+    /// alternate, so a hit in the primary bucket costs one bucket read —
+    /// giving the `(1+2)/2` average the paper's cost model assumes for a
+    /// 2-function cuckoo table.
+    #[must_use]
+    pub fn search(&self, kh: KeyHash) -> (Candidates, ResourceUsage) {
+        self.geometry().search(kh)
+    }
+
+    /// Insert `(signature, value)`, `value` a location or a [`tagged`]
+    /// one. Returns the probe's resource usage alongside the outcome.
+    pub fn insert(&self, kh: KeyHash, value: u64) -> (Result<(), InsertError>, ResourceUsage) {
+        self.insert_in(&self.geometry(), kh, value)
+    }
+
+    fn insert_in(
+        &self,
+        g: &Geometry,
+        kh: KeyHash,
+        value: u64,
+    ) -> (Result<(), InsertError>, ResourceUsage) {
+        if !fits(value) {
+            return (Err(InsertError::LocationTooLarge), ResourceUsage::ZERO);
+        }
+        self.place(g, kh, encode(kh.sig, value))
+    }
+
+    /// Place the slot word `entry`, displacing others if it must, and
+    /// count it as an insert.
+    fn place(
+        &self,
+        g: &Geometry,
+        kh: KeyHash,
+        entry: u64,
+    ) -> (Result<(), InsertError>, ResourceUsage) {
+        let mut buckets_touched = 0u64;
+        let mut cas_ops = 0u64;
+        let result = g.insert_word(kh, entry, &mut buckets_touched, &mut cas_ops);
+        self.insert_ops.fetch_add(1, Ordering::Relaxed);
+        self.insert_buckets
+            .fetch_add(buckets_touched, Ordering::Relaxed);
+        if result.is_ok() {
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
+        let usage = ResourceUsage::new(
+            buckets_touched * INSNS_PER_BUCKET_PROBE + cas_ops * INSNS_PER_CAS,
+            buckets_touched,
+            0,
+        );
+        (result, usage)
+    }
+
     /// Insert with Mega-KV SET semantics: if an entry with the same
     /// signature already exists in a candidate bucket, *replace* its
     /// location in place (two versions of one key never coexist in the
@@ -533,56 +840,102 @@ impl IndexTable {
     /// Signature collisions between distinct keys make `upsert` evict
     /// the colliding key from the index — the standard
     /// signature-indexed-cache trade-off the paper's systems accept.
+    /// [`IndexTable::upsert_batch_with`] keeps both keys instead.
     pub fn upsert(
         &self,
         kh: KeyHash,
         value: u64,
     ) -> (Result<Option<u64>, InsertError>, ResourceUsage) {
+        self.upsert_in(&self.geometry(), kh, value, &mut |_| true)
+    }
+
+    /// [`IndexTable::upsert`], replacing only a same-signature entry
+    /// `same_key` accepts (it is handed the entry's [`tagged`] value).
+    fn upsert_in(
+        &self,
+        g: &Geometry,
+        kh: KeyHash,
+        value: u64,
+        same_key: &mut impl FnMut(u64) -> bool,
+    ) -> (Result<Option<u64>, InsertError>, ResourceUsage) {
         if !fits(value) {
             return (Err(InsertError::LocationTooLarge), ResourceUsage::ZERO);
         }
-        let entry = encode(kh.sig, value);
-        let b1 = self.primary_bucket(kh);
-        let b2 = self.alt_bucket(b1, kh.sig);
+        let mut entry = encode(kh.sig, value);
+        let b1 = g.primary_bucket(kh);
+        let b2 = g.alt_bucket(b1, kh.sig);
         let mut buckets = 0u64;
         let mut cas_ops = 0u64;
-        // One pass over both candidate buckets: replace a same-signature
-        // entry if present, remembering empty slots along the way so the
-        // fresh-insert case needs no second scan.
+        // One pass over both candidate buckets: replace the key's entry
+        // if present, remembering empty slots along the way so the
+        // fresh-insert case needs no second scan. Another key's entry of
+        // the signature is marked shared, and so is the new one. A pass
+        // that found no entry of the key while one moved runs again.
         let mut empties: [(u64, usize); 2 * SLOTS_PER_BUCKET] = Default::default();
-        let mut n_empty = 0usize;
-        for &b in &[b1, b2] {
-            buckets += 1;
-            let bucket = &self.buckets[b as usize];
-            for (i, slot) in bucket.slots.iter().enumerate() {
-                let mut word = slot.load(Ordering::Acquire);
-                while slot_occupied(word) && slot_sig(word) == kh.sig {
-                    cas_ops += 1;
-                    match slot.compare_exchange(word, entry, Ordering::AcqRel, Ordering::Acquire) {
-                        Ok(_) => {
-                            let usage = ResourceUsage::new(
-                                buckets * INSNS_PER_BUCKET_PROBE + cas_ops * INSNS_PER_CAS,
-                                buckets,
-                                0,
-                            );
-                            return (Ok(Some(slot_value(word))), usage);
+        let mut n_empty;
+        loop {
+            let moves = g.moves();
+            n_empty = 0;
+            for &b in &[b1, b2] {
+                buckets += 1;
+                let bucket = &g.buckets[b as usize];
+                for (i, slot) in bucket.slots.iter().enumerate() {
+                    let mut word = slot.load(Ordering::Acquire);
+                    while slot_occupied(word) && slot_sig(word) == kh.sig {
+                        if !same_key(slot_value(word)) {
+                            entry |= SHARED;
+                            if word & SHARED != 0 {
+                                break;
+                            }
+                            cas_ops += 1;
+                            match slot.compare_exchange(
+                                word,
+                                word | SHARED,
+                                Ordering::AcqRel,
+                                Ordering::Acquire,
+                            ) {
+                                Ok(_) => break,
+                                Err(now) => {
+                                    word = now;
+                                    continue;
+                                }
+                            }
                         }
-                        // A racing upsert of the same key swapped the
-                        // entry first: replace what it put there, or the
-                        // key would end up with two entries.
-                        Err(now) => word = now,
+                        cas_ops += 1;
+                        match slot.compare_exchange(
+                            word,
+                            entry | (word & SHARED),
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        ) {
+                            Ok(_) => {
+                                let usage = ResourceUsage::new(
+                                    buckets * INSNS_PER_BUCKET_PROBE + cas_ops * INSNS_PER_CAS,
+                                    buckets,
+                                    0,
+                                );
+                                return (Ok(Some(slot_value(word))), usage);
+                            }
+                            // A racing upsert of the same key swapped the
+                            // entry first: replace what it put there, or
+                            // the key would end up with two entries.
+                            Err(now) => word = now,
+                        }
+                    }
+                    if !slot_occupied(word) {
+                        empties[n_empty] = (b, i);
+                        n_empty += 1;
                     }
                 }
-                if !slot_occupied(word) {
-                    empties[n_empty] = (b, i);
-                    n_empty += 1;
-                }
+            }
+            if g.moves() == moves {
+                break;
             }
         }
         // Fresh insert into a remembered empty slot.
         for &(b, i) in &empties[..n_empty] {
             cas_ops += 1;
-            if self.buckets[b as usize].slots[i]
+            if g.buckets[b as usize].slots[i]
                 .compare_exchange(0, entry, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -598,37 +951,51 @@ impl IndexTable {
             }
         }
         // Both buckets full: fall back to the kicking insert.
-        let (result, mut usage) = self.insert(kh, value);
+        let (result, mut usage) = self.place(g, kh, entry);
         usage.instructions += cas_ops * INSNS_PER_CAS;
         (result.map(|()| None), usage)
     }
 
     /// Delete the entry matching `(signature, location)`, whatever its
-    /// tag. Returns whether an entry was removed, plus resource usage.
+    /// tag or mark. Returns whether an entry was removed, plus resource
+    /// usage.
     pub fn delete(&self, kh: KeyHash, loc: u64) -> (bool, ResourceUsage) {
-        let b1 = self.primary_bucket(kh);
-        let b2 = self.alt_bucket(b1, kh.sig);
+        self.delete_in(&self.geometry(), kh, loc)
+    }
+
+    fn delete_in(&self, g: &Geometry, kh: KeyHash, loc: u64) -> (bool, ResourceUsage) {
+        let b1 = g.primary_bucket(kh);
+        let b2 = g.alt_bucket(b1, kh.sig);
         let target = encode(kh.sig, loc & LOC_MASK);
         let mut buckets = 0u64;
         let mut cas_ops = 0u64;
         let mut removed = false;
-        'outer: for &b in &[b1, b2] {
-            buckets += 1;
-            let bucket = &self.buckets[b as usize];
-            for slot in &bucket.slots {
-                let word = slot.load(Ordering::Acquire);
-                if word & !TAG_MASK == target {
-                    cas_ops += 1;
-                    if slot
-                        .compare_exchange(word, 0, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        removed = true;
-                        self.entries.fetch_sub(1, Ordering::Relaxed);
-                        break 'outer;
+        // A pass that found no entry while one moved runs again.
+        let mut moves = g.moves();
+        'outer: loop {
+            for &b in &[b1, b2] {
+                buckets += 1;
+                let bucket = &g.buckets[b as usize];
+                for slot in &bucket.slots {
+                    let word = slot.load(Ordering::Acquire);
+                    if word & !(TAG_MASK | SHARED) == target {
+                        cas_ops += 1;
+                        if slot
+                            .compare_exchange(word, 0, Ordering::AcqRel, Ordering::Acquire)
+                            .is_ok()
+                        {
+                            removed = true;
+                            self.entries.fetch_sub(1, Ordering::Relaxed);
+                            break 'outer;
+                        }
                     }
                 }
             }
+            let now = g.moves();
+            if now == moves {
+                break;
+            }
+            moves = now;
         }
         self.delete_ops.fetch_add(1, Ordering::Relaxed);
         self.delete_buckets.fetch_add(buckets, Ordering::Relaxed);
@@ -657,53 +1024,9 @@ impl IndexTable {
             .chunks(PROBE_WAVEFRONT)
             .zip(out.chunks_mut(PROBE_WAVEFRONT))
         {
-            buckets_read += self.search_wavefront(kc, oc);
+            buckets_read += self.geometry().search_wavefront(kc, oc);
         }
         ResourceUsage::new(buckets_read * INSNS_PER_BUCKET_PROBE, buckets_read, 0)
-    }
-
-    /// One wavefront of the batched search; returns buckets read.
-    fn search_wavefront(&self, keys: &[KeyHash], out: &mut [Candidates]) -> u64 {
-        let n = keys.len();
-        debug_assert!(n <= PROBE_WAVEFRONT);
-        // Pass 1: bucket indices + prefetch. Bucket indices are kept so
-        // pass 2 never recomputes the hash mapping.
-        let mut b1 = [0u64; PROBE_WAVEFRONT];
-        for (slot, kh) in b1.iter_mut().zip(keys) {
-            let b = self.primary_bucket(*kh);
-            *slot = b;
-            prefetch_read(&raw const self.buckets[b as usize]);
-        }
-        // Pass 2: scan the warm primary buckets; misses queue their
-        // alternate bucket for the next prefetch round.
-        let mut miss = [(0usize, 0u64); PROBE_WAVEFRONT];
-        let mut n_miss = 0usize;
-        for i in 0..n {
-            out[i] = Candidates::default();
-            self.scan_bucket(b1[i], keys[i].sig, &mut out[i]);
-            if out[i].is_empty() {
-                let alt = self.alt_bucket(b1[i], keys[i].sig);
-                miss[n_miss] = (i, alt);
-                n_miss += 1;
-                prefetch_read(&raw const self.buckets[alt as usize]);
-            }
-        }
-        // Pass 3: scan the warm alternate buckets of the misses.
-        for &(i, alt) in &miss[..n_miss] {
-            self.scan_bucket(alt, keys[i].sig, &mut out[i]);
-        }
-        (n + n_miss) as u64
-    }
-
-    /// Prefetch both candidate buckets of every key in a wavefront, so
-    /// the mutating probe that follows starts against warm lines.
-    fn prefetch_wavefront(&self, keys: impl Iterator<Item = KeyHash>) {
-        for kh in keys {
-            let b1 = self.primary_bucket(kh);
-            let b2 = self.alt_bucket(b1, kh.sig);
-            prefetch_read(&raw const self.buckets[b1 as usize]);
-            prefetch_read(&raw const self.buckets[b2 as usize]);
-        }
     }
 
     /// Batched insert: prefetches each wavefront's candidate buckets,
@@ -724,9 +1047,10 @@ impl IndexTable {
             .chunks(PROBE_WAVEFRONT)
             .zip(out.chunks_mut(PROBE_WAVEFRONT))
         {
-            self.prefetch_wavefront(chunk.iter().map(|&(kh, _)| kh));
+            let g = self.geometry();
+            g.prefetch_wavefront(chunk.iter().map(|&(kh, _)| kh));
             for (&(kh, loc), slot) in chunk.iter().zip(outs) {
-                let (r, u) = self.insert(kh, loc);
+                let (r, u) = self.insert_in(&g, kh, loc);
                 usage += u;
                 *slot = r;
             }
@@ -734,10 +1058,9 @@ impl IndexTable {
         usage
     }
 
-    /// Batched upsert (the `IN`-Insert task path): prefetches each
-    /// wavefront's candidate buckets, then applies
-    /// [`IndexTable::upsert`] per item. Equivalent to scalar upserts in
-    /// order.
+    /// Batched upsert: prefetches each wavefront's candidate buckets,
+    /// then applies [`IndexTable::upsert`] per item. Equivalent to
+    /// scalar upserts in order.
     ///
     /// # Panics
     /// Panics if `items` and `out` differ in length.
@@ -748,18 +1071,62 @@ impl IndexTable {
     ) -> ResourceUsage {
         assert_eq!(items.len(), out.len(), "upsert_batch slices must match");
         let mut usage = ResourceUsage::ZERO;
-        for (chunk, outs) in items
-            .chunks(PROBE_WAVEFRONT)
-            .zip(out.chunks_mut(PROBE_WAVEFRONT))
-        {
-            self.prefetch_wavefront(chunk.iter().map(|&(kh, _)| kh));
-            for (&(kh, loc), slot) in chunk.iter().zip(outs) {
-                let (r, u) = self.upsert(kh, loc);
-                usage += u;
-                *slot = r;
+        let mut at = 0;
+        while at < items.len() {
+            let (u, applied) = self.upsert_batch_with(&items[at..], &mut out[at..], |_, _| true);
+            usage += u;
+            at += applied;
+            if let Some(full) = out.get_mut(at) {
+                *full = Err(InsertError::TableFull);
+                at += 1;
             }
         }
         usage
+    }
+
+    /// Batched upsert that keeps keys of one signature apart, and stops
+    /// where the table runs out of room (the `IN`-Insert task path).
+    /// Items apply in order, a prefetched wavefront at a time. Of the
+    /// entries under item `k`'s signature in its bucket pair, one that
+    /// `same_key(k, value)` accepts — the key's own, or one its owner
+    /// knows is stale — is replaced, as [`IndexTable::upsert`] replaces
+    /// it. Every other stays, and it and the new entry are marked shared,
+    /// so a search of either key scans both buckets and finds both.
+    ///
+    /// Stops before the first item whose insert found no slot
+    /// ([`InsertError::TableFull`]), leaving its `out` untouched: the
+    /// caller grows the table and resumes there, so the batch still
+    /// applies in order. Returns the usage of every probe made, the
+    /// failed one's included, and how many items were applied.
+    ///
+    /// # Panics
+    /// Panics if `items` and `out` differ in length.
+    pub fn upsert_batch_with(
+        &self,
+        items: &[(KeyHash, u64)],
+        out: &mut [Result<Option<u64>, InsertError>],
+        mut same_key: impl FnMut(usize, u64) -> bool,
+    ) -> (ResourceUsage, usize) {
+        assert_eq!(items.len(), out.len(), "upsert_batch slices must match");
+        let mut usage = ResourceUsage::ZERO;
+        for (w, (chunk, outs)) in items
+            .chunks(PROBE_WAVEFRONT)
+            .zip(out.chunks_mut(PROBE_WAVEFRONT))
+            .enumerate()
+        {
+            let g = self.geometry();
+            g.prefetch_wavefront(chunk.iter().map(|&(kh, _)| kh));
+            for (i, (&(kh, loc), slot)) in chunk.iter().zip(outs).enumerate() {
+                let k = w * PROBE_WAVEFRONT + i;
+                let (r, u) = self.upsert_in(&g, kh, loc, &mut |value| same_key(k, value));
+                usage += u;
+                if r == Err(InsertError::TableFull) {
+                    return (usage, k);
+                }
+                *slot = r;
+            }
+        }
+        (usage, items.len())
     }
 
     /// Batched delete: prefetches each wavefront's candidate buckets,
@@ -775,9 +1142,10 @@ impl IndexTable {
             .chunks(PROBE_WAVEFRONT)
             .zip(out.chunks_mut(PROBE_WAVEFRONT))
         {
-            self.prefetch_wavefront(chunk.iter().map(|&(kh, _)| kh));
+            let g = self.geometry();
+            g.prefetch_wavefront(chunk.iter().map(|&(kh, _)| kh));
             for (&(kh, loc), slot) in chunk.iter().zip(outs) {
-                let (removed, u) = self.delete(kh, loc);
+                let (removed, u) = self.delete_in(&g, kh, loc);
                 usage += u;
                 *slot = removed;
             }
@@ -787,9 +1155,10 @@ impl IndexTable {
 
     /// Visit every live entry as `(signature, location)` (maintenance /
     /// integrity checking; concurrent writers may be missed or seen
-    /// twice, as with any lock-free snapshot).
+    /// twice, as with any lock-free snapshot). `f` runs under the
+    /// table's shared lock, so it must not call back into the table.
     pub fn for_each_entry<F: FnMut(u16, u64)>(&self, f: F) {
-        self.for_each_entry_in(0..self.buckets.len(), f);
+        self.for_each_entry_in(0..usize::MAX, f);
     }
 
     /// Visit every live entry whose bucket index falls in `buckets`
@@ -797,12 +1166,15 @@ impl IndexTable {
     /// migration worker — walk the table in bounded chunks instead of
     /// one monolithic pass. The chunked sweep is exhaustive only while
     /// no concurrent *inserts* run: inserts may cuckoo-displace an entry
-    /// from an unvisited bucket into an already-visited one, while
-    /// deletes never move entries.
+    /// from an unvisited bucket into an already-visited one, or grow the
+    /// table, while deletes never move entries. As with
+    /// [`IndexTable::for_each_entry`], `f` must not call back into the
+    /// table.
     pub fn for_each_entry_in<F: FnMut(u16, u64)>(&self, buckets: std::ops::Range<usize>, mut f: F) {
-        let end = buckets.end.min(self.buckets.len());
+        let g = self.geometry();
+        let end = buckets.end.min(g.buckets.len());
         let start = buckets.start.min(end);
-        for b in &self.buckets[start..end] {
+        for b in &g.buckets[start..end] {
             for slot in &b.slots {
                 let word = slot.load(Ordering::Acquire);
                 if slot_occupied(word) {
@@ -814,7 +1186,7 @@ impl IndexTable {
 
     /// Remove every entry (single-threaded maintenance helper).
     pub fn clear(&self) {
-        for b in self.buckets.iter() {
+        for b in self.geometry().buckets.iter() {
             for slot in &b.slots {
                 slot.store(0, Ordering::Release);
             }
@@ -826,7 +1198,7 @@ impl IndexTable {
 impl std::fmt::Debug for IndexTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexTable")
-            .field("buckets", &self.buckets.len())
+            .field("buckets", &self.bucket_count())
             .field("entries", &self.len())
             .field("load_factor", &self.load_factor())
             .finish()
@@ -914,6 +1286,138 @@ mod tests {
         assert_eq!(IndexTable::with_capacity(32 << 10).bytes(), 512 << 10);
     }
 
+    /// The hash a `rehash` callback in these tests names: keys are the
+    /// little-endian bytes of their location.
+    fn hash_of_loc(value: u64) -> u64 {
+        key_hash(&untagged(value).0.to_le_bytes()).hash
+    }
+
+    /// A `rehash` callback answering each entry with `f`.
+    fn each(f: impl Fn(u64) -> Option<u64>) -> impl FnMut(&[u64], &mut [Option<u64>]) {
+        move |values, hashes| {
+            for (&value, hash) in values.iter().zip(hashes) {
+                *hash = f(value);
+            }
+        }
+    }
+
+    #[test]
+    fn grow_carries_exactly_the_accepted_entries_with_their_tags() {
+        let t = IndexTable::with_capacity(300);
+        let seen = t.bucket_count();
+        for loc in 0..300u64 {
+            let kh = key_hash(&loc.to_le_bytes());
+            t.insert(kh, tagged(loc, (loc % 64) as u8)).0.unwrap();
+        }
+        // Refuse every third entry, and name a wrong hash (another
+        // signature) for every seventh of the rest.
+        let accepted = |loc: u64| !matches!((loc % 3, loc % 7), (0, _) | (_, 0));
+        let doublings = t.grow(
+            seen,
+            each(|value| {
+                let loc = untagged(value).0;
+                match (loc % 3, loc % 7) {
+                    (0, _) => None,
+                    (_, 0) => Some(!hash_of_loc(value)),
+                    _ => Some(hash_of_loc(value)),
+                }
+            }),
+        );
+        assert_eq!(doublings, 1);
+        assert_eq!(t.bucket_count(), 2 * seen);
+        assert_eq!(t.grow(seen, |_, _| unreachable!("already grown")), 0);
+        assert_eq!(t.len(), (0..300).filter(|&l| accepted(l)).count());
+        for loc in 0..300u64 {
+            let kh = key_hash(&loc.to_le_bytes());
+            let (cands, _) = t.search(kh);
+            assert_eq!(cands.as_slice().contains(&loc), accepted(loc), "loc {loc}");
+            if accepted(loc) {
+                // The upsert hands back the carried entry, tag included.
+                let (old, _) = t.upsert(kh, loc);
+                assert_eq!(old.unwrap().map(untagged), Some((loc, (loc % 64) as u8)));
+            }
+        }
+    }
+
+    /// Keys sharing a signature and a bucket pair: a checked upsert of
+    /// one keeps the others' entries, and a search of any of them —
+    /// wherever inserts and kicks leave the entries — returns its own.
+    #[test]
+    fn checked_upserts_keep_every_key_of_a_shared_signature() {
+        // One signature and one primary bucket; the middle bits tell the
+        // keys apart, and a location `1000 k + version` names its key.
+        let twin = |k: u64| KeyHash::from_hash((0xBEEF << 48) | (k << 24) | 5);
+        let upsert = |t: &IndexTable, k: u64, loc: u64| {
+            let mut out = [Ok(None)];
+            let (_, applied) =
+                t.upsert_batch_with(&[(twin(k), loc)], &mut out, |_, v| untagged(v).0 / 1000 == k);
+            assert_eq!(applied, 1);
+            out[0].unwrap()
+        };
+        let found =
+            |t: &IndexTable, k: u64, loc: u64| t.search(twin(k)).0.as_slice().contains(&loc);
+        let t = IndexTable::with_capacity(48);
+        // Fill the table near its target so later inserts kick.
+        for loc in 0..30u64 {
+            t.insert(key_hash(format!("fill-{loc}").as_bytes()), loc).0.unwrap();
+        }
+        for k in 1..=3 {
+            assert_eq!(upsert(&t, k, 1000 * k), None, "twin {k} is new");
+        }
+        for loc in 30..34u64 {
+            t.insert(key_hash(format!("fill-{loc}").as_bytes()), loc).0.unwrap();
+        }
+        for k in 1..=3 {
+            assert!(found(&t, k, 1000 * k), "twin {k}");
+        }
+        assert_eq!(upsert(&t, 2, 2001), Some(2000), "an overwrite replaces its own");
+        assert!(found(&t, 1, 1000) && found(&t, 2, 2001) && found(&t, 3, 3000));
+        assert!(t.delete(twin(1), 1000).0);
+        assert!(found(&t, 2, 2001) && found(&t, 3, 3000));
+        assert_eq!(t.len(), 30 + 4 + 2);
+    }
+
+    #[test]
+    fn a_checked_batch_stops_where_the_table_is_full() {
+        // Two buckets: every key shares their 8 slots.
+        let t = IndexTable::with_capacity(1);
+        let items: Vec<(KeyHash, u64)> =
+            (0..10u64).map(|i| (key_hash(&i.to_le_bytes()), i)).collect();
+        let mut out = [Ok(Some(7)); 10];
+        let (usage, applied) = t.upsert_batch_with(&items, &mut out, |_, _| false);
+        assert_eq!(applied, 8);
+        assert!(out[..8].iter().all(|r| *r == Ok(None)));
+        assert!(out[8..].iter().all(|r| *r == Ok(Some(7))), "untouched");
+        assert!(usage.mem_accesses > 16, "the failed walk is counted");
+    }
+
+    #[test]
+    fn reserve_grows_only_past_the_load_target() {
+        let t = IndexTable::with_capacity(16);
+        let (buckets, room) = (t.bucket_count(), max_entries(t.bucket_count()));
+        for loc in 0..room as u64 {
+            assert_eq!(t.reserve(1, |_, _| unreachable!("room left")), 0);
+            t.insert(key_hash(&loc.to_le_bytes()), loc).0.unwrap();
+        }
+        assert_eq!(t.bucket_count(), buckets, "full to the target, not past it");
+        assert_eq!(t.reserve(1, each(|v| Some(hash_of_loc(v)))), 1);
+        assert_eq!(t.bucket_count(), 2 * buckets);
+        assert_eq!(t.len(), room, "every entry carried");
+    }
+
+    #[test]
+    fn reserving_from_a_small_table_reaches_the_presized_geometry() {
+        for n in [1, 2, 7, 768, 769, 5000, 3 << 16, (3 << 16) + 1, 48 << 15] {
+            let grown = IndexTable::with_capacity(1);
+            grown.reserve(n, |_, _| unreachable!("empty"));
+            assert_eq!(
+                grown.bucket_count(),
+                IndexTable::with_capacity(n).bucket_count(),
+                "{n} entries"
+            );
+        }
+    }
+
     #[test]
     fn batch_ops_accept_empty_slices() {
         let t = IndexTable::with_capacity(64);
@@ -962,12 +1466,13 @@ mod tests {
     #[test]
     fn alt_bucket_is_an_involution_and_differs() {
         let t = IndexTable::with_capacity(4096);
+        let g = t.geometry();
         for i in 0..1000u64 {
             let kh = key_hash(&i.to_le_bytes());
-            let b1 = t.primary_bucket(kh);
-            let b2 = t.alt_bucket(b1, kh.sig);
+            let b1 = g.primary_bucket(kh);
+            let b2 = g.alt_bucket(b1, kh.sig);
             assert_ne!(b1, b2, "candidate buckets must differ");
-            assert_eq!(t.alt_bucket(b2, kh.sig), b1, "alt must be an involution");
+            assert_eq!(g.alt_bucket(b2, kh.sig), b1, "alt must be an involution");
         }
     }
 
@@ -1149,6 +1654,151 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.len(), threads as usize * per_thread as usize);
+    }
+
+    /// Inserters grow a small table through several doublings while
+    /// searchers probe every key whose insert has already returned: no
+    /// growth may lose one.
+    #[test]
+    fn searches_find_every_inserted_key_while_the_table_grows() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        const INSERTERS: u64 = 2;
+        const PER_INSERTER: u64 = 6_000;
+        let t = Arc::new(IndexTable::with_capacity(64));
+        let start = t.bucket_count();
+        // Keys below `inserted[i]` (inserter i's next key) are in.
+        let inserted: Arc<Vec<AtomicU64>> =
+            Arc::new((0..INSERTERS).map(|_| AtomicU64::new(0)).collect());
+        let done = Arc::new(AtomicBool::new(false));
+        let key_of = |inserter: u64, i: u64| inserter * PER_INSERTER + i;
+        let inserters: Vec<_> = (0..INSERTERS)
+            .map(|id| {
+                let (t, inserted) = (Arc::clone(&t), Arc::clone(&inserted));
+                std::thread::spawn(move || {
+                    for i in 0..PER_INSERTER {
+                        let loc = key_of(id, i);
+                        t.reserve(1, each(|v| Some(hash_of_loc(v))));
+                        t.insert(key_hash(&loc.to_le_bytes()), loc)
+                            .0
+                            .expect("room reserved");
+                        inserted[id as usize].store(i + 1, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        let searchers: Vec<_> = (0..2u64)
+            .map(|s| {
+                let (t, inserted, done) =
+                    (Arc::clone(&t), Arc::clone(&inserted), Arc::clone(&done));
+                std::thread::spawn(move || loop {
+                    let finished = done.load(Ordering::Acquire);
+                    for id in 0..INSERTERS {
+                        let upto = inserted[id as usize].load(Ordering::Acquire);
+                        // The newest key and a spread of older ones.
+                        for i in [upto, (upto + s) / 2, upto / 3] {
+                            let Some(i) = i.checked_sub(1) else { continue };
+                            let loc = key_of(id, i);
+                            let (c, _) = t.search(key_hash(&loc.to_le_bytes()));
+                            assert!(c.as_slice().contains(&loc), "inserted key {loc} lost");
+                        }
+                    }
+                    if finished {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        for h in inserters {
+            h.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for h in searchers {
+            h.join().unwrap();
+        }
+        let buckets = t.bucket_count();
+        assert!(buckets >= 8 * start, "{start} → {buckets} buckets");
+        assert_eq!(t.len(), (INSERTERS * PER_INSERTER) as usize);
+        for loc in 0..INSERTERS * PER_INSERTER {
+            let (c, _) = t.search(key_hash(&loc.to_le_bytes()));
+            assert!(c.as_slice().contains(&loc), "key {loc} lost");
+        }
+    }
+
+    /// Near the load target most inserts displace entries. A search
+    /// racing a displacement walk must still find the entry it moves:
+    /// searchers probe every resident key while inserters kick. No other
+    /// key shares a resident key's signature — a search stops at the
+    /// first bucket holding its signature, whosever entry it is.
+    #[test]
+    fn searches_find_entries_that_concurrent_kicks_move() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        const RESIDENT: usize = 5_800;
+        const CHURN: usize = 100_000;
+        const WINDOW: usize = 64;
+        let sig = |loc: u64| key_hash(&loc.to_le_bytes()).sig;
+        let mut sigs = HashSet::new();
+        let resident: Vec<u64> = (0..)
+            .filter(|&loc| sigs.insert(sig(loc)))
+            .take(RESIDENT)
+            .collect();
+        let churn = |id: u64| -> Vec<u64> {
+            (0..)
+                .map(|i| (1 << 32) + 2 * i + id)
+                .filter(|&loc| !sigs.contains(&sig(loc)))
+                .take(CHURN)
+                .collect()
+        };
+        let t = Arc::new(IndexTable::with_capacity(6_000)); // 2 048 buckets
+        for &loc in &resident {
+            t.insert(key_hash(&loc.to_le_bytes()), loc).0.unwrap();
+        }
+        let done = Arc::new(AtomicBool::new(false));
+        // Each inserter keeps `WINDOW` more keys in the table, inserting
+        // one and deleting its oldest: the load stays near the target.
+        let inserters: Vec<_> = (0..2u64)
+            .map(|id| {
+                let (t, locs) = (Arc::clone(&t), churn(id));
+                std::thread::spawn(move || {
+                    for (i, &loc) in locs.iter().enumerate() {
+                        // A walk may give up: then the key is absent.
+                        let _ = t.insert(key_hash(&loc.to_le_bytes()), loc);
+                        if let Some(old) = i.checked_sub(WINDOW) {
+                            t.delete(key_hash(&locs[old].to_le_bytes()), locs[old]);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let resident = Arc::new(resident);
+        let searchers: Vec<_> = (0..2u64)
+            .map(|_| {
+                let (t, resident, done) =
+                    (Arc::clone(&t), Arc::clone(&resident), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let keys: Vec<KeyHash> = resident
+                        .iter()
+                        .map(|loc| key_hash(&loc.to_le_bytes()))
+                        .collect();
+                    let mut out = vec![Candidates::default(); keys.len()];
+                    while !done.load(Ordering::Acquire) {
+                        t.search_batch(&keys, &mut out);
+                        for (loc, c) in resident.iter().zip(&out) {
+                            assert!(c.as_slice().contains(loc), "lost {loc}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in inserters {
+            h.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for h in searchers {
+            h.join().unwrap();
+        }
     }
 
     #[test]

@@ -173,12 +173,13 @@ impl Arena {
         self.bytes[offset].fetch_and(mask, Ordering::Relaxed)
     }
 
-    /// Atomically increment the `u32` at `offset` by 1 (best-effort,
-    /// relaxed; used for frequency counters).
+    /// Add `add` to the `u32` at `offset` and return the value it had
+    /// (best-effort; used for frequency counters).
     pub fn fetch_add_u32(&self, offset: usize, add: u32) -> u32 {
-        // Byte-wise CAS-free increment would race; a short optimistic
-        // read-modify-write loop over the 4 bytes is fine for sampling
-        // counters whose exactness is not load-bearing.
+        // Not atomic: a relaxed read of the 4 bytes, then a relaxed write
+        // of the sum, so a racing add can be lost (or a torn value
+        // written). Fine for sampling counters whose exactness is not
+        // load-bearing.
         let cur = self.read_u32(offset);
         let next = cur.wrapping_add(add);
         self.write_u32(offset, next);

@@ -5,11 +5,13 @@
 
 use crate::batch::Batch;
 use crate::tasks::{self, Meter, NoMeter, StageCtx, KH_NONE};
-use dido_hashtable::{key_hash, tagged, IndexTable, KeyHash, PROBE_WAVEFRONT};
+use dido_hashtable::{
+    key_hash, prefetch_read, tagged, untagged, IndexTable, InsertError, KeyHash, PROBE_WAVEFRONT,
+};
 use dido_kvstore::{ObjectStore, PurgedEntry};
 use dido_model::{
     metric_table, ttl_to_deadline, BatchTally, Counter, PipelineConfig, Processor, Query,
-    Response, SharedClock, SystemClock, TaskSet,
+    ResourceUsage, Response, SharedClock, SystemClock, TaskSet,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -169,7 +171,15 @@ metric_table! {
     /// end of the batch (one per overwrite whose slot still held the
     /// replaced object).
     replaced_freed: Counter,
+    /// Doublings of the index, whatever asked for the room (`IN`-Insert,
+    /// a single-object load, an insert that found no slot). Not driven
+    /// by the op mix alone: it depends on where the index started.
+    index_grows: Counter,
 }
+
+/// Entries a serving engine's index starts with room for: 256 buckets,
+/// 8 KiB, whatever the store's size. It doubles as keys arrive.
+const INDEX_START_ENTRIES: usize = 768;
 
 /// The functional key-value node shared by every pipeline configuration:
 /// cuckoo index, slab object store, and the sampling epoch for skew
@@ -190,6 +200,11 @@ pub struct KvEngine {
     /// deferred here and drained by the next batch's `IN`-Delete or the
     /// background sweeper — off the response critical path either way.
     pub(crate) pending_expired: DeferredPurges,
+    /// Upserts replace whichever entry of their signature they meet in
+    /// their bucket pair, another key's included, as Mega-KV's do
+    /// ([`KvEngine::mega_kv`]). A serving engine replaces only its own
+    /// key's entry ([`KvEngine::same_key`]).
+    by_signature: bool,
 }
 
 impl KvEngine {
@@ -203,19 +218,44 @@ impl KvEngine {
     /// expiry is driven explicitly instead of by sleeping).
     #[must_use]
     pub fn with_clock(cfg: EngineConfig, clock: SharedClock) -> KvEngine {
-        // Index sized for the worst case: every object in the smallest
-        // (32 B) class.
-        let max_objects = (cfg.store_bytes / 32).max(16);
+        // The index grows with the keys, not with the store: it starts
+        // at a few KiB and doubles ahead of each insert that would take
+        // it past its load target, so its size tracks the live entries
+        // whatever `store_bytes` is.
+        KvEngine::build(cfg, clock, IndexTable::with_capacity(INDEX_START_ENTRIES), false)
+    }
+
+    /// An engine with Mega-KV's index (paper §II-B), the only kind the
+    /// reproduction builds, on the system wall clock. The index is sized
+    /// once for every object of the store in the smallest (32 B) class,
+    /// so it never nears its load target and never grows: its geometry,
+    /// and with it every priced bucket probe, follows the store, not the
+    /// keys. Its upserts replace by signature alone, so two keys of one
+    /// signature in one bucket pair displace each other, as in the
+    /// paper's systems.
+    #[must_use]
+    pub fn mega_kv(cfg: EngineConfig) -> KvEngine {
+        let index = IndexTable::with_capacity((cfg.store_bytes / 32).max(16));
+        KvEngine::build(cfg, Arc::new(SystemClock), index, true)
+    }
+
+    fn build(
+        cfg: EngineConfig,
+        clock: SharedClock,
+        index: IndexTable,
+        by_signature: bool,
+    ) -> KvEngine {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         KvEngine {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             cfg,
-            index: IndexTable::with_capacity(max_objects),
+            index,
             store: ObjectStore::new(cfg.store_bytes),
             epoch: AtomicU32::new(1),
             ops: OpCounters::default(),
             clock,
             pending_expired: DeferredPurges::new(),
+            by_signature,
         }
     }
 
@@ -322,6 +362,82 @@ impl KvEngine {
         removed
     }
 
+    /// Growth's rehash: for each index entry's `values` (a [`tagged`]
+    /// location), its key's full hash, or `None` when the entry is stale —
+    /// its slot no longer holds the live object of its tag (a CLOCK
+    /// victim awaiting `IN`-Delete, or a dead slot), which `IN`-Delete or
+    /// a purge would drop anyway. The objects are prefetched first, a
+    /// wavefront at a time, as `KC` prefetches its candidates. Each key is
+    /// hashed where it lies in the arena and the incarnation rechecked
+    /// after, as `RD` rechecks a copy, so a slot recycled under the read
+    /// is refused, never misplaced. Takes no store lock; the index
+    /// compares each hash's signature with its entry's itself.
+    fn rehash(&self, values: &[u64], hashes: &mut [Option<u64>]) {
+        for &value in values {
+            prefetch_read(self.store.object_ptr(untagged(value).0));
+        }
+        for (&value, hash) in values.iter().zip(hashes) {
+            let (loc, tag) = untagged(value);
+            let cookie = self.store.key_cookie(loc);
+            *hash = self.store.holds(loc, tag).then_some(cookie);
+        }
+    }
+
+    fn count_grows(&self, doublings: u32) {
+        if doublings > 0 {
+            self.ops.index_grows.add(u64::from(doublings));
+        }
+    }
+
+    /// Whether the index entry `value` (a [`tagged`] location), found
+    /// under `key`'s signature, may give way to a new version of `key`:
+    /// it is `key`'s own, or stale — its slot no longer holds the live
+    /// object of its tag. Another key's live entry may not: the two keys
+    /// share a signature, and a SET of one must not unindex the other.
+    /// The key is compared before the incarnation is rechecked, as `RD`
+    /// copies before it rechecks. Mega-KV's engine asks nothing.
+    fn same_key(&self, key: &[u8], value: u64) -> bool {
+        if self.by_signature {
+            return true;
+        }
+        let (loc, tag) = untagged(value);
+        self.store.key_matches(loc, key) || !self.store.holds(loc, tag)
+    }
+
+    /// Upsert a wavefront of new versions — `items[k]` of key
+    /// `key_of(k)` — in order, each replacing only an entry
+    /// [`KvEngine::same_key`] accepts ([`IndexTable::upsert_batch_with`]).
+    /// The index doubles first if they would take it past its load
+    /// target, and again whenever one finds no slot, which is then
+    /// retried: no version is refused for want of index room, only one
+    /// whose location does not fit. `IN`-Insert calls this once per
+    /// wavefront, a single-object load once per object. Returns the
+    /// usage of every probe.
+    pub(crate) fn upsert_wavefront<'k>(
+        &self,
+        items: &[(KeyHash, u64)],
+        key_of: impl Fn(usize) -> &'k [u8],
+        outs: &mut [Result<Option<u64>, InsertError>],
+    ) -> ResourceUsage {
+        self.count_grows(self.index.reserve(items.len(), |v, h| self.rehash(v, h)));
+        let mut usage = ResourceUsage::ZERO;
+        let mut at = 0;
+        while at < items.len() {
+            let seen = self.index.bucket_count();
+            let (u, applied) =
+                self.index
+                    .upsert_batch_with(&items[at..], &mut outs[at..], |k, v| {
+                        self.same_key(key_of(at + k), v)
+                    });
+            usage += u;
+            at += applied;
+            if at < items.len() {
+                self.count_grows(self.index.grow(seen, |v, h| self.rehash(v, h)));
+            }
+        }
+        usage
+    }
+
     /// Proactive expiry: reclaim up to `max_segments` expired TTL
     /// segments from the store and drop the purged objects' index
     /// entries (rebuilt from the segment's hash cookies — no key bytes
@@ -401,10 +517,10 @@ impl KvEngine {
 
     /// Store one object outside any batch — preload, and shard
     /// migration through [`KvEngine::load_object_at`]: slab allocation,
-    /// `unlink` for whatever died to make room, then index upsert.
-    /// Returns the new object's location, or `None` if the store or
-    /// index rejected it (the allocation is rolled back). Served SETs
-    /// run the `MM` and `IN` tasks instead.
+    /// `unlink` for whatever died to make room, then index upsert, the
+    /// index growing first if it must. Returns the new object's
+    /// location, or `None` if the store rejected it. Served SETs run the
+    /// `MM` and `IN` tasks instead.
     pub fn load_object(&self, key: &[u8], value: &[u8]) -> Option<u64> {
         self.load_object_with(key, value, 0, 0)
     }
@@ -432,7 +548,9 @@ impl KvEngine {
         // anything can re-probe them.
         self.unlink(&UNMETERED, &out.reclaimed);
         self.unlink(&UNMETERED, out.evicted.as_slice());
-        match self.index.upsert(kh, tagged(out.loc, out.tag)).0 {
+        let mut upserted = [Ok(None)];
+        self.upsert_wavefront(&[(kh, tagged(out.loc, out.tag))], |_| key, &mut upserted);
+        match upserted[0] {
             Ok(_replaced) => {
                 // A replaced version is left to CLOCK here, as the
                 // reproduction's preloaded full store assumes (paper
@@ -440,7 +558,7 @@ impl KvEngine {
                 // (`run_batch`).
                 Some(out.loc)
             }
-            Err(_) => {
+            Err(_too_large) => {
                 self.store.free(out.loc);
                 None
             }

@@ -173,6 +173,9 @@ struct EngineSets {
 struct MigrationCursor {
     donor_shard: usize,
     next_bucket: usize,
+    /// The bucket count `next_bucket` counts in. A donor shard takes no
+    /// inserts, so its index never grows and the cursor stays valid.
+    buckets: usize,
 }
 
 /// Why a resize request was rejected.
@@ -449,6 +452,7 @@ impl ShardedEngine {
         *self.cursor.lock() = Some(MigrationCursor {
             donor_shard: 0,
             next_bucket: 0,
+            buckets: 0,
         });
         Ok(self.map.publish(MapState::Migrating { old, new: n }))
     }
@@ -471,6 +475,13 @@ impl ShardedEngine {
         while progress.moved < max_keys.max(1) && cur.donor_shard < donor.len() {
             let d = &donor.engines[cur.donor_shard];
             let buckets = d.index.bucket_count();
+            assert!(
+                cur.next_bucket == 0 || buckets == cur.buckets,
+                "donor shard {}'s index grew mid-walk: {} → {buckets} buckets",
+                cur.donor_shard,
+                cur.buckets
+            );
+            cur.buckets = buckets;
             if cur.next_bucket >= buckets {
                 cur.donor_shard += 1;
                 cur.next_bucket = 0;

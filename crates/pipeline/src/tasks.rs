@@ -209,7 +209,11 @@ pub fn run_index_search<M: Meter>(
     }
 }
 
-/// `IN`-Insert: index upserts for every SET in `range` (requires `MM`).
+/// `IN`-Insert: index upserts for every SET in `range` (requires `MM`),
+/// one wavefront at a time and in order, through
+/// [`KvEngine::upsert_wavefront`]: each replaces only its own key's
+/// entry, and the index grows whenever it must, so a SET is never
+/// refused for want of index room.
 pub fn run_index_insert<M: Meter>(
     ctx: StageCtx<M>,
     engine: &KvEngine,
@@ -236,7 +240,10 @@ pub fn run_index_insert<M: Meter>(
             continue;
         }
         engine.ops.index_inserts.add(n as u64);
-        M::index_op(&ctx, engine.index.upsert_batch(&items[..n], &mut outs[..n]));
+        let queries = &batch.queries;
+        let key_of = |k: usize| &queries[idx[k]].key[..];
+        let usage = engine.upsert_wavefront(&items[..n], key_of, &mut outs[..n]);
+        M::index_op(&ctx, usage);
         for k in 0..n {
             let st = &mut batch.state[idx[k]];
             match outs[k] {

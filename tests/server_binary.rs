@@ -2,7 +2,8 @@
 //! round-trip a query, and check the threads it runs. Covers the flag
 //! vector the `benchmark/` package starts it with, the bare default,
 //! the `--stats-every` block on stderr, the `--trace` recording, an idle
-//! server's resident set, the arena that overwriting the same keys
+//! server's resident set, an index sized by its keys rather than its
+//! store, the arena that overwriting the same keys
 //! carves, the refusal of a store size or latency budget
 //! no node can serve, the README's flag list against `--help`, and what
 //! the binary links: no simulator executor.
@@ -394,9 +395,10 @@ fn stats_block_carries_cumulative_net_and_core_counters() {
     }
     assert_eq!(last.matches("adaptions").count(), 1, "{last}");
     assert_eq!(last.matches("pipeline: ").count(), 1, "{last}");
-    // Two 8 MB shards, each indexed for 256 Ki objects: 128 Ki buckets
-    // of 32 B apiece.
-    assert_eq!(metric(last, "index_bytes"), (8 << 20).to_string(), "{last}");
+    // Two shards whose indexes are still at their starting size, 256
+    // buckets of 32 B apiece, whatever the store.
+    assert_eq!(metric(last, "index_bytes"), (2 * 256 * 32).to_string(), "{last}");
+    assert_eq!(metric(last, "index_grows"), "0", "{last}");
     assert_ne!(metric(last, "store_carved_bytes"), "0", "{last}");
 }
 
@@ -419,6 +421,45 @@ fn an_idle_server_holds_little_of_its_store_resident() {
         rss_kb < (store_mb << 10) / 4,
         "idle VmRSS {rss_kb} kB is not below a quarter of a {store_mb} MB store"
     );
+}
+
+/// The index grows with the keys, not with the store: 100 000 distinct
+/// K16 keys into `--store-mb 256` leave a 2 MiB index, where one sized
+/// for the store (every object in the 32 B class) would be 128 MiB.
+#[test]
+fn an_index_grows_with_its_keys_not_its_store() {
+    const KEYS: usize = 100_000;
+    const PER_REQUEST: usize = 1_000;
+    let args = ["--store-mb", "256", "--stats-every", "1", "--addr", "127.0.0.1:0"];
+    let (server, addrs) = start(&args, 1);
+    let mut client = KvClient::connect(addrs[0]).expect("connect");
+    for first in (0..KEYS).step_by(PER_REQUEST) {
+        let sets: Vec<Query> = (first..first + PER_REQUEST)
+            .map(|k| Query::set(format!("grow-key-{k:07}"), "v"))
+            .collect();
+        let rs = client.request(&sets).expect("round trip");
+        assert!(rs.iter().all(|r| r.status == ResponseStatus::Ok));
+    }
+    // The handler prints a batch's block before its reply leaves.
+    let mut block = String::new();
+    let last = loop {
+        let line = server
+            .1
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("no block counted {KEYS} queries; last:\n{block}"));
+        block.push_str(&line);
+        block.push('\n');
+        if line.starts_with("pipeline: ") {
+            if block.contains(&format!(" queries={KEYS} ")) {
+                break block;
+            }
+            block.clear();
+        }
+    };
+    let index_bytes: usize = metric(&last, "index_bytes").parse().expect("a byte count");
+    assert!(index_bytes <= 2 << 20, "{KEYS} keys, {index_bytes} index bytes:\n{last}");
+    let grows: u64 = metric(&last, "index_grows").parse().expect("a count");
+    assert!(grows > 0, "{last}");
 }
 
 /// Overwrites free the versions they replace: SET the same 1 000 keys
