@@ -76,6 +76,18 @@ mod tests {
         assert_eq!(engine.index.bucket_count(), 1 << 19);
     }
 
+    /// The experiments' store is Mega-KV's: one power-of-two size class
+    /// per doubling, so a preload of `keyspace_size` objects fills it, as
+    /// `experiments_full.log` was recorded with.
+    #[test]
+    fn the_experiments_store_has_power_of_two_classes() {
+        let store_bytes = crate::ExperimentCtx::default().store_bytes;
+        let engine = KvEngine::mega_kv(EngineConfig::new(store_bytes, 0, 0));
+        let ladder: Vec<usize> = engine.store.class_stats().iter().map(|c| c.class_bytes).collect();
+        assert_eq!(ladder, (0..ladder.len()).map(|d| 32 << d).collect::<Vec<_>>());
+        assert_eq!(ladder.last(), Some(&(4 << 20)));
+    }
+
     #[test]
     fn preloaded_keys_are_gettable() {
         let spec = WorkloadSpec::from_label("K8-G100-S").unwrap();

@@ -138,8 +138,8 @@ impl fmt::Display for Metrics {
             )?;
         }
         for c in &m.classes {
-            // The full power-of-two ladder is long; untouched classes
-            // say nothing.
+            // The full class ladder is long; untouched classes say
+            // nothing.
             if c.live_objects + c.free_slots == 0 {
                 continue;
             }

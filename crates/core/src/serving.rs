@@ -37,7 +37,6 @@ use crate::metrics::{MemoryFold, Metrics};
 use crate::options::{scaled_caches, DidoOptions};
 use crate::planner::{IndexShape, Planner};
 use crate::striped::{StatsFold, StripedStats};
-use dido_kvstore::HEADER_SIZE;
 use dido_model::{ConfigCell, PipelineConfig, Query, Response};
 use dido_pipeline::{EngineConfig, ResizeError, ShardedEngine};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
@@ -106,9 +105,15 @@ impl ServingCore {
         options: DidoOptions,
     ) -> (ServingCore, WorkloadGen) {
         let core = Self::new(shards, lanes, options);
-        let n_keys = spec
-            .keyspace_size(options.testbed.store_bytes as u64, HEADER_SIZE)
-            .max(1);
+        // As many objects as the shards have slots of the dataset's size
+        // class — on the serving store's ladder, not the power-of-two one
+        // `WorkloadSpec::keyspace_size` counts for the reproduction.
+        let shard = core.engine.shard(0);
+        let slot = shard
+            .store
+            .class_bytes_for(spec.dataset.key_size(), spec.dataset.value_size())
+            .expect("the dataset fits a size class");
+        let n_keys = (shard.store.capacity() / slot * core.engine.shard_count()).max(1) as u64;
         for id in 0..n_keys {
             let key = key_bytes(spec.dataset, id);
             let value = value_bytes(spec.dataset, id);

@@ -2,8 +2,8 @@
 //! TTL-bucketed segment reclamation.
 //!
 //! Mirrors the memcached/Mega-KV storage design the paper assumes:
-//! objects live in one shared arena, carved into power-of-two size
-//! classes; when a class runs out of memory a SET *evicts* an existing
+//! objects live in one shared arena, carved into size classes; when a
+//! class runs out of memory a SET *evicts* an existing
 //! object — which is why each SET generates an Insert **and** a Delete
 //! index operation (paper §II-C-2) — and each object carries a frequency
 //! counter plus a sampling timestamp for the runtime skewness estimate
@@ -23,6 +23,15 @@
 //! first, then CLOCK) → out of memory. Borrowed slots keep the slot's
 //! real class in the header so they return to the right free list, and
 //! the rounding waste shows up in the per-class fragmentation gauge.
+//!
+//! Two class ladders, both from 32 B. A serving store
+//! ([`ObjectStore::new`]) has four classes per doubling — 32, 40, 48,
+//! 56, 64, 80, … — so a slot is at most 25 % larger than the class below
+//! it, as with memcached's default 1.25 growth factor: a K128 object
+//! (1 176 B) takes a 1 280 B slot. The reproduction's store
+//! ([`ObjectStore::mega_kv`]) keeps one power-of-two class per doubling,
+//! the geometry its recorded experiments were run with: the same object
+//! takes 2 048 B there.
 
 use crate::arena::Arena;
 use dido_hashtable::hash64_bytes;
@@ -70,6 +79,10 @@ fn incarnation(flags: u8) -> u8 {
 
 /// Smallest size class in bytes.
 const MIN_CLASS_BYTES: usize = 32;
+
+/// Size classes per doubling of the slot size in a serving store. Every
+/// class is a multiple of 8 B.
+const SERVING_CLASSES_PER_DOUBLING: usize = 4;
 
 /// Smallest arena [`ObjectStore::new`] accepts: one slot of the smallest
 /// class. Callers that split a byte budget across stores check against
@@ -208,6 +221,9 @@ pub struct ObjectStore {
     bump: Mutex<usize>,
     classes: Vec<Mutex<ClassLists>>,
     class_count: usize,
+    /// Classes per doubling of the slot size (a power of two): 4
+    /// serving, 1 Mega-KV.
+    per_doubling: usize,
     /// Full segments waiting for their bucket window to pass.
     sealed: Mutex<Vec<Segment>>,
     expired_proactive: AtomicU64,
@@ -223,20 +239,40 @@ pub struct ObjectStore {
 }
 
 impl ObjectStore {
-    /// A store over `capacity` bytes of (simulated) shared memory.
+    /// A serving store over `capacity` bytes: four size classes per
+    /// doubling (32, 40, 48, 56, 64, 80, … B).
     ///
     /// # Panics
     /// Panics if `capacity < MIN_STORE_BYTES`.
     #[must_use]
     pub fn new(capacity: usize) -> ObjectStore {
+        ObjectStore::with_ladder(capacity, SERVING_CLASSES_PER_DOUBLING)
+    }
+
+    /// Mega-KV's store (paper §II), the only kind the reproduction
+    /// builds: one power-of-two size class per doubling (32, 64, 128, …
+    /// B), so every object count and priced access it reports follows the
+    /// geometry its experiments were recorded with.
+    ///
+    /// # Panics
+    /// Panics if `capacity < MIN_STORE_BYTES`.
+    #[must_use]
+    pub fn mega_kv(capacity: usize) -> ObjectStore {
+        ObjectStore::with_ladder(capacity, 1)
+    }
+
+    /// Classes from 32 B up to the power of two at or above `capacity`
+    /// (at most 4 MiB), `per_doubling` of them per doubling.
+    fn with_ladder(capacity: usize, per_doubling: usize) -> ObjectStore {
         assert!(capacity >= MIN_STORE_BYTES, "capacity too small");
         let max_class_bytes = capacity.next_power_of_two().min(1 << 22);
-        let class_count = (max_class_bytes / MIN_CLASS_BYTES).ilog2() as usize + 1;
+        let class_count = (max_class_bytes / MIN_CLASS_BYTES).ilog2() as usize * per_doubling + 1;
         ObjectStore {
             arena: Arena::new(capacity),
             bump: Mutex::new(0),
             classes: (0..class_count).map(|_| Mutex::new(ClassLists::default())).collect(),
             class_count,
+            per_doubling,
             sealed: Mutex::new(Vec::new()),
             expired_proactive: AtomicU64::new(0),
             segments_reclaimed: AtomicU64::new(0),
@@ -282,19 +318,28 @@ impl ObjectStore {
         self.classes.iter().map(|c| c.lock().live).sum()
     }
 
+    /// The smallest class that holds `total` bytes, and its slot size.
     fn class_of(&self, total: usize) -> Option<(usize, usize)> {
-        let mut size = MIN_CLASS_BYTES;
-        for idx in 0..self.class_count {
-            if total <= size {
-                return Some((idx, size));
-            }
-            size *= 2;
-        }
-        None
+        let idx = if total <= MIN_CLASS_BYTES {
+            0
+        } else {
+            // The doubling (base, 2·base] that holds `total`, then the
+            // first of its steps that reaches it. Steps are powers of
+            // two, so they are counted by a shift, not a division.
+            let doubling = ((total - 1) / MIN_CLASS_BYTES).ilog2() as usize;
+            let base = MIN_CLASS_BYTES << doubling;
+            let step_shift = (base / self.per_doubling).trailing_zeros();
+            doubling * self.per_doubling + ((total - base + (1 << step_shift) - 1) >> step_shift)
+        };
+        (idx < self.class_count).then(|| (idx, self.class_size(idx)))
     }
 
-    fn class_size(idx: usize) -> usize {
-        MIN_CLASS_BYTES << idx
+    /// Slot bytes of class `idx`: `per_doubling` even steps from each
+    /// power of two to the next.
+    fn class_size(&self, idx: usize) -> usize {
+        let doubling = idx >> self.per_doubling.trailing_zeros();
+        let step = idx & (self.per_doubling - 1);
+        (MIN_CLASS_BYTES + step * (MIN_CLASS_BYTES / self.per_doubling)) << doubling
     }
 
     /// Size-class byte size an object of `key_len`/`val_len` lands in
@@ -446,14 +491,14 @@ impl ObjectStore {
         for c in class_idx + 1..self.class_count {
             let mut lists = self.classes[c].lock();
             if let Some(loc) = lists.free.pop() {
-                return Some((loc, c, Self::class_size(c)));
+                return Some((loc, c, self.class_size(c)));
             }
         }
         for c in class_idx + 1..self.class_count {
             let mut lists = self.classes[c].lock();
-            *evicted = self.evict_one(&mut lists, Self::class_size(c), now);
+            *evicted = self.evict_one(&mut lists, self.class_size(c), now);
             if let Some(ev) = evicted {
-                return Some((ev.loc, c, Self::class_size(c)));
+                return Some((ev.loc, c, self.class_size(c)));
             }
         }
         None
@@ -651,7 +696,7 @@ impl ObjectStore {
             .map(|idx| {
                 let lists = self.classes[idx].lock();
                 ClassStats {
-                    class_bytes: Self::class_size(idx),
+                    class_bytes: self.class_size(idx),
                     live_objects: lists.live,
                     free_slots: lists.free.len(),
                     live_bytes: lists.live_bytes,
@@ -775,7 +820,7 @@ impl ObjectStore {
         let key_len = self.arena.read_u16(off + OFF_KEY_LEN) as usize;
         let val_len = self.arena.read_u32(off + OFF_VAL_LEN) as usize;
         let total = HEADER_SIZE + key_len + val_len;
-        let class_size = Self::class_size(class);
+        let class_size = self.class_size(class);
         let mut lists = self.classes[class].lock();
         lists.free.push(loc);
         lists.live = lists.live.saturating_sub(1);
@@ -1102,12 +1147,12 @@ mod tests {
         let check = |step: &str| {
             let rings = ring_and_carved(&s);
             for (class, &(ring, carved)) in rings.iter().enumerate() {
-                assert_eq!(ring, carved, "{step}: class {}", ObjectStore::class_size(class));
+                assert_eq!(ring, carved, "{step}: class {}", s.class_size(class));
             }
             let carved_bytes: usize = rings
                 .iter()
                 .enumerate()
-                .map(|(class, &(ring, _))| ring * ObjectStore::class_size(class))
+                .map(|(class, &(ring, _))| ring * s.class_size(class))
                 .sum();
             assert_eq!(carved_bytes, s.bytes_carved(), "{step}");
         };
@@ -1177,11 +1222,11 @@ mod tests {
         // The PR-9 trap, inverted: the arena is fully carved into
         // 64-byte-class objects, and a 32-byte-class allocation arrives.
         // Same-class CLOCK has nothing (class 32 owns no slots), nothing
-        // is expired, so the allocator borrows a 64-byte slot by
-        // evicting its occupant.
+        // is expired, and the classes between own none either, so the
+        // allocator borrows a 64-byte slot by evicting its occupant.
         let s = ObjectStore::new(256);
         for i in 0..4 {
-            let value = vec![b'v'; 20]; // 24 + 2 + 20 = 46 → class 64
+            let value = vec![b'v'; 38]; // 24 + 2 + 38 = 64 → class 64
             s.allocate(format!("b{i}").as_bytes(), &value).unwrap();
         }
         assert_eq!(s.bytes_carved(), 256);
@@ -1194,14 +1239,16 @@ mod tests {
         // to the 64-byte free list, where a 64-byte-class allocation can
         // pick it up again.
         assert!(s.free(out.loc));
-        let big = vec![b'v'; 20];
+        let big = vec![b'v'; 38];
         let back = s.allocate(b"b9", &big).unwrap();
         assert_eq!(back.loc, out.loc);
         assert!(back.evicted.is_none());
-        // Fragmentation accounting saw the borrow while it was live.
-        let stats = s.class_stats();
-        assert_eq!(stats[0].live_objects, 0, "class 32 never owned the object");
-        assert_eq!(stats[1].live_objects, 4);
+        let live = |bytes| {
+            let stats = s.class_stats();
+            stats.iter().find(|c| c.class_bytes == bytes).unwrap().live_objects
+        };
+        assert_eq!(live(32), 0, "class 32 never owned the object");
+        assert_eq!(live(64), 4);
     }
 
     #[test]
@@ -1212,7 +1259,7 @@ mod tests {
         // Step 1: same-class CLOCK wins even though an expired segment
         // exists in another class.
         let s = ObjectStore::new(192);
-        let big = vec![b'v'; 20]; // 24 + 2 + 20 = 46 → class 64
+        let big = vec![b'v'; 38]; // 24 + 2 + 38 = 64 → class 64
         s.allocate(b"a0", b"v").unwrap();
         s.allocate(b"a1", b"v").unwrap();
         s.allocate_with(b"e0", &big, 50, 0, 10, 11).unwrap();
@@ -1232,16 +1279,16 @@ mod tests {
         let s = ObjectStore::new(256);
         s.allocate_with(b"e0", &big, 50, 0, 10, 11).unwrap();
         s.allocate_with(b"e1", &big, 50, 0, 10, 22).unwrap();
-        let live0 = s.allocate(b"live0", &big).unwrap();
-        let live1 = s.allocate(b"live1", &big).unwrap();
+        let live0 = s.allocate(b"l0", &big).unwrap();
+        let live1 = s.allocate(b"l1", &big).unwrap();
         assert_eq!(s.bytes_carved(), 256);
         let out = s.allocate_with(b"tiny", b"v", 0, 0, 100, 0).unwrap();
         assert!(out.evicted.is_none(), "no live object evicted");
         let cookies: Vec<u64> = out.reclaimed.iter().map(|p| p.cookie).collect();
         assert!(cookies.contains(&11) && cookies.contains(&22));
         assert!(s.key_matches(out.loc, b"tiny"));
-        assert!(s.key_matches(live0.loc, b"live0"));
-        assert!(s.key_matches(live1.loc, b"live1"));
+        assert!(s.key_matches(live0.loc, b"l0"));
+        assert!(s.key_matches(live1.loc, b"l1"));
 
         // Step 3: nothing expired, nothing same-class, and no larger
         // class to borrow from → error.
@@ -1249,7 +1296,7 @@ mod tests {
         for i in 0..3 {
             s.allocate(format!("k{i}").as_bytes(), b"v").unwrap();
         }
-        let value = vec![1u8; 40]; // class 128: largest class of this store
+        let value = vec![1u8; 40]; // 67 B → class 80: no slot of 80 B or more
         assert_eq!(
             s.allocate_with(b"big", &value, 0, 0, 100, 0),
             Err(StoreError::OutOfMemory)
@@ -1343,28 +1390,66 @@ mod tests {
         let s = ObjectStore::new(4096);
         // 24 + 4 + 1 = 29 bytes in a 32-byte slot: 3 bytes frag.
         s.allocate(b"aaaa", b"1").unwrap();
-        // 24 + 4 + 12 = 40 bytes in a 64-byte slot: 24 bytes frag.
-        s.allocate(b"bbbb", b"0123456789ab").unwrap();
+        // 24 + 4 + 13 = 41 bytes in a 48-byte slot: 7 bytes frag.
+        s.allocate(b"bbbb", b"0123456789abc").unwrap();
         let stats = s.class_stats();
         assert_eq!(stats[0].class_bytes, 32);
         assert_eq!(stats[0].live_objects, 1);
         assert_eq!(stats[0].live_bytes, 29);
         assert_eq!(stats[0].frag_bytes, 3);
-        assert_eq!(stats[1].class_bytes, 64);
-        assert_eq!(stats[1].live_bytes, 40);
-        assert_eq!(stats[1].frag_bytes, 24);
+        assert_eq!(stats[1].class_bytes, 40);
+        assert_eq!(stats[1].live_objects, 0);
+        assert_eq!(stats[2].class_bytes, 48);
+        assert_eq!(stats[2].live_bytes, 41);
+        assert_eq!(stats[2].frag_bytes, 7);
         // Freeing settles the gauges back to zero.
         let total_live: usize = stats.iter().map(|c| c.live_objects).sum();
         assert_eq!(total_live, s.live_objects());
     }
 
     #[test]
-    fn size_classes_are_powers_of_two() {
-        let s = ObjectStore::new(1 << 20);
+    fn mega_kv_size_classes_are_powers_of_two() {
+        let s = ObjectStore::mega_kv(1 << 20);
         assert_eq!(s.class_bytes_for(4, 4), Some(32));
         assert_eq!(s.class_bytes_for(8, 17), Some(64));
         assert_eq!(s.class_bytes_for(128, 1024), Some(2048));
         assert!(s.class_bytes_for(0, 1 << 23).is_none());
+        let ladder: Vec<usize> = s.class_stats().iter().map(|c| c.class_bytes).collect();
+        assert_eq!(ladder, (0..16).map(|d| 32 << d).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn serving_size_classes_step_four_per_doubling() {
+        let s = ObjectStore::new(1 << 20);
+        let ladder: Vec<usize> = s.class_stats().iter().map(|c| c.class_bytes).collect();
+        assert_eq!(ladder[..13], [32, 40, 48, 56, 64, 80, 96, 112, 128, 160, 192, 224, 256]);
+        assert_eq!(ladder.len(), 15 * 4 + 1, "32 B to 1 MiB, four steps per doubling");
+        assert_eq!(ladder.last(), Some(&(1 << 20)));
+        // The three datasets the front-door benchmark stores, in header
+        // + key + value bytes: K16 104, K32 312, K128 1 176.
+        assert_eq!(s.class_bytes_for(16, 64), Some(112));
+        assert_eq!(s.class_bytes_for(32, 256), Some(320));
+        assert_eq!(s.class_bytes_for(128, 1024), Some(1280));
+        assert_eq!(s.class_bytes_for(4, 4), Some(32));
+        assert!(s.class_bytes_for(0, 1 << 23).is_none());
+        // Both ladders stop at 4 MiB.
+        for big in [ObjectStore::new(1 << 30), ObjectStore::mega_kv(1 << 30)] {
+            assert_eq!(big.class_bytes_for(0, (4 << 20) - HEADER_SIZE), Some(4 << 20));
+            assert!(big.class_bytes_for(0, (4 << 20) - HEADER_SIZE + 1).is_none());
+        }
+    }
+
+    #[test]
+    fn every_object_lands_in_the_smallest_class_that_holds_it() {
+        for s in [ObjectStore::new(1 << 16), ObjectStore::mega_kv(1 << 16)] {
+            let ladder: Vec<usize> = s.class_stats().iter().map(|c| c.class_bytes).collect();
+            assert!(ladder.windows(2).all(|w| w[0] < w[1] && w[1] <= w[0] * 2));
+            assert!(ladder.iter().all(|&bytes| bytes % 8 == 0));
+            for total in HEADER_SIZE..=(1 << 16) + 1 {
+                let want = ladder.iter().copied().find(|&bytes| bytes >= total);
+                assert_eq!(s.class_bytes_for(0, total - HEADER_SIZE), want, "{total} B");
+            }
+        }
     }
 
     #[test]

@@ -103,12 +103,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn store_agrees_with_reference_map(ops in ops(), tight in any::<bool>()) {
+    fn store_agrees_with_reference_map(ops in ops(), tight in any::<bool>(), mega_kv in any::<bool>()) {
         // Generous capacity verifies exact content agreement with no
         // eviction; a tight arena makes CLOCK evict, and every victim
         // must be reported under the hash of the key the oracle holds
-        // at that location.
-        let store = ObjectStore::new(if tight { 4096 } else { 1 << 20 });
+        // at that location. Either class ladder.
+        let capacity = if tight { 4096 } else { 1 << 20 };
+        let store = if mega_kv { ObjectStore::mega_kv(capacity) } else { ObjectStore::new(capacity) };
         // key -> (loc, value)
         let mut model: HashMap<u8, (u64, Vec<u8>)> = HashMap::new();
 

@@ -222,27 +222,32 @@ impl KvEngine {
         // at a few KiB and doubles ahead of each insert that would take
         // it past its load target, so its size tracks the live entries
         // whatever `store_bytes` is.
-        KvEngine::build(cfg, clock, IndexTable::with_capacity(INDEX_START_ENTRIES), false)
+        let index = IndexTable::with_capacity(INDEX_START_ENTRIES);
+        KvEngine::build(cfg, clock, index, ObjectStore::new(cfg.store_bytes), false)
     }
 
-    /// An engine with Mega-KV's index (paper §II-B), the only kind the
-    /// reproduction builds, on the system wall clock. The index is sized
-    /// once for every object of the store in the smallest (32 B) class,
-    /// so it never nears its load target and never grows: its geometry,
-    /// and with it every priced bucket probe, follows the store, not the
-    /// keys. Its upserts replace by signature alone, so two keys of one
-    /// signature in one bucket pair displace each other, as in the
-    /// paper's systems.
+    /// An engine with Mega-KV's index and store (paper §II-B), the only
+    /// kind the reproduction builds, on the system wall clock. The index
+    /// is sized once for every object of the store in the smallest (32 B)
+    /// class, so it never nears its load target and never grows: its
+    /// geometry, and with it every priced bucket probe, follows the
+    /// store, not the keys. Its upserts replace by signature alone, so
+    /// two keys of one signature in one bucket pair displace each other,
+    /// as in the paper's systems. The store's size classes are powers of
+    /// two ([`ObjectStore::mega_kv`]), so a full store holds the object
+    /// counts the experiments were recorded with.
     #[must_use]
     pub fn mega_kv(cfg: EngineConfig) -> KvEngine {
         let index = IndexTable::with_capacity((cfg.store_bytes / 32).max(16));
-        KvEngine::build(cfg, Arc::new(SystemClock), index, true)
+        let store = ObjectStore::mega_kv(cfg.store_bytes);
+        KvEngine::build(cfg, Arc::new(SystemClock), index, store, true)
     }
 
     fn build(
         cfg: EngineConfig,
         clock: SharedClock,
         index: IndexTable,
+        store: ObjectStore,
         by_signature: bool,
     ) -> KvEngine {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
@@ -250,7 +255,7 @@ impl KvEngine {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             cfg,
             index,
-            store: ObjectStore::new(cfg.store_bytes),
+            store,
             epoch: AtomicU32::new(1),
             ops: OpCounters::default(),
             clock,
@@ -662,6 +667,14 @@ mod tests {
     }
 
     #[test]
+    fn a_serving_store_steps_its_slots_four_times_per_doubling_mega_kv_once() {
+        let cfg = EngineConfig::new(1 << 20, 0, 0);
+        // K128: 24 B header + 128 B key + 1 KB value.
+        assert_eq!(KvEngine::new(cfg).store.class_bytes_for(128, 1024), Some(1280));
+        assert_eq!(KvEngine::mega_kv(cfg).store.class_bytes_for(128, 1024), Some(2048));
+    }
+
+    #[test]
     fn epochs_advance() {
         let e = engine();
         let a = e.sample_epoch();
@@ -864,7 +877,8 @@ mod tests {
                     if same_key { "same" } else { "other" }
                 );
                 let clock = Arc::new(MockClock::at(1_000));
-                // Four 64-byte slots: the victim and three fillers fill it.
+                // Four 56-byte slots (no object here fits the 32 B left):
+                // the victim and three fillers fill it.
                 let e =
                     KvEngine::with_clock(EngineConfig::new(256, 1 << 16, 1 << 14), clock.clone());
                 let ttl = if matches!(source, Death::ClockEviction) {

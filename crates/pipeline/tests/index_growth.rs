@@ -60,8 +60,8 @@ fn a_growth_between_mm_and_in_delete_drops_the_victims_entry() {
     // As many objects as the starting index takes under its load target.
     const OBJECTS: usize = START_BUCKETS * 3;
     for set_key in [&b"intrdr"[..], VICTIM] {
-        // 24 + 6 + 20 bytes: the 64-byte class, which fills the store.
-        let (old, new) = (vec![b'o'; 20], vec![b'n'; 20]);
+        // 24 + 6 + 34 bytes: the 64-byte class, which fills the store.
+        let (old, new) = (vec![b'o'; 34], vec![b'n'; 34]);
         let e = KvEngine::new(EngineConfig::new(OBJECTS * 64, 1 << 16, 1 << 14));
         assert_eq!(e.index.bucket_count(), START_BUCKETS);
         e.execute(&Query::set(VICTIM, old.clone()));

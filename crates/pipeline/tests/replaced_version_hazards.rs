@@ -78,7 +78,7 @@ fn a_reader_that_searched_before_an_overwrite_still_finds_the_key() {
 fn a_replaced_slot_that_clock_already_reused_is_not_freed() {
     const K: &[u8] = b"key-k";
     const OTHER: &[u8] = b"key-o";
-    let value = |b: u8| vec![b; 20]; // 24 + 5 + 20 → the 64-byte class
+    let value = |b: u8| vec![b; 35]; // 24 + 5 + 35 → the 64-byte class
     for other_first in [true, false] {
         let e = KvEngine::new(EngineConfig::new(256, 1 << 16, 1 << 14));
         e.execute(&Query::set(K, value(b'1')));

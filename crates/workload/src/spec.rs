@@ -173,7 +173,9 @@ impl WorkloadSpec {
 
     /// Number of distinct keys that fit the store: "we store as many
     /// key-value objects as possible with an upper limit of the data set
-    /// size to be 1,908 MB" (§V-A). Uses the object's slab class size.
+    /// size to be 1,908 MB" (§V-A). Uses the object's slab class size on
+    /// the reproduction's power-of-two ladder (`ObjectStore::mega_kv`); a
+    /// serving store's finer ladder holds more.
     #[must_use]
     pub fn keyspace_size(&self, store_capacity_bytes: u64, header_size: usize) -> u64 {
         let total = header_size + self.dataset.key_size() + self.dataset.value_size();

@@ -4,7 +4,7 @@
 //! the `--stats-every` block on stderr, the `--trace` recording, an idle
 //! server's resident set, an index sized by its keys rather than its
 //! store, the arena that overwriting the same keys
-//! carves, the refusal of a store size or latency budget
+//! carves, the slot a K128 object takes, the refusal of a store size or latency budget
 //! no node can serve, the README's flag list against `--help`, and what
 //! the binary links: no simulator executor.
 
@@ -321,6 +321,28 @@ fn metric<'a>(block: &'a str, name: &str) -> &'a str {
     rest.split([' ', '\n']).next().expect("a value follows")
 }
 
+/// The first stats block (`--stats-every 1`) that has counted `queries`
+/// queries. The handler prints a batch's block, which ends with its
+/// `pipeline:` line, before the batch's reply leaves, so once the client
+/// has every reply that block is already in the pipe.
+fn block_counting(server: &Server, queries: usize) -> String {
+    let mut block = String::new();
+    loop {
+        let line = server
+            .1
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("no block counted {queries} queries; last:\n{block}"));
+        block.push_str(&line);
+        block.push('\n');
+        if line.starts_with("pipeline: ") {
+            if block.contains(&format!(" queries={queries} ")) {
+                return block;
+            }
+            block.clear();
+        }
+    }
+}
+
 /// `--stats-every 1` on a two-shard, two-dispatcher node, driven one
 /// request at a time over dido-binary and memcached-text: every batch
 /// prints one block, and the last one carries the cumulative front-end
@@ -440,22 +462,7 @@ fn an_index_grows_with_its_keys_not_its_store() {
         let rs = client.request(&sets).expect("round trip");
         assert!(rs.iter().all(|r| r.status == ResponseStatus::Ok));
     }
-    // The handler prints a batch's block before its reply leaves.
-    let mut block = String::new();
-    let last = loop {
-        let line = server
-            .1
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("no block counted {KEYS} queries; last:\n{block}"));
-        block.push_str(&line);
-        block.push('\n');
-        if line.starts_with("pipeline: ") {
-            if block.contains(&format!(" queries={KEYS} ")) {
-                break block;
-            }
-            block.clear();
-        }
-    };
+    let last = block_counting(&server, KEYS);
     let index_bytes: usize = metric(&last, "index_bytes").parse().expect("a byte count");
     assert!(index_bytes <= 2 << 20, "{KEYS} keys, {index_bytes} index bytes:\n{last}");
     let grows: u64 = metric(&last, "index_grows").parse().expect("a count");
@@ -464,13 +471,13 @@ fn an_index_grows_with_its_keys_not_its_store() {
 
 /// Overwrites free the versions they replace: SET the same 1 000 keys
 /// until more SETs were sent than a 16 MB store has slots in their
-/// 128-byte class, and the arena carved stays at the live keys plus one
+/// 112-byte class, and the arena carved stays at the live keys plus one
 /// batch's worth — not the whole class, as when each replaced version
 /// waited for CLOCK.
 #[test]
 fn overwriting_the_same_keys_carves_room_for_them_and_one_batch() {
     const KEYS: usize = 1_000;
-    const CLASS_BYTES: usize = 128;
+    const CLASS_BYTES: usize = 112;
     const CLASS_SLOTS: usize = (16 << 20) / CLASS_BYTES;
     const MAX_BATCH: usize = 4_096;
     let args = ["--store-mb", "16", "--stats-every", "1", "--addr", "127.0.0.1:0"];
@@ -478,7 +485,7 @@ fn overwriting_the_same_keys_carves_room_for_them_and_one_batch() {
     let mut client = KvClient::connect(addrs[0]).expect("connect");
     let mut sent = 0;
     while sent <= CLASS_SLOTS {
-        // 24 B header + 16 B key + 64 B value: the 128-byte class.
+        // 24 B header + 16 B key + 64 B value: the 112-byte class.
         let sets: Vec<Query> = (0..KEYS)
             .map(|k| Query::set(format!("overwrite-{k:06}"), format!("{sent:064}")))
             .collect();
@@ -486,30 +493,36 @@ fn overwriting_the_same_keys_carves_room_for_them_and_one_batch() {
         assert!(rs.iter().all(|r| r.status == ResponseStatus::Ok));
         sent += KEYS;
     }
-    // The handler prints a batch's block, which ends with its
-    // `pipeline:` line, before its reply leaves: the block that has
-    // counted every SET is already in the pipe.
-    let mut block = String::new();
-    let last = loop {
-        let line = server
-            .1
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("no block counted {sent} queries; last:\n{block}"));
-        block.push_str(&line);
-        block.push('\n');
-        if line.starts_with("pipeline: ") {
-            if block.contains(&format!(" queries={sent} ")) {
-                break block;
-            }
-            block.clear();
-        }
-    };
+    let last = block_counting(&server, sent);
     let carved: usize = metric(&last, "store_carved_bytes").parse().expect("a byte count");
     assert!(
         carved <= (KEYS + MAX_BATCH) * CLASS_BYTES,
         "{sent} SETs of {KEYS} keys carved {carved} bytes:\n{last}"
     );
     assert_eq!(metric(&last, "replaced_freed"), (sent - KEYS).to_string(), "{last}");
+}
+
+/// The store steps its slot sizes four times per doubling: a K128
+/// object (24 B header + 128 B key + 1 KB value = 1 176 B) takes a
+/// 1 280-byte slot, where a power-of-two ladder would give it 2 048.
+#[test]
+fn a_k128_object_takes_a_1280_byte_slot() {
+    const KEYS: usize = 1_000;
+    const PER_REQUEST: usize = 100;
+    let args = ["--store-mb", "16", "--stats-every", "1", "--addr", "127.0.0.1:0"];
+    let (server, addrs) = start(&args, 1);
+    let mut client = KvClient::connect(addrs[0]).expect("connect");
+    for first in (0..KEYS).step_by(PER_REQUEST) {
+        let sets: Vec<Query> = (first..first + PER_REQUEST)
+            .map(|k| Query::set(format!("{k:0128}"), vec![b'v'; 1024]))
+            .collect();
+        let rs = client.request(&sets).expect("round trip");
+        assert!(rs.iter().all(|r| r.status == ResponseStatus::Ok));
+    }
+    let last = block_counting(&server, KEYS);
+    assert_eq!(metric(&last, "store_carved_bytes"), (KEYS * 1280).to_string(), "{last}");
+    let class = format!("class     1280 B: {KEYS} live / 0 free slots");
+    assert!(last.lines().any(|l| l.trim_start().starts_with(&class)), "{last}");
 }
 
 /// `--trace` under `--stats-every 1`: each block reports the batches a
