@@ -18,17 +18,17 @@ pub struct MemoryFold {
     pub index_grows: u64,
     /// Slab-arena bytes carved into slots, summed over shards.
     pub store_carved_bytes: usize,
+    /// Bytes of the CLOCK rings and free lists, summed over shards.
+    pub ring_bytes: usize,
     /// Versions SETs replaced and freed at their batch's end
     /// (cumulative).
     pub replaced_freed: u64,
     /// Objects expired in-band on the lookup path (cumulative).
     pub expired_lazy: u64,
-    /// Objects freed by whole-segment reclamation (cumulative).
+    /// Objects freed by the expiry crawl (cumulative).
     pub expired_proactive: u64,
-    /// TTL segments reclaimed as a unit (cumulative).
-    pub segments_reclaimed: u64,
-    /// Sealed TTL segments awaiting expiry (gauge).
-    pub sealed_segments: u64,
+    /// Ring chunks the expiry crawl visited (cumulative).
+    pub crawl_chunks: u64,
     /// Per-class occupancy / free-slot / fragmentation gauges.
     pub classes: Vec<ClassStats>,
 }
@@ -43,11 +43,11 @@ impl MemoryFold {
             index_bytes: engine.index_bytes(),
             index_grows: ops.index_grows,
             store_carved_bytes: engine.store_carved_bytes(),
+            ring_bytes: engine.ring_bytes(),
             replaced_freed: ops.replaced_freed,
             expired_lazy: ops.expired_lazy,
             expired_proactive: expiry.expired_proactive,
-            segments_reclaimed: expiry.segments_reclaimed,
-            sealed_segments: expiry.sealed_segments,
+            crawl_chunks: expiry.crawl_chunks,
             classes: engine.class_stats(),
         }
     }
@@ -124,16 +124,15 @@ impl fmt::Display for Metrics {
         if m.index_bytes > 0 || m.expired_lazy + m.expired_proactive + self.control.sweeps > 0 {
             writeln!(
                 f,
-                "mem: {} lazy / {} proactive expirations, \
-                 {} segments reclaimed, {} sealed pending, \
-                 replaced_freed={} index_bytes={} index_grows={} store_carved_bytes={}",
+                "mem: {} lazy / {} proactive expirations, {} chunks crawled, \
+                 replaced_freed={} index_bytes={} index_grows={} ring_bytes={} store_carved_bytes={}",
                 m.expired_lazy,
                 m.expired_proactive,
-                m.segments_reclaimed,
-                m.sealed_segments,
+                m.crawl_chunks,
                 m.replaced_freed,
                 m.index_bytes,
                 m.index_grows,
+                m.ring_bytes,
                 m.store_carved_bytes
             )?;
         }
@@ -146,13 +145,12 @@ impl fmt::Display for Metrics {
             writeln!(
                 f,
                 "  class {:>8} B: {} live / {} free slots, \
-                 {:.1} KiB live, {:.1} KiB frag, {} open segs",
+                 {:.1} KiB live, {:.1} KiB frag",
                 c.class_bytes,
                 c.live_objects,
                 c.free_slots,
                 c.live_bytes as f64 / 1024.0,
-                c.frag_bytes as f64 / 1024.0,
-                c.open_segments
+                c.frag_bytes as f64 / 1024.0
             )?;
         }
         for (config, count) in &self.configs {

@@ -51,11 +51,14 @@ use std::time::{Duration, Instant};
 /// the `sets` read-lock acquisition.
 const RESIZE_CHUNK_KEYS: usize = 512;
 
-/// Expired TTL segments each sweep tick reclaims per shard. One
-/// segment reclaims in O(members), so this bounds the controller's
-/// per-tick stall; an expiry storm drains over a few ticks instead of
-/// blocking one.
-const SWEEP_SEGMENTS_PER_TICK: usize = 32;
+/// Ring chunks (512 entries each) the expiry crawl visits per shard per
+/// sweep tick. At the server's 5 ms controller period that is ~820 k
+/// entries a second, so one lap over a store of ~419 k slots (K32
+/// objects in 128 MB) takes about half a second. The crawl runs on the
+/// controller thread, which shares the CPUs with the data plane: a
+/// slower pace leaves expired objects holding slots a live object could
+/// use (fewer hits), a faster one takes time from SETs.
+const CRAWL_CHUNKS_PER_TICK: usize = 8;
 
 /// One shard's engine sizing when the node's store and caches are split
 /// `shards` ways (total capacity is the single-shard node's).
@@ -286,17 +289,17 @@ impl ServingCore {
         )
     }
 
-    /// One memory-plane tick: proactively reclaim up to
-    /// [`SWEEP_SEGMENTS_PER_TICK`] expired TTL segments per primary
-    /// shard. Returns `(objects purged, segments reclaimed)` for this
-    /// tick.
+    /// One memory-plane tick: crawl up to [`CRAWL_CHUNKS_PER_TICK`]
+    /// ring chunks per primary shard and free the objects found past
+    /// their deadline. Returns `(objects purged, chunks that freed
+    /// something)` for this tick.
     ///
     /// Called by the background controller thread alongside
     /// [`ServingCore::controller_tick`]; also callable directly (the
     /// admin path and tests tick on demand).
     pub fn sweep_tick(&self) -> (usize, usize) {
         self.stripes.control.sweeps.add(1);
-        self.engine.sweep_expired(SWEEP_SEGMENTS_PER_TICK)
+        self.engine.sweep_expired(CRAWL_CHUNKS_PER_TICK)
     }
 
     /// Resize to `n` shards on the calling thread: install the
@@ -555,16 +558,17 @@ mod tests {
             "per-class gauges must see the preload"
         );
         clock.advance(5);
-        let (purged, segments) = core.sweep_tick();
-        assert_eq!(purged, 200, "every short-TTL object reclaims in bulk");
-        assert!(segments >= 1);
+        let (purged, chunks) = core.sweep_tick();
+        assert_eq!(purged, 200, "one tick crawls both shards' short rings");
+        assert_eq!(chunks, 2);
         assert_eq!(core.live_objects(), 1);
         let m = core.metrics();
         assert_eq!(m.memory.expired_proactive, 200);
-        assert_eq!(m.memory.segments_reclaimed, segments as u64);
+        // Each tick visits one chunk per shard, freeing or not.
+        assert_eq!(m.memory.crawl_chunks, 4);
         assert_eq!(m.control.sweeps, 2);
         let s = m.to_string();
-        assert!(s.contains("mem: 0 lazy / 200 proactive"), "{s}");
+        assert!(s.contains("mem: 0 lazy / 200 proactive expirations, 4 chunks crawled"), "{s}");
         assert!(s.contains("class"), "{s}");
     }
 

@@ -1,5 +1,5 @@
-//! Slab-allocated key-value object store with CLOCK eviction and
-//! TTL-bucketed segment reclamation.
+//! Slab-allocated key-value object store with CLOCK eviction and a
+//! CLOCK-ring crawl for TTL expiry.
 //!
 //! Mirrors the memcached/Mega-KV storage design the paper assumes:
 //! objects live in one shared arena, carved into size classes; when a
@@ -9,20 +9,23 @@
 //! counter plus a sampling timestamp for the runtime skewness estimate
 //! (paper §IV-B).
 //!
-//! TTL handling follows the Segcache-lineage design: every allocation
-//! with a deadline joins a *segment* — a batch of same-class objects
-//! whose deadlines fall in the same bucket window — so the sweeper
-//! reclaims whole expired segments in O(segment members) instead of
-//! scanning the arena per object. Expiry decisions are clock-free at
-//! this layer: every API that needs the time takes an explicit `now`
-//! (unix seconds), so tests drive a mock clock and never sleep.
+//! TTL handling keeps no record per allocation: the proactive expiry
+//! path ([`ObjectStore::sweep_expired`]) crawls each class's CLOCK ring,
+//! which already names every carved slot, a bounded chunk at a time,
+//! and frees the live objects whose deadline has passed — memcached's
+//! LRU crawler over the one list the store keeps. A class counts its
+//! live objects that carry a deadline, and a class with none is not
+//! crawled. Expiry decisions are clock-free at this layer: every API
+//! that needs the time takes an explicit `now` (unix seconds), so tests
+//! drive a mock clock and never sleep.
 //!
 //! Allocation falls back across classes in a fixed order: same-class
-//! free slot → fresh carve → same-class CLOCK eviction → reclaim an
-//! expired segment of *any* class → borrow a larger class's slot (free
-//! first, then CLOCK) → out of memory. Borrowed slots keep the slot's
-//! real class in the header so they return to the right free list, and
-//! the rounding waste shows up in the per-class fragmentation gauge.
+//! free slot → fresh carve → same-class CLOCK eviction → one crawl chunk
+//! of the first larger class that holds deadlines → borrow a larger
+//! class's slot (free first, then CLOCK) → out of memory. Borrowed slots
+//! keep the slot's real class in the header so they return to the right
+//! free list, and the rounding waste shows up in the per-class
+//! fragmentation gauge.
 //!
 //! Two class ladders, both from 32 B. A serving store
 //! ([`ObjectStore::new`]) has four classes per doubling — 32, 40, 48,
@@ -38,7 +41,7 @@ use dido_hashtable::hash64_bytes;
 use dido_model::deadline_expired;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Object header layout (little endian):
 /// `key_len:u16 | val_len:u32 | freq:u32 | epoch:u32 | class:u8 | flags:u8
@@ -89,17 +92,8 @@ const SERVING_CLASSES_PER_DOUBLING: usize = 4;
 /// it instead of tripping the constructor's assertion.
 pub const MIN_STORE_BYTES: usize = MIN_CLASS_BYTES;
 
-/// Objects per segment before it seals and becomes sweepable as a unit.
-const SEGMENT_SLOTS: usize = 512;
-
-/// TTL-bucket width in seconds: allocations whose deadlines land in the
-/// same window share a segment, so a sealed segment expires as a whole
-/// within one bucket width of its earliest member.
-const BUCKET_SECS: u32 = 8;
-
-/// Open (unsealed) segments kept per class; when a new bucket would
-/// exceed this, the segment closest to expiring is sealed early.
-const MAX_OPEN_SEGMENTS: usize = 4;
+/// Ring entries one expiry-crawl chunk copies under its class lock.
+const CRAWL_CHUNK: usize = 512;
 
 /// What the `KC` task found at a candidate location (see
 /// [`ObjectStore::probe`]).
@@ -126,17 +120,16 @@ pub enum StoreError {
 
 /// How the store reports that an object died — displaced by CLOCK to
 /// make room for an allocation (what turns one SET into an Insert plus a
-/// Delete in the paper's Figure 6 accounting), or bulk-purged with its
-/// expired segment. The slot is already free or reoccupied; the caller
-/// must drop the index entry `(cookie, loc)` unless the slot has since
-/// been recycled to the same key.
+/// Delete in the paper's Figure 6 accounting), or freed past its
+/// deadline by the expiry crawl. The slot is already free or
+/// reoccupied; the caller must drop the index entry `(cookie, loc)`
+/// unless the slot has since been recycled to the same key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PurgedEntry {
     /// The dead object's location.
     pub loc: u64,
-    /// The dead object's 64-bit key hash: the cookie recorded at
-    /// allocation time for segment members (no key bytes are re-read on
-    /// the reclaim path), hashed in place for a CLOCK victim.
+    /// The dead object's 64-bit key hash, computed over the key bytes in
+    /// the slot after it was claimed and before it was released.
     pub cookie: u64,
 }
 
@@ -149,8 +142,8 @@ pub struct AllocOutcome {
     pub tag: u8,
     /// Object evicted to make room, if any (its slot is `loc`).
     pub evicted: Option<PurgedEntry>,
-    /// Expired objects purged wholesale from reclaimed segments while
-    /// satisfying this allocation; empty on the common path.
+    /// Expired objects of a larger class that one crawl chunk freed
+    /// before this allocation borrowed a slot; empty on the common path.
     pub reclaimed: Vec<PurgedEntry>,
 }
 
@@ -168,38 +161,25 @@ pub struct ClassStats {
     /// Slot-rounding plus cross-class-borrow waste: Σ (slot bytes −
     /// object bytes) over live objects in this class's slots.
     pub frag_bytes: usize,
-    /// Open (unsealed) TTL segments currently accepting members.
-    pub open_segments: usize,
 }
 
 /// Cumulative expiry-reclamation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExpiryStats {
-    /// Objects freed by whole-segment reclamation (sweeper or
-    /// allocation-pressure fallback).
+    /// Objects freed past their deadline by the expiry crawl (sweeper
+    /// or allocation-pressure fallback).
     pub expired_proactive: u64,
-    /// Segments reclaimed as a unit.
-    pub segments_reclaimed: u64,
-    /// Sealed segments currently awaiting expiry (gauge).
-    pub sealed_segments: u64,
+    /// Ring chunks the crawl has visited, whether or not they freed
+    /// anything: its cost. Zero for a store that never held a deadline.
+    pub crawl_chunks: u64,
 }
 
 impl ExpiryStats {
     /// Add another store's counters (shards of one node sum).
     pub fn merge(&mut self, other: &ExpiryStats) {
         self.expired_proactive += other.expired_proactive;
-        self.segments_reclaimed += other.segments_reclaimed;
-        self.sealed_segments += other.sealed_segments;
+        self.crawl_chunks += other.crawl_chunks;
     }
-}
-
-/// A batch of same-class allocations whose deadlines share a bucket
-/// window. Members may be stale (freed, evicted, or recycled since
-/// joining); reclamation revalidates each slot before freeing it.
-struct Segment {
-    bucket: u32,
-    max_deadline: u32,
-    members: Vec<(u64, u64)>, // (loc, key-hash cookie)
 }
 
 #[derive(Default)]
@@ -209,10 +189,34 @@ struct ClassLists {
     /// the slot is carved and only ever rotated after that. The hand
     /// passes over entries whose slot is free.
     ring: VecDeque<u64>,
+    /// Index in `ring` of the next entry the expiry crawl visits; a
+    /// rotation of the hand moves it with the entry it names.
+    cursor: usize,
     live: usize,
+    /// Live objects that carry a deadline: the crawl skips a class with
+    /// none.
+    ttl_live: usize,
     live_bytes: usize,
     frag_bytes: usize,
-    open: Vec<Segment>,
+}
+
+impl ClassLists {
+    /// Move the CLOCK hand past its front entry and return it.
+    fn rotate(&mut self) -> Option<u64> {
+        let loc = self.ring.pop_front()?;
+        self.ring.push_back(loc);
+        self.cursor = self.cursor.checked_sub(1).unwrap_or(self.ring.len() - 1);
+        Some(loc)
+    }
+
+    /// Settle the accounting for a live object of `total` bytes in a
+    /// `class_size` slot that just died.
+    fn forget(&mut self, total: usize, class_size: usize, mortal: bool) {
+        self.live = self.live.saturating_sub(1);
+        self.ttl_live = self.ttl_live.saturating_sub(usize::from(mortal));
+        self.live_bytes = self.live_bytes.saturating_sub(total);
+        self.frag_bytes = self.frag_bytes.saturating_sub(class_size - total.min(class_size));
+    }
 }
 
 /// The key-value object store.
@@ -224,10 +228,11 @@ pub struct ObjectStore {
     /// Classes per doubling of the slot size (a power of two): 4
     /// serving, 1 Mega-KV.
     per_doubling: usize,
-    /// Full segments waiting for their bucket window to pass.
-    sealed: Mutex<Vec<Segment>>,
+    /// The class the next expiry crawl starts at: the one after the
+    /// class where the last call spent its chunk budget.
+    crawl_class: AtomicUsize,
     expired_proactive: AtomicU64,
-    segments_reclaimed: AtomicU64,
+    crawl_chunks: AtomicU64,
     /// Bumped (before the new bytes are written) every time an
     /// allocation reuses a previously-occupied slot, and before
     /// [`ObjectStore::free_incarnation`] frees a replaced version.
@@ -273,9 +278,9 @@ impl ObjectStore {
             classes: (0..class_count).map(|_| Mutex::new(ClassLists::default())).collect(),
             class_count,
             per_doubling,
-            sealed: Mutex::new(Vec::new()),
+            crawl_class: AtomicUsize::new(0),
             expired_proactive: AtomicU64::new(0),
-            segments_reclaimed: AtomicU64::new(0),
+            crawl_chunks: AtomicU64::new(0),
             recycle_gen: AtomicU64::new(0),
         }
     }
@@ -360,11 +365,11 @@ impl ObjectStore {
     ///
     /// `deadline` is the absolute unix-seconds expiry (0 = never; the
     /// engine converts relative TTLs via `dido_model::ttl_to_deadline`),
-    /// `client_flags` the opaque memcached flags word, `now` the current
-    /// unix time used for expiry-aware eviction and segment reclaim, and
-    /// `cookie` the 64-bit key hash recorded with the segment membership
-    /// so reclamation can name the index entry to purge without
-    /// re-reading key bytes (ignored when `deadline` is 0).
+    /// `client_flags` the opaque memcached flags word, and `now` the
+    /// current unix time used for expiry-aware eviction and the crawl
+    /// fallback. `_cookie` is unused: the store keeps no record per
+    /// allocation. It stays in the signature only because the
+    /// `benchmark/` package (`src/layers.rs`) spells it.
     pub fn allocate_with(
         &self,
         key: &[u8],
@@ -372,7 +377,7 @@ impl ObjectStore {
         deadline: u32,
         client_flags: u32,
         now: u32,
-        cookie: u64,
+        _cookie: u64,
     ) -> Result<AllocOutcome, StoreError> {
         let total = HEADER_SIZE + key.len() + value.len();
         let (class_idx, class_size) = self.class_of(total).ok_or(StoreError::ObjectTooLarge)?;
@@ -401,20 +406,14 @@ impl ObjectStore {
             }
         };
 
-        // Reclaim expired segments of any class, then retry this class's
-        // free list (reclaim may have refilled it).
-        if slot.is_none() {
-            self.reclaim_expired(now, usize::MAX, &mut reclaimed);
-            if !reclaimed.is_empty() {
-                let mut lists = self.classes[class_idx].lock();
-                slot = lists.free.pop().map(|loc| (loc, class_idx, class_size));
-            }
-        }
-
         // Borrow a slot from a larger class: its free list first, then
         // CLOCK eviction. The slot keeps its real class so it returns to
-        // the right free list; the size gap is fragmentation.
+        // the right free list; the size gap is fragmentation. An expired
+        // object there goes before a live one, but one crawl chunk is
+        // all a failed allocation spends looking.
         if slot.is_none() {
+            (class_idx + 1..self.class_count)
+                .any(|c| self.crawl_chunk(c, &mut None, now, &mut reclaimed).is_some());
             slot = self.borrow_larger(class_idx, now, &mut evicted);
         }
 
@@ -443,8 +442,8 @@ impl ObjectStore {
         // upsert indexes it.
         let referenced = if fresh_carve || evicted.is_some() { 0 } else { FLAG_REFERENCED };
         // Publish the object (and its accounting) under the class lock:
-        // a concurrent sweep of a stale segment member pointing at this
-        // slot either sees the dead flags and skips, or claims a
+        // a concurrent crawl whose chunk copied this slot's ring entry
+        // either sees the dead flags and skips, or claims a
         // fully-accounted object — never a half-counted one. Release: a
         // reader that sees this occupant also sees whatever freed the
         // slot before it (`free_incarnation`).
@@ -453,11 +452,9 @@ impl ObjectStore {
             lists.ring.push_back(loc);
         }
         lists.live += 1;
+        lists.ttl_live += usize::from(deadline != 0);
         lists.live_bytes += total;
         lists.frag_bytes += slot_size - total;
-        if deadline != 0 {
-            self.join_segment(&mut lists, loc, cookie, deadline);
-        }
         drop(lists);
 
         Ok(AllocOutcome {
@@ -519,14 +516,14 @@ impl ObjectStore {
     ) -> Option<PurgedEntry> {
         let budget = lists.ring.len() * 2;
         for _ in 0..budget {
-            let loc = lists.ring.pop_front()?;
-            lists.ring.push_back(loc);
+            let loc = lists.rotate()?;
             let off = loc as usize;
             let flags = self.arena.read_u8(off + OFF_FLAGS);
             if flags & FLAG_LIVE == 0 {
                 continue;
             }
-            let expired = deadline_expired(self.arena.read_u32(off + OFF_DEADLINE), now);
+            let deadline = self.arena.read_u32(off + OFF_DEADLINE);
+            let expired = deadline_expired(deadline, now);
             if flags & FLAG_REFERENCED != 0 && !expired {
                 self.arena.fetch_and_u8(off + OFF_FLAGS, !FLAG_REFERENCED);
                 continue;
@@ -540,12 +537,7 @@ impl ObjectStore {
                 continue;
             }
             let (key_len, val_len) = self.object_lens(loc);
-            let total = HEADER_SIZE + key_len + val_len;
-            lists.live = lists.live.saturating_sub(1);
-            lists.live_bytes = lists.live_bytes.saturating_sub(total);
-            lists.frag_bytes = lists
-                .frag_bytes
-                .saturating_sub(class_size - total.min(class_size));
+            lists.forget(HEADER_SIZE + key_len + val_len, class_size, deadline != 0);
             return Some(PurgedEntry {
                 loc,
                 cookie: self.key_cookie(loc),
@@ -554,100 +546,97 @@ impl ObjectStore {
         None
     }
 
-    fn join_segment(&self, lists: &mut ClassLists, loc: u64, cookie: u64, deadline: u32) {
-        let bucket = deadline / BUCKET_SECS;
-        if let Some(pos) = lists.open.iter().position(|s| s.bucket == bucket) {
-            let seg = &mut lists.open[pos];
-            seg.members.push((loc, cookie));
-            seg.max_deadline = seg.max_deadline.max(deadline);
-            if seg.members.len() >= SEGMENT_SLOTS {
-                let seg = lists.open.swap_remove(pos);
-                self.sealed.lock().push(seg);
+    /// Proactive expiry: crawl up to `max_chunks` chunks of the CLOCK
+    /// rings of the classes that hold deadlines, at most one lap of each
+    /// ring per call, and free every live object found past its deadline
+    /// at `now`, appending a [`PurgedEntry`] for each (the caller drops
+    /// the matching index entries). A call that spends its budget leaves
+    /// the next call to start at the next class, so classes take the
+    /// budget in turn; each ring's cursor keeps its place. Returns the
+    /// number of chunks that freed something. The background sweeper
+    /// calls it on a timer.
+    pub fn sweep_expired(&self, now: u32, max_chunks: usize, out: &mut Vec<PurgedEntry>) -> usize {
+        let mut budget = max_chunks;
+        let mut freeing = 0;
+        let start = self.crawl_class.load(Ordering::Relaxed);
+        for class in (start..self.class_count).chain(0..start) {
+            let mut lap = None;
+            while budget > 0 {
+                let Some(freed) = self.crawl_chunk(class, &mut lap, now, out) else {
+                    break;
+                };
+                budget -= 1;
+                freeing += usize::from(freed > 0);
             }
-            return;
+            if budget == 0 {
+                self.crawl_class.store((class + 1) % self.class_count, Ordering::Relaxed);
+                break;
+            }
         }
-        if lists.open.len() >= MAX_OPEN_SEGMENTS {
-            // Seal the segment closest to expiring so the sweeper can
-            // take it without waiting for it to fill.
-            let pos = lists
-                .open
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.max_deadline)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let seg = lists.open.swap_remove(pos);
-            self.sealed.lock().push(seg);
-        }
-        lists.open.push(Segment {
-            bucket,
-            max_deadline: deadline,
-            members: vec![(loc, cookie)],
-        });
+        freeing
     }
 
-    /// Reclaim up to `max_segments` whole segments whose bucket window
-    /// has fully passed, freeing every still-expired member slot and
-    /// appending a [`PurgedEntry`] per freed object (the caller drops
-    /// the matching index entries). Returns the number of segments
-    /// reclaimed. This is the proactive expiry path: the background
-    /// sweeper calls it on a timer, allocation pressure calls it as the
-    /// any-class fallback.
-    pub fn sweep_expired(&self, now: u32, max_segments: usize, out: &mut Vec<PurgedEntry>) -> usize {
-        self.reclaim_expired(now, max_segments, out)
-    }
-
-    fn reclaim_expired(
+    /// One crawl chunk of `class`: copy up to [`CRAWL_CHUNK`] ring
+    /// entries from its cursor under the class lock, then, outside it,
+    /// claim each live, expired object, hash its key in place and free
+    /// it. `lap` counts down the ring entries this call has left to
+    /// visit (a whole ring when `None`), so a call never passes an entry
+    /// twice. Returns how many objects the chunk freed, or `None` when
+    /// the class holds no deadline or the lap is done.
+    fn crawl_chunk(
         &self,
+        class: usize,
+        lap: &mut Option<usize>,
         now: u32,
-        max_segments: usize,
         out: &mut Vec<PurgedEntry>,
-    ) -> usize {
-        let mut segs: Vec<Segment> = Vec::new();
-        {
-            let mut sealed = self.sealed.lock();
-            let mut i = 0;
-            while i < sealed.len() && segs.len() < max_segments {
-                if deadline_expired(sealed[i].max_deadline, now) {
-                    segs.push(sealed.swap_remove(i));
-                } else {
-                    i += 1;
-                }
+    ) -> Option<usize> {
+        let mut lists = self.classes[class].lock();
+        let left = lap.get_or_insert(lists.ring.len());
+        if lists.ttl_live == 0 || *left == 0 {
+            return None;
+        }
+        let n = (*left).min(CRAWL_CHUNK);
+        *left -= n;
+        let mut locs = [0u64; CRAWL_CHUNK];
+        for slot in &mut locs[..n] {
+            *slot = lists.ring[lists.cursor];
+            lists.cursor = (lists.cursor + 1) % lists.ring.len();
+        }
+        drop(lists);
+        let before = out.len();
+        for &loc in &locs[..n] {
+            if self.claim_expired(loc, now) {
+                // Claimed: the slot is on no free list, so its key
+                // cannot change until it is released.
+                out.push(PurgedEntry {
+                    loc,
+                    cookie: self.key_cookie(loc),
+                });
+                self.release_slot(loc);
             }
         }
-        if segs.len() < max_segments {
-            for lists in &self.classes {
-                let mut lists = lists.lock();
-                let mut i = 0;
-                while i < lists.open.len() && segs.len() < max_segments {
-                    if deadline_expired(lists.open[i].max_deadline, now) {
-                        segs.push(lists.open.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        let mut purged = 0u64;
-        for seg in &segs {
-            for &(loc, cookie) in &seg.members {
-                if self.expire_if_due(loc, now) {
-                    out.push(PurgedEntry { loc, cookie });
-                    purged += 1;
-                }
-            }
-        }
-        self.expired_proactive.fetch_add(purged, Ordering::Relaxed);
-        self.segments_reclaimed
-            .fetch_add(segs.len() as u64, Ordering::Relaxed);
-        segs.len()
+        let freed = out.len() - before;
+        self.crawl_chunks.fetch_add(1, Ordering::Relaxed);
+        self.expired_proactive.fetch_add(freed as u64, Ordering::Relaxed);
+        Some(freed)
     }
 
     /// Free the object at `loc` if (and only if) it is live and past its
     /// deadline at `now`. Safe against slot recycling: the claim is
     /// atomic and revalidated, so a fresh unexpired occupant is left
-    /// alone. Used by segment reclaim and the lazy-expiry purge.
+    /// alone. Used by the lazy-expiry purge.
     pub fn expire_if_due(&self, loc: u64, now: u32) -> bool {
+        let claimed = self.claim_expired(loc, now);
+        if claimed {
+            self.release_slot(loc);
+        }
+        claimed
+    }
+
+    /// Claim the object at `loc` — clear its live bit, leaving the slot
+    /// to the caller to release — if it is live and past its deadline at
+    /// `now`, revalidating the deadline after the claim.
+    fn claim_expired(&self, loc: u64, now: u32) -> bool {
         let off = loc as usize;
         if off + HEADER_SIZE > self.arena.capacity() {
             return false;
@@ -659,6 +648,10 @@ impl ObjectStore {
         if !deadline_expired(self.arena.read_u32(off + OFF_DEADLINE), now) {
             return false;
         }
+        // The store's own tests widen the window a recycle must land in
+        // for the revalidation below to matter.
+        #[cfg(test)]
+        std::thread::yield_now();
         let prev = self
             .arena
             .fetch_and_u8(off + OFF_FLAGS, !(FLAG_LIVE | FLAG_REFERENCED));
@@ -672,19 +665,27 @@ impl ObjectStore {
                 .fetch_or_u8(off + OFF_FLAGS, prev & (FLAG_LIVE | FLAG_REFERENCED));
             return false;
         }
-        self.release_slot(loc);
         true
     }
 
-    /// Cumulative proactive-expiry counters plus the sealed-segment
-    /// backlog gauge.
+    /// Cumulative proactive-expiry counters.
     #[must_use]
     pub fn expiry_stats(&self) -> ExpiryStats {
         ExpiryStats {
             expired_proactive: self.expired_proactive.load(Ordering::Relaxed),
-            segments_reclaimed: self.segments_reclaimed.load(Ordering::Relaxed),
-            sealed_segments: self.sealed.lock().len() as u64,
+            crawl_chunks: self.crawl_chunks.load(Ordering::Relaxed),
         }
+    }
+
+    /// Bytes of the per-class CLOCK rings and free lists: one 8 B entry
+    /// per slot of their allocated capacity.
+    #[must_use]
+    pub fn ring_bytes(&self) -> usize {
+        let entries = |c: &Mutex<ClassLists>| {
+            let lists = c.lock();
+            lists.ring.capacity() + lists.free.capacity()
+        };
+        self.classes.iter().map(entries).sum::<usize>() * std::mem::size_of::<u64>()
     }
 
     /// Occupancy snapshot per size class (smallest first, every class
@@ -701,7 +702,6 @@ impl ObjectStore {
                     free_slots: lists.free.len(),
                     live_bytes: lists.live_bytes,
                     frag_bytes: lists.frag_bytes,
-                    open_segments: lists.open.len(),
                 }
             })
             .collect()
@@ -817,15 +817,11 @@ impl ObjectStore {
         let off = loc as usize;
         let class = self.arena.read_u8(off + OFF_CLASS) as usize;
         let class = class.min(self.class_count - 1);
-        let key_len = self.arena.read_u16(off + OFF_KEY_LEN) as usize;
-        let val_len = self.arena.read_u32(off + OFF_VAL_LEN) as usize;
-        let total = HEADER_SIZE + key_len + val_len;
-        let class_size = self.class_size(class);
+        let (key_len, val_len) = self.object_lens(loc);
+        let mortal = self.arena.read_u32(off + OFF_DEADLINE) != 0;
         let mut lists = self.classes[class].lock();
         lists.free.push(loc);
-        lists.live = lists.live.saturating_sub(1);
-        lists.live_bytes = lists.live_bytes.saturating_sub(total);
-        lists.frag_bytes = lists.frag_bytes.saturating_sub(class_size - total.min(class_size));
+        lists.forget(HEADER_SIZE + key_len + val_len, self.class_size(class), mortal);
     }
 
     /// Whether the live object at `loc` has exactly this key (the `KC`
@@ -1205,8 +1201,8 @@ mod tests {
     #[test]
     fn out_of_memory_when_nothing_fits() {
         // Fill the arena with 32-byte-class objects, then ask for a
-        // 64-byte-class object: nothing same-class is evictable, no
-        // segment is expired, and no *larger* class has slots to
+        // 64-byte-class object: nothing same-class is evictable, nothing
+        // has a deadline, and no *larger* class has slots to
         // borrow (32-byte slots cannot host a 64-byte-class object),
         // so the allocation must fail even though memory exists.
         let s = ObjectStore::new(96);
@@ -1252,11 +1248,11 @@ mod tests {
     }
 
     #[test]
-    fn fallback_order_same_class_clock_then_expired_segment_then_error() {
+    fn fallback_order_same_class_clock_then_one_crawl_chunk_then_error() {
         // Regression pin for the allocation fallback order:
-        // same-class CLOCK → any-class expired segment → error.
+        // same-class CLOCK → a crawl chunk of a larger class → error.
 
-        // Step 1: same-class CLOCK wins even though an expired segment
+        // Step 1: same-class CLOCK wins even though an expired object
         // exists in another class.
         let s = ObjectStore::new(192);
         let big = vec![b'v'; 38]; // 24 + 2 + 38 = 64 → class 64
@@ -1271,11 +1267,11 @@ mod tests {
             out.evicted.expect("same-class CLOCK evicts first").cookie,
             hash64(b"a0")
         );
-        assert!(out.reclaimed.is_empty(), "expired segment left untouched");
+        assert!(out.reclaimed.is_empty(), "expired object left untouched");
 
         // Step 2: a class with no slots of its own skips straight past
-        // same-class CLOCK to the any-class expired segment, and borrows
-        // a reclaimed slot without evicting live data.
+        // same-class CLOCK to a crawl chunk of a larger class, and
+        // borrows a slot it freed without evicting live data.
         let s = ObjectStore::new(256);
         s.allocate_with(b"e0", &big, 50, 0, 10, 11).unwrap();
         s.allocate_with(b"e1", &big, 50, 0, 10, 22).unwrap();
@@ -1285,7 +1281,7 @@ mod tests {
         let out = s.allocate_with(b"tiny", b"v", 0, 0, 100, 0).unwrap();
         assert!(out.evicted.is_none(), "no live object evicted");
         let cookies: Vec<u64> = out.reclaimed.iter().map(|p| p.cookie).collect();
-        assert!(cookies.contains(&11) && cookies.contains(&22));
+        assert!(cookies.contains(&hash64(b"e0")) && cookies.contains(&hash64(b"e1")));
         assert!(s.key_matches(out.loc, b"tiny"));
         assert!(s.key_matches(live0.loc, b"l0"));
         assert!(s.key_matches(live1.loc, b"l1"));
@@ -1321,39 +1317,79 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reclaims_whole_segments() {
+    fn the_crawl_frees_an_expired_object_at_its_own_deadline() {
         let s = ObjectStore::new(1 << 16);
-        // Two deadline cohorts in the same class, far enough apart to
-        // land in different buckets.
         for i in 0..20u32 {
-            s.allocate_with(format!("s{i}").as_bytes(), b"v", 100, 0, 0, u64::from(i))
+            s.allocate_with(format!("s{i}").as_bytes(), b"v", 100 + i, 0, 0, 0)
                 .unwrap();
+            s.allocate(format!("l{i}").as_bytes(), b"v").unwrap();
         }
-        for i in 0..20u32 {
-            s.allocate_with(format!("l{i}").as_bytes(), b"v", 10_000, 0, 0, u64::from(100 + i))
-                .unwrap();
-        }
-        assert_eq!(s.live_objects(), 40);
-
-        // Nothing expired yet.
         let mut purged = Vec::new();
-        assert_eq!(s.sweep_expired(50, usize::MAX, &mut purged), 0);
-        assert!(purged.is_empty());
+        assert_eq!(s.sweep_expired(99, usize::MAX, &mut purged), 0);
+        assert!(purged.is_empty(), "nothing is due before the first deadline");
 
-        // The 100-deadline cohort expires; the 10_000 cohort survives.
-        let reclaimed = s.sweep_expired(200, usize::MAX, &mut purged);
-        assert!(reclaimed >= 1);
-        assert_eq!(purged.len(), 20);
-        assert!(purged.iter().all(|p| p.cookie < 100));
-        assert_eq!(s.live_objects(), 20);
-        let stats = s.expiry_stats();
-        assert_eq!(stats.expired_proactive, 20);
-        assert!(stats.segments_reclaimed >= 1);
+        // At `now == 105`, exactly s0..=s5 have reached their deadlines.
+        assert_eq!(s.sweep_expired(105, usize::MAX, &mut purged), 1);
+        let mut cookies: Vec<u64> = purged.iter().map(|p| p.cookie).collect();
+        let mut want: Vec<u64> = (0..6).map(|i| hash64(format!("s{i}").as_bytes())).collect();
+        cookies.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(cookies, want);
+        assert_eq!(s.live_objects(), 34);
+        assert_eq!(s.expiry_stats().expired_proactive, 6);
 
         // Freed slots recycle through the free list.
         let reused = s.allocate(b"fresh", b"v").unwrap();
         assert!(reused.evicted.is_none());
         assert!(purged.iter().any(|p| p.loc == reused.loc));
+
+        // A store that holds no deadline is never crawled.
+        let plain = ObjectStore::new(1 << 16);
+        for i in 0..20u32 {
+            plain.allocate(format!("p{i}").as_bytes(), b"v").unwrap();
+        }
+        assert_eq!(plain.sweep_expired(u32::MAX - 1, usize::MAX, &mut purged), 0);
+        assert_eq!(plain.expiry_stats(), ExpiryStats::default(), "0 chunks visited");
+    }
+
+    #[test]
+    fn the_crawl_keeps_its_place_while_the_hand_turns() {
+        // 64 slots of 32 B, each holding an object with a deadline. The
+        // hand turns after the crawl cursor was placed; one chunk (the
+        // whole 64-entry ring) must still visit every entry once.
+        let s = ObjectStore::new(64 * 32);
+        for i in 0..64u32 {
+            s.allocate_with(format!("k{i:02}").as_bytes(), b"v", 10, 0, 0, 0).unwrap();
+        }
+        {
+            let mut lists = s.classes[0].lock();
+            lists.cursor = 5;
+            let named = lists.ring[5];
+            for _ in 0..7 {
+                lists.rotate();
+            }
+            assert_eq!(lists.ring[lists.cursor], named, "the cursor follows its entry");
+        }
+        let mut purged = Vec::new();
+        assert_eq!(s.sweep_expired(10, 1, &mut purged), 1);
+        assert_eq!(purged.len(), 64, "one lap frees every expired object once");
+        assert_eq!(s.live_objects(), 0);
+    }
+
+    #[test]
+    fn classes_take_the_crawl_budget_in_turn() {
+        let s = ObjectStore::new(1 << 16);
+        let big = vec![b'v'; 38]; // 24 + 2 + 38 = 64 → class 64
+        for i in 0..4 {
+            s.allocate_with(format!("a{i}").as_bytes(), b"v", 10, 0, 0, 0).unwrap();
+            s.allocate_with(format!("b{i}").as_bytes(), &big, 10, 0, 0, 0).unwrap();
+        }
+        // Class 32 still holds a deadline after its expired objects go.
+        s.allocate_with(b"later", b"v", 1_000, 0, 0, 0).unwrap();
+        let mut purged = Vec::new();
+        assert_eq!(s.sweep_expired(10, 1, &mut purged), 1);
+        assert_eq!(s.sweep_expired(10, 1, &mut purged), 1, "the second class's turn");
+        assert_eq!(purged.len(), 8);
     }
 
     #[test]
@@ -1365,8 +1401,8 @@ mod tests {
         // Due: freed exactly once.
         assert!(s.expire_if_due(out.loc, 10));
         assert!(!s.expire_if_due(out.loc, 10));
-        // The slot is recycled by an unexpiring object; a stale segment
-        // member must not free it.
+        // The slot is recycled by an unexpiring object; a stale death
+        // record must not free it.
         let fresh = s.allocate(b"fresh", b"v").unwrap();
         assert_eq!(fresh.loc, out.loc);
         assert!(!s.expire_if_due(fresh.loc, u32::MAX - 1));
@@ -1562,5 +1598,103 @@ mod tests {
         let mut out = Vec::new();
         s.sweep_expired(u32::MAX - 1, usize::MAX, &mut out);
         assert_eq!(s.live_objects(), 0);
+    }
+
+    /// Recount every class from its ring and the slot headers, and
+    /// check the class lists agree: one ring entry per carved slot,
+    /// every slot live or on the free list once, and the live, deadline,
+    /// byte and fragmentation counts exact. The store must be at rest.
+    fn assert_accounting_exact(s: &ObjectStore) {
+        for (class, lists) in s.classes.iter().enumerate() {
+            let lists = lists.lock();
+            let size = s.class_size(class);
+            let (mut live, mut ttl_live, mut live_bytes, mut frag_bytes) = (0, 0, 0, 0);
+            for &loc in &lists.ring {
+                if !s.slot_live(loc) {
+                    continue;
+                }
+                let (k, v) = s.object_lens(loc);
+                live += 1;
+                ttl_live += usize::from(s.object_meta(loc).0 != 0);
+                live_bytes += HEADER_SIZE + k + v;
+                frag_bytes += size - (HEADER_SIZE + k + v);
+            }
+            let mut free = lists.free.clone();
+            assert!(free.iter().all(|&loc| !s.slot_live(loc)), "class {size}: a live slot is free");
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!(free.len(), lists.free.len(), "class {size}: a slot is free twice");
+            assert_eq!(lists.ring.len(), live + free.len(), "class {size}: ring");
+            assert_eq!(
+                (lists.live, lists.ttl_live, lists.live_bytes, lists.frag_bytes),
+                (live, ttl_live, live_bytes, frag_bytes),
+                "class {size}: (live, ttl_live, live_bytes, frag_bytes)"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_crawl_races_clock_and_reuse() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        const NOW: u32 = 100;
+        const PER_WRITER: u32 = 50_000;
+        // Every third key is mortal (deadline 50, past at NOW); the rest
+        // live on, with a deadline 1 000 or none. A writer frees seven
+        // of every eight objects it writes, so its next allocation
+        // reuses the slot (LIFO) and a slot the crawl copied flips
+        // between mortal and immortal occupants; the eighth stays, and
+        // once ~1 300 have, allocations evict, turning the hand.
+        let key = |t: u32, i: u32| format!("w{t}-{i}");
+        let deadline = |i: u32| [50, 1_000, 0][(i % 3) as usize];
+        let spared: HashSet<u64> = (0..2)
+            .flat_map(|t| (0..PER_WRITER).filter(|&i| deadline(i) != 50).map(move |i| (t, i)))
+            .map(|(t, i)| hash64(key(t, i).as_bytes()))
+            .collect();
+        let s = Arc::new(ObjectStore::new(64 << 10));
+        let stop = Arc::new(AtomicBool::new(false));
+        let crawler = {
+            let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    s.sweep_expired(NOW, 2, &mut out);
+                    for p in out.drain(..) {
+                        assert!(!spared.contains(&p.cookie), "the crawl freed a live, unexpired object");
+                    }
+                }
+            })
+        };
+        let writers: Vec<_> = (0..2)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for i in 0..PER_WRITER {
+                        let out = s
+                            .allocate_with(key(t, i).as_bytes(), b"payload!", deadline(i), 0, NOW, 0)
+                            .unwrap();
+                        if i % 8 != 0 {
+                            s.free_incarnation(out.loc, out.tag);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in writers {
+            h.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        crawler.join().unwrap();
+        assert!(s.expiry_stats().expired_proactive > 0, "the crawl raced the writers");
+
+        let mut out = Vec::new();
+        s.sweep_expired(NOW, usize::MAX, &mut out);
+        assert_accounting_exact(&s);
+        for lists in &s.classes {
+            for &loc in &lists.lock().ring {
+                assert!(!s.is_expired(loc, NOW), "one lap left an expired object behind");
+            }
+        }
     }
 }

@@ -125,7 +125,7 @@ pub struct Batch {
     /// 2^32 recycles while one batch is in flight is impossible.
     pub wf_gens: Vec<u32>,
     /// Objects that died making room for this batch's SETs — CLOCK
-    /// victims and members of reclaimed expired segments — appended by
+    /// victims and the expired objects a crawl chunk freed — appended by
     /// `MM` in query order; `IN`-Delete unlinks them from the index
     /// ahead of the explicit DELETEs.
     pub dead: Vec<PurgedEntry>,

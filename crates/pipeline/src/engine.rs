@@ -313,7 +313,7 @@ impl KvEngine {
     }
 
     /// Drop the index entries of dead objects. Every death — CLOCK
-    /// eviction, segment reclaim, lazy expiry — ends here and nowhere
+    /// eviction, the expiry crawl, lazy expiry — ends here and nowhere
     /// else. Per record: the [`KvEngine::entry_refreshed`] guard spares
     /// an entry a recycled slot made fresh; otherwise `(cookie, loc)`
     /// leaves the index, and the slot is settled by the store's
@@ -443,21 +443,20 @@ impl KvEngine {
         usage
     }
 
-    /// Proactive expiry: reclaim up to `max_segments` expired TTL
-    /// segments from the store and drop the purged objects' index
-    /// entries (rebuilt from the segment's hash cookies — no key bytes
-    /// are read). Driven from the serving controller thread; also
-    /// useful directly in tests. Returns `(objects purged, segments
-    /// reclaimed)`.
-    pub fn sweep_expired(&self, max_segments: usize) -> (usize, usize) {
+    /// Proactive expiry: crawl up to `max_chunks` chunks of the store's
+    /// CLOCK rings for objects past their deadline, free them, and drop
+    /// their index entries (the crawl hashes each key in place). Driven
+    /// from the serving controller thread; also useful directly in
+    /// tests. Returns `(objects purged, chunks that freed something)`.
+    pub fn sweep_expired(&self, max_chunks: usize) -> (usize, usize) {
         // The lazy expiries `KC` deferred go first, so they cannot
         // outlive a traffic stall.
         self.unlink(&UNMETERED, &self.pending_expired.drain());
         let mut purged = Vec::new();
         let now = self.clock.now_secs();
-        let segments = self.store.sweep_expired(now, max_segments, &mut purged);
+        let chunks = self.store.sweep_expired(now, max_chunks, &mut purged);
         self.unlink(&UNMETERED, &purged);
-        (purged.len(), segments)
+        (purged.len(), chunks)
     }
 
     /// Current skew-sampling epoch.
@@ -548,9 +547,9 @@ impl KvEngine {
             .store
             .allocate_with(key, value, deadline, flags, now, kh.hash)
             .ok()?;
-        // Allocation pressure may have bulk-reclaimed expired segments
-        // and evicted a CLOCK victim; their index entries go before
-        // anything can re-probe them.
+        // Allocation pressure may have crawled expired objects and
+        // evicted a CLOCK victim; their index entries go before anything
+        // can re-probe them.
         self.unlink(&UNMETERED, &out.reclaimed);
         self.unlink(&UNMETERED, out.evicted.as_slice());
         let mut upserted = [Ok(None)];
@@ -779,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn sweeper_reclaims_expired_segments_and_index_entries() {
+    fn sweeper_crawls_expired_objects_and_index_entries() {
         use dido_model::MockClock;
         let clock = Arc::new(MockClock::at(1_000));
         let e = KvEngine::with_clock(
@@ -793,9 +792,9 @@ mod tests {
         assert_eq!(e.store.live_objects(), 200);
         assert_eq!(e.sweep_expired(usize::MAX), (0, 0), "nothing due yet");
         clock.advance(60);
-        let (purged, segments) = e.sweep_expired(usize::MAX);
+        let (purged, chunks) = e.sweep_expired(usize::MAX);
         assert_eq!(purged, 100);
-        assert!(segments >= 1);
+        assert!(chunks >= 1);
         assert_eq!(e.store.live_objects(), 100);
         for i in 0..100u32 {
             assert!(!e.has_key(format!("short-{i}").as_bytes()));
@@ -841,7 +840,7 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Death {
         ClockEviction,
-        SegmentReclaim,
+        ExpiryCrawl,
         KcLazyExpiry,
     }
 
@@ -867,7 +866,7 @@ mod tests {
         };
         let sources = [
             Death::ClockEviction,
-            Death::SegmentReclaim,
+            Death::ExpiryCrawl,
             Death::KcLazyExpiry,
         ];
         for source in sources {
@@ -907,7 +906,7 @@ mod tests {
                         assert!(e.store.free(out.loc));
                         out.evicted.expect("a full store evicts")
                     }
-                    Death::SegmentReclaim => {
+                    Death::ExpiryCrawl => {
                         let mut purged = Vec::new();
                         e.store.sweep_expired(now, usize::MAX, &mut purged);
                         assert_eq!(purged.len(), 1, "{case}");

@@ -636,6 +636,13 @@ impl ShardedEngine {
         self.fold_engines(|_| 0, |n, e| *n += e.store.bytes_carved())
     }
 
+    /// Bytes of every current shard's CLOCK rings and free lists
+    /// (donors included while migrating).
+    #[must_use]
+    pub fn ring_bytes(&self) -> usize {
+        self.fold_engines(|_| 0, |n, e| *n += e.store.ring_bytes())
+    }
+
     /// Aggregate pipeline op totals across current shards plus every
     /// retired donor set (so resizes never lose accounting).
     #[must_use]
@@ -643,21 +650,21 @@ impl ShardedEngine {
         self.fold_engines(|sets| sets.retired, |total, e| total.merge(&e.op_counts()))
     }
 
-    /// Proactive TTL expiry: sweep up to `max_segments_per_shard`
-    /// expired segments on every *primary* shard (donors are left to
-    /// drain — their expired objects are dropped by the migration walk
-    /// instead, which already holds the per-shard write lock). Returns
-    /// aggregate `(objects purged, segments reclaimed)`.
-    pub fn sweep_expired(&self, max_segments_per_shard: usize) -> (usize, usize) {
+    /// Proactive TTL expiry: crawl up to `max_chunks_per_shard` ring
+    /// chunks on every *primary* shard (donors are left to drain — their
+    /// expired objects are dropped by the migration walk instead, which
+    /// already holds the per-shard write lock). Returns aggregate
+    /// `(objects purged, chunks that freed something)`.
+    pub fn sweep_expired(&self, max_chunks_per_shard: usize) -> (usize, usize) {
         let sets = self.sets.read();
         let mut purged = 0;
-        let mut segments = 0;
+        let mut chunks = 0;
         for e in &sets.primary.engines {
-            let (p, s) = e.sweep_expired(max_segments_per_shard);
+            let (p, c) = e.sweep_expired(max_chunks_per_shard);
             purged += p;
-            segments += s;
+            chunks += c;
         }
-        (purged, segments)
+        (purged, chunks)
     }
 
     /// Cumulative expiry-reclamation counters summed across every
@@ -687,7 +694,6 @@ impl ShardedEngine {
                             m.free_slots += c.free_slots;
                             m.live_bytes += c.live_bytes;
                             m.frag_bytes += c.frag_bytes;
-                            m.open_segments += c.open_segments;
                         }
                         None => merged.push(c),
                     }
@@ -996,9 +1002,9 @@ mod tests {
             s.execute(&Query::set(format!("keep-{i}"), "v"));
         }
         clock.advance(60);
-        let (purged, segments) = s.sweep_expired(usize::MAX);
+        let (purged, chunks) = s.sweep_expired(usize::MAX);
         assert_eq!(purged, 120);
-        assert!(segments >= 4, "every shard should reclaim at least one segment");
+        assert!(chunks >= 4, "every shard's crawl should free something");
         assert_eq!(s.live_objects(), 120);
         assert_eq!(s.execute(&Query::get("keep-7")).status, ResponseStatus::Ok);
     }

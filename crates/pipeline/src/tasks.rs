@@ -143,15 +143,14 @@ pub fn run_mm<M: Meter>(
         let q = &batch.queries[i];
         M::mm_alloc(&ctx);
         engine.ops.mm_allocs.add(1);
-        let kh = key_hash(&q.key);
         let deadline = ttl_to_deadline(q.ttl, now);
         match engine
             .store
-            .allocate_with(&q.key, &q.value, deadline, q.flags, now, kh.hash)
+            .allocate_with(&q.key, &q.value, deadline, q.flags, now, 0)
         {
             Ok(out) => {
                 // Whatever died to make room — the CLOCK victim, the
-                // members of reclaimed expired segments — is metered
+                // expired objects a crawl chunk freed — is metered
                 // here as MM bookkeeping and joins the batch's dead
                 // list; the index unlinks run in IN-Delete.
                 let first = batch.dead.len();

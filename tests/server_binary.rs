@@ -432,16 +432,56 @@ fn an_idle_server_holds_little_of_its_store_resident() {
     let store_mb = 256;
     let store = store_mb.to_string();
     let (server, _) = start(&["--store-mb", &store, "--addr", "127.0.0.1:0"], 1);
-    let status = std::fs::read_to_string(format!("/proc/{}/status", server.0.id()))
-        .expect("read /proc/<pid>/status");
-    let rss_kb: usize = status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmRSS:"))
-        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
-        .unwrap_or_else(|| panic!("no VmRSS in:\n{status}"));
+    let rss_kb = vm_rss_kb(&server);
     assert!(
         rss_kb < (store_mb << 10) / 4,
         "idle VmRSS {rss_kb} kB is not below a quarter of a {store_mb} MB store"
+    );
+}
+
+/// VmRSS of `server`, in kB.
+fn vm_rss_kb(server: &Server) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", server.0.id()))
+        .expect("read /proc/<pid>/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no VmRSS in:\n{status}"))
+}
+
+/// A SET with a TTL costs its object and nothing more: a million SETs
+/// with a one-hour TTL over 4 000 keys into `--store-mb 4` leave VmRSS
+/// within the idle server plus the store, the index and a few MB. A
+/// 16-byte record per TTL'd SET kept until its deadline would add
+/// 16 MB, four times the store.
+#[test]
+fn long_ttl_sets_hold_no_memory_beyond_their_objects() {
+    const KEYS: usize = 4_000;
+    const SETS: usize = 1_000_000;
+    const STORE_MB: usize = 4;
+    const SLACK_MB: usize = 6;
+    let store = STORE_MB.to_string();
+    let args = ["--store-mb", &store, "--stats-every", "1", "--addr", "127.0.0.1:0"];
+    let (server, addrs) = start(&args, 1);
+    let idle_kb = vm_rss_kb(&server);
+    let mut client = KvClient::connect(addrs[0]).expect("connect");
+    for round in 0..SETS / KEYS {
+        for first in (0..KEYS).step_by(1_000) {
+            let sets: Vec<Query> = (first..first + 1_000)
+                .map(|k| Query::set_with(format!("ttl-key-{k:08}"), format!("{round:08}"), 3_600, 0))
+                .collect();
+            let rs = client.request(&sets).expect("round trip");
+            assert!(rs.iter().all(|r| r.status == ResponseStatus::Ok));
+        }
+    }
+    let last = block_counting(&server, SETS);
+    let rss_kb = vm_rss_kb(&server);
+    let index_kb = metric(&last, "index_bytes").parse::<usize>().expect("a byte count") >> 10;
+    let bound_kb = idle_kb + ((STORE_MB + SLACK_MB) << 10) + index_kb;
+    assert!(
+        rss_kb < bound_kb,
+        "{SETS} TTL'd SETs: VmRSS {rss_kb} kB, idle {idle_kb} kB, bound {bound_kb} kB:\n{last}"
     );
 }
 
